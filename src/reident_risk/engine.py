@@ -20,15 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
-from .metrics import (
-    DrResult,
-    band,
-    discrimination_rate,
-    distinct_l_diversity,
-    equivalence_classes,
-    k_anonymity,
-    value_inference,
-)
+from .metrics import CodedTable, DrResult, Partition, band
 from .model import (
     AttributeMeta,
     AttributeRole,
@@ -328,19 +320,44 @@ def assess(
     except ValueError as exc:
         raise AssessmentError([str(exc)]) from exc
 
+    # Flag severe records under the highest-exposure combination; ties go to
+    # the larger member set (weakly higher inference), then dataset order.
+    top_combo = min(
+        combinations,
+        key=lambda c: (-int(c.exposure), -len(c.members), _member_sort_key(dataset, c)),
+    )
+    qi_set = tuple(qi_names)
+
+    # One partition per combination, shared by every sensitive attribute;
+    # only the flagging and appendix partitions outlive their iteration.
+    table = CodedTable(dataset)
+    dr_by_sensitive: dict[str, list[DrResult]] = {s: [] for s in sensitive_names}
+    top_partition = appendix_partition = None
+    for combo in combinations:
+        partition = Partition(table, combo.members)
+        for sensitive in sensitive_names:
+            dr_by_sensitive[sensitive].append(partition.discrimination_rate(sensitive))
+        if combo is top_combo:
+            top_partition = partition
+        if combo.members == qi_set:
+            appendix_partition = partition
+    if appendix_partition is None:
+        appendix_partition = Partition(table, qi_set)
+
     exploitability_rows = []
     risk_rows = []
     dr_results: list[DrResult] = []
+    flagged: list[FlaggedRecord] = []
+    threshold = int(options.flag_threshold)
     for sensitive in sensitive_names:
+        column = dataset.column(sensitive)
         value_severities = {
-            v: severity_of_value(ordered_meta, sensitive, v)
-            for v in dict.fromkeys(dataset.column(sensitive))
+            v: severity_of_value(ordered_meta, sensitive, v) for v in dict.fromkeys(column)
         }
         attribute_max_severity = SeverityLevel(max(value_severities.values()))
 
         rows = []
-        for combo in combinations:
-            dr = discrimination_rate(dataset, combo.members, sensitive)
+        for combo, dr in zip(combinations, dr_by_sensitive[sensitive]):
             level = exploitability(combo.exposure, dr.inference, options.exploitability_matrix)
             rows.append(
                 ExploitabilityRow(
@@ -381,29 +398,12 @@ def assess(
                 )
             )
 
-    overall_risk = RiskLevel(max(int(r.risk) for r in risk_rows))
-
-    # Flag severe records under the highest-exposure combination; ties go to
-    # the larger member set (weakly higher inference), then dataset order.
-    top_combo = min(
-        combinations,
-        key=lambda c: (-int(c.exposure), -len(c.members), _member_sort_key(dataset, c)),
-    )
-    flagged: list[FlaggedRecord] = []
-    threshold = int(options.flag_threshold)
-    for sensitive in sensitive_names:
-        column = dataset.column(sensitive)
-        classing = equivalence_classes(dataset, top_combo.members)
-        class_scores = {
-            c.key: value_inference(dataset, top_combo.members, c.key, sensitive)
-            for c in classing.classes
-        }
-        projections = dataset.project(top_combo.members)
-        for i in range(dataset.row_count):
-            level = severity_of_value(ordered_meta, sensitive, column[i])
+        class_scores = top_partition.class_inference(sensitive)
+        for i, value in enumerate(column):
+            level = value_severities[value]
             if int(level) < threshold:
                 continue
-            score = class_scores[projections[i]]
+            score = class_scores[top_partition.class_of[i]]
             record_exploitability = exploitability(
                 top_combo.exposure, band(score), options.exploitability_matrix
             )
@@ -411,12 +411,14 @@ def assess(
                 FlaggedRecord(
                     row_index=i,
                     attribute=sensitive,
-                    sensitive_value=column[i],
+                    sensitive_value=value,
                     value_severity=level,
                     class_inference=score,
                     record_risk=risk(record_exploitability, level, options.risk_matrix),
                 )
             )
+
+    overall_risk = RiskLevel(max(int(r.risk) for r in risk_rows))
 
     attribute_severity_table = tuple(
         AttributeSeverityEntry(attribute=m.name, rating=m.severity)
@@ -435,10 +437,10 @@ def assess(
     )
 
     appendix = MetricsAppendix(
-        qi_set=tuple(qi_names),
-        k_anonymity=k_anonymity(dataset, qi_names),
+        qi_set=qi_set,
+        k_anonymity=appendix_partition.k_anonymity(),
         l_diversity=tuple(
-            LDiversityEntry(sensitive=s, l_value=distinct_l_diversity(dataset, qi_names, s))
+            LDiversityEntry(sensitive=s, l_value=appendix_partition.l_diversity(s))
             for s in sensitive_names
         ),
         dr_results=tuple(dr_results),

@@ -47,7 +47,8 @@ class MetadataDocument:
 def _open_text(source: Source) -> tuple[IO[str], bool, str]:
     if isinstance(source, (str, Path)):
         path = Path(source)
-        return path.open("r", encoding="utf-8", newline=""), True, path.name
+        # utf-8-sig drops the byte-order mark that spreadsheet exports put first.
+        return path.open("r", encoding="utf-8-sig", newline=""), True, path.name
     label = getattr(source, "name", "<stream>")
     return source, False, str(label)
 
@@ -83,7 +84,7 @@ def load_csv(source: Source, label: str | None = None) -> Dataset:
                     f"{default_label}: row {number} has {len(cells)} cells, "
                     f"expected {len(attributes)}"
                 )
-            rows.append(tuple(cells))
+            rows.append(cells)  # Dataset builds the row tuples; one copy is enough
     finally:
         if owned:
             stream.close()

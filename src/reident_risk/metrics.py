@@ -12,17 +12,26 @@ equivalence class under Q carries a single sensitive value. The same ratio
 evaluated inside one equivalence class gives the per-value (per-class)
 inference score. A degenerate sensitive attribute with H(S) = 0 is treated
 as dr = 1: the constant value is known without looking at Q at all.
+
+Every metric is derived from one :class:`Partition` of the rows, built in a
+single pass per quasi-identifier over integer-coded columns
+(:class:`CodedTable`), so a whole assessment costs time linear in rows times
+combinations. The dataset-level functions below are thin wrappers that
+build a partition for one call.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .model import Dataset, InferenceLevel
 
 __all__ = [
+    "CodedTable",
+    "Partition",
     "EquivalenceClass",
     "EquivalenceClassing",
     "DrResult",
@@ -57,13 +66,6 @@ class EquivalenceClassing:
     def sizes(self) -> tuple[int, ...]:
         return tuple(c.size for c in self.classes)
 
-    def find(self, key: Sequence[str]) -> EquivalenceClass:
-        wanted = tuple(key)
-        for c in self.classes:
-            if c.key == wanted:
-                return c
-        raise KeyError(f"unknown class {wanted!r} for quasi-identifiers {self.qi_set!r}")
-
 
 @dataclass(frozen=True)
 class DrResult:
@@ -88,38 +90,6 @@ def _check_qi_set(dataset: Dataset, qi_set: Sequence[str]) -> tuple[str, ...]:
     return names
 
 
-def equivalence_classes(dataset: Dataset, qi_set: Sequence[str]) -> EquivalenceClassing:
-    """Group rows by exact equality of their projection onto ``qi_set``.
-
-    Classes are ordered by the first row index at which each key occurs.
-    """
-    names = _check_qi_set(dataset, qi_set)
-    if dataset.row_count == 0:
-        raise ValueError("no rows: cannot build equivalence classes")
-    groups: dict[tuple[str, ...], list[int]] = {}
-    for i, key in enumerate(dataset.project(names)):
-        groups.setdefault(key, []).append(i)
-    classes = tuple(
-        EquivalenceClass(key=key, row_indices=tuple(idxs)) for key, idxs in groups.items()
-    )
-    return EquivalenceClassing(qi_set=names, classes=classes)
-
-
-def k_anonymity(dataset: Dataset, qi_set: Sequence[str]) -> int:
-    """Minimum equivalence-class size; k = 1 means some record is unique."""
-    return min(equivalence_classes(dataset, qi_set).sizes())
-
-
-def distinct_l_diversity(dataset: Dataset, qi_set: Sequence[str], sensitive: str) -> int:
-    """Minimum number of distinct sensitive values within any class."""
-    names = _check_qi_set(dataset, qi_set)
-    if sensitive in names:
-        raise ValueError(f"sensitive attribute {sensitive!r} must not be a quasi-identifier")
-    column = dataset.column(sensitive)
-    classing = equivalence_classes(dataset, names)
-    return min(len({column[i] for i in c.row_indices}) for c in classing.classes)
-
-
 def entropy(counts: Iterable[int | float]) -> float:
     """Shannon entropy in bits of a multiset of category counts."""
     values = [float(c) for c in counts]
@@ -133,27 +103,6 @@ def entropy(counts: Iterable[int | float]) -> float:
         if c > 0:
             p = c / total
             h -= p * math.log2(p)
-    return h
-
-
-def _counts(values: Iterable[str]) -> list[int]:
-    tally: dict[str, int] = {}
-    for v in values:
-        tally[v] = tally.get(v, 0) + 1
-    return list(tally.values())
-
-
-def conditional_entropy(dataset: Dataset, target: str, given_set: Sequence[str]) -> float:
-    """H(target | given_set) in bits, weighting each class by its frequency."""
-    names = _check_qi_set(dataset, given_set)
-    if target in names:
-        raise ValueError(f"target {target!r} must not appear in the conditioning set")
-    column = dataset.column(target)
-    classing = equivalence_classes(dataset, names)
-    n = dataset.row_count
-    h = 0.0
-    for c in classing.classes:
-        h += (c.size / n) * entropy(_counts(column[i] for i in c.row_indices))
     return h
 
 
@@ -178,6 +127,180 @@ def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
 
 
+class CodedTable:
+    """The columns of a dataset as integer codes, each encoded on first use.
+
+    A column's distinct values are numbered in order of first occurrence, so
+    tallies kept in code order list the values in the order the rows first
+    show them. H(S) of a column is computed once and kept.
+    """
+
+    __slots__ = ("dataset", "_codes", "_entropy")
+
+    def __init__(self, dataset: Dataset):
+        self.dataset = dataset
+        self._codes: dict[str, tuple[list[int], int]] = {}
+        self._entropy: dict[str, float] = {}
+
+    def codes(self, name: str) -> tuple[list[int], int]:
+        """Per-row codes of column ``name`` and the number of distinct values."""
+        coded = self._codes.get(name)
+        if coded is None:
+            index = self.dataset.attribute_index(name)
+            numbering: dict[str, int] = {}
+            codes = [numbering.setdefault(row[index], len(numbering)) for row in self.dataset.rows]
+            coded = self._codes[name] = (codes, len(numbering))
+        return coded
+
+    def entropy(self, name: str) -> float:
+        """H(name) in bits over the whole table."""
+        h = self._entropy.get(name)
+        if h is None:
+            h = self._entropy[name] = entropy(Counter(self.codes(name)[0]).values())
+        return h
+
+
+class Partition:
+    """Equivalence classes of the rows under a quasi-identifier set.
+
+    ``class_of[i]`` is the class of row ``i`` and ``sizes[c]`` the size of
+    class ``c``; classes are numbered in order of first occurrence. The
+    partition is refined one quasi-identifier at a time with the integer key
+    ``class_id * cardinality + code``. Per-class tallies of a sensitive
+    attribute are counted on first use and kept, so one partition serves
+    every sensitive attribute. All lists are shared and must not be mutated.
+    """
+
+    __slots__ = ("table", "qi_set", "class_of", "sizes", "_tallies")
+
+    def __init__(self, table: CodedTable, qi_set: Sequence[str]):
+        names = _check_qi_set(table.dataset, qi_set)
+        if table.dataset.row_count == 0:
+            raise ValueError("no rows: cannot build equivalence classes")
+        class_of, count = table.codes(names[0])
+        for name in names[1:]:
+            codes, cardinality = table.codes(name)
+            numbering: dict[int, int] = {}
+            class_of = [
+                numbering.setdefault(c * cardinality + v, len(numbering))
+                for c, v in zip(class_of, codes)
+            ]
+            count = len(numbering)
+        sizes = [0] * count
+        for c in class_of:
+            sizes[c] += 1
+        self.table = table
+        self.qi_set = names
+        self.class_of = class_of
+        self.sizes = sizes
+        self._tallies: dict[str, list[list[int]]] = {}
+
+    def tallies(self, sensitive: str) -> list[list[int]]:
+        """Per class, the counts of each sensitive value it holds, in the
+        order the class's rows first show the values."""
+        per_class = self._tallies.get(sensitive)
+        if per_class is None:
+            codes, cardinality = self.table.codes(sensitive)
+            per_class = [[] for _ in self.sizes]
+            joint = Counter(c * cardinality + v for c, v in zip(self.class_of, codes))
+            for key, count in joint.items():
+                per_class[key // cardinality].append(count)
+            self._tallies[sensitive] = per_class
+        return per_class
+
+    def k_anonymity(self) -> int:
+        return min(self.sizes)
+
+    def l_diversity(self, sensitive: str) -> int:
+        return min(map(len, self.tallies(sensitive)))
+
+    def conditional_entropy(self, sensitive: str) -> float:
+        """H(sensitive | qi_set), classes weighted by frequency and summed in
+        class order. A pure class adds exactly 0.0 and is skipped."""
+        n = len(self.class_of)
+        h = 0.0
+        for size, counts in zip(self.sizes, self.tallies(sensitive)):
+            if len(counts) > 1:
+                h += (size / n) * entropy(counts)
+        return h
+
+    def discrimination_rate(self, sensitive: str) -> DrResult:
+        h_s = self.table.entropy(sensitive)
+        h_s_given_qi = self.conditional_entropy(sensitive)
+        dr = 1.0 if h_s == 0.0 else _clamp01(1.0 - h_s_given_qi / h_s)
+        return DrResult(
+            qi_set=self.qi_set,
+            sensitive=sensitive,
+            h_s=h_s,
+            h_s_given_qi=h_s_given_qi,
+            dr=dr,
+            inference=band(dr),
+        )
+
+    def class_inference(self, sensitive: str) -> list[float]:
+        """Per-class inference score, indexed by class id.
+
+        1 - H(S within the class) / H(S overall), clamped to [0, 1]; a pure
+        class scores 1. An impure class implies H(S) > 0.
+        """
+        h_s = self.table.entropy(sensitive)
+        return [
+            1.0 if len(counts) == 1 else _clamp01(1.0 - entropy(counts) / h_s)
+            for counts in self.tallies(sensitive)
+        ]
+
+
+def _split(
+    dataset: Dataset, qi_set: Sequence[str], target: str, message: str
+) -> tuple[tuple[str, ...], CodedTable]:
+    """Check a quasi-identifier set and a target outside it; encode the target."""
+    names = _check_qi_set(dataset, qi_set)
+    if target in names:
+        raise ValueError(message)
+    table = CodedTable(dataset)
+    table.codes(target)  # raises KeyError on an unknown target
+    return names, table
+
+
+def _sensitive_message(sensitive: str) -> str:
+    return f"sensitive attribute {sensitive!r} must not be a quasi-identifier"
+
+
+def equivalence_classes(dataset: Dataset, qi_set: Sequence[str]) -> EquivalenceClassing:
+    """Group rows by exact equality of their projection onto ``qi_set``.
+
+    Classes are ordered by the first row index at which each key occurs.
+    """
+    partition = Partition(CodedTable(dataset), qi_set)
+    members: list[list[int]] = [[] for _ in partition.sizes]
+    for i, c in enumerate(partition.class_of):
+        members[c].append(i)
+    idxs = [dataset.attribute_index(n) for n in partition.qi_set]
+    classes = tuple(
+        EquivalenceClass(key=tuple(dataset.rows[rows[0]][j] for j in idxs), row_indices=tuple(rows))
+        for rows in members
+    )
+    return EquivalenceClassing(qi_set=partition.qi_set, classes=classes)
+
+
+def k_anonymity(dataset: Dataset, qi_set: Sequence[str]) -> int:
+    """Minimum equivalence-class size; k = 1 means some record is unique."""
+    return Partition(CodedTable(dataset), qi_set).k_anonymity()
+
+
+def distinct_l_diversity(dataset: Dataset, qi_set: Sequence[str], sensitive: str) -> int:
+    """Minimum number of distinct sensitive values within any class."""
+    names, table = _split(dataset, qi_set, sensitive, _sensitive_message(sensitive))
+    return Partition(table, names).l_diversity(sensitive)
+
+
+def conditional_entropy(dataset: Dataset, target: str, given_set: Sequence[str]) -> float:
+    """H(target | given_set) in bits, weighting each class by its frequency."""
+    message = f"target {target!r} must not appear in the conditioning set"
+    names, table = _split(dataset, given_set, target, message)
+    return Partition(table, names).conditional_entropy(target)
+
+
 def discrimination_rate(dataset: Dataset, qi_set: Sequence[str], sensitive: str) -> DrResult:
     """Discrimination rate of ``qi_set`` for ``sensitive``: 1 - H(S|Q)/H(S).
 
@@ -185,23 +308,9 @@ def discrimination_rate(dataset: Dataset, qi_set: Sequence[str], sensitive: str)
     defined as 1 (the value is trivially inferable). The ratio is clamped
     to [0, 1] against floating-point drift.
     """
-    names = _check_qi_set(dataset, qi_set)
-    if sensitive in names:
-        raise ValueError(f"sensitive attribute {sensitive!r} must not be a quasi-identifier")
-    h_s = entropy(_counts(dataset.column(sensitive)))
-    h_s_given_qi = conditional_entropy(dataset, sensitive, names)
-    if h_s == 0.0:
-        dr = 1.0
-    else:
-        dr = _clamp01(1.0 - h_s_given_qi / h_s)
-    return DrResult(
-        qi_set=names,
-        sensitive=sensitive,
-        h_s=h_s,
-        h_s_given_qi=h_s_given_qi,
-        dr=dr,
-        inference=band(dr),
-    )
+    names, table = _split(dataset, qi_set, sensitive, _sensitive_message(sensitive))
+    table.entropy(sensitive)  # an empty table fails here, as "total count must be positive"
+    return Partition(table, names).discrimination_rate(sensitive)
 
 
 def value_inference(
@@ -214,13 +323,11 @@ def value_inference(
     """
     names = _check_qi_set(dataset, qi_set)
     if sensitive in names:
-        raise ValueError(f"sensitive attribute {sensitive!r} must not be a quasi-identifier")
-    cls = equivalence_classes(dataset, names).find(key)
-    column = dataset.column(sensitive)
-    h_class = entropy(_counts(column[i] for i in cls.row_indices))
-    if h_class == 0.0:
-        return 1.0
-    h_s = entropy(_counts(column))
-    if h_s == 0.0:
-        return 1.0
-    return _clamp01(1.0 - h_class / h_s)
+        raise ValueError(_sensitive_message(sensitive))
+    partition = Partition(CodedTable(dataset), names)
+    wanted = tuple(key)
+    idxs = [dataset.attribute_index(n) for n in names]
+    for c, row in zip(partition.class_of, dataset.rows):
+        if tuple(row[j] for j in idxs) == wanted:
+            return partition.class_inference(sensitive)[c]
+    raise KeyError(f"unknown class {wanted!r} for quasi-identifiers {names!r}")

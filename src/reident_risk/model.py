@@ -175,6 +175,8 @@ class AttributeMeta:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("attribute name must be non-empty")
+        if self.exposure is not None:
+            object.__setattr__(self, "exposure", ExposureLevel.parse(self.exposure))
         object.__setattr__(self, "value_severity", MappingProxyType(dict(self.value_severity)))
 
 

@@ -74,6 +74,12 @@ class TestLoadCsv:
         assert d.source_label == "t.csv"
         assert d.rows == (("1", "2"),)
 
+    def test_byte_order_mark_not_in_header(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("Age,Disease\n23,Flu\n", encoding="utf-8-sig")
+        assert p.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_csv(p).attributes == ("Age", "Disease")
+
 
 class TestLoadMetadata:
     def test_reference_document(self):

@@ -247,6 +247,13 @@ class TestAttributeMeta:
         with pytest.raises(ValueError):
             AttributeMeta(name="", role=AttributeRole.OTHER)
 
+    def test_exposure_coerced_like_severity(self):
+        for raw in (4, "EE", ExposureLevel.EXTERNAL_EXTENDED):
+            m = AttributeMeta(name="x", role=AttributeRole.QUASI_IDENTIFIER, exposure=raw)
+            assert m.exposure is ExposureLevel.EXTERNAL_EXTENDED
+        with pytest.raises(ScaleError):
+            AttributeMeta(name="x", role=AttributeRole.QUASI_IDENTIFIER, exposure=5)
+
     def test_value_severity_immutable(self):
         m = AttributeMeta(
             name="x",

@@ -1,0 +1,170 @@
+"""The partition core against the naive oracle, and its cost in partitions.
+
+Floats are compared with ``==``: the partition sums in the same order as the
+regrouping oracle in ``naive_metrics.py``, so any difference is a defect.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import naive_metrics as naive
+from reident_risk.engine import AssessmentOptions, assess, build_combinations
+from reident_risk.metrics import (
+    CodedTable,
+    Partition,
+    conditional_entropy,
+    discrimination_rate,
+    distinct_l_diversity,
+    equivalence_classes,
+    k_anonymity,
+    value_inference,
+)
+from reident_risk.model import (
+    AttributeMeta,
+    AttributeRole,
+    Dataset,
+    ExposureLevel,
+    SeverityRating,
+)
+
+
+@st.composite
+def tables(draw, n_qi=(1, 4), n_sensitive=(1, 2), max_rows=40):
+    """Random tables ``q0..`` then ``s0..``; each column has its own alphabet
+    size so classes mix pure, impure and singleton."""
+    qi = draw(st.integers(*n_qi))
+    sensitive = draw(st.integers(*n_sensitive))
+    sizes = [draw(st.integers(1, 6)) for _ in range(qi + sensitive)]
+    rows = draw(
+        st.lists(
+            st.tuples(*(st.sampled_from("abcdef"[:size]) for size in sizes)),
+            min_size=2,
+            max_size=max_rows,
+        )
+    )
+    names = tuple(f"q{i}" for i in range(qi)) + tuple(f"s{i}" for i in range(sensitive))
+    return Dataset(attributes=names, rows=tuple(rows), source_label="rand")
+
+
+def _split_names(d):
+    qi = [n for n in d.attributes if n.startswith("q")]
+    return qi, [n for n in d.attributes if n.startswith("s")]
+
+
+@given(tables(), st.data())
+@settings(deadline=None)
+def test_partition_equals_naive_oracle(d, data):
+    qi_names, sensitive_names = _split_names(d)
+    qi = data.draw(st.lists(st.sampled_from(qi_names), min_size=1, unique=True))
+    partition = Partition(CodedTable(d), qi)
+    classes = naive.equivalence_classes(d, qi)
+
+    assert partition.sizes == [len(c.row_indices) for c in classes]
+    for class_id, c in enumerate(classes):
+        assert all(partition.class_of[i] == class_id for i in c.row_indices)
+    assert partition.k_anonymity() == naive.k_anonymity(d, qi) == k_anonymity(d, qi)
+    public = equivalence_classes(d, qi).classes
+    assert [(c.key, c.row_indices) for c in public] == [(c.key, c.row_indices) for c in classes]
+
+    for s in sensitive_names:
+        expected_l = naive.distinct_l_diversity(d, qi, s)
+        assert partition.l_diversity(s) == expected_l == distinct_l_diversity(d, qi, s)
+        expected_h = naive.conditional_entropy(d, s, qi)
+        assert partition.conditional_entropy(s) == expected_h == conditional_entropy(d, s, qi)
+        expected_dr = naive.discrimination_rate(d, qi, s)
+        for result in (partition.discrimination_rate(s), discrimination_rate(d, qi, s)):
+            assert (result.h_s, result.h_s_given_qi, result.dr) == expected_dr
+        scores = [naive.value_inference(d, qi, c.key, s) for c in classes]
+        assert partition.class_inference(s) == scores
+        assert [value_inference(d, qi, c.key, s) for c in classes] == scores
+
+
+@given(
+    tables(n_qi=(2, 4)),
+    st.lists(st.integers(1, 4), min_size=4, max_size=4),
+    st.sampled_from(["per_level", "cumulative"]),
+)
+@settings(deadline=None)
+def test_assess_equals_naive_oracle(d, exposures, strategy):
+    qi_names, sensitive_names = _split_names(d)
+    meta = [
+        AttributeMeta(name=n, role=AttributeRole.QUASI_IDENTIFIER, exposure=ExposureLevel(e))
+        for n, e in zip(qi_names, exposures)
+    ] + [
+        AttributeMeta(name=n, role=AttributeRole.SENSITIVE, severity=SeverityRating(1, 2, 3))
+        for n in sensitive_names
+    ]
+    options = AssessmentOptions(combination_strategy=strategy)
+    report = assess(d, meta, options)
+
+    appendix = report.metrics_appendix
+    assert appendix.k_anonymity == naive.k_anonymity(d, qi_names)
+    assert [e.l_value for e in appendix.l_diversity] == [
+        naive.distinct_l_diversity(d, qi_names, s) for s in sensitive_names
+    ]
+    for r in appendix.dr_results:
+        assert (r.h_s, r.h_s_given_qi, r.dr) == naive.discrimination_rate(d, r.qi_set, r.sensitive)
+
+    # Every value has global severity 3, so every record is flagged under the
+    # highest-exposure combination (ties: more members, then column order).
+    combos = build_combinations(meta, strategy)
+    top = min(
+        combos,
+        key=lambda c: (-int(c.exposure), -len(c.members), [qi_names.index(m) for m in c.members]),
+    )
+    keys = d.project(top.members)
+    assert len(report.flagged_records) == d.row_count * len(sensitive_names)
+    for record in report.flagged_records:
+        expected = naive.value_inference(d, top.members, keys[record.row_index], record.attribute)
+        assert record.class_inference == expected
+
+
+def _near_unique(rows, seed):
+    rng = random.Random(seed)
+    table = [
+        (
+            str(rng.randrange(90)),
+            rng.choice("MF"),
+            f"{rng.randrange(10000):05d}",
+            f"2019-{rng.randrange(1, 13):02d}-{rng.randrange(1, 29):02d}",
+            rng.choice(["Colds", "Flu", "HIV", "Cancer", "Diabetes"]),
+        )
+        for _ in range(rows)
+    ]
+    return Dataset(
+        attributes=("Age", "Gender", "Zip", "Date", "Disease"), rows=tuple(table), source_label="t"
+    )
+
+
+def test_partitions_built_bounded_by_member_sets(monkeypatch):
+    exposures = {"Age": 4, "Gender": 4, "Zip": 4, "Date": 2}
+    meta = [
+        AttributeMeta(name=n, role=AttributeRole.QUASI_IDENTIFIER, exposure=ExposureLevel(e))
+        for n, e in exposures.items()
+    ]
+    meta.append(
+        AttributeMeta(name="Disease", role=AttributeRole.SENSITIVE, severity=SeverityRating(1, 2, 4))
+    )
+    member_sets = {frozenset(c.members) for c in build_combinations(meta)}
+    near_unique, small = _near_unique(2000, seed=5), _near_unique(20, seed=6)
+    # Flagging runs under Age/Gender/Zip, where nearly every row is alone.
+    assert len(Partition(CodedTable(near_unique), ["Age", "Gender", "Zip"]).sizes) > 1900
+
+    built = []
+    construct = Partition.__init__
+
+    def counting(self, table, qi_set):
+        built.append(tuple(qi_set))
+        construct(self, table, qi_set)
+
+    monkeypatch.setattr(Partition, "__init__", counting)
+    counts = []
+    for d in (near_unique, small):
+        built.clear()
+        report = assess(d, meta)
+        assert len(report.flagged_records) == d.row_count
+        counts.append(len(built))
+    assert counts[0] <= len(member_sets) + 1  # one more for the k/l appendix
+    assert counts[0] == counts[1]  # and no more for more classes
