@@ -16,20 +16,9 @@ from .engine import (
     build_combinations,
     exploitability,
     risk,
-    severity_of_value,
 )
 from .ingest import IngestError, MetadataDocument, load_csv, load_metadata
-from .metrics import (
-    DrResult,
-    band,
-    conditional_entropy,
-    discrimination_rate,
-    distinct_l_diversity,
-    entropy,
-    equivalence_classes,
-    k_anonymity,
-    value_inference,
-)
+from .metrics import CodedTable, DrResult, Partition, band, entropy
 from .model import (
     AttributeMeta,
     AttributeRole,
@@ -55,6 +44,7 @@ __all__ = [
     "AssessmentReport",
     "AttributeMeta",
     "AttributeRole",
+    "CodedTable",
     "CombinationStrategy",
     "DEFAULT_EXPLOITABILITY_MATRIX",
     "DEFAULT_RISK_MATRIX",
@@ -65,6 +55,7 @@ __all__ = [
     "InferenceLevel",
     "IngestError",
     "MetadataDocument",
+    "Partition",
     "RiskLevel",
     "ScaleMatrix",
     "SeverityLevel",
@@ -73,20 +64,13 @@ __all__ = [
     "assess",
     "band",
     "build_combinations",
-    "conditional_entropy",
-    "discrimination_rate",
-    "distinct_l_diversity",
     "entropy",
-    "equivalence_classes",
     "exploitability",
     "global_severity",
-    "k_anonymity",
     "load_csv",
     "load_metadata",
     "risk",
-    "severity_of_value",
     "to_json",
     "to_markdown",
     "validate_meta",
-    "value_inference",
 ]

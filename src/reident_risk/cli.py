@@ -17,7 +17,7 @@ from pathlib import Path
 from . import fixtures
 from .engine import AssessmentError, assess
 from .ingest import IngestError, load_csv, load_metadata
-from .metrics import discrimination_rate, distinct_l_diversity, k_anonymity
+from .metrics import CodedTable, Partition
 from .report import to_json, to_markdown
 
 EXIT_OK = 0
@@ -95,14 +95,14 @@ def cmd_metric(args: argparse.Namespace) -> int:
     except (IngestError, OSError, UnicodeDecodeError) as exc:
         _diag(str(exc))
         return EXIT_FAILURE
-    qi = _split_qi(args.qi)
     try:
+        partition = Partition(CodedTable(dataset), _split_qi(args.qi))
         if args.metric == "k":
-            payload = {"k": k_anonymity(dataset, qi)}
+            payload = {"k": partition.k_anonymity()}
         elif args.metric == "ldiv":
-            payload = {"l": distinct_l_diversity(dataset, qi, args.sensitive)}
+            payload = {"l": partition.l_diversity(args.sensitive)}
         else:
-            result = discrimination_rate(dataset, qi, args.sensitive)
+            result = partition.discrimination_rate(args.sensitive)
             payload = {
                 "qi": list(result.qi_set),
                 "sensitive": result.sensitive,

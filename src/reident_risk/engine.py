@@ -144,7 +144,7 @@ class FlaggedRecord:
 
 @dataclass(frozen=True)
 class AssessmentOptions:
-    flag_threshold: int = 3
+    flag_threshold: SeverityLevel = SeverityLevel.SIGNIFICANT
     combination_strategy: CombinationStrategy = CombinationStrategy.PER_LEVEL
     explicit_combinations: tuple[tuple[str, ...], ...] = ()
     exploitability_matrix: ScaleMatrix = DEFAULT_EXPLOITABILITY_MATRIX
@@ -155,29 +155,13 @@ class AssessmentOptions:
         object.__setattr__(
             self, "combination_strategy", CombinationStrategy.parse(self.combination_strategy)
         )
-        if not 1 <= int(self.flag_threshold) <= 4:
-            raise ValueError(f"flag_threshold {self.flag_threshold!r} out of range 1..4")
+        object.__setattr__(self, "flag_threshold", SeverityLevel.parse(self.flag_threshold))
         object.__setattr__(
             self,
             "explicit_combinations",
             tuple(tuple(str(m) for m in combo) for combo in self.explicit_combinations),
         )
         object.__setattr__(self, "notes", tuple(str(n) for n in self.notes))
-
-
-def severity_of_value(meta: Sequence[AttributeMeta], attribute: str, value: str) -> SeverityLevel:
-    """Global severity of one value: its override, else the attribute rating."""
-    entry = next((m for m in meta if m.name == attribute), None)
-    if entry is None:
-        raise ValueError(f"no metadata for attribute {attribute!r}")
-    if entry.role is not AttributeRole.SENSITIVE:
-        raise ValueError(f"attribute {attribute!r} is not sensitive")
-    override = entry.value_severity.get(value)
-    if override is not None:
-        return global_severity(override)
-    if entry.severity is None:
-        raise ValueError(f"sensitive attribute {attribute!r} has no severity rating")
-    return global_severity(entry.severity)
 
 
 def build_combinations(
@@ -348,11 +332,12 @@ def assess(
     risk_rows = []
     dr_results: list[DrResult] = []
     flagged: list[FlaggedRecord] = []
-    threshold = int(options.flag_threshold)
     for sensitive in sensitive_names:
         column = dataset.column(sensitive)
+        entry = by_name[sensitive]  # validated: a sensitive attribute carries a severity
         value_severities = {
-            v: severity_of_value(ordered_meta, sensitive, v) for v in dict.fromkeys(column)
+            v: global_severity(entry.value_severity.get(v, entry.severity))
+            for v in dict.fromkeys(column)
         }
         attribute_max_severity = SeverityLevel(max(value_severities.values()))
 
@@ -401,7 +386,7 @@ def assess(
         class_scores = top_partition.class_inference(sensitive)
         for i, value in enumerate(column):
             level = value_severities[value]
-            if int(level) < threshold:
+            if level < options.flag_threshold:
                 continue
             score = class_scores[top_partition.class_of[i]]
             record_exploitability = exploitability(

@@ -4,7 +4,8 @@ The metadata document carries everything an analyst decides by hand: roles,
 exposure levels, severity ratings and per-value overrides, optional matrix
 overrides, and assessment options. Severity components accept integers 1-4
 or their labels ("negligible".."maximum"); exposure accepts 1-4 or the
-IR/IE/ER/EE abbreviations (including the swapped RI/EI variants).
+IR/IE/ER/EE abbreviations (including the swapped RI/EI variants). A key the
+format does not define is rejected with its JSON path.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import io
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Any, Union
+from typing import IO, Any, Collection, Union
 
-from .engine import AssessmentOptions, CombinationStrategy
+from .engine import AssessmentOptions
 from .model import (
     AttributeMeta,
     AttributeRole,
@@ -95,6 +96,14 @@ def load_csv(source: Source, label: str | None = None) -> Dataset:
     )
 
 
+def _check_keys(obj: dict, allowed: Collection[str], path: str) -> None:
+    """Reject a key outside ``allowed``: a misspelled option must not fall back
+    to its default."""
+    for key in obj:
+        if key not in allowed:
+            raise IngestError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
+
+
 def _require(obj: dict, key: str, path: str) -> Any:
     if key not in obj:
         raise IngestError(f"{path}.{key}: required field is missing")
@@ -104,6 +113,7 @@ def _require(obj: dict, key: str, path: str) -> Any:
 def _parse_attribute(raw: Any, path: str) -> AttributeMeta:
     if not isinstance(raw, dict):
         raise IngestError(f"{path}: expected an object")
+    _check_keys(raw, ("name", "role", "exposure", "severity", "value_severity"), path)
     name = _require(raw, "name", path)
     if not isinstance(name, str) or not name.strip():
         raise IngestError(f"{path}.name: expected a non-empty string")
@@ -157,6 +167,28 @@ def _parse_matrix(raw: Any, name: str, path: str) -> ScaleMatrix:
         raise IngestError(f"{path}: {exc}") from None
 
 
+def _combinations(raw: Any) -> list:
+    if not isinstance(raw, list) or any(not isinstance(c, list) for c in raw):
+        raise ValueError("expected an array of attribute-name arrays")
+    return raw
+
+
+def _notes(raw: Any) -> list:
+    if not isinstance(raw, list):
+        raise ValueError("expected an array of strings")
+    return raw
+
+
+# Each option key names an AssessmentOptions field. The constructor coerces
+# every value; these checks reject the JSON shapes it would misread.
+_OPTION_CHECKS = {
+    "flag_threshold": lambda raw: raw,
+    "combination_strategy": lambda raw: raw,
+    "explicit_combinations": _combinations,
+    "notes": _notes,
+}
+
+
 def _parse_options(raw: Any, matrices: dict[str, ScaleMatrix], path: str) -> AssessmentOptions:
     options = AssessmentOptions(
         exploitability_matrix=matrices.get("exploitability", AssessmentOptions.exploitability_matrix),
@@ -166,29 +198,14 @@ def _parse_options(raw: Any, matrices: dict[str, ScaleMatrix], path: str) -> Ass
         return options
     if not isinstance(raw, dict):
         raise IngestError(f"{path}: expected an object")
-    try:
-        if raw.get("flag_threshold") is not None:
-            options = replace(options, flag_threshold=int(raw["flag_threshold"]))
-        if raw.get("combination_strategy") is not None:
-            options = replace(
-                options,
-                combination_strategy=CombinationStrategy.parse(raw["combination_strategy"]),
-            )
-        if raw.get("explicit_combinations") is not None:
-            combos = raw["explicit_combinations"]
-            if not isinstance(combos, list) or any(not isinstance(c, list) for c in combos):
-                raise ValueError("expected an array of attribute-name arrays")
-            options = replace(
-                options,
-                explicit_combinations=tuple(tuple(str(n) for n in c) for c in combos),
-            )
-        if raw.get("notes") is not None:
-            notes = raw["notes"]
-            if not isinstance(notes, list):
-                raise ValueError("expected an array of strings")
-            options = replace(options, notes=tuple(str(n) for n in notes))
-    except (TypeError, ValueError) as exc:
-        raise IngestError(f"{path}: {exc}") from None
+    _check_keys(raw, _OPTION_CHECKS, path)
+    for key, value in raw.items():
+        if value is None:
+            continue
+        try:
+            options = replace(options, **{key: _OPTION_CHECKS[key](value)})
+        except (TypeError, ValueError) as exc:
+            raise IngestError(f"{path}.{key}: {exc}") from None
     return options
 
 
@@ -206,6 +223,7 @@ def load_metadata(source: Source) -> MetadataDocument:
 
     if not isinstance(document, dict):
         raise IngestError(f"{label}: expected a JSON object at the top level")
+    _check_keys(document, ("version", "attributes", "matrices", "options"), "")
     version = document.get("version")
     if version != METADATA_VERSION:
         raise IngestError(f"version: unrecognized value {version!r}, expected {METADATA_VERSION}")
@@ -222,56 +240,13 @@ def load_metadata(source: Source) -> MetadataDocument:
     if raw_matrices is not None:
         if not isinstance(raw_matrices, dict):
             raise IngestError("matrices: expected an object")
+        _check_keys(raw_matrices, ("exploitability", "risk"), "matrices")
         for key in ("exploitability", "risk"):
             if raw_matrices.get(key) is not None:
                 matrices[key] = _parse_matrix(raw_matrices[key], key, f"matrices.{key}")
 
     options = _parse_options(document.get("options"), matrices, "options")
     return MetadataDocument(version=int(version), attributes=attributes, options=options)
-
-
-def _severity_to_dict(rating: SeverityRating) -> dict:
-    return {
-        "bodily": int(rating.bodily),
-        "material": int(rating.material),
-        "moral": int(rating.moral),
-    }
-
-
-def metadata_to_dict(doc: MetadataDocument) -> dict:
-    """Plain-data form of a document; loading it back is value-identical."""
-    attributes = []
-    for m in doc.attributes:
-        entry: dict[str, Any] = {"name": m.name, "role": m.role.value}
-        if m.exposure is not None:
-            entry["exposure"] = int(m.exposure)
-        if m.severity is not None:
-            entry["severity"] = _severity_to_dict(m.severity)
-        if m.value_severity:
-            entry["value_severity"] = {
-                v: _severity_to_dict(r) for v, r in m.value_severity.items()
-            }
-        attributes.append(entry)
-    options = doc.options
-    payload: dict[str, Any] = {
-        "version": doc.version,
-        "attributes": attributes,
-        "matrices": {
-            "exploitability": [list(r) for r in options.exploitability_matrix.cells],
-            "risk": [list(r) for r in options.risk_matrix.cells],
-        },
-        "options": {
-            "flag_threshold": options.flag_threshold,
-            "combination_strategy": options.combination_strategy.value,
-            "explicit_combinations": [list(c) for c in options.explicit_combinations],
-            "notes": list(options.notes),
-        },
-    }
-    return payload
-
-
-def dump_metadata(doc: MetadataDocument) -> str:
-    return json.dumps(metadata_to_dict(doc), indent=2, ensure_ascii=False) + "\n"
 
 
 def load_csv_text(text: str, label: str) -> Dataset:

@@ -16,8 +16,7 @@ as dr = 1: the constant value is known without looking at Q at all.
 Every metric is derived from one :class:`Partition` of the rows, built in a
 single pass per quasi-identifier over integer-coded columns
 (:class:`CodedTable`), so a whole assessment costs time linear in rows times
-combinations. The dataset-level functions below are thin wrappers that
-build a partition for one call.
+combinations.
 """
 
 from __future__ import annotations
@@ -32,39 +31,10 @@ from .model import Dataset, InferenceLevel
 __all__ = [
     "CodedTable",
     "Partition",
-    "EquivalenceClass",
-    "EquivalenceClassing",
     "DrResult",
-    "equivalence_classes",
-    "k_anonymity",
-    "distinct_l_diversity",
     "entropy",
-    "conditional_entropy",
-    "discrimination_rate",
-    "value_inference",
     "band",
 ]
-
-
-@dataclass(frozen=True)
-class EquivalenceClass:
-    key: tuple[str, ...]
-    row_indices: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.row_indices)
-
-
-@dataclass(frozen=True)
-class EquivalenceClassing:
-    """Partition of the rows by their projection onto a quasi-identifier set."""
-
-    qi_set: tuple[str, ...]
-    classes: tuple[EquivalenceClass, ...]
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(c.size for c in self.classes)
 
 
 @dataclass(frozen=True)
@@ -77,17 +47,6 @@ class DrResult:
     h_s_given_qi: float
     dr: float
     inference: InferenceLevel
-
-
-def _check_qi_set(dataset: Dataset, qi_set: Sequence[str]) -> tuple[str, ...]:
-    names = tuple(qi_set)
-    if not names:
-        raise ValueError("quasi-identifier set must be non-empty")
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate attribute in quasi-identifier set: {names!r}")
-    for name in names:
-        dataset.attribute_index(name)  # raises KeyError on unknown names
-    return names
 
 
 def entropy(counts: Iterable[int | float]) -> float:
@@ -168,13 +127,21 @@ class Partition:
     partition is refined one quasi-identifier at a time with the integer key
     ``class_id * cardinality + code``. Per-class tallies of a sensitive
     attribute are counted on first use and kept, so one partition serves
-    every sensitive attribute. All lists are shared and must not be mutated.
+    every sensitive attribute; a sensitive attribute inside the
+    quasi-identifier set is rejected with ``ValueError``. All lists are
+    shared and must not be mutated.
     """
 
     __slots__ = ("table", "qi_set", "class_of", "sizes", "_tallies")
 
     def __init__(self, table: CodedTable, qi_set: Sequence[str]):
-        names = _check_qi_set(table.dataset, qi_set)
+        names = tuple(qi_set)
+        if not names:
+            raise ValueError("quasi-identifier set must be non-empty")
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate attribute in quasi-identifier set: {names!r}")
+        for name in names:
+            table.dataset.attribute_index(name)  # raises KeyError on unknown names
         if table.dataset.row_count == 0:
             raise ValueError("no rows: cannot build equivalence classes")
         class_of, count = table.codes(names[0])
@@ -200,6 +167,10 @@ class Partition:
         order the class's rows first show the values."""
         per_class = self._tallies.get(sensitive)
         if per_class is None:
+            if sensitive in self.qi_set:
+                raise ValueError(
+                    f"sensitive attribute {sensitive!r} must not be a quasi-identifier"
+                )
             codes, cardinality = self.table.codes(sensitive)
             per_class = [[] for _ in self.sizes]
             joint = Counter(c * cardinality + v for c, v in zip(self.class_of, codes))
@@ -249,85 +220,3 @@ class Partition:
             for counts in self.tallies(sensitive)
         ]
 
-
-def _split(
-    dataset: Dataset, qi_set: Sequence[str], target: str, message: str
-) -> tuple[tuple[str, ...], CodedTable]:
-    """Check a quasi-identifier set and a target outside it; encode the target."""
-    names = _check_qi_set(dataset, qi_set)
-    if target in names:
-        raise ValueError(message)
-    table = CodedTable(dataset)
-    table.codes(target)  # raises KeyError on an unknown target
-    return names, table
-
-
-def _sensitive_message(sensitive: str) -> str:
-    return f"sensitive attribute {sensitive!r} must not be a quasi-identifier"
-
-
-def equivalence_classes(dataset: Dataset, qi_set: Sequence[str]) -> EquivalenceClassing:
-    """Group rows by exact equality of their projection onto ``qi_set``.
-
-    Classes are ordered by the first row index at which each key occurs.
-    """
-    partition = Partition(CodedTable(dataset), qi_set)
-    members: list[list[int]] = [[] for _ in partition.sizes]
-    for i, c in enumerate(partition.class_of):
-        members[c].append(i)
-    idxs = [dataset.attribute_index(n) for n in partition.qi_set]
-    classes = tuple(
-        EquivalenceClass(key=tuple(dataset.rows[rows[0]][j] for j in idxs), row_indices=tuple(rows))
-        for rows in members
-    )
-    return EquivalenceClassing(qi_set=partition.qi_set, classes=classes)
-
-
-def k_anonymity(dataset: Dataset, qi_set: Sequence[str]) -> int:
-    """Minimum equivalence-class size; k = 1 means some record is unique."""
-    return Partition(CodedTable(dataset), qi_set).k_anonymity()
-
-
-def distinct_l_diversity(dataset: Dataset, qi_set: Sequence[str], sensitive: str) -> int:
-    """Minimum number of distinct sensitive values within any class."""
-    names, table = _split(dataset, qi_set, sensitive, _sensitive_message(sensitive))
-    return Partition(table, names).l_diversity(sensitive)
-
-
-def conditional_entropy(dataset: Dataset, target: str, given_set: Sequence[str]) -> float:
-    """H(target | given_set) in bits, weighting each class by its frequency."""
-    message = f"target {target!r} must not appear in the conditioning set"
-    names, table = _split(dataset, given_set, target, message)
-    return Partition(table, names).conditional_entropy(target)
-
-
-def discrimination_rate(dataset: Dataset, qi_set: Sequence[str], sensitive: str) -> DrResult:
-    """Discrimination rate of ``qi_set`` for ``sensitive``: 1 - H(S|Q)/H(S).
-
-    With H(S) = 0 the sensitive attribute is constant and the rate is
-    defined as 1 (the value is trivially inferable). The ratio is clamped
-    to [0, 1] against floating-point drift.
-    """
-    names, table = _split(dataset, qi_set, sensitive, _sensitive_message(sensitive))
-    table.entropy(sensitive)  # an empty table fails here, as "total count must be positive"
-    return Partition(table, names).discrimination_rate(sensitive)
-
-
-def value_inference(
-    dataset: Dataset, qi_set: Sequence[str], key: Sequence[str], sensitive: str
-) -> float:
-    """Per-class inference score for one quasi-identifier value combination.
-
-    1 - H(S within the class) / H(S overall), clamped to [0, 1]; a pure
-    class scores 1 regardless of the overall entropy.
-    """
-    names = _check_qi_set(dataset, qi_set)
-    if sensitive in names:
-        raise ValueError(_sensitive_message(sensitive))
-    partition = Partition(CodedTable(dataset), names)
-    wanted = tuple(key)
-    idxs = [dataset.attribute_index(n) for n in names]
-    for c, row in zip(partition.class_of, dataset.rows):
-        if tuple(row[j] for j in idxs) == wanted:
-            return partition.class_inference(sensitive)[c]
-    raise KeyError(f"unknown class {wanted!r} for quasi-identifiers {names!r}")

@@ -14,18 +14,11 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FULL_QI
+import naive_metrics as naive
+from conftest import FULL_QI, partition
 from reident_risk import fixtures
 from reident_risk.engine import AssessmentOptions, assess
-from reident_risk.metrics import (
-    band,
-    conditional_entropy,
-    discrimination_rate,
-    distinct_l_diversity,
-    entropy,
-    equivalence_classes,
-    k_anonymity,
-)
+from reident_risk.metrics import band, entropy
 from reident_risk.model import (
     AttributeMeta,
     AttributeRole,
@@ -89,13 +82,13 @@ def test_criterion_1_hipaa_end_to_end(hipaa, reference_meta):
 
 def test_criterion_2_reproducible_single_attributes(hipaa):
     with criterion(2, "analytically reproducible single-attribute inference levels"):
-        dr_age = discrimination_rate(hipaa, ["Age"], "Disease")
+        dr_age = partition(hipaa, ["Age"]).discrimination_rate("Disease")
         expected_age = 1 - (2 / 12) / H12
         assert abs(dr_age.dr - expected_age) < TOL
         assert 0.75 <= dr_age.dr <= 1.0
         assert dr_age.inference.display == "4-Critical"
 
-        dr_country = discrimination_rate(hipaa, ["Country"], "Disease")
+        dr_country = partition(hipaa, ["Country"]).discrimination_rate("Disease")
         expected_country = 1 - (4 / 12) / H12
         assert abs(dr_country.dr - expected_country) < TOL
         assert dr_country.inference.display == "4-Critical"
@@ -105,19 +98,19 @@ def test_criterion_3_non_reproducible_cells_documented(hipaa, kanon, reference_m
     with criterion(3, "non-reproducible reference labels asserted at oracle values"):
         # The grouped quasi-identifier key on the 3-anonymous table: group 1
         # is pure, groups 2 and 3 are uniform over three diseases.
-        dr_group = discrimination_rate(kanon, FULL_QI, "Disease")
+        dr_group = partition(kanon, FULL_QI).discrimination_rate("Disease")
         expected = 1 - (2 / 3) * math.log2(3) / H9
         assert abs(dr_group.dr - expected) < TOL
         assert dr_group.inference.display == "2-Moderate"
 
         # Single attributes whose circulated labels do not follow from the
         # data; the computed levels below are the authoritative ones.
-        assert discrimination_rate(hipaa, ["Gender"], "Disease").inference.display == "1-Weak"
-        assert (
-            discrimination_rate(hipaa, ["Admission Date"], "Disease").inference.display
-            == "3-Severe"
-        )
-        assert discrimination_rate(hipaa, ["Blood Type"], "Disease").inference.display == "3-Severe"
+        for qi, label in (
+            ("Gender", "1-Weak"),
+            ("Admission Date", "3-Severe"),
+            ("Blood Type", "3-Severe"),
+        ):
+            assert partition(hipaa, [qi]).discrimination_rate("Disease").inference.display == label
 
         # The explanatory note ships with the fixtures and must surface as a
         # report warning whenever they are assessed.
@@ -144,10 +137,10 @@ def test_criterion_4_severity_reproduction(initial, reference_meta):
 
 def test_criterion_5_k_anonymity_and_diversity_oracles(initial, kanon, hipaa):
     with criterion(5, "k-anonymity / diversity values and brute-force equivalence"):
-        assert k_anonymity(kanon, FULL_QI) == 3
-        assert k_anonymity(initial, FULL_QI) == 1
-        assert k_anonymity(hipaa, FULL_QI) == 1
-        assert distinct_l_diversity(kanon, FULL_QI, "Disease") == 1
+        assert partition(kanon, FULL_QI).k_anonymity() == 3
+        assert partition(initial, FULL_QI).k_anonymity() == 1
+        assert partition(hipaa, FULL_QI).k_anonymity() == 1
+        assert partition(kanon, FULL_QI).l_diversity("Disease") == 1
 
         rng = random.Random(20260809)
         alphabet = "abcdefgh"
@@ -163,8 +156,8 @@ def test_criterion_5_k_anonymity_and_diversity_oracles(initial, kanon, hipaa):
             d = Dataset(attributes=names, rows=rows, source_label="rand")
             qi = rng.sample(names, rng.randint(1, n_cols))
             keys = d.project(qi)
-            naive = min(sum(1 for other in keys if other == key) for key in keys)
-            assert k_anonymity(d, qi) == naive
+            brute_force = min(sum(1 for other in keys if other == key) for key in keys)
+            assert partition(d, qi).k_anonymity() == brute_force
 
 
 def _tiny_tables(min_cols=2, max_cols=4, max_rows=12, alphabet="abc"):
@@ -194,20 +187,21 @@ def test_criterion_6_property_suites():
             for v in d.column(s):
                 counts[v] = counts.get(v, 0) + 1
             h_s = entropy(counts.values())
-            h_cond = conditional_entropy(d, s, list(d.attributes[:-1]))
+            h_cond = partition(d, d.attributes[:-1]).conditional_entropy(s)
             assert -TOL <= h_cond <= h_s + TOL
 
         @given(_tiny_tables())
         @settings(max_examples=500, deadline=None)
         def dr_in_range(d):
-            assert 0.0 <= discrimination_rate(d, list(d.attributes[:-1]), d.attributes[-1]).dr <= 1.0
+            dr = partition(d, d.attributes[:-1]).discrimination_rate(d.attributes[-1]).dr
+            assert 0.0 <= dr <= 1.0
 
         @given(_tiny_tables(min_cols=3))
         @settings(max_examples=500, deadline=None)
         def dr_superset_monotone(d):
             s = d.attributes[-1]
-            small = discrimination_rate(d, list(d.attributes[:1]), s).dr
-            large = discrimination_rate(d, list(d.attributes[:-1]), s).dr
+            small = partition(d, d.attributes[:1]).discrimination_rate(s).dr
+            large = partition(d, d.attributes[:-1]).discrimination_rate(s).dr
             assert large >= small - TOL
 
         @given(_tiny_tables())
@@ -218,9 +212,9 @@ def test_criterion_6_property_suites():
             column = d.column(s)
             if len(set(column)) < 2:
                 return
-            classing = equivalence_classes(d, qi)
-            pure = all(len({column[i] for i in c.row_indices}) == 1 for c in classing.classes)
-            assert (abs(discrimination_rate(d, qi, s).dr - 1.0) < TOL) == pure
+            classes = naive.equivalence_classes(d, qi)
+            pure = all(len({column[i] for i in c.row_indices}) == 1 for c in classes)
+            assert (abs(partition(d, qi).discrimination_rate(s).dr - 1.0) < TOL) == pure
 
         @given(
             _tiny_tables(min_cols=4, max_cols=4, max_rows=8),

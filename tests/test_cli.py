@@ -132,6 +132,14 @@ class TestMetric:
         assert "Zip" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("metric", ["k", "ldiv", "dr"])
+    def test_header_only_table_has_no_rows(self, metric, tmp_path, capsys):
+        data = tmp_path / "empty.csv"
+        data.write_text("Age,Disease\n", encoding="utf-8")
+        args = ["metric", metric, "--data", str(data), "--qi", "Age", "--sensitive", "Disease"]
+        assert main(args) == 2
+        assert "no rows" in capsys.readouterr().err
+
     def test_dr_requires_sensitive(self, emitted, capsys):
         data, _ = emitted["hipaa"]
         code = main(["metric", "dr", "--data", data, "--qi", "Age"])

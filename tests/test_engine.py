@@ -14,7 +14,6 @@ from reident_risk.engine import (
     build_combinations,
     exploitability,
     risk,
-    severity_of_value,
 )
 from reident_risk.model import (
     AttributeMeta,
@@ -43,28 +42,6 @@ def sens(name, rating=(1, 3, 4), overrides=None):
         severity=SeverityRating(*rating),
         value_severity={v: SeverityRating(*r) for v, r in (overrides or {}).items()},
     )
-
-
-class TestSeverityOfValue:
-    def test_override_wins(self, reference_meta):
-        meta = reference_meta.attributes
-        assert severity_of_value(meta, "Disease", "Colds") is SeverityLevel.NEGLIGIBLE
-        assert severity_of_value(meta, "Disease", "HIV") is SeverityLevel.MAXIMUM
-        assert severity_of_value(meta, "Disease", "Diabetes") is SeverityLevel.SIGNIFICANT
-
-    def test_fallback_to_attribute_rating(self, reference_meta):
-        # No override for this value; the attribute itself is rated (1, 3, 4).
-        assert severity_of_value(reference_meta.attributes, "Disease", "Measles") is (
-            SeverityLevel.MAXIMUM
-        )
-
-    def test_non_sensitive_rejected(self, reference_meta):
-        with pytest.raises(ValueError, match="not sensitive"):
-            severity_of_value(reference_meta.attributes, "Age", "23")
-
-    def test_unknown_attribute_rejected(self, reference_meta):
-        with pytest.raises(ValueError, match="no metadata"):
-            severity_of_value(reference_meta.attributes, "Zip", "x")
 
 
 class TestBuildCombinations:

@@ -2,19 +2,13 @@
 
 import io
 import json
+import re
 
 import pytest
 
-from reident_risk.engine import CombinationStrategy
+from reident_risk.engine import AssessmentOptions, CombinationStrategy
 from reident_risk.fixtures import fixture_csv, reference_metadata_json
-from reident_risk.ingest import (
-    IngestError,
-    dump_metadata,
-    load_csv,
-    load_csv_text,
-    load_metadata,
-    metadata_to_dict,
-)
+from reident_risk.ingest import IngestError, load_csv, load_csv_text, load_metadata
 from reident_risk.model import AttributeRole, ExposureLevel, SeverityLevel
 
 
@@ -179,21 +173,33 @@ class TestLoadMetadata:
         with pytest.raises(IngestError, match="options"):
             load_metadata(meta_doc(options={"flag_threshold": 9}))
 
+    @pytest.mark.parametrize("threshold", [3.9, True, "3", 0, 5])
+    def test_flag_threshold_not_truncated(self, threshold):
+        with pytest.raises(IngestError, match=r"options\.flag_threshold"):
+            load_metadata(meta_doc(options={"flag_threshold": threshold}))
+
+    def test_flag_threshold_label_accepted(self):
+        doc = load_metadata(meta_doc(options={"flag_threshold": "maximum"}))
+        assert doc.options.flag_threshold is SeverityLevel.MAXIMUM
+
+    def test_options_constructor_rejects_fractional_threshold(self):
+        with pytest.raises(ValueError):
+            AssessmentOptions(flag_threshold=3.9)
+
+    @pytest.mark.parametrize(
+        "overrides,path",
+        [
+            ({"options": {"combinaton_strategy": "cumulative"}}, "options.combinaton_strategy"),
+            ({"matrix": {}}, "matrix"),
+            ({"matrices": {"exploit": []}}, "matrices.exploit"),
+            ({"attributes": [{"name": "a", "role": "sensitive", "rank": 1}]}, "attributes[0].rank"),
+        ],
+    )
+    def test_unknown_key_rejected(self, overrides, path):
+        with pytest.raises(IngestError, match=f"^{re.escape(path)}: unknown key$"):
+            load_metadata(meta_doc(**overrides))
+
     def test_bad_strategy_rejected(self):
         with pytest.raises(IngestError, match="strategy"):
             load_metadata(meta_doc(options={"combination_strategy": "pairwise"}))
 
-
-class TestRoundTrip:
-    def test_load_dump_load_is_value_identical(self):
-        first = load_metadata(io.StringIO(reference_metadata_json()))
-        second = load_metadata(io.StringIO(dump_metadata(first)))
-        assert first == second
-
-    def test_dict_form_contains_labels_as_integers(self):
-        doc = load_metadata(io.StringIO(reference_metadata_json()))
-        payload = metadata_to_dict(doc)
-        age = next(a for a in payload["attributes"] if a["name"] == "Age")
-        assert age["exposure"] == 4
-        disease = next(a for a in payload["attributes"] if a["name"] == "Disease")
-        assert disease["severity"] == {"bodily": 1, "material": 3, "moral": 4}

@@ -9,17 +9,9 @@ import math
 
 import pytest
 
-from conftest import FULL_QI
-from reident_risk.metrics import (
-    band,
-    conditional_entropy,
-    discrimination_rate,
-    distinct_l_diversity,
-    entropy,
-    equivalence_classes,
-    k_anonymity,
-    value_inference,
-)
+import reident_risk
+from conftest import FULL_QI, partition
+from reident_risk.metrics import band, entropy
 from reident_risk.model import Dataset, InferenceLevel
 
 TOL = 1e-12
@@ -43,78 +35,84 @@ def tiny(rows, attrs=None):
     return Dataset(attributes=tuple(attrs), rows=tuple(tuple(r) for r in rows), source_label="t")
 
 
+def class_score(d, qi, key, sensitive):
+    """Inference score of the class whose rows project onto ``key``."""
+    p = partition(d, qi)
+    return p.class_inference(sensitive)[p.class_of[d.project(qi).index(tuple(key))]]
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from reident_risk import *", namespace)
+    assert set(reident_risk.__all__) <= set(namespace)
+
+
 class TestEquivalenceClasses:
     def test_kanon_groups(self, kanon):
-        classing = equivalence_classes(kanon, FULL_QI)
-        assert len(classing.classes) == 3
-        assert classing.sizes() == (3, 3, 3)
+        assert partition(kanon, FULL_QI).sizes == [3, 3, 3]
 
     def test_initial_age_classes(self, initial):
         # Ages 23 and 53 each occur twice; every other age is unique.
-        classing = equivalence_classes(initial, ["Age"])
-        assert len(classing.classes) == 10
-        assert sorted(classing.sizes()) == [1] * 8 + [2, 2]
+        assert sorted(partition(initial, ["Age"]).sizes) == [1] * 8 + [2, 2]
 
     def test_single_constant_attribute(self):
         d = tiny([["x", "a"], ["x", "b"], ["x", "c"]])
-        classing = equivalence_classes(d, ["c0"])
-        assert len(classing.classes) == 1
-        assert classing.classes[0].size == 3
+        assert partition(d, ["c0"]).sizes == [3]
 
     def test_partition_and_order(self, initial):
-        classing = equivalence_classes(initial, ["Country"])
-        all_rows = sorted(i for c in classing.classes for i in c.row_indices)
-        assert all_rows == list(range(initial.row_count))
-        keys = [c.key for c in classing.classes]
-        assert len(set(keys)) == len(keys)
+        p = partition(initial, ["Country"])
+        key_of = {}  # class id -> country, in the order of each class's first row
+        for country, c in zip(initial.column("Country"), p.class_of):
+            assert key_of.setdefault(c, country) == country  # one country per class
+        assert list(key_of) == list(range(len(p.sizes)))
+        assert len(set(key_of.values())) == len(p.sizes)  # one class per country
         # First-occurrence order: Nigeria appears in row 0, Cameroon in row 1.
-        assert keys[0] == ("Nigeria",)
-        assert keys[1] == ("Cameroon",)
+        assert [key_of[0], key_of[1]] == ["Nigeria", "Cameroon"]
 
     def test_unknown_attribute(self, initial):
         with pytest.raises(KeyError):
-            equivalence_classes(initial, ["Age", "Zip"])
+            partition(initial, ["Age", "Zip"])
 
     def test_empty_dataset_rejected(self):
         d = Dataset(attributes=("a",), rows=())
         with pytest.raises(ValueError, match="no rows"):
-            equivalence_classes(d, ["a"])
+            partition(d, ["a"])
 
     def test_empty_qi_set_rejected(self, initial):
         with pytest.raises(ValueError):
-            equivalence_classes(initial, [])
+            partition(initial, [])
 
 
 class TestKAnonymity:
     def test_kanon_table_is_3(self, kanon):
-        assert k_anonymity(kanon, FULL_QI) == 3
+        assert partition(kanon, FULL_QI).k_anonymity() == 3
 
     def test_initial_table_is_1(self, initial):
-        assert k_anonymity(initial, FULL_QI) == 1
+        assert partition(initial, FULL_QI).k_anonymity() == 1
 
     def test_hipaa_table_is_1(self, hipaa):
-        assert k_anonymity(hipaa, FULL_QI) == 1
+        assert partition(hipaa, FULL_QI).k_anonymity() == 1
 
     def test_constant_attribute_gives_row_count(self):
         d = tiny([["x", str(i)] for i in range(7)])
-        assert k_anonymity(d, ["c0"]) == 7
+        assert partition(d, ["c0"]).k_anonymity() == 7
 
 
 class TestLDiversity:
     def test_kanon_group_lacks_diversity(self, kanon):
-        assert distinct_l_diversity(kanon, FULL_QI, "Disease") == 1
+        assert partition(kanon, FULL_QI).l_diversity("Disease") == 1
 
     def test_constant_sensitive(self):
         d = tiny([["a", "x"], ["b", "x"], ["a", "x"]])
-        assert distinct_l_diversity(d, ["c0"], "c1") == 1
+        assert partition(d, ["c0"]).l_diversity("c1") == 1
 
     def test_kanon_groups_2_and_3(self, kanon):
         subset = Dataset(attributes=kanon.attributes, rows=kanon.rows[3:], source_label="t")
-        assert distinct_l_diversity(subset, FULL_QI, "Disease") == 3
+        assert partition(subset, FULL_QI).l_diversity("Disease") == 3
 
     def test_sensitive_in_qi_rejected(self, kanon):
         with pytest.raises(ValueError):
-            distinct_l_diversity(kanon, ["Age", "Disease"], "Disease")
+            partition(kanon, ["Age", "Disease"]).l_diversity("Disease")
 
 
 class TestEntropy:
@@ -147,78 +145,81 @@ class TestEntropy:
 class TestConditionalEntropy:
     def test_functional_determination_is_zero(self):
         d = tiny([["a", "x"], ["a", "x"], ["b", "y"], ["b", "y"]])
-        assert conditional_entropy(d, "c1", ["c0"]) == pytest.approx(0.0, abs=TOL)
+        assert partition(d, ["c0"]).conditional_entropy("c1") == pytest.approx(0.0, abs=TOL)
 
     def test_constant_given_equals_marginal(self, initial):
         d = tiny([["k", v] for v in initial.column("Disease")])
-        assert conditional_entropy(d, "c1", ["c0"]) == pytest.approx(H12, abs=TOL)
+        assert partition(d, ["c0"]).conditional_entropy("c1") == pytest.approx(H12, abs=TOL)
 
     def test_hipaa_disease_given_age(self, hipaa):
         # Only the two age-53 rows form an impure class ({Cancer, HIV}, 1 bit).
         expected = (2 / 12) * 1.0
-        assert conditional_entropy(hipaa, "Disease", ["Age"]) == pytest.approx(expected, abs=TOL)
+        h = partition(hipaa, ["Age"]).conditional_entropy("Disease")
+        assert h == pytest.approx(expected, abs=TOL)
 
     def test_target_in_given_set_rejected(self, hipaa):
         with pytest.raises(ValueError):
-            conditional_entropy(hipaa, "Age", ["Age", "Gender"])
+            partition(hipaa, ["Age", "Gender"]).conditional_entropy("Age")
 
 
 class TestDiscriminationRate:
     def test_hipaa_demographics_perfect_inference(self, hipaa):
         # All 12 (Age, Gender, Country) projections are distinct.
         assert len(set(hipaa.project(["Age", "Gender", "Country"]))) == 12
-        result = discrimination_rate(hipaa, ["Age", "Gender", "Country"], "Disease")
+        result = partition(hipaa, ["Age", "Gender", "Country"]).discrimination_rate("Disease")
         assert result.dr == 1.0
         assert result.h_s_given_qi == 0.0
         assert result.inference is InferenceLevel.CRITICAL
 
     def test_constant_qi_no_inference(self):
         d = tiny([["k", "x"], ["k", "y"], ["k", "x"], ["k", "z"]])
-        result = discrimination_rate(d, ["c0"], "c1")
+        result = partition(d, ["c0"]).discrimination_rate("c1")
         assert result.dr == pytest.approx(0.0, abs=TOL)
         assert result.inference is InferenceLevel.WEAK
 
     def test_kanon_group_key(self, kanon):
         # Group 1 is pure; groups 2 and 3 are uniform over three diseases.
         expected = 1.0 - (2 / 3) * math.log2(3) / H9
-        result = discrimination_rate(kanon, FULL_QI, "Disease")
+        result = partition(kanon, FULL_QI).discrimination_rate("Disease")
         assert result.dr == pytest.approx(expected, abs=1e-9)
         assert result.h_s == pytest.approx(H9, abs=TOL)
         assert result.inference is InferenceLevel.MODERATE
 
     def test_constant_sensitive_degenerate(self):
         d = tiny([["a", "x"], ["b", "x"], ["c", "x"]])
-        result = discrimination_rate(d, ["c0"], "c1")
+        result = partition(d, ["c0"]).discrimination_rate("c1")
         assert result.h_s == 0.0
         assert result.dr == 1.0
         assert result.inference is InferenceLevel.CRITICAL
 
     def test_result_fields(self, hipaa):
-        result = discrimination_rate(hipaa, ["Age"], "Disease")
+        result = partition(hipaa, ["Age"]).discrimination_rate("Disease")
         assert result.qi_set == ("Age",)
         assert result.sensitive == "Disease"
         assert 0.0 <= result.h_s_given_qi <= result.h_s
         assert result.dr == pytest.approx(1 - (2 / 12) / H12, abs=1e-9)
 
+    @pytest.mark.parametrize("metric", ["discrimination_rate", "class_inference"])
+    def test_sensitive_in_qi_rejected(self, hipaa, metric):
+        # Inside its own QI set every class is pure, which would read dr = 1.
+        p = partition(hipaa, ["Age", "Disease"])
+        with pytest.raises(ValueError, match="must not be a quasi-identifier"):
+            getattr(p, metric)("Disease")
+
 
 class TestValueInference:
     def test_kanon_twenties_pure_class(self, kanon):
-        assert value_inference(kanon, ["Age"], ("2*",), "Disease") == 1.0
+        assert class_score(kanon, ["Age"], ("2*",), "Disease") == 1.0
 
     def test_class_matching_global_distribution(self):
         d = tiny([["a", "x"], ["a", "y"], ["b", "x"], ["b", "y"]])
-        assert value_inference(d, ["c0"], ("a",), "c1") == pytest.approx(0.0, abs=TOL)
+        assert class_score(d, ["c0"], ("a",), "c1") == pytest.approx(0.0, abs=TOL)
 
     def test_hipaa_country_france(self, hipaa):
         # The France class holds {Colds, Flu}: one bit against H(S) overall.
         expected = 1.0 - 1.0 / H12
-        assert value_inference(hipaa, ["Country"], ("France",), "Disease") == pytest.approx(
-            expected, abs=1e-9
-        )
-
-    def test_unknown_class_rejected(self, hipaa):
-        with pytest.raises(KeyError, match="unknown class"):
-            value_inference(hipaa, ["Country"], ("Atlantis",), "Disease")
+        score = class_score(hipaa, ["Country"], ("France",), "Disease")
+        assert score == pytest.approx(expected, abs=1e-9)
 
 
 class TestBand:

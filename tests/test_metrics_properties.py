@@ -5,15 +5,9 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reident_risk.metrics import (
-    band,
-    conditional_entropy,
-    discrimination_rate,
-    entropy,
-    equivalence_classes,
-    k_anonymity,
-    value_inference,
-)
+import naive_metrics as naive
+from conftest import partition
+from reident_risk.metrics import band, entropy
 from reident_risk.model import Dataset
 
 TOL = 1e-9
@@ -44,14 +38,14 @@ def test_conditioning_never_increases_entropy(d):
     for v in d.column(sensitive):
         counts[v] = counts.get(v, 0) + 1
     h_s = entropy(counts.values())
-    h_cond = conditional_entropy(d, sensitive, qi)
+    h_cond = partition(d, qi).conditional_entropy(sensitive)
     assert -TOL <= h_cond <= h_s + TOL
 
 
 @given(dataset_strategy())
 @settings(deadline=None)
 def test_dr_in_unit_interval(d):
-    result = discrimination_rate(d, list(d.attributes[:-1]), d.attributes[-1])
+    result = partition(d, d.attributes[:-1]).discrimination_rate(d.attributes[-1])
     assert 0.0 <= result.dr <= 1.0
 
 
@@ -61,8 +55,8 @@ def test_dr_superset_monotone(d):
     sensitive = d.attributes[-1]
     small = list(d.attributes[:1])
     large = list(d.attributes[:-1])
-    result_small = discrimination_rate(d, small, sensitive)
-    result_large = discrimination_rate(d, large, sensitive)
+    result_small = partition(d, small).discrimination_rate(sensitive)
+    result_large = partition(d, large).discrimination_rate(sensitive)
     assert result_large.dr >= result_small.dr - TOL
     # Growing a combination never decreases the inference level (band is
     # monotone); guard against float drift landing exactly on a band edge.
@@ -78,9 +72,9 @@ def test_dr_one_iff_all_classes_pure(d):
     column = d.column(sensitive)
     if len(set(column)) < 2:
         return  # degenerate H(S)=0 case is pinned to dr=1 by definition
-    classing = equivalence_classes(d, qi)
-    all_pure = all(len({column[i] for i in c.row_indices}) == 1 for c in classing.classes)
-    result = discrimination_rate(d, qi, sensitive)
+    classes = naive.equivalence_classes(d, qi)
+    all_pure = all(len({column[i] for i in c.row_indices}) == 1 for c in classes)
+    result = partition(d, qi).discrimination_rate(sensitive)
     assert (abs(result.dr - 1.0) < TOL) == all_pure
 
 
@@ -91,9 +85,9 @@ def test_value_inference_all_one_iff_dr_one(d):
     qi = list(d.attributes[:-1])
     if len(set(d.column(sensitive))) < 2:
         return
-    classing = equivalence_classes(d, qi)
-    scores = [value_inference(d, qi, c.key, sensitive) for c in classing.classes]
-    dr = discrimination_rate(d, qi, sensitive).dr
+    p = partition(d, qi)
+    scores = p.class_inference(sensitive)
+    dr = p.discrimination_rate(sensitive).dr
     assert all(s >= 1.0 - TOL for s in scores) == (abs(dr - 1.0) < TOL)
 
 
@@ -101,10 +95,11 @@ def test_value_inference_all_one_iff_dr_one(d):
 @settings(deadline=None)
 def test_classes_partition_rows(d):
     qi = list(d.attributes[:-1])
-    classing = equivalence_classes(d, qi)
-    covered = sorted(i for c in classing.classes for i in c.row_indices)
-    assert covered == list(range(d.row_count))
-    assert sum(classing.sizes()) == d.row_count
+    p = partition(d, qi)
+    keys = d.project(qi)
+    # Every row has one class, and class ids and keys are in bijection.
+    assert len(p.class_of) == sum(p.sizes) == d.row_count
+    assert len(set(zip(p.class_of, keys))) == len(set(keys)) == len(p.sizes)
 
 
 @given(dataset_strategy(max_rows=40))
@@ -116,7 +111,7 @@ def test_k_matches_naive_quadratic_grouping(d):
     for row in d.rows:
         key = tuple(row[i] for i in idxs)
         sizes.append(sum(1 for other in d.rows if tuple(other[i] for i in idxs) == key))
-    assert k_anonymity(d, qi) == min(sizes)
+    assert partition(d, qi).k_anonymity() == min(sizes)
 
 
 @given(st.lists(st.integers(1, 50), min_size=1, max_size=10))
