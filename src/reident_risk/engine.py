@@ -31,6 +31,7 @@ from .model import (
     RiskLevel,
     ScaleMatrix,
     SeverityLevel,
+    coerce_field,
     global_severity,
     validate_meta,
 )
@@ -72,10 +73,8 @@ class CombinationStrategy(str, Enum):
 
     @classmethod
     def parse(cls, raw: "CombinationStrategy | str") -> "CombinationStrategy":
-        if isinstance(raw, cls):
-            return raw
         try:
-            return cls(str(raw).strip().lower())
+            return cls(raw.strip().lower() if isinstance(raw, str) else raw)
         except ValueError:
             raise ValueError(f"unknown combination strategy {raw!r}") from None
 
@@ -152,16 +151,26 @@ class AssessmentOptions:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "combination_strategy", CombinationStrategy.parse(self.combination_strategy)
-        )
-        object.__setattr__(self, "flag_threshold", SeverityLevel.parse(self.flag_threshold))
-        object.__setattr__(
-            self,
-            "explicit_combinations",
-            tuple(tuple(str(m) for m in combo) for combo in self.explicit_combinations),
-        )
-        object.__setattr__(self, "notes", tuple(str(n) for n in self.notes))
+        coerce_field(self, "flag_threshold", SeverityLevel.parse)
+        coerce_field(self, "combination_strategy", CombinationStrategy.parse)
+        coerce_field(self, "explicit_combinations", _combinations)
+        coerce_field(self, "notes", _strings)
+
+
+def _strings(raw: Sequence[str]) -> tuple[str, ...]:
+    """An array of strings as a tuple; a bare string is rejected, not split."""
+    if not isinstance(raw, (list, tuple)):
+        raise ValueError(f"expected an array of strings, got {raw!r}")
+    for member in raw:
+        if not isinstance(member, str):
+            raise ValueError(f"member {member!r} is not a string")
+    return tuple(raw)
+
+
+def _combinations(raw: Sequence[Sequence[str]]) -> tuple[tuple[str, ...], ...]:
+    if not isinstance(raw, (list, tuple)):
+        raise ValueError(f"expected an array of attribute-name arrays, got {raw!r}")
+    return tuple(_strings(combo) for combo in raw)
 
 
 def build_combinations(
@@ -328,6 +337,17 @@ def assess(
     if appendix_partition is None:
         appendix_partition = Partition(table, qi_set)
 
+    # A flagged record's risk depends only on its class's inference band and
+    # its value's severity: 16 outcomes, looked up rather than recomputed.
+    record_risk = {
+        (inference, severity): risk(
+            exploitability(top_combo.exposure, inference, options.exploitability_matrix),
+            severity,
+            options.risk_matrix,
+        )
+        for inference in InferenceLevel
+        for severity in SeverityLevel
+    }
     exploitability_rows = []
     risk_rows = []
     dr_results: list[DrResult] = []
@@ -389,9 +409,6 @@ def assess(
             if level < options.flag_threshold:
                 continue
             score = class_scores[top_partition.class_of[i]]
-            record_exploitability = exploitability(
-                top_combo.exposure, band(score), options.exploitability_matrix
-            )
             flagged.append(
                 FlaggedRecord(
                     row_index=i,
@@ -399,7 +416,7 @@ def assess(
                     sensitive_value=value,
                     value_severity=level,
                     class_inference=score,
-                    record_risk=risk(record_exploitability, level, options.risk_matrix),
+                    record_risk=record_risk[band(score), level],
                 )
             )
 

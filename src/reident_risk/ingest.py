@@ -2,10 +2,10 @@
 
 The metadata document carries everything an analyst decides by hand: roles,
 exposure levels, severity ratings and per-value overrides, optional matrix
-overrides, and assessment options. Severity components accept integers 1-4
-or their labels ("negligible".."maximum"); exposure accepts 1-4 or the
-IR/IE/ER/EE abbreviations (including the swapped RI/EI variants). A key the
-format does not define is rejected with its JSON path.
+overrides, and assessment options. The loader checks the document's shape
+(objects, arrays, allowed and required keys; null means absent) and leaves
+each value to the constructor that owns it, so a document and the library
+accept the same values. Every error names its JSON path.
 """
 
 from __future__ import annotations
@@ -13,21 +13,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, Collection, Union
 
 from .engine import AssessmentOptions
-from .model import (
-    AttributeMeta,
-    AttributeRole,
-    Dataset,
-    ExposureLevel,
-    ScaleError,
-    ScaleMatrix,
-    SeverityRating,
-    parse_severity_rating,
-)
+from .model import AttributeMeta, Dataset, ScaleMatrix
 
 Source = Union[str, Path, IO[str]]
 
@@ -58,15 +49,17 @@ def load_csv(source: Source, label: str | None = None) -> Dataset:
     """Read a comma-separated table; the first row is the header.
 
     Cell whitespace is trimmed at both ends, case is preserved. Ragged rows
-    are rejected with their 1-based data row number.
+    and rows the CSV reader cannot parse are rejected with their 1-based data
+    row number.
     """
     stream, owned, default_label = _open_text(source)
+    header: list[str] | None = None
+    rows: list[list[str]] = []  # Dataset builds the row tuples; one copy is enough
     try:
         reader = csv.reader(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{default_label}: empty file, no header row") from None
+        header = next(reader, None)
+        if header is None:
+            raise IngestError(f"{default_label}: empty file, no header row")
         attributes = [cell.strip() for cell in header]
         if not attributes or all(a == "" for a in attributes):
             raise IngestError(f"{default_label}: empty header")
@@ -77,15 +70,18 @@ def load_csv(source: Source, label: str | None = None) -> Dataset:
             raise IngestError(
                 f"{default_label}: duplicate header names: {', '.join(duplicates)}"
             )
-        rows = []
-        for number, record in enumerate(reader, start=1):
+        for record in reader:
             cells = [cell.strip() for cell in record]
             if len(cells) != len(attributes):
                 raise IngestError(
-                    f"{default_label}: row {number} has {len(cells)} cells, "
+                    f"{default_label}: row {len(rows) + 1} has {len(cells)} cells, "
                     f"expected {len(attributes)}"
                 )
-            rows.append(cells)  # Dataset builds the row tuples; one copy is enough
+            rows.append(cells)
+    except csv.Error as exc:
+        # For example a cell longer than csv.field_size_limit().
+        where = "header" if header is None else f"row {len(rows) + 1}"
+        raise IngestError(f"{default_label}: {where}: {exc}") from None
     finally:
         if owned:
             stream.close()
@@ -96,12 +92,17 @@ def load_csv(source: Source, label: str | None = None) -> Dataset:
     )
 
 
-def _check_keys(obj: dict, allowed: Collection[str], path: str) -> None:
-    """Reject a key outside ``allowed``: a misspelled option must not fall back
-    to its default."""
-    for key in obj:
+def _object(raw: Any, path: str, allowed: Collection[str]) -> dict:
+    """A JSON object (null reads as an empty one) whose keys are all in
+    ``allowed``: a misspelled option must not fall back to its default."""
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise IngestError(f"{path}: expected an object")
+    for key in raw:
         if key not in allowed:
             raise IngestError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
+    return raw
 
 
 def _require(obj: dict, key: str, path: str) -> Any:
@@ -110,107 +111,22 @@ def _require(obj: dict, key: str, path: str) -> Any:
     return obj[key]
 
 
+def _present(raw: dict) -> dict:
+    """The members that are not null: null means absent."""
+    return {key: value for key, value in raw.items() if value is not None}
+
+
 def _parse_attribute(raw: Any, path: str) -> AttributeMeta:
-    if not isinstance(raw, dict):
-        raise IngestError(f"{path}: expected an object")
-    _check_keys(raw, ("name", "role", "exposure", "severity", "value_severity"), path)
-    name = _require(raw, "name", path)
-    if not isinstance(name, str) or not name.strip():
-        raise IngestError(f"{path}.name: expected a non-empty string")
-    name = name.strip()
+    raw = _object(raw, path, ("name", "role", "exposure", "severity", "value_severity"))
+    required = {key: _require(raw, key, path) for key in ("name", "role")}  # null stays null
     try:
-        role = AttributeRole.parse(_require(raw, "role", path))
-    except ScaleError as exc:
-        raise IngestError(f"{path}.role: {exc}") from None
-
-    exposure = None
-    if raw.get("exposure") is not None:
-        try:
-            exposure = ExposureLevel.parse(raw["exposure"])
-        except ScaleError as exc:
-            raise IngestError(f"{path}.exposure: {exc}") from None
-
-    severity = None
-    if raw.get("severity") is not None:
-        severity = _parse_severity(raw["severity"], f"{path}.severity")
-
-    value_severity: dict[str, SeverityRating] = {}
-    overrides = raw.get("value_severity")
-    if overrides is not None:
-        if not isinstance(overrides, dict):
-            raise IngestError(f"{path}.value_severity: expected an object")
-        for value, rating in overrides.items():
-            value_severity[str(value)] = _parse_severity(
-                rating, f"{path}.value_severity[{value!r}]"
-            )
-
-    return AttributeMeta(
-        name=name, role=role, exposure=exposure, severity=severity, value_severity=value_severity
-    )
-
-
-def _parse_severity(raw: Any, path: str) -> SeverityRating:
-    if not isinstance(raw, dict):
-        raise IngestError(f"{path}: expected an object with bodily/material/moral")
-    try:
-        return parse_severity_rating(raw)
-    except ScaleError as exc:
-        raise IngestError(f"{path}: {exc}") from None
-
-
-def _parse_matrix(raw: Any, name: str, path: str) -> ScaleMatrix:
-    if not isinstance(raw, list):
-        raise IngestError(f"{path}: expected a 4x4 array of levels")
-    try:
-        return ScaleMatrix(name=name, cells=tuple(tuple(r) for r in raw))
-    except (ScaleError, TypeError, ValueError) as exc:
-        raise IngestError(f"{path}: {exc}") from None
-
-
-def _combinations(raw: Any) -> list:
-    if not isinstance(raw, list) or any(not isinstance(c, list) for c in raw):
-        raise ValueError("expected an array of attribute-name arrays")
-    return raw
-
-
-def _notes(raw: Any) -> list:
-    if not isinstance(raw, list):
-        raise ValueError("expected an array of strings")
-    return raw
-
-
-# Each option key names an AssessmentOptions field. The constructor coerces
-# every value; these checks reject the JSON shapes it would misread.
-_OPTION_CHECKS = {
-    "flag_threshold": lambda raw: raw,
-    "combination_strategy": lambda raw: raw,
-    "explicit_combinations": _combinations,
-    "notes": _notes,
-}
-
-
-def _parse_options(raw: Any, matrices: dict[str, ScaleMatrix], path: str) -> AssessmentOptions:
-    options = AssessmentOptions(
-        exploitability_matrix=matrices.get("exploitability", AssessmentOptions.exploitability_matrix),
-        risk_matrix=matrices.get("risk", AssessmentOptions.risk_matrix),
-    )
-    if raw is None:
-        return options
-    if not isinstance(raw, dict):
-        raise IngestError(f"{path}: expected an object")
-    _check_keys(raw, _OPTION_CHECKS, path)
-    for key, value in raw.items():
-        if value is None:
-            continue
-        try:
-            options = replace(options, **{key: _OPTION_CHECKS[key](value)})
-        except (TypeError, ValueError) as exc:
-            raise IngestError(f"{path}.{key}: {exc}") from None
-    return options
+        return AttributeMeta(**{**_present(raw), **required})
+    except ValueError as exc:
+        raise IngestError(f"{path}.{exc}") from None
 
 
 def load_metadata(source: Source) -> MetadataDocument:
-    """Parse and structurally validate a metadata JSON document."""
+    """Parse a metadata JSON document; every error names its JSON path."""
     stream, owned, label = _open_text(source)
     try:
         try:
@@ -223,9 +139,9 @@ def load_metadata(source: Source) -> MetadataDocument:
 
     if not isinstance(document, dict):
         raise IngestError(f"{label}: expected a JSON object at the top level")
-    _check_keys(document, ("version", "attributes", "matrices", "options"), "")
+    _object(document, "", ("version", "attributes", "matrices", "options"))
     version = document.get("version")
-    if version != METADATA_VERSION:
+    if type(version) is not int or version != METADATA_VERSION:
         raise IngestError(f"version: unrecognized value {version!r}, expected {METADATA_VERSION}")
 
     raw_attributes = document.get("attributes")
@@ -235,18 +151,24 @@ def load_metadata(source: Source) -> MetadataDocument:
         _parse_attribute(raw, f"attributes[{i}]") for i, raw in enumerate(raw_attributes)
     )
 
-    matrices: dict[str, ScaleMatrix] = {}
-    raw_matrices = document.get("matrices")
-    if raw_matrices is not None:
-        if not isinstance(raw_matrices, dict):
-            raise IngestError("matrices: expected an object")
-        _check_keys(raw_matrices, ("exploitability", "risk"), "matrices")
-        for key in ("exploitability", "risk"):
-            if raw_matrices.get(key) is not None:
-                matrices[key] = _parse_matrix(raw_matrices[key], key, f"matrices.{key}")
+    matrices = {}
+    raw_matrices = _object(document.get("matrices"), "matrices", ("exploitability", "risk"))
+    for key, cells in _present(raw_matrices).items():
+        try:
+            matrices[f"{key}_matrix"] = ScaleMatrix(name=key, cells=cells)
+        except ValueError as exc:
+            raise IngestError(f"matrices.{key}: {exc}") from None
 
-    options = _parse_options(document.get("options"), matrices, "options")
-    return MetadataDocument(version=int(version), attributes=attributes, options=options)
+    raw_options = _object(
+        document.get("options"),
+        "options",
+        ("flag_threshold", "combination_strategy", "explicit_combinations", "notes"),
+    )
+    try:
+        options = AssessmentOptions(**_present(raw_options), **matrices)
+    except ValueError as exc:
+        raise IngestError(f"options.{exc}") from None
+    return MetadataDocument(version=version, attributes=attributes, options=options)
 
 
 def load_csv_text(text: str, label: str) -> Dataset:

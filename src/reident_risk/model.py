@@ -11,11 +11,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 
 class ScaleError(ValueError):
-    """Raised for out-of-range levels, unknown labels, or bad matrices."""
+    """Raised for a metadata value the constructors reject: an out-of-range
+    level, an unknown label, a bad matrix, or a value of the wrong shape."""
+
+
+def coerce_field(obj: object, name: str, parse: Callable[[Any], Any]) -> None:
+    """Replace the frozen field ``name`` of ``obj`` by ``parse(value)``. An
+    error starts with the field name; the JSON loader prepends its path."""
+    try:
+        value = parse(getattr(obj, name))
+    except ValueError as exc:
+        raise ScaleError(f"{name}: {exc}") from None
+    object.__setattr__(obj, name, value)
 
 
 class _OrdinalScale(IntEnum):
@@ -23,7 +34,7 @@ class _OrdinalScale(IntEnum):
 
     @property
     def label(self) -> str:
-        return self.name.replace("_", " ").title()
+        return " ".join(self.name.split("_")).title()
 
     @property
     def display(self) -> str:
@@ -125,11 +136,14 @@ class AttributeRole(str, Enum):
     OTHER = "other"
 
     @classmethod
-    def parse(cls, raw: str) -> "AttributeRole":
+    def parse(cls, raw: "AttributeRole | str") -> "AttributeRole":
         try:
-            return cls(str(raw).strip().lower())
+            return cls(raw.strip().lower() if isinstance(raw, str) else raw)
         except ValueError:
             raise ScaleError(f"unknown attribute role {raw!r}") from None
+
+
+_IMPACT_TYPES = ("bodily", "material", "moral")
 
 
 @dataclass(frozen=True)
@@ -141,9 +155,20 @@ class SeverityRating:
     moral: SeverityLevel
 
     def __post_init__(self) -> None:
-        for name in ("bodily", "material", "moral"):
-            level = getattr(self, name)
-            object.__setattr__(self, name, SeverityLevel.parse(level))
+        for name in _IMPACT_TYPES:
+            coerce_field(self, name, SeverityLevel.parse)
+
+    @classmethod
+    def parse(cls, raw: "SeverityRating | Mapping[str, int | str]") -> "SeverityRating":
+        """A rating as given, or one built from a mapping with exactly the keys
+        bodily, material and moral."""
+        if isinstance(raw, cls):
+            return raw
+        if not isinstance(raw, Mapping):
+            raise ScaleError(f"expected an object with bodily/material/moral, got {raw!r}")
+        if set(raw) != set(_IMPACT_TYPES):
+            raise ScaleError(f"expected the keys bodily, material and moral, got {list(raw)!r}")
+        return cls(**raw)
 
     def components(self) -> tuple[SeverityLevel, SeverityLevel, SeverityLevel]:
         return (self.bodily, self.material, self.moral)
@@ -173,11 +198,29 @@ class AttributeMeta:
     value_severity: Mapping[str, SeverityRating] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("attribute name must be non-empty")
+        if not isinstance(self.name, str) or not self.name.strip():
+            raise ScaleError("name: expected a non-empty string")
+        object.__setattr__(self, "name", self.name.strip())  # as the CSV header loader does
+        coerce_field(self, "role", AttributeRole.parse)
         if self.exposure is not None:
-            object.__setattr__(self, "exposure", ExposureLevel.parse(self.exposure))
-        object.__setattr__(self, "value_severity", MappingProxyType(dict(self.value_severity)))
+            coerce_field(self, "exposure", ExposureLevel.parse)
+        if self.severity is not None:
+            coerce_field(self, "severity", SeverityRating.parse)
+        coerce_field(self, "value_severity", _value_severities)
+
+
+def _value_severities(raw: Mapping[str, Any]) -> Mapping[str, SeverityRating]:
+    if not isinstance(raw, Mapping):
+        raise ScaleError(f"expected an object, got {raw!r}")
+    ratings = {}
+    for value, rating in raw.items():
+        if not isinstance(value, str):
+            raise ScaleError(f"key {value!r} is not a string")
+        try:
+            ratings[value] = SeverityRating.parse(rating)
+        except ValueError as exc:
+            raise ScaleError(f"{value!r}: {exc}") from None
+    return MappingProxyType(ratings)
 
 
 @dataclass(frozen=True)
@@ -239,26 +282,28 @@ class ScaleMatrix:
     cells: tuple[tuple[int, int, int, int], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(v) for v in row) for row in self.cells)
-        object.__setattr__(self, "cells", rows)
-        if len(rows) != 4 or any(len(r) != 4 for r in rows):
+        grid = self.cells
+        if not isinstance(grid, (list, tuple)) or len(grid) != 4 or any(
+            not isinstance(row, (list, tuple)) or len(row) != 4 for row in grid
+        ):
             raise ScaleError(f"matrix {self.name!r}: expected a 4x4 grid")
-        for r, row in enumerate(rows):
-            for c, v in enumerate(row):
-                if not 1 <= v <= 4:
-                    raise ScaleError(
-                        f"matrix {self.name!r}: cell ({r + 1},{c + 1}) value {v} out of range 1..4"
-                    )
         for r in range(4):
             for c in range(4):
-                if c > 0 and rows[r][c] < rows[r][c - 1]:
+                v = grid[r][c]
+                if isinstance(v, bool) or not isinstance(v, int) or not 1 <= v <= 4:
+                    raise ScaleError(
+                        f"matrix {self.name!r}: cell ({r + 1},{c + 1}) value {v!r} "
+                        "out of range: expected an integer 1..4"
+                    )
+                if c > 0 and v < grid[r][c - 1]:
                     raise ScaleError(
                         f"matrix {self.name!r}: row {r + 1} decreases at column {c + 1}"
                     )
-                if r > 0 and rows[r][c] < rows[r - 1][c]:
+                if r > 0 and v < grid[r - 1][c]:
                     raise ScaleError(
                         f"matrix {self.name!r}: column {c + 1} decreases at row {r + 1}"
                     )
+        object.__setattr__(self, "cells", tuple(tuple(int(v) for v in row) for row in grid))
 
     def lookup(self, row_level: int, col_level: int) -> int:
         if not (1 <= int(row_level) <= 4 and 1 <= int(col_level) <= 4):
@@ -323,17 +368,3 @@ def validate_meta(dataset: Dataset, meta: Sequence[AttributeMeta]) -> Validation
         warnings.append("no quasi-identifiers declared")
 
     return ValidationOutcome(errors=tuple(errors), warnings=tuple(warnings))
-
-
-def parse_severity_rating(raw: Mapping[str, int | str] | Iterable) -> SeverityRating:
-    """Build a rating from a mapping with bodily/material/moral keys."""
-    if isinstance(raw, Mapping):
-        missing = [k for k in ("bodily", "material", "moral") if k not in raw]
-        if missing:
-            raise ScaleError(f"severity rating missing components: {', '.join(missing)}")
-        return SeverityRating(
-            bodily=SeverityLevel.parse(raw["bodily"]),
-            material=SeverityLevel.parse(raw["material"]),
-            moral=SeverityLevel.parse(raw["moral"]),
-        )
-    raise ScaleError("severity rating must be an object with bodily/material/moral")

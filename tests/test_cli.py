@@ -77,6 +77,18 @@ class TestAssess:
         assert code == 1
         assert "row 1" in captured.err
 
+    @pytest.mark.parametrize("command", ["assess", "metric"])
+    def test_oversized_csv_cell_is_parse_failure(self, command, emitted, tmp_path, capsys):
+        _, meta = emitted["hipaa"]
+        big = tmp_path / "big.csv"
+        big.write_text(f"Age,Disease\n23,Flu\n{'x' * 200_000},Flu\n", encoding="utf-8")
+        arguments = ["--meta", meta] if command == "assess" else ["k", "--qi", "Age"]
+        code = main([command, *arguments, "--data", str(big)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "row 2: field larger than field limit" in captured.err
+        assert captured.out == ""
+
     def test_determinism_across_runs(self, emitted, capsys):
         data, meta = emitted["initial"]
         main(["assess", "--data", data, "--meta", meta])

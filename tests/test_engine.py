@@ -106,6 +106,22 @@ class TestBuildCombinations:
             build_combinations(reference_meta.attributes, "pairwise")
 
 
+class TestAssessmentOptions:
+    @pytest.mark.parametrize(
+        "field,value,shown",
+        [
+            ("explicit_combinations", "ab", "'ab'"),
+            ("explicit_combinations", [["Age", 1]], "member 1"),
+            ("notes", "hi", "'hi'"),
+            ("notes", [{"a": 1}, 3], "{'a': 1}"),
+        ],
+    )
+    def test_non_string_arrays_rejected(self, field, value, shown):
+        with pytest.raises(ValueError) as caught:
+            AssessmentOptions(**{field: value})
+        assert str(caught.value).startswith(f"{field}: ") and shown in str(caught.value)
+
+
 class TestMatrices:
     def test_default_exploitability_cells(self):
         assert DEFAULT_EXPLOITABILITY_MATRIX.cells == (

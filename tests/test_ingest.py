@@ -1,21 +1,63 @@
 """CSV and metadata document loading."""
 
+import copy
 import io
 import json
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from reident_risk.engine import AssessmentOptions, CombinationStrategy
-from reident_risk.fixtures import fixture_csv, reference_metadata_json
+from reident_risk.engine import (
+    DEFAULT_EXPLOITABILITY_MATRIX,
+    DEFAULT_RISK_MATRIX,
+    AssessmentError,
+    AssessmentOptions,
+    CombinationStrategy,
+    assess,
+)
+from reident_risk.fixtures import fixture_csv, fixture_dataset, reference_metadata_json
 from reident_risk.ingest import IngestError, load_csv, load_csv_text, load_metadata
 from reident_risk.model import AttributeRole, ExposureLevel, SeverityLevel
+from reident_risk.report import to_json
 
 
 def meta_doc(**overrides):
     base = json.loads(reference_metadata_json())
     base.update(overrides)
     return io.StringIO(json.dumps(base))
+
+
+# The reference document with the default matrices spelled out, so that
+# every kind of value the format has appears at some path.
+REFERENCE = {
+    **json.loads(reference_metadata_json()),
+    "matrices": {
+        "exploitability": [list(row) for row in DEFAULT_EXPLOITABILITY_MATRIX.cells],
+        "risk": [list(row) for row in DEFAULT_RISK_MATRIX.cells],
+    },
+}
+
+
+def paths(node, prefix=()):
+    """The path of every value in a JSON document, the root's included."""
+    yield prefix
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from paths(child, prefix + (key,))
+
+
+def with_value(where, value):
+    """REFERENCE with the value at path ``where`` replaced, as a stream."""
+    if not where:
+        return io.StringIO(json.dumps(value))
+    document = copy.deepcopy(REFERENCE)
+    node = document
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    return io.StringIO(json.dumps(document))
 
 
 class TestLoadCsv:
@@ -67,6 +109,17 @@ class TestLoadCsv:
         d = load_csv(p)
         assert d.source_label == "t.csv"
         assert d.rows == (("1", "2"),)
+
+    @pytest.mark.parametrize(
+        "text,where",
+        [
+            pytest.param(f"a,b\n1,2\n{'x' * 200_000},3\n", "row 2", id="row"),
+            pytest.param(f"{'a' * 200_000},b\n", "header", id="header"),
+        ],
+    )
+    def test_oversized_cell_names_row(self, text, where):
+        with pytest.raises(IngestError, match=f": {where}: field larger than field limit"):
+            load_csv_text(text, label="t")
 
     def test_byte_order_mark_not_in_header(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -203,3 +256,66 @@ class TestLoadMetadata:
         with pytest.raises(IngestError, match="strategy"):
             load_metadata(meta_doc(options={"combination_strategy": "pairwise"}))
 
+
+    @pytest.mark.parametrize(
+        "where,value,path,shown",
+        [
+            (("attributes", 5, "severity"), [1, 2, 3], "attributes[5].severity", "[1, 2, 3]"),
+            (("attributes", 5, "severity", "moarl"), 4, "attributes[5].severity", "'moarl'"),
+            (
+                ("attributes", 5, "value_severity", "HIV", "moarl"),
+                4,
+                "attributes[5].value_severity",
+                "'HIV'",
+            ),
+            (
+                ("options", "explicit_combinations"),
+                "ab",
+                "options.explicit_combinations",
+                "'ab'",
+            ),
+            (("options", "notes"), [{"a": 1}, 3], "options.notes", "{'a': 1}"),
+            (("matrices", "exploitability", 1, 2), 2.7, "matrices.exploitability", "2.7"),
+            (("matrices", "risk", 0, 0), True, "matrices.risk", "True"),
+            (("matrices", "risk", 3, 3), "2", "matrices.risk", "'2'"),
+            (("version",), True, "version", "True"),
+            (("version",), 1.0, "version", "1.0"),
+        ],
+    )
+    def test_bad_value_rejected_with_path(self, where, value, path, shown):
+        with pytest.raises(IngestError) as caught:
+            load_metadata(with_value(where, value))
+        message = str(caught.value)
+        assert message.startswith(f"{path}: ") and shown in message
+
+
+# Values the format can mean, drawn as often as arbitrary JSON, so that many
+# fuzzed documents load and reach assess.
+_MEANINGFUL = st.integers(0, 5) | st.sampled_from(
+    ["sensitive", "quasi_identifier", "identifier", "EE", "IR", "maximum", "Age", "Colds"]
+)
+_JSON = _MEANINGFUL | st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8,
+)
+_INITIAL = fixture_dataset("initial")
+
+
+@given(st.sampled_from(list(paths(REFERENCE))), _JSON)
+def test_fuzzed_value_is_loaded_or_rejected(where, value):
+    """Any JSON value at any path either loads or gives an IngestError, and a
+    loaded document either gives a report or an AssessmentError."""
+    try:
+        document = load_metadata(with_value(where, value))
+    except IngestError:
+        return
+    try:
+        report = assess(_INITIAL, document.attributes, document.options)
+    except AssessmentError:
+        return
+    to_json(report)

@@ -1,5 +1,7 @@
 """Domain type invariants: scales, ratings, datasets, matrices, validation."""
 
+import re
+
 import pytest
 
 from reident_risk.model import (
@@ -19,6 +21,7 @@ from reident_risk.model import (
 )
 
 ALL_SCALES = [SeverityLevel, ExposureLevel, InferenceLevel, ExploitabilityLevel, RiskLevel]
+MISSPELT = {"bodily": 1, "material": 1, "moral": 1, "moarl": 4}
 
 
 class TestScales:
@@ -148,6 +151,13 @@ class TestScaleMatrix:
         with pytest.raises(ScaleError, match="4x4"):
             ScaleMatrix("m", ((1, 1, 1), (1, 1, 1), (1, 1, 1)))
 
+    @pytest.mark.parametrize("cell", [2.7, True, "2"])
+    def test_cell_must_be_an_integer(self, cell):
+        cells = [[1, 1, 2, 2], [1, 2, 2, 3], [2, 2, 3, 3], [2, 3, 3, 4]]
+        cells[1][2] = cell
+        with pytest.raises(ScaleError, match=re.escape(f"cell (2,3) value {cell!r} out of range")):
+            ScaleMatrix("m", cells)
+
     def test_lookup_range_checked(self):
         m = ScaleMatrix("m", ((1,) * 4,) * 4)
         with pytest.raises(ScaleError):
@@ -253,6 +263,29 @@ class TestAttributeMeta:
             assert m.exposure is ExposureLevel.EXTERNAL_EXTENDED
         with pytest.raises(ScaleError):
             AttributeMeta(name="x", role=AttributeRole.QUASI_IDENTIFIER, exposure=5)
+
+    def test_role_coerced(self):
+        assert AttributeMeta(name="x", role="sensitive").role is AttributeRole.SENSITIVE
+        assert AttributeRole.parse(AttributeRole.SENSITIVE) is AttributeRole.SENSITIVE
+
+    def test_name_stripped(self):
+        assert AttributeMeta(name=" x ", role="other").name == "x"
+
+    @pytest.mark.parametrize(
+        "field,value,shown",
+        [
+            ("name", 3, "non-empty string"),
+            ("severity", (1, 2, 3), "(1, 2, 3)"),
+            ("severity", MISSPELT, "'moarl'"),
+            ("severity", {"bodily": 1, "material": 1}, "['bodily', 'material']"),
+            ("value_severity", {"HIV": MISSPELT}, "'HIV'"),
+            ("value_severity", {1: SeverityRating(1, 1, 1)}, "key 1"),
+        ],
+    )
+    def test_bad_value_rejected(self, field, value, shown):
+        with pytest.raises(ValueError) as caught:
+            AttributeMeta(**{"name": "x", "role": AttributeRole.SENSITIVE, field: value})
+        assert str(caught.value).startswith(f"{field}: ") and shown in str(caught.value)
 
     def test_value_severity_immutable(self):
         m = AttributeMeta(
