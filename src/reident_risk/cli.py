@@ -32,14 +32,6 @@ def _diag(message: str) -> None:
     print(f"{prefix} {message}", file=sys.stderr)
 
 
-def _check_readable(*paths: str) -> bool:
-    for p in paths:
-        if not Path(p).is_file():
-            _diag(f"{p}: no such file")
-            return False
-    return True
-
-
 def _write_report(report, fmt: str, out: str | None) -> None:
     if fmt in ("json", "both"):
         payload = to_json(report)
@@ -61,8 +53,6 @@ def _write_report(report, fmt: str, out: str | None) -> None:
 
 
 def cmd_assess(args: argparse.Namespace) -> int:
-    if not _check_readable(args.data, args.meta):
-        return EXIT_FAILURE
     try:
         dataset = load_csv(args.data)
         document = load_metadata(args.meta)
@@ -88,8 +78,6 @@ def cmd_metric(args: argparse.Namespace) -> int:
     if args.metric in ("dr", "ldiv") and not args.sensitive:
         _diag(f"metric {args.metric} requires --sensitive")
         return EXIT_INVALID
-    if not _check_readable(args.data):
-        return EXIT_FAILURE
     try:
         dataset = load_csv(args.data)
     except (IngestError, OSError, UnicodeDecodeError) as exc:

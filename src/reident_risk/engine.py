@@ -33,16 +33,10 @@ from .model import (
     SeverityLevel,
     coerce_field,
     global_severity,
+    strings,
     validate_meta,
 )
-from .report import (
-    AssessmentReport,
-    AttributeSeverityEntry,
-    ExposureEntry,
-    LDiversityEntry,
-    MetricsAppendix,
-    ValueSeverityEntry,
-)
+from .report import AssessmentReport, LDiversityEntry, MetricsAppendix
 
 DEFAULT_EXPLOITABILITY_MATRIX = ScaleMatrix(
     name="exploitability",
@@ -103,24 +97,19 @@ class QiCombination:
 
 @dataclass(frozen=True)
 class ExploitabilityRow:
+    """One (sensitive attribute, combination) pair. ``severity`` is the
+    attribute's maximum value severity; ``risk`` combines it with ``exploitability``."""
+
     sensitive: str
     combination: QiCombination
     dr: DrResult
     exploitability: ExploitabilityLevel
+    severity: SeverityLevel
+    risk: RiskLevel
 
     @property
     def inference(self) -> InferenceLevel:
         return self.dr.inference
-
-
-@dataclass(frozen=True)
-class RiskRow:
-    description: str
-    sensitive: str
-    members: tuple[str, ...]
-    exploitability: ExploitabilityLevel
-    severity: SeverityLevel
-    risk: RiskLevel
 
 
 @dataclass(frozen=True)
@@ -154,23 +143,13 @@ class AssessmentOptions:
         coerce_field(self, "flag_threshold", SeverityLevel.parse)
         coerce_field(self, "combination_strategy", CombinationStrategy.parse)
         coerce_field(self, "explicit_combinations", _combinations)
-        coerce_field(self, "notes", _strings)
-
-
-def _strings(raw: Sequence[str]) -> tuple[str, ...]:
-    """An array of strings as a tuple; a bare string is rejected, not split."""
-    if not isinstance(raw, (list, tuple)):
-        raise ValueError(f"expected an array of strings, got {raw!r}")
-    for member in raw:
-        if not isinstance(member, str):
-            raise ValueError(f"member {member!r} is not a string")
-    return tuple(raw)
+        coerce_field(self, "notes", strings)
 
 
 def _combinations(raw: Sequence[Sequence[str]]) -> tuple[tuple[str, ...], ...]:
     if not isinstance(raw, (list, tuple)):
         raise ValueError(f"expected an array of attribute-name arrays, got {raw!r}")
-    return tuple(_strings(combo) for combo in raw)
+    return tuple(strings(combo) for combo in raw)
 
 
 def build_combinations(
@@ -290,7 +269,7 @@ def assess(
     # Normalize metadata to dataset attribute order so member ordering and
     # every report table follow the table's own column order.
     by_name = {m.name: m for m in meta}
-    ordered_meta = [by_name[n] for n in dataset.attributes]
+    ordered_meta = tuple(by_name[n] for n in dataset.attributes)
 
     warnings = list(outcome.warnings)
     identifier_names = [n for n in dataset.attributes if roles.get(n) is AttributeRole.IDENTIFIER]
@@ -349,8 +328,6 @@ def assess(
         for severity in SeverityLevel
     }
     exploitability_rows = []
-    risk_rows = []
-    dr_results: list[DrResult] = []
     flagged: list[FlaggedRecord] = []
     for sensitive in sensitive_names:
         column = dataset.column(sensitive)
@@ -366,7 +343,12 @@ def assess(
             level = exploitability(combo.exposure, dr.inference, options.exploitability_matrix)
             rows.append(
                 ExploitabilityRow(
-                    sensitive=sensitive, combination=combo, dr=dr, exploitability=level
+                    sensitive=sensitive,
+                    combination=combo,
+                    dr=dr,
+                    exploitability=level,
+                    severity=attribute_max_severity,
+                    risk=risk(level, attribute_max_severity, options.risk_matrix),
                 )
             )
         rows.sort(
@@ -379,28 +361,11 @@ def assess(
             )
         )
         exploitability_rows.extend(rows)
-        dr_results.extend(r.dr for r in rows)
 
         if rows and rows[0].dr.h_s == 0.0:
             warnings.append(
                 f"sensitive attribute {sensitive!r} carries a single value; "
                 "discrimination rate is defined as 1"
-            )
-
-        for row in rows:
-            combo = row.combination
-            risk_rows.append(
-                RiskRow(
-                    description=(
-                        f"Re-identification risk based on {combo.exposure.display}: "
-                        + "/".join(combo.members)
-                    ),
-                    sensitive=sensitive,
-                    members=combo.members,
-                    exploitability=row.exploitability,
-                    severity=attribute_max_severity,
-                    risk=risk(row.exploitability, attribute_max_severity, options.risk_matrix),
-                )
             )
 
         class_scores = top_partition.class_inference(sensitive)
@@ -420,23 +385,7 @@ def assess(
                 )
             )
 
-    overall_risk = RiskLevel(max(int(r.risk) for r in risk_rows))
-
-    attribute_severity_table = tuple(
-        AttributeSeverityEntry(attribute=m.name, rating=m.severity)
-        for m in ordered_meta
-        if m.severity is not None
-    )
-    value_severity_table = tuple(
-        ValueSeverityEntry(attribute=m.name, value=v, level=global_severity(rating))
-        for m in ordered_meta
-        for v, rating in m.value_severity.items()
-    )
-    exposure_table = tuple(
-        ExposureEntry(attribute=m.name, exposure=m.exposure)
-        for m in ordered_meta
-        if m.exposure is not None
-    )
+    overall_risk = max(r.risk for r in exploitability_rows)
 
     appendix = MetricsAppendix(
         qi_set=qi_set,
@@ -445,7 +394,6 @@ def assess(
             LDiversityEntry(sensitive=s, l_value=appendix_partition.l_diversity(s))
             for s in sensitive_names
         ),
-        dr_results=tuple(dr_results),
     )
 
     warnings.extend(options.notes)
@@ -453,11 +401,8 @@ def assess(
     return AssessmentReport(
         dataset_label=dataset.source_label,
         row_count=dataset.row_count,
-        attribute_severity_table=attribute_severity_table,
-        value_severity_table=value_severity_table,
-        exposure_table=exposure_table,
+        attributes=ordered_meta,
         exploitability_rows=tuple(exploitability_rows),
-        risk_rows=tuple(risk_rows),
         overall_risk=overall_risk,
         flagged_records=tuple(flagged),
         metrics_appendix=appendix,

@@ -53,43 +53,39 @@ def load_csv(source: Source, label: str | None = None) -> Dataset:
     row number.
     """
     stream, owned, default_label = _open_text(source)
+    if label is None:
+        label = default_label
     header: list[str] | None = None
     rows: list[list[str]] = []  # Dataset builds the row tuples; one copy is enough
     try:
         reader = csv.reader(stream)
         header = next(reader, None)
         if header is None:
-            raise IngestError(f"{default_label}: empty file, no header row")
+            raise IngestError(f"{label}: empty file, no header row")
         attributes = [cell.strip() for cell in header]
         if not attributes or all(a == "" for a in attributes):
-            raise IngestError(f"{default_label}: empty header")
+            raise IngestError(f"{label}: empty header")
         if any(a == "" for a in attributes):
-            raise IngestError(f"{default_label}: header contains an empty attribute name")
+            raise IngestError(f"{label}: header contains an empty attribute name")
         duplicates = sorted({a for a in attributes if attributes.count(a) > 1})
         if duplicates:
-            raise IngestError(
-                f"{default_label}: duplicate header names: {', '.join(duplicates)}"
-            )
+            raise IngestError(f"{label}: duplicate header names: {', '.join(duplicates)}")
         for record in reader:
             cells = [cell.strip() for cell in record]
             if len(cells) != len(attributes):
                 raise IngestError(
-                    f"{default_label}: row {len(rows) + 1} has {len(cells)} cells, "
+                    f"{label}: row {len(rows) + 1} has {len(cells)} cells, "
                     f"expected {len(attributes)}"
                 )
             rows.append(cells)
     except csv.Error as exc:
         # For example a cell longer than csv.field_size_limit().
         where = "header" if header is None else f"row {len(rows) + 1}"
-        raise IngestError(f"{default_label}: {where}: {exc}") from None
+        raise IngestError(f"{label}: {where}: {exc}") from None
     finally:
         if owned:
             stream.close()
-    return Dataset(
-        attributes=tuple(attributes),
-        rows=tuple(rows),
-        source_label=label if label is not None else default_label,
-    )
+    return Dataset(attributes=tuple(attributes), rows=tuple(rows), source_label=label)
 
 
 def _object(raw: Any, path: str, allowed: Collection[str]) -> dict:
@@ -131,7 +127,9 @@ def load_metadata(source: Source) -> MetadataDocument:
     try:
         try:
             document = json.load(stream)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError and an integer longer than the
+            # interpreter's digit limit; RecursionError, arrays nested too deep.
             raise IngestError(f"{label}: invalid JSON: {exc}") from None
     finally:
         if owned:

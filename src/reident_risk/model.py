@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from itertools import repeat
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, Sequence
 
@@ -17,6 +18,17 @@ from typing import Any, Callable, Mapping, Sequence
 class ScaleError(ValueError):
     """Raised for a metadata value the constructors reject: an out-of-range
     level, an unknown label, a bad matrix, or a value of the wrong shape."""
+
+
+def strings(raw: Sequence[str]) -> tuple[str, ...]:
+    """An array of strings as a tuple: a bare string is rejected, not split,
+    and no other value is turned into a string."""
+    if not isinstance(raw, (list, tuple)):
+        raise ValueError(f"expected an array of strings, got {raw!r}")
+    if not all(map(isinstance, raw, repeat(str))):
+        member = next(m for m in raw if not isinstance(m, str))
+        raise ValueError(f"member {member!r} is not a string")
+    return tuple(raw)
 
 
 def coerce_field(obj: object, name: str, parse: Callable[[Any], Any]) -> None:
@@ -232,8 +244,8 @@ class Dataset:
     source_label: str = ""
 
     def __post_init__(self) -> None:
-        attrs = tuple(str(a) for a in self.attributes)
-        object.__setattr__(self, "attributes", attrs)
+        coerce_field(self, "attributes", strings)
+        attrs = self.attributes
         if not attrs:
             raise ValueError("dataset needs at least one attribute")
         if any(a == "" for a in attrs):
@@ -241,13 +253,18 @@ class Dataset:
         if len(set(attrs)) != len(attrs):
             dupes = sorted({a for a in attrs if attrs.count(a) > 1})
             raise ValueError(f"duplicate attribute names: {', '.join(dupes)}")
-        rows = tuple(tuple(str(c) for c in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        for i, row in enumerate(rows):
+        if not isinstance(self.rows, (list, tuple)):
+            raise ValueError(f"rows: expected an array of rows, got {self.rows!r}")
+        rows = []
+        for i, raw in enumerate(self.rows, 1):
+            try:
+                row = strings(raw)
+            except ValueError as exc:
+                raise ValueError(f"row {i}: {exc}") from None
             if len(row) != len(attrs):
-                raise ValueError(
-                    f"row {i + 1} has {len(row)} cells, expected {len(attrs)}"
-                )
+                raise ValueError(f"row {i} has {len(row)} cells, expected {len(attrs)}")
+            rows.append(row)
+        object.__setattr__(self, "rows", tuple(rows))
 
     @property
     def row_count(self) -> int:

@@ -15,33 +15,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .metrics import DrResult
-from .model import ExposureLevel, RiskLevel, SeverityLevel, SeverityRating, global_severity
+from .model import AttributeMeta, RiskLevel, global_severity
 
 if TYPE_CHECKING:  # row types are produced by the engine
-    from .engine import ExploitabilityRow, FlaggedRecord, RiskRow
-
-
-@dataclass(frozen=True)
-class AttributeSeverityEntry:
-    attribute: str
-    rating: SeverityRating
-
-    @property
-    def global_level(self) -> SeverityLevel:
-        return global_severity(self.rating)
-
-
-@dataclass(frozen=True)
-class ValueSeverityEntry:
-    attribute: str
-    value: str
-    level: SeverityLevel
-
-
-@dataclass(frozen=True)
-class ExposureEntry:
-    attribute: str
-    exposure: ExposureLevel
+    from .engine import ExploitabilityRow, FlaggedRecord
 
 
 @dataclass(frozen=True)
@@ -57,18 +34,18 @@ class MetricsAppendix:
     qi_set: tuple[str, ...]
     k_anonymity: int
     l_diversity: tuple[LDiversityEntry, ...]
-    dr_results: tuple[DrResult, ...]
 
 
 @dataclass(frozen=True)
 class AssessmentReport:
+    """Each fact once: the renderers derive the severity, override and exposure
+    tables from ``attributes`` (metadata in column order), and the risk table and
+    the appendix's discrimination rates from ``exploitability_rows``."""
+
     dataset_label: str
     row_count: int
-    attribute_severity_table: tuple[AttributeSeverityEntry, ...]
-    value_severity_table: tuple[ValueSeverityEntry, ...]
-    exposure_table: tuple[ExposureEntry, ...]
+    attributes: tuple[AttributeMeta, ...]
     exploitability_rows: tuple["ExploitabilityRow", ...]
-    risk_rows: tuple["RiskRow", ...]
     overall_risk: RiskLevel
     flagged_records: tuple["FlaggedRecord", ...]
     metrics_appendix: MetricsAppendix
@@ -81,6 +58,11 @@ def _num(x: float) -> str:
 
 def _level(level) -> dict:
     return {"level": int(level), "label": level.label}
+
+
+def _description(row: "ExploitabilityRow") -> str:
+    combo = row.combination
+    return f"Re-identification risk based on {combo.exposure.display}: " + "/".join(combo.members)
 
 
 def _dr_entry(dr: DrResult) -> dict:
@@ -101,21 +83,24 @@ def report_to_dict(report: AssessmentReport) -> dict:
         "row_count": report.row_count,
         "attribute_severity_table": [
             {
-                "attribute": e.attribute,
-                "bodily": _level(e.rating.bodily),
-                "material": _level(e.rating.material),
-                "moral": _level(e.rating.moral),
-                "global": _level(e.global_level),
+                "attribute": m.name,
+                "bodily": _level(m.severity.bodily),
+                "material": _level(m.severity.material),
+                "moral": _level(m.severity.moral),
+                "global": _level(global_severity(m.severity)),
             }
-            for e in report.attribute_severity_table
+            for m in report.attributes
+            if m.severity is not None
         ],
         "value_severity_table": [
-            {"attribute": e.attribute, "value": e.value, "severity": _level(e.level)}
-            for e in report.value_severity_table
+            {"attribute": m.name, "value": v, "severity": _level(global_severity(rating))}
+            for m in report.attributes
+            for v, rating in m.value_severity.items()
         ],
         "exposure_table": [
-            {"attribute": e.attribute, "exposure": _level(e.exposure)}
-            for e in report.exposure_table
+            {"attribute": m.name, "exposure": _level(m.exposure)}
+            for m in report.attributes
+            if m.exposure is not None
         ],
         "exploitability_rows": [
             {
@@ -131,14 +116,14 @@ def report_to_dict(report: AssessmentReport) -> dict:
         ],
         "risk_rows": [
             {
-                "description": row.description,
+                "description": _description(row),
                 "sensitive": row.sensitive,
-                "combination": list(row.members),
+                "combination": list(row.combination.members),
                 "exploitability": _level(row.exploitability),
                 "severity": _level(row.severity),
                 "risk": _level(row.risk),
             }
-            for row in report.risk_rows
+            for row in report.exploitability_rows
         ],
         "overall_risk": _level(report.overall_risk),
         "flagged_records": [
@@ -159,9 +144,7 @@ def report_to_dict(report: AssessmentReport) -> dict:
                 {"sensitive": e.sensitive, "l": e.l_value}
                 for e in report.metrics_appendix.l_diversity
             ],
-            "discrimination_rates": [
-                _dr_entry(dr) for dr in report.metrics_appendix.dr_results
-            ],
+            "discrimination_rates": [_dr_entry(row.dr) for row in report.exploitability_rows],
         },
         "warnings": list(report.warnings),
     }
@@ -196,48 +179,40 @@ def to_markdown(report: AssessmentReport) -> str:
 
     out.append("## Severity")
     out.append("")
-    if report.attribute_severity_table:
-        out.extend(
-            _table(
-                ["Attribute", "Bodily", "Material", "Moral", "Global"],
-                [
-                    [
-                        e.attribute,
-                        e.rating.bodily.display,
-                        e.rating.material.display,
-                        e.rating.moral.display,
-                        e.global_level.display,
-                    ]
-                    for e in report.attribute_severity_table
-                ],
-            )
-        )
+    severity_rows = [
+        [
+            m.name,
+            m.severity.bodily.display,
+            m.severity.material.display,
+            m.severity.moral.display,
+            global_severity(m.severity).display,
+        ]
+        for m in report.attributes
+        if m.severity is not None
+    ]
+    if severity_rows:
+        out.extend(_table(["Attribute", "Bodily", "Material", "Moral", "Global"], severity_rows))
     else:
         out.append("none")
     out.append("")
-    if report.value_severity_table:
+    override_rows = [
+        [m.name, v, global_severity(rating).display]
+        for m in report.attributes
+        for v, rating in m.value_severity.items()
+    ]
+    if override_rows:
         out.append("Value severity overrides:")
         out.append("")
-        out.extend(
-            _table(
-                ["Attribute", "Value", "Severity"],
-                [
-                    [e.attribute, e.value, e.level.display]
-                    for e in report.value_severity_table
-                ],
-            )
-        )
+        out.extend(_table(["Attribute", "Value", "Severity"], override_rows))
         out.append("")
 
     out.append("## Exposure")
     out.append("")
-    if report.exposure_table:
-        out.extend(
-            _table(
-                ["Attribute", "Exposure"],
-                [[e.attribute, e.exposure.display] for e in report.exposure_table],
-            )
-        )
+    exposure_rows = [
+        [m.name, m.exposure.display] for m in report.attributes if m.exposure is not None
+    ]
+    if exposure_rows:
+        out.extend(_table(["Attribute", "Exposure"], exposure_rows))
     else:
         out.append("none")
     out.append("")
@@ -267,8 +242,13 @@ def to_markdown(report: AssessmentReport) -> str:
         _table(
             ["Description", "Exploitability", "Severity", "Risk Level"],
             [
-                [row.description, row.exploitability.display, row.severity.display, row.risk.display]
-                for row in report.risk_rows
+                [
+                    _description(row),
+                    row.exploitability.display,
+                    row.severity.display,
+                    row.risk.display,
+                ]
+                for row in report.exploitability_rows
             ],
         )
     )
@@ -316,7 +296,7 @@ def to_markdown(report: AssessmentReport) -> str:
                     _num(dr.dr),
                     dr.inference.display,
                 ]
-                for dr in appendix.dr_results
+                for dr in (row.dr for row in report.exploitability_rows)
             ],
         )
     )

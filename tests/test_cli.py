@@ -50,7 +50,24 @@ class TestAssess:
         code = main(["assess", "--data", "/nonexistent/x.csv", "--meta", meta])
         captured = capsys.readouterr()
         assert code == 1
-        assert "no such file" in captured.err
+        assert "/nonexistent/x.csv" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("[" * 100_000 + "]" * 100_000, id="deep"),
+            pytest.param('{"version": ' + "1" * 5_000 + "}", id="long-integer"),
+        ],
+    )
+    def test_undecodable_metadata_is_parse_failure(self, text, emitted, tmp_path, capsys):
+        data, _ = emitted["hipaa"]
+        meta = tmp_path / "bad.meta.json"
+        meta.write_text(text, encoding="utf-8")
+        code = main(["assess", "--data", data, "--meta", str(meta)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "bad.meta.json: invalid JSON" in captured.err
         assert captured.out == ""
 
     def test_invalid_metadata_is_validation_failure(self, emitted, tmp_path, capsys):

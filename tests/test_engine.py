@@ -26,7 +26,7 @@ from reident_risk.model import (
     SeverityLevel,
     SeverityRating,
 )
-from reident_risk.report import to_json
+from reident_risk.report import report_to_dict, to_json
 
 
 def qi(name, exposure):
@@ -197,12 +197,12 @@ class TestAssessReport:
         assert top.combination.exposure is ExposureLevel.EXTERNAL_EXTENDED
         assert top.inference is InferenceLevel.CRITICAL
         assert top.exploitability is ExploitabilityLevel.VERY_EASY
-        assert report.risk_rows[0].severity is SeverityLevel.MAXIMUM
+        assert top.severity is SeverityLevel.MAXIMUM
         assert report.overall_risk is RiskLevel.CRITICAL
 
     def test_overall_risk_is_max_of_rows(self, kanon, reference_meta):
         report = assess(kanon, reference_meta.attributes, reference_meta.options)
-        assert int(report.overall_risk) == max(int(r.risk) for r in report.risk_rows)
+        assert int(report.overall_risk) == max(int(r.risk) for r in report.exploitability_rows)
 
     def test_flagged_records_default_threshold(self, initial, reference_meta):
         report = assess(initial, reference_meta.attributes, reference_meta.options)
@@ -278,7 +278,9 @@ class TestAssessReport:
     def test_removing_non_maximal_combination_keeps_overall_risk(self, kanon, reference_meta):
         with_pair = assess(kanon, reference_meta.attributes, reference_meta.options)
         pair_row = next(
-            r for r in with_pair.risk_rows if r.members == ("Admission Date", "Blood Type")
+            r
+            for r in with_pair.exploitability_rows
+            if r.combination.members == ("Admission Date", "Blood Type")
         )
         assert int(pair_row.risk) < int(with_pair.overall_risk)  # non-maximal row
         without_pair = assess(
@@ -298,7 +300,8 @@ class TestAssessReport:
         assert appendix.qi_set == FULL_QI
         assert appendix.k_anonymity == 3
         assert [(e.sensitive, e.l_value) for e in appendix.l_diversity] == [("Disease", 1)]
-        assert len(appendix.dr_results) == len(report.exploitability_rows)
+        rates = report_to_dict(report)["metrics_appendix"]["discrimination_rates"]
+        assert len(rates) == len(report.exploitability_rows)
 
     def test_raising_exposure_never_lowers_risk_cumulative(self, hipaa, reference_meta):
         base_meta = list(reference_meta.attributes)

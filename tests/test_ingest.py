@@ -80,7 +80,7 @@ class TestLoadCsv:
     def test_ragged_row_names_row_number(self):
         lines = ["a,b,c,d,e"] + ["1,2,3,4,5"] * 12
         lines[6] = "1,2,3,4"  # data row 6 (line 7)
-        with pytest.raises(IngestError, match="row 6"):
+        with pytest.raises(IngestError, match="^t: row 6 has 4 cells, expected 5$"):
             load_csv_text("\n".join(lines) + "\n", label="t")
 
     def test_empty_header_rejected(self):
@@ -118,7 +118,7 @@ class TestLoadCsv:
         ],
     )
     def test_oversized_cell_names_row(self, text, where):
-        with pytest.raises(IngestError, match=f": {where}: field larger than field limit"):
+        with pytest.raises(IngestError, match=f"^t: {where}: field larger than field limit"):
             load_csv_text(text, label="t")
 
     def test_byte_order_mark_not_in_header(self, tmp_path):
@@ -221,6 +221,17 @@ class TestLoadMetadata:
     def test_invalid_json_rejected(self):
         with pytest.raises(IngestError, match="invalid JSON"):
             load_metadata(io.StringIO("{nope"))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("[" * 100_000 + "]" * 100_000, id="deep"),
+            pytest.param('{"version": ' + "1" * 5_000 + "}", id="long-integer"),
+        ],
+    )
+    def test_undecodable_json_rejected(self, text):
+        with pytest.raises(IngestError, match="^<stream>: invalid JSON: "):
+            load_metadata(io.StringIO(text))
 
     def test_bad_flag_threshold_rejected(self):
         with pytest.raises(IngestError, match="options"):

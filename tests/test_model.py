@@ -117,6 +117,22 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(attributes=("a", ""), rows=())
 
+    @pytest.mark.parametrize(
+        "attributes,rows,message",
+        [
+            ("ab", (), "attributes: expected an array of strings, got 'ab'"),
+            (("a", 1), (), "attributes: member 1 is not a string"),
+            (("a",), "xy", "rows: expected an array of rows, got 'xy'"),
+            (("a", "b"), ("xy",), "row 1: expected an array of strings, got 'xy'"),
+            (("a",), (("1",), (None,)), "row 2: member None is not a string"),
+            (("a",), ((1,),), "row 1: member 1 is not a string"),
+        ],
+        ids=["name-string", "name-int", "rows-string", "row-string", "cell-none", "cell-int"],
+    )
+    def test_non_strings_rejected(self, attributes, rows, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Dataset(attributes=attributes, rows=rows)
+
     def test_immutable(self):
         d = Dataset(attributes=("a",), rows=(("1",),))
         with pytest.raises(AttributeError):

@@ -90,7 +90,7 @@ def test_assess_equals_naive_oracle(d, exposures, strategy):
     assert [e.l_value for e in appendix.l_diversity] == [
         naive.distinct_l_diversity(d, qi_names, s) for s in sensitive_names
     ]
-    for r in appendix.dr_results:
+    for r in (row.dr for row in report.exploitability_rows):
         assert (r.h_s, r.h_s_given_qi, r.dr) == naive.discrimination_rate(d, r.qi_set, r.sensitive)
 
     # Every value has global severity 3, so every record is flagged under the
