@@ -18,10 +18,11 @@ from .engine import (
     risk,
 )
 from .ingest import IngestError, MetadataDocument, load_csv, load_metadata
-from .metrics import CodedTable, DrResult, Partition, band, entropy
+from .metrics import DrResult, Partition, band, entropy
 from .model import (
     AttributeMeta,
     AttributeRole,
+    Column,
     Dataset,
     ExploitabilityLevel,
     ExposureLevel,
@@ -44,7 +45,7 @@ __all__ = [
     "AssessmentReport",
     "AttributeMeta",
     "AttributeRole",
-    "CodedTable",
+    "Column",
     "CombinationStrategy",
     "DEFAULT_EXPLOITABILITY_MATRIX",
     "DEFAULT_RISK_MATRIX",

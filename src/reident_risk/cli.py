@@ -17,7 +17,7 @@ from pathlib import Path
 from . import fixtures
 from .engine import AssessmentError, assess
 from .ingest import IngestError, load_csv, load_metadata
-from .metrics import CodedTable, Partition
+from .metrics import Partition
 from .report import to_json, to_markdown
 
 EXIT_OK = 0
@@ -56,16 +56,15 @@ def cmd_assess(args: argparse.Namespace) -> int:
     try:
         dataset = load_csv(args.data)
         document = load_metadata(args.meta)
-    except (IngestError, OSError, UnicodeDecodeError) as exc:
-        _diag(str(exc))
-        return EXIT_FAILURE
-    try:
         report = assess(dataset, document.attributes, document.options)
+        _write_report(report, args.format, args.out)
     except AssessmentError as exc:
         for problem in exc.errors:
             _diag(problem)
         return EXIT_INVALID
-    _write_report(report, args.format, args.out)
+    except (IngestError, OSError) as exc:
+        _diag(str(exc))
+        return EXIT_FAILURE
     return EXIT_OK
 
 
@@ -80,11 +79,11 @@ def cmd_metric(args: argparse.Namespace) -> int:
         return EXIT_INVALID
     try:
         dataset = load_csv(args.data)
-    except (IngestError, OSError, UnicodeDecodeError) as exc:
+    except (IngestError, OSError) as exc:
         _diag(str(exc))
         return EXIT_FAILURE
     try:
-        partition = Partition(CodedTable(dataset), _split_qi(args.qi))
+        partition = Partition(dataset, _split_qi(args.qi))
         if args.metric == "k":
             payload = {"k": partition.k_anonymity()}
         elif args.metric == "ldiv":

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
-from .metrics import CodedTable, DrResult, Partition, band
+from .metrics import DrResult, Partition, band
 from .model import (
     AttributeMeta,
     AttributeRole,
@@ -197,15 +197,14 @@ def build_combinations(
             members = [m.name for m in qis if int(m.exposure) >= level]
             candidates.append(make(members, CombinationOrigin.CUMULATIVE_GROUP))
 
-    for combo in explicit:
-        names = [str(n) for n in combo]
+    for names in _combinations(explicit):
         if not names:
             raise ValueError("explicit combination must not be empty")
         for n in names:
             if n not in exposure_of:
                 raise ValueError(f"explicit combination names {n!r}, not a declared quasi-identifier")
         if len(set(names)) != len(names):
-            raise ValueError(f"explicit combination repeats an attribute: {names!r}")
+            raise ValueError(f"explicit combination repeats an attribute: {list(names)!r}")
         candidates.append(make(names, CombinationOrigin.EXPLICIT))
 
     result: list[QiCombination] = []
@@ -279,7 +278,9 @@ def assess(
             f"identifier attributes present ({listed}); they are excluded from "
             "combinations and should have been removed by anonymization"
         )
-    empty_cells = sum(1 for row in dataset.rows for cell in row if cell == "")
+    empty_cells = sum(
+        counts[values.index("")] for values, _, counts in dataset.columns.values() if "" in values
+    )
     if empty_cells:
         warnings.append(
             f"dataset contains {empty_cells} empty-string cell(s), treated as a distinct category"
@@ -302,11 +303,10 @@ def assess(
 
     # One partition per combination, shared by every sensitive attribute;
     # only the flagging and appendix partitions outlive their iteration.
-    table = CodedTable(dataset)
     dr_by_sensitive: dict[str, list[DrResult]] = {s: [] for s in sensitive_names}
     top_partition = appendix_partition = None
     for combo in combinations:
-        partition = Partition(table, combo.members)
+        partition = Partition(dataset, combo.members)
         for sensitive in sensitive_names:
             dr_by_sensitive[sensitive].append(partition.discrimination_rate(sensitive))
         if combo is top_combo:
@@ -314,7 +314,7 @@ def assess(
         if combo.members == qi_set:
             appendix_partition = partition
     if appendix_partition is None:
-        appendix_partition = Partition(table, qi_set)
+        appendix_partition = Partition(dataset, qi_set)
 
     # A flagged record's risk depends only on its class's inference band and
     # its value's severity: 16 outcomes, looked up rather than recomputed.
@@ -330,13 +330,12 @@ def assess(
     exploitability_rows = []
     flagged: list[FlaggedRecord] = []
     for sensitive in sensitive_names:
-        column = dataset.column(sensitive)
+        values, codes, _ = dataset.columns[sensitive]
         entry = by_name[sensitive]  # validated: a sensitive attribute carries a severity
-        value_severities = {
-            v: global_severity(entry.value_severity.get(v, entry.severity))
-            for v in dict.fromkeys(column)
-        }
-        attribute_max_severity = SeverityLevel(max(value_severities.values()))
+        value_severities = [
+            global_severity(entry.value_severity.get(v, entry.severity)) for v in values
+        ]
+        attribute_max_severity = SeverityLevel(max(value_severities))
 
         rows = []
         for combo, dr in zip(combinations, dr_by_sensitive[sensitive]):
@@ -369,8 +368,8 @@ def assess(
             )
 
         class_scores = top_partition.class_inference(sensitive)
-        for i, value in enumerate(column):
-            level = value_severities[value]
+        for i, code in enumerate(codes):
+            level = value_severities[code]
             if level < options.flag_threshold:
                 continue
             score = class_scores[top_partition.class_of[i]]
@@ -378,7 +377,7 @@ def assess(
                 FlaggedRecord(
                     row_index=i,
                     attribute=sensitive,
-                    sensitive_value=value,
+                    sensitive_value=values[code],
                     value_severity=level,
                     class_inference=score,
                     record_risk=record_risk[band(score), level],

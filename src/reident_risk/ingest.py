@@ -46,46 +46,40 @@ def _open_text(source: Source) -> tuple[IO[str], bool, str]:
 
 
 def load_csv(source: Source, label: str | None = None) -> Dataset:
-    """Read a comma-separated table; the first row is the header.
+    """Read a comma-separated UTF-8 table; the first row is the header.
 
-    Cell whitespace is trimmed at both ends, case is preserved. Ragged rows
-    and rows the CSV reader cannot parse are rejected with their 1-based data
-    row number.
+    Cell whitespace is trimmed at both ends, case is preserved. Rows the CSV
+    reader cannot parse are rejected with their 1-based data row number, and
+    the header and rows are checked by :class:`Dataset`.
     """
     stream, owned, default_label = _open_text(source)
     if label is None:
         label = default_label
     header: list[str] | None = None
-    rows: list[list[str]] = []  # Dataset builds the row tuples; one copy is enough
+    rows: list[list[str]] = []
     try:
         reader = csv.reader(stream)
         header = next(reader, None)
         if header is None:
             raise IngestError(f"{label}: empty file, no header row")
         attributes = [cell.strip() for cell in header]
-        if not attributes or all(a == "" for a in attributes):
+        if all(a == "" for a in attributes):
             raise IngestError(f"{label}: empty header")
-        if any(a == "" for a in attributes):
-            raise IngestError(f"{label}: header contains an empty attribute name")
-        duplicates = sorted({a for a in attributes if attributes.count(a) > 1})
-        if duplicates:
-            raise IngestError(f"{label}: duplicate header names: {', '.join(duplicates)}")
-        for record in reader:
-            cells = [cell.strip() for cell in record]
-            if len(cells) != len(attributes):
-                raise IngestError(
-                    f"{label}: row {len(rows) + 1} has {len(cells)} cells, "
-                    f"expected {len(attributes)}"
-                )
-            rows.append(cells)
+        rows.extend([cell.strip() for cell in record] for record in reader)
     except csv.Error as exc:
         # For example a cell longer than csv.field_size_limit().
         where = "header" if header is None else f"row {len(rows) + 1}"
         raise IngestError(f"{label}: {where}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        # Decoding runs a buffer ahead of the reader, so no row is named.
+        raise IngestError(f"{label}: not valid UTF-8: {exc}") from None
     finally:
         if owned:
             stream.close()
-    return Dataset(attributes=tuple(attributes), rows=tuple(rows), source_label=label)
+    try:
+        return Dataset(attributes=attributes, rows=rows, source_label=label)
+    except ValueError as exc:
+        raise IngestError(f"{label}: {exc}") from None
 
 
 def _object(raw: Any, path: str, allowed: Collection[str]) -> dict:

@@ -14,9 +14,9 @@ inference score. A degenerate sensitive attribute with H(S) = 0 is treated
 as dr = 1: the constant value is known without looking at Q at all.
 
 Every metric is derived from one :class:`Partition` of the rows, built in a
-single pass per quasi-identifier over integer-coded columns
-(:class:`CodedTable`), so a whole assessment costs time linear in rows times
-combinations.
+single pass per quasi-identifier over the integer-coded columns a
+:class:`~reident_risk.model.Dataset` stores, so a whole assessment costs time
+linear in rows times combinations.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import Iterable, Sequence
 from .model import Dataset, InferenceLevel
 
 __all__ = [
-    "CodedTable",
     "Partition",
     "DrResult",
     "entropy",
@@ -86,39 +85,6 @@ def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
 
 
-class CodedTable:
-    """The columns of a dataset as integer codes, each encoded on first use.
-
-    A column's distinct values are numbered in order of first occurrence, so
-    tallies kept in code order list the values in the order the rows first
-    show them. H(S) of a column is computed once and kept.
-    """
-
-    __slots__ = ("dataset", "_codes", "_entropy")
-
-    def __init__(self, dataset: Dataset):
-        self.dataset = dataset
-        self._codes: dict[str, tuple[list[int], int]] = {}
-        self._entropy: dict[str, float] = {}
-
-    def codes(self, name: str) -> tuple[list[int], int]:
-        """Per-row codes of column ``name`` and the number of distinct values."""
-        coded = self._codes.get(name)
-        if coded is None:
-            index = self.dataset.attribute_index(name)
-            numbering: dict[str, int] = {}
-            codes = [numbering.setdefault(row[index], len(numbering)) for row in self.dataset.rows]
-            coded = self._codes[name] = (codes, len(numbering))
-        return coded
-
-    def entropy(self, name: str) -> float:
-        """H(name) in bits over the whole table."""
-        h = self._entropy.get(name)
-        if h is None:
-            h = self._entropy[name] = entropy(Counter(self.codes(name)[0]).values())
-        return h
-
-
 class Partition:
     """Equivalence classes of the rows under a quasi-identifier set.
 
@@ -132,31 +98,27 @@ class Partition:
     shared and must not be mutated.
     """
 
-    __slots__ = ("table", "qi_set", "class_of", "sizes", "_tallies")
+    __slots__ = ("dataset", "qi_set", "class_of", "sizes", "_tallies")
 
-    def __init__(self, table: CodedTable, qi_set: Sequence[str]):
+    def __init__(self, dataset: Dataset, qi_set: Sequence[str]):
         names = tuple(qi_set)
         if not names:
             raise ValueError("quasi-identifier set must be non-empty")
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate attribute in quasi-identifier set: {names!r}")
-        for name in names:
-            table.dataset.attribute_index(name)  # raises KeyError on unknown names
-        if table.dataset.row_count == 0:
+        columns = [dataset.columns[name] for name in names]  # KeyError on unknown names
+        if dataset.row_count == 0:
             raise ValueError("no rows: cannot build equivalence classes")
-        class_of, count = table.codes(names[0])
-        for name in names[1:]:
-            codes, cardinality = table.codes(name)
+        class_of = columns[0].codes
+        for values, codes, _ in columns[1:]:
+            cardinality = len(values)
             numbering: dict[int, int] = {}
             class_of = [
                 numbering.setdefault(c * cardinality + v, len(numbering))
                 for c, v in zip(class_of, codes)
             ]
-            count = len(numbering)
-        sizes = [0] * count
-        for c in class_of:
-            sizes[c] += 1
-        self.table = table
+        sizes = list(Counter(class_of).values())  # ids follow first occurrence, as Counter does
+        self.dataset = dataset
         self.qi_set = names
         self.class_of = class_of
         self.sizes = sizes
@@ -171,7 +133,8 @@ class Partition:
                 raise ValueError(
                     f"sensitive attribute {sensitive!r} must not be a quasi-identifier"
                 )
-            codes, cardinality = self.table.codes(sensitive)
+            values, codes, _ = self.dataset.columns[sensitive]
+            cardinality = len(values)
             per_class = [[] for _ in self.sizes]
             joint = Counter(c * cardinality + v for c, v in zip(self.class_of, codes))
             for key, count in joint.items():
@@ -196,7 +159,7 @@ class Partition:
         return h
 
     def discrimination_rate(self, sensitive: str) -> DrResult:
-        h_s = self.table.entropy(sensitive)
+        h_s = entropy(self.dataset.columns[sensitive].counts)
         h_s_given_qi = self.conditional_entropy(sensitive)
         dr = 1.0 if h_s == 0.0 else _clamp01(1.0 - h_s_given_qi / h_s)
         return DrResult(
@@ -214,7 +177,7 @@ class Partition:
         1 - H(S within the class) / H(S overall), clamped to [0, 1]; a pure
         class scores 1. An impure class implies H(S) > 0.
         """
-        h_s = self.table.entropy(sensitive)
+        h_s = entropy(self.dataset.columns[sensitive].counts)
         return [
             1.0 if len(counts) == 1 else _clamp01(1.0 - entropy(counts) / h_s)
             for counts in self.tallies(sensitive)

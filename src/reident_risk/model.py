@@ -8,11 +8,12 @@ at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import InitVar, dataclass, field
 from enum import Enum, IntEnum
 from itertools import repeat
 from types import MappingProxyType
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 
 class ScaleError(ValueError):
@@ -235,15 +236,35 @@ def _value_severities(raw: Mapping[str, Any]) -> Mapping[str, SeverityRating]:
     return MappingProxyType(ratings)
 
 
+class Column(NamedTuple):
+    """One column, coded: ``values`` holds the distinct cells in order of
+    first occurrence, ``codes[i]`` is the index in ``values`` of row ``i``'s
+    cell, and ``counts[c]`` the number of rows with code ``c``."""
+
+    values: tuple[str, ...]
+    codes: list[int]
+    counts: list[int]
+
+
+class _Columns(dict):
+    def __missing__(self, name: str) -> Column:
+        raise KeyError(f"unknown attribute {name!r}")
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable table of categorical string cells with a named header."""
+    """Immutable table of categorical string cells with a named header,
+    stored by column as integer codes. The rows are checked and coded once,
+    at construction, and are not kept. The code lists are shared and must
+    not be mutated."""
 
     attributes: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
+    rows: InitVar[Sequence[Sequence[str]]]
     source_label: str = ""
+    row_count: int = field(init=False)
+    columns: Mapping[str, Column] = field(init=False, repr=False, hash=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, rows: Sequence[Sequence[str]]) -> None:
         coerce_field(self, "attributes", strings)
         attrs = self.attributes
         if not attrs:
@@ -253,22 +274,23 @@ class Dataset:
         if len(set(attrs)) != len(attrs):
             dupes = sorted({a for a in attrs if attrs.count(a) > 1})
             raise ValueError(f"duplicate attribute names: {', '.join(dupes)}")
-        if not isinstance(self.rows, (list, tuple)):
-            raise ValueError(f"rows: expected an array of rows, got {self.rows!r}")
-        rows = []
-        for i, raw in enumerate(self.rows, 1):
+        if not isinstance(rows, (list, tuple)):
+            raise ValueError(f"rows: expected an array of rows, got {rows!r}")
+        for i, raw in enumerate(rows, 1):
             try:
-                row = strings(raw)
+                size = len(strings(raw))
             except ValueError as exc:
                 raise ValueError(f"row {i}: {exc}") from None
-            if len(row) != len(attrs):
-                raise ValueError(f"row {i} has {len(row)} cells, expected {len(attrs)}")
-            rows.append(row)
-        object.__setattr__(self, "rows", tuple(rows))
-
-    @property
-    def row_count(self) -> int:
-        return len(self.rows)
+            if size != len(attrs):
+                raise ValueError(f"row {i} has {size} cells, expected {len(attrs)}")
+        columns = _Columns()
+        for name, cells in zip(attrs, zip(*rows) if rows else repeat(())):
+            counts = Counter(cells)  # distinct values in first-occurrence order
+            code_of = dict(zip(counts, range(len(counts))))
+            codes = list(map(code_of.__getitem__, cells))
+            columns[name] = Column(tuple(counts), codes, list(counts.values()))
+        object.__setattr__(self, "row_count", len(rows))
+        object.__setattr__(self, "columns", MappingProxyType(columns))
 
     def attribute_index(self, name: str) -> int:
         try:
@@ -277,13 +299,9 @@ class Dataset:
             raise KeyError(f"unknown attribute {name!r}") from None
 
     def column(self, name: str) -> tuple[str, ...]:
-        idx = self.attribute_index(name)
-        return tuple(row[idx] for row in self.rows)
-
-    def project(self, names: Sequence[str]) -> list[tuple[str, ...]]:
-        """Per-row tuples of the cells under ``names``, in row order."""
-        idxs = [self.attribute_index(n) for n in names]
-        return [tuple(row[i] for i in idxs) for row in self.rows]
+        """The cells of column ``name``, one per row."""
+        values, codes, _ = self.columns[name]
+        return tuple(map(values.__getitem__, codes))
 
 
 @dataclass(frozen=True)
@@ -373,7 +391,7 @@ def validate_meta(dataset: Dataset, meta: Sequence[AttributeMeta]) -> Validation
         if m.role is AttributeRole.SENSITIVE and m.severity is None:
             errors.append(f"sensitive attribute {name!r}: missing severity rating")
         if m.value_severity and name in dataset_attrs:
-            present = set(dataset.column(name))
+            present = set(dataset.columns[name].values)
             unused = [v for v in m.value_severity if v not in present]
             if unused:
                 listed = ", ".join(repr(v) for v in unused)

@@ -32,9 +32,14 @@ def find(classes: Sequence[NaiveClass], key: Sequence[str], qi_set: Sequence[str
     raise KeyError(f"unknown class {wanted!r} for quasi-identifiers {tuple(qi_set)!r}")
 
 
+def project(dataset: Dataset, names: Sequence[str]) -> list[tuple[str, ...]]:
+    """Per-row tuples of the cells under ``names``, in row order."""
+    return list(zip(*map(dataset.column, names)))
+
+
 def equivalence_classes(dataset: Dataset, qi_set: Sequence[str]) -> list[NaiveClass]:
     groups: dict[tuple[str, ...], list[int]] = {}
-    for i, key in enumerate(dataset.project(qi_set)):
+    for i, key in enumerate(project(dataset, qi_set)):
         groups.setdefault(key, []).append(i)
     return [NaiveClass(key=key, row_indices=tuple(idxs)) for key, idxs in groups.items()]
 

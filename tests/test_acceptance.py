@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive_metrics as naive
-from conftest import FULL_QI, partition
+from conftest import FULL_QI
 from reident_risk import fixtures
 from reident_risk.engine import AssessmentOptions, assess
-from reident_risk.metrics import band, entropy
+from reident_risk.metrics import Partition, band, entropy
 from reident_risk.model import (
     AttributeMeta,
     AttributeRole,
@@ -78,13 +78,13 @@ def test_criterion_1_hipaa_end_to_end(hipaa, reference_meta):
 
 def test_criterion_2_reproducible_single_attributes(hipaa):
     with criterion(2, "analytically reproducible single-attribute inference levels"):
-        dr_age = partition(hipaa, ["Age"]).discrimination_rate("Disease")
+        dr_age = Partition(hipaa, ["Age"]).discrimination_rate("Disease")
         expected_age = 1 - (2 / 12) / H12
         assert abs(dr_age.dr - expected_age) < TOL
         assert 0.75 <= dr_age.dr <= 1.0
         assert dr_age.inference.display == "4-Critical"
 
-        dr_country = partition(hipaa, ["Country"]).discrimination_rate("Disease")
+        dr_country = Partition(hipaa, ["Country"]).discrimination_rate("Disease")
         expected_country = 1 - (4 / 12) / H12
         assert abs(dr_country.dr - expected_country) < TOL
         assert dr_country.inference.display == "4-Critical"
@@ -94,7 +94,7 @@ def test_criterion_3_non_reproducible_cells_documented(hipaa, kanon, reference_m
     with criterion(3, "non-reproducible reference labels asserted at oracle values"):
         # The grouped quasi-identifier key on the 3-anonymous table: group 1
         # is pure, groups 2 and 3 are uniform over three diseases.
-        dr_group = partition(kanon, FULL_QI).discrimination_rate("Disease")
+        dr_group = Partition(kanon, FULL_QI).discrimination_rate("Disease")
         expected = 1 - (2 / 3) * math.log2(3) / H9
         assert abs(dr_group.dr - expected) < TOL
         assert dr_group.inference.display == "2-Moderate"
@@ -106,7 +106,7 @@ def test_criterion_3_non_reproducible_cells_documented(hipaa, kanon, reference_m
             ("Admission Date", "3-Severe"),
             ("Blood Type", "3-Severe"),
         ):
-            assert partition(hipaa, [qi]).discrimination_rate("Disease").inference.display == label
+            assert Partition(hipaa, [qi]).discrimination_rate("Disease").inference.display == label
 
         # The explanatory note ships with the fixtures and must surface as a
         # report warning whenever they are assessed.
@@ -135,10 +135,10 @@ def test_criterion_4_severity_reproduction(initial, reference_meta):
 
 def test_criterion_5_k_anonymity_and_diversity_oracles(initial, kanon, hipaa):
     with criterion(5, "k-anonymity / diversity values and brute-force equivalence"):
-        assert partition(kanon, FULL_QI).k_anonymity() == 3
-        assert partition(initial, FULL_QI).k_anonymity() == 1
-        assert partition(hipaa, FULL_QI).k_anonymity() == 1
-        assert partition(kanon, FULL_QI).l_diversity("Disease") == 1
+        assert Partition(kanon, FULL_QI).k_anonymity() == 3
+        assert Partition(initial, FULL_QI).k_anonymity() == 1
+        assert Partition(hipaa, FULL_QI).k_anonymity() == 1
+        assert Partition(kanon, FULL_QI).l_diversity("Disease") == 1
 
         rng = random.Random(20260809)
         alphabet = "abcdefgh"
@@ -153,9 +153,9 @@ def test_criterion_5_k_anonymity_and_diversity_oracles(initial, kanon, hipaa):
             )
             d = Dataset(attributes=names, rows=rows, source_label="rand")
             qi = rng.sample(names, rng.randint(1, n_cols))
-            keys = d.project(qi)
+            keys = naive.project(d, qi)
             brute_force = min(sum(1 for other in keys if other == key) for key in keys)
-            assert partition(d, qi).k_anonymity() == brute_force
+            assert Partition(d, qi).k_anonymity() == brute_force
 
 
 def _tiny_tables(min_cols=2, max_cols=4, max_rows=12, alphabet="abc"):
@@ -185,21 +185,21 @@ def test_criterion_6_property_suites():
             for v in d.column(s):
                 counts[v] = counts.get(v, 0) + 1
             h_s = entropy(counts.values())
-            h_cond = partition(d, d.attributes[:-1]).conditional_entropy(s)
+            h_cond = Partition(d, d.attributes[:-1]).conditional_entropy(s)
             assert -TOL <= h_cond <= h_s + TOL
 
         @given(_tiny_tables())
         @settings(max_examples=500, deadline=None)
         def dr_in_range(d):
-            dr = partition(d, d.attributes[:-1]).discrimination_rate(d.attributes[-1]).dr
+            dr = Partition(d, d.attributes[:-1]).discrimination_rate(d.attributes[-1]).dr
             assert 0.0 <= dr <= 1.0
 
         @given(_tiny_tables(min_cols=3))
         @settings(max_examples=500, deadline=None)
         def dr_superset_monotone(d):
             s = d.attributes[-1]
-            small = partition(d, d.attributes[:1]).discrimination_rate(s).dr
-            large = partition(d, d.attributes[:-1]).discrimination_rate(s).dr
+            small = Partition(d, d.attributes[:1]).discrimination_rate(s).dr
+            large = Partition(d, d.attributes[:-1]).discrimination_rate(s).dr
             assert large >= small - TOL
 
         @given(_tiny_tables())
@@ -212,7 +212,7 @@ def test_criterion_6_property_suites():
                 return
             classes = naive.equivalence_classes(d, qi)
             pure = all(len({column[i] for i in c.row_indices}) == 1 for c in classes)
-            assert (abs(partition(d, qi).discrimination_rate(s).dr - 1.0) < TOL) == pure
+            assert (abs(Partition(d, qi).discrimination_rate(s).dr - 1.0) < TOL) == pure
 
         @given(
             _tiny_tables(min_cols=4, max_cols=4, max_rows=8),

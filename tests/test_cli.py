@@ -1,11 +1,22 @@
 """Command-line behaviour: exit codes, stream separation, round trips."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reident_risk.cli import main
-from reident_risk.fixtures import FIXTURE_NAMES, write_fixture
+from reident_risk.fixtures import (
+    FIXTURE_NAMES,
+    fixture_csv,
+    reference_metadata_json,
+    write_fixture,
+)
 
 QI_ARG = "Age,Gender,Country,Admission Date,Blood Type"
 
@@ -104,6 +115,34 @@ class TestAssess:
         captured = capsys.readouterr()
         assert code == 1
         assert "row 2: field larger than field limit" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["assess", "metric"])
+    def test_invalid_utf8_csv_is_parse_failure(self, command, emitted, tmp_path, capsys):
+        _, meta = emitted["hipaa"]
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"Age,Disease\n23,Flu\n24,\xff\n")
+        arguments = ["--meta", meta] if command == "assess" else ["k", "--qi", "Age"]
+        code = main([command, *arguments, "--data", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: bad.csv: not valid UTF-8: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("fmt", ["json", "both"])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_is_io_failure(self, where, fmt, emitted, tmp_path, capsys):
+        data, meta = emitted["hipaa"]
+        if where == "missing-directory":
+            out = tmp_path / "missing" / "report"
+        else:
+            out = tmp_path / "report"
+            # The path the first report goes to is a directory.
+            (tmp_path / ("report.json" if fmt == "both" else "report")).mkdir()
+        code = main(["assess", "--data", data, "--meta", meta, "--format", fmt, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: ") and str(out) in captured.err
         assert captured.out == ""
 
     def test_determinism_across_runs(self, emitted, capsys):
@@ -213,3 +252,51 @@ class TestFixtures:
             write_fixture(name, tmp_path)
             lines = (tmp_path / f"{name}.csv").read_text(encoding="utf-8").strip().splitlines()
             assert len(lines) == expected + 1  # header + data rows
+
+
+_NAME = st.sampled_from(["Age", "Gender", "Country", "Blood Type", "Disease", "Zip", ""])
+_TEXT = _NAME | st.text(max_size=6)
+_FIXTURE_CSV = st.sampled_from([fixture_csv(name).encode() for name in FIXTURE_NAMES])
+_CSV = _FIXTURE_CSV | st.binary(max_size=40) | st.tuples(_FIXTURE_CSV, st.binary(max_size=8)).map(
+    b"".join
+)
+_META = st.just(reference_metadata_json().encode()) | st.binary(max_size=40)
+
+
+@given(
+    command=st.sampled_from(["assess", "metric"]),
+    data=_CSV,
+    meta=_META,
+    fmt=st.sampled_from(["json", "markdown", "both"]),
+    out=st.sampled_from([None, "file", "directory", "missing-directory"]),
+    metric=st.sampled_from(["k", "ldiv", "dr"]),
+    qi=st.lists(_TEXT, max_size=3).map(",".join),
+    sensitive=st.none() | _TEXT,
+)
+def test_fuzzed_invocation_exits_cleanly(command, data, meta, fmt, out, metric, qi, sensitive):
+    """Exit code 0, 1 or 2, no other exception, and nothing on stdout on failure."""
+    with tempfile.TemporaryDirectory() as tmp:  # a tmp_path fixture is not reset per example
+        root = Path(tmp)
+        (root / "data.csv").write_bytes(data)
+        (root / "meta.json").write_bytes(meta)
+        (root / "directory").mkdir()
+        if command == "assess":
+            argv = ["assess", "--data", str(root / "data.csv"), "--meta", str(root / "meta.json")]
+            argv += ["--format", fmt]
+            if out is not None:
+                target = {"file": "report", "directory": "directory", "missing-directory": "x/r"}
+                argv += ["--out", str(root / target[out])]
+        else:
+            argv = ["metric", metric, "--data", str(root / "data.csv"), f"--qi={qi}"]
+            if sensitive is not None:
+                argv.append(f"--sensitive={sensitive}")
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")  # reports use .buffer
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse
+                code = exc.code
+            stdout.flush()
+    assert code in (0, 1, 2)
+    if code != 0:
+        assert stdout.buffer.getvalue() == b""

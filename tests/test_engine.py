@@ -1,5 +1,7 @@
 """Engine behaviour: combinations, matrices, assessment assembly, flags."""
 
+import re
+
 import pytest
 
 from conftest import FULL_QI
@@ -96,6 +98,17 @@ class TestBuildCombinations:
     def test_unknown_explicit_member_rejected(self, reference_meta):
         with pytest.raises(ValueError, match="not a declared quasi-identifier"):
             build_combinations(reference_meta.attributes, "per_level", [["Zip"]])
+
+    @pytest.mark.parametrize(
+        "explicit,message",
+        [(["ab"], "expected an array of strings, got 'ab'"), ([[1]], "member 1 is not a string")],
+        ids=["string-not-split", "name-not-stringified"],
+    )
+    def test_explicit_not_coerced(self, explicit, message):
+        # "a", "b" and "1" are all declared, so only the parse can reject.
+        meta = [qi("a", 2), qi("b", 3), qi("1", 1), sens("s")]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_combinations(meta, "explicit", explicit)
 
     def test_no_quasi_identifiers_rejected(self):
         with pytest.raises(ValueError, match="quasi-identifier"):

@@ -4,11 +4,14 @@ import copy
 import io
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from naive_metrics import project
 from reident_risk.engine import (
     DEFAULT_EXPLOITABILITY_MATRIX,
     DEFAULT_RISK_MATRIX,
@@ -66,12 +69,12 @@ class TestLoadCsv:
         assert len(d.attributes) == 6
         assert d.row_count == 12
         assert d.attributes[0] == "Age"
-        assert d.rows[0] == ("23", "M", "Nigeria", "2019-09-21", "A+", "Colds")
+        assert project(d, d.attributes)[0] == ("23", "M", "Nigeria", "2019-09-21", "A+", "Colds")
 
     def test_whitespace_trimmed_case_preserved(self):
         d = load_csv_text("a, b \n X , yY \n", label="t")
         assert d.attributes == ("a", "b")
-        assert d.rows == (("X", "yY"),)
+        assert project(d, d.attributes) == [("X", "yY")]
 
     def test_header_only_is_valid(self):
         d = load_csv_text("a,b\n", label="t")
@@ -95,9 +98,18 @@ class TestLoadCsv:
         with pytest.raises(IngestError, match="duplicate"):
             load_csv_text("a,a\n1,2\n", label="t")
 
+    @pytest.mark.parametrize(
+        "header,message",
+        [("a,,b", "attribute names must be non-empty"), ("a,b,a", "duplicate attribute names: a")],
+        ids=["blank", "duplicate"],
+    )
+    def test_header_names_checked_by_dataset(self, header, message):
+        with pytest.raises(IngestError, match=f"^t: {message}$"):
+            load_csv_text(f"{header}\n1,2,3\n", label="t")
+
     def test_quoted_cells(self):
         d = load_csv_text('a,b\n"x,y",z\n', label="t")
-        assert d.rows == (("x,y", "z"),)
+        assert project(d, d.attributes) == [("x,y", "z")]
 
     def test_deterministic(self):
         text = fixture_csv("hipaa")
@@ -108,7 +120,7 @@ class TestLoadCsv:
         p.write_text("a,b\n1,2\n", encoding="utf-8")
         d = load_csv(p)
         assert d.source_label == "t.csv"
-        assert d.rows == (("1", "2"),)
+        assert project(d, d.attributes) == [("1", "2")]
 
     @pytest.mark.parametrize(
         "text,where",
@@ -120,6 +132,12 @@ class TestLoadCsv:
     def test_oversized_cell_names_row(self, text, where):
         with pytest.raises(IngestError, match=f"^t: {where}: field larger than field limit"):
             load_csv_text(text, label="t")
+
+    def test_invalid_utf8_rejected(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"a,b\n1,2\n" + b"x,\xff\n")
+        with pytest.raises(IngestError, match="^t.csv: not valid UTF-8: 'utf-8' codec can't decode"):
+            load_csv(p)
 
     def test_byte_order_mark_not_in_header(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -330,3 +348,27 @@ def test_fuzzed_value_is_loaded_or_rejected(where, value):
     except AssessmentError:
         return
     to_json(report)
+
+
+# CSV-shaped pieces mixed with arbitrary bytes: separators, quotes, line
+# ends, a byte-order mark, NUL, a byte that is not UTF-8, and headers with
+# blank or repeated names.
+_CSV_PIECE = st.binary(max_size=6) | st.sampled_from(
+    [b",", b'"', b"\r", b"\n", b"\r\n", b"\xef\xbb\xbf", b"\x00", b"\xff", b" ", b"a", b"b"]
+    + [b"a,b\n", b"a,a\n", b"a,,b\n", b" ,\n", b"1,2\n", b"1,2,3\n", b'"x,\ny",z\n']
+)
+
+
+@given(st.lists(_CSV_PIECE, max_size=24).map(b"".join))
+def test_fuzzed_csv_is_loaded_or_rejected(data):
+    """Any bytes give a Dataset whose columns have one cell per row, or an
+    IngestError."""
+    with tempfile.TemporaryDirectory() as tmp:  # a tmp_path fixture is not reset per example
+        path = Path(tmp) / "fuzz.csv"
+        path.write_bytes(data)
+        try:
+            dataset = load_csv(path)
+        except IngestError:
+            return
+    for name in dataset.attributes:
+        assert len(dataset.column(name)) == dataset.row_count

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive_metrics as naive
-from conftest import partition
-from reident_risk.metrics import band, entropy
+from reident_risk.metrics import Partition, band, entropy
 from reident_risk.model import Dataset
 
 TOL = 1e-9
@@ -38,14 +37,14 @@ def test_conditioning_never_increases_entropy(d):
     for v in d.column(sensitive):
         counts[v] = counts.get(v, 0) + 1
     h_s = entropy(counts.values())
-    h_cond = partition(d, qi).conditional_entropy(sensitive)
+    h_cond = Partition(d, qi).conditional_entropy(sensitive)
     assert -TOL <= h_cond <= h_s + TOL
 
 
 @given(dataset_strategy())
 @settings(deadline=None)
 def test_dr_in_unit_interval(d):
-    result = partition(d, d.attributes[:-1]).discrimination_rate(d.attributes[-1])
+    result = Partition(d, d.attributes[:-1]).discrimination_rate(d.attributes[-1])
     assert 0.0 <= result.dr <= 1.0
 
 
@@ -55,8 +54,8 @@ def test_dr_superset_monotone(d):
     sensitive = d.attributes[-1]
     small = list(d.attributes[:1])
     large = list(d.attributes[:-1])
-    result_small = partition(d, small).discrimination_rate(sensitive)
-    result_large = partition(d, large).discrimination_rate(sensitive)
+    result_small = Partition(d, small).discrimination_rate(sensitive)
+    result_large = Partition(d, large).discrimination_rate(sensitive)
     assert result_large.dr >= result_small.dr - TOL
     # Growing a combination never decreases the inference level (band is
     # monotone); guard against float drift landing exactly on a band edge.
@@ -74,7 +73,7 @@ def test_dr_one_iff_all_classes_pure(d):
         return  # degenerate H(S)=0 case is pinned to dr=1 by definition
     classes = naive.equivalence_classes(d, qi)
     all_pure = all(len({column[i] for i in c.row_indices}) == 1 for c in classes)
-    result = partition(d, qi).discrimination_rate(sensitive)
+    result = Partition(d, qi).discrimination_rate(sensitive)
     assert (abs(result.dr - 1.0) < TOL) == all_pure
 
 
@@ -85,7 +84,7 @@ def test_value_inference_all_one_iff_dr_one(d):
     qi = list(d.attributes[:-1])
     if len(set(d.column(sensitive))) < 2:
         return
-    p = partition(d, qi)
+    p = Partition(d, qi)
     scores = p.class_inference(sensitive)
     dr = p.discrimination_rate(sensitive).dr
     assert all(s >= 1.0 - TOL for s in scores) == (abs(dr - 1.0) < TOL)
@@ -95,8 +94,8 @@ def test_value_inference_all_one_iff_dr_one(d):
 @settings(deadline=None)
 def test_classes_partition_rows(d):
     qi = list(d.attributes[:-1])
-    p = partition(d, qi)
-    keys = d.project(qi)
+    p = Partition(d, qi)
+    keys = naive.project(d, qi)
     # Every row has one class, and class ids and keys are in bijection.
     assert len(p.class_of) == sum(p.sizes) == d.row_count
     assert len(set(zip(p.class_of, keys))) == len(set(keys)) == len(p.sizes)
@@ -107,11 +106,12 @@ def test_classes_partition_rows(d):
 def test_k_matches_naive_quadratic_grouping(d):
     qi = list(d.attributes[:-1])
     idxs = [d.attribute_index(n) for n in qi]
+    rows = naive.project(d, d.attributes)
     sizes = []
-    for row in d.rows:
+    for row in rows:
         key = tuple(row[i] for i in idxs)
-        sizes.append(sum(1 for other in d.rows if tuple(other[i] for i in idxs) == key))
-    assert partition(d, qi).k_anonymity() == min(sizes)
+        sizes.append(sum(1 for other in rows if tuple(other[i] for i in idxs) == key))
+    assert Partition(d, qi).k_anonymity() == min(sizes)
 
 
 @given(st.lists(st.integers(1, 50), min_size=1, max_size=10))

@@ -7,6 +7,7 @@ import pytest
 from reident_risk.model import (
     AttributeMeta,
     AttributeRole,
+    Column,
     Dataset,
     ExploitabilityLevel,
     ExposureLevel,
@@ -103,7 +104,9 @@ class TestDataset:
         d = Dataset(attributes=("a", "b"), rows=(("1", "2"), ("3", "4")), source_label="t")
         assert d.row_count == 2
         assert d.column("b") == ("2", "4")
-        assert d.project(["b", "a"]) == [("2", "1"), ("4", "3")]
+        assert d.columns["a"] == Column(("1", "3"), [0, 1], [1, 1])
+        d = Dataset(["a"], [["x"], ["y"], ["x"]])
+        assert d.columns["a"] == Column(("x", "y"), [0, 1, 0], [2, 1])
 
     def test_ragged_row_rejected(self):
         with pytest.raises(ValueError, match="row 2"):

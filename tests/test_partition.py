@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import naive_metrics as naive
 from reident_risk.engine import AssessmentOptions, assess, build_combinations
-from conftest import partition
 from reident_risk.metrics import Partition
 from reident_risk.model import (
     AttributeMeta,
@@ -50,7 +49,7 @@ def _split_names(d):
 def test_partition_equals_naive_oracle(d, data):
     qi_names, sensitive_names = _split_names(d)
     qi = data.draw(st.lists(st.sampled_from(qi_names), min_size=1, unique=True))
-    p = partition(d, qi)
+    p = Partition(d, qi)
     classes = naive.equivalence_classes(d, qi)
 
     assert p.sizes == [len(c.row_indices) for c in classes]
@@ -100,7 +99,7 @@ def test_assess_equals_naive_oracle(d, exposures, strategy):
         combos,
         key=lambda c: (-int(c.exposure), -len(c.members), [qi_names.index(m) for m in c.members]),
     )
-    keys = d.project(top.members)
+    keys = naive.project(d, top.members)
     assert len(report.flagged_records) == d.row_count * len(sensitive_names)
     for record in report.flagged_records:
         expected = naive.value_inference(d, top.members, keys[record.row_index], record.attribute)
@@ -136,14 +135,14 @@ def test_partitions_built_bounded_by_member_sets(monkeypatch):
     member_sets = {frozenset(c.members) for c in build_combinations(meta)}
     near_unique, small = _near_unique(2000, seed=5), _near_unique(20, seed=6)
     # Flagging runs under Age/Gender/Zip, where nearly every row is alone.
-    assert len(partition(near_unique, ["Age", "Gender", "Zip"]).sizes) > 1900
+    assert len(Partition(near_unique, ["Age", "Gender", "Zip"]).sizes) > 1900
 
     built = []
     construct = Partition.__init__
 
-    def counting(self, table, qi_set):
+    def counting(self, dataset, qi_set):
         built.append(tuple(qi_set))
-        construct(self, table, qi_set)
+        construct(self, dataset, qi_set)
 
     monkeypatch.setattr(Partition, "__init__", counting)
     counts = []
