@@ -18,6 +18,74 @@ from reident_risk.report import report_to_dict, to_json, to_markdown
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
+MILD_MARKDOWN = """\
+# Re-identification Risk Assessment: mild
+
+## Summary
+
+- Dataset: mild (3 rows)
+- Overall risk: **1-Low**
+
+## Severity
+
+| Attribute | Bodily | Material | Moral | Global |
+| --- | --- | --- | --- | --- |
+| s | 1-Negligible | 1-Negligible | 1-Negligible | 1-Negligible |
+
+## Exposure
+
+| Attribute | Exposure |
+| --- | --- |
+| q | 1-IR |
+
+## Exploitability
+
+| Sensitive | Combination | Exposure | Inference | Exploitability |
+| --- | --- | --- | --- | --- |
+| s | q | 1-IR | 4-Critical | 2-Difficult |
+
+## Risk
+
+| Description | Exploitability | Severity | Risk Level |
+| --- | --- | --- | --- |
+| Re-identification risk based on 1-IR: q | 2-Difficult | 1-Negligible | 1-Low |
+
+## Flagged Records
+
+none
+
+## Metrics Appendix
+
+- k-anonymity over q: 1
+- distinct l-diversity for s: 1
+
+| Sensitive | Quasi-identifiers | H(S) | H(S|QI) | DR | Inference |
+| --- | --- | --- | --- | --- | --- |
+| s | q | 0.918296 | 0.000000 | 1.000000 | 4-Critical |
+
+## Warnings
+
+none
+"""
+
+MILD_JSON = (
+    b'{"attribute_severity_table":[{"attribute":"s","bodily":{"label":"Negligible","level":1},'
+    b'"global":{"label":"Negligible","level":1},"material":{"label":"Negligible","level":1},'
+    b'"moral":{"label":"Negligible","level":1}}],"dataset_label":"mild",'
+    b'"exploitability_rows":[{"combination":["q"],"dr":"1.000000",'
+    b'"exploitability":{"label":"Difficult","level":2},"exposure":{"label":"IR","level":1},'
+    b'"inference":{"label":"Critical","level":4},"origin":"individual","sensitive":"s"}],'
+    b'"exposure_table":[{"attribute":"q","exposure":{"label":"IR","level":1}}],'
+    b'"flagged_records":[],"metrics_appendix":{"discrimination_rates":[{"dr":"1.000000",'
+    b'"h_s":"0.918296","h_s_given_qi":"0.000000","inference":{"label":"Critical","level":4},'
+    b'"qi":["q"],"sensitive":"s"}],"k_anonymity":1,"l_diversity":[{"l":1,"sensitive":"s"}],'
+    b'"qi_set":["q"]},"overall_risk":{"label":"Low","level":1},'
+    b'"risk_rows":[{"combination":["q"],"description":"Re-identification risk based on 1-IR: q",'
+    b'"exploitability":{"label":"Difficult","level":2},"risk":{"label":"Low","level":1},'
+    b'"sensitive":"s","severity":{"label":"Negligible","level":1}}],"row_count":3,'
+    b'"value_severity_table":[],"warnings":[]}\n'
+)
+
 
 @pytest.fixture(scope="module")
 def hipaa_report(hipaa, reference_meta):
@@ -134,9 +202,10 @@ class TestMarkdown:
         ]
         report = assess(d, meta)
         assert report.flagged_records == ()
-        text = to_markdown(report)
-        section = text.split("## Flagged Records")[1].split("##")[0]
-        assert "none" in section
+        # No overrides, no flagged records and no warnings: the override block is
+        # left out, and the other two sections print ``none``.
+        assert to_markdown(report) == MILD_MARKDOWN
+        assert to_json(report) == MILD_JSON
 
     def test_levels_agree_with_json(self, hipaa_report):
         text = to_markdown(hipaa_report)
