@@ -6,15 +6,19 @@ newline. Reports with identical content therefore serialize to identical
 bytes, which makes golden-file comparison in CI meaningful. The Markdown
 form mirrors the same content for human review; levels always render with
 both numeral and label ("4-Critical") in both forms.
+
+Each table is declared once as a ``_Table``: its JSON key, its rows, and per
+column a JSON key, a Markdown header, a cell getter and a kind. Both encoders
+render from these declarations, and the kind alone decides how a cell encodes.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from operator import attrgetter, itemgetter
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
-from .metrics import DrResult
 from .model import AttributeMeta, RiskLevel, global_severity
 
 if TYPE_CHECKING:  # row types are produced by the engine
@@ -56,8 +60,36 @@ def _num(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _level(level) -> dict:
-    return {"level": int(level), "label": level.label}
+class _Kind(NamedTuple):
+    """How a cell encodes: ``json`` gives the JSON value, ``markdown`` the cell text."""
+
+    json: Callable[[Any], Any]
+    markdown: Callable[[Any], str]
+
+
+LEVEL = _Kind(lambda level: {"level": int(level), "label": level.label}, attrgetter("display"))
+NUMBER = _Kind(_num, _num)
+NAMES = _Kind(list, "/".join)
+TEXT = _Kind(lambda value: value, str)
+
+
+class _Column(NamedTuple):
+    key: str
+    header: str | None  # None: the column is JSON-only
+    get: Callable[[Any], Any]
+    kind: _Kind
+
+
+class _Table(NamedTuple):
+    key: str
+    rows: Callable[[AssessmentReport], list]
+    columns: tuple[_Column, ...]
+    bold: bool = False
+
+
+def _col(key: str, header: str | None, get: str | Callable[[Any], Any], kind: _Kind) -> _Column:
+    """A column whose getter is a callable or a dotted attribute path."""
+    return _Column(key, header, attrgetter(get) if isinstance(get, str) else get, kind)
 
 
 def _description(row: "ExploitabilityRow") -> str:
@@ -65,86 +97,106 @@ def _description(row: "ExploitabilityRow") -> str:
     return f"Re-identification risk based on {combo.exposure.display}: " + "/".join(combo.members)
 
 
-def _dr_entry(dr: DrResult) -> dict:
-    return {
-        "qi": list(dr.qi_set),
-        "sensitive": dr.sensitive,
-        "h_s": _num(dr.h_s),
-        "h_s_given_qi": _num(dr.h_s_given_qi),
-        "dr": _num(dr.dr),
-        "inference": _level(dr.inference),
-    }
+ATTRIBUTE_SEVERITY = _Table(
+    "attribute_severity_table",
+    lambda report: [m for m in report.attributes if m.severity is not None],
+    (
+        _col("attribute", "Attribute", "name", TEXT),
+        _col("bodily", "Bodily", "severity.bodily", LEVEL),
+        _col("material", "Material", "severity.material", LEVEL),
+        _col("moral", "Moral", "severity.moral", LEVEL),
+        _col("global", "Global", lambda m: global_severity(m.severity), LEVEL),
+    ),
+)
+VALUE_SEVERITY = _Table(
+    "value_severity_table",
+    lambda report: [
+        (m.name, value, global_severity(rating))
+        for m in report.attributes
+        for value, rating in m.value_severity.items()
+    ],
+    (
+        _col("attribute", "Attribute", itemgetter(0), TEXT),
+        _col("value", "Value", itemgetter(1), TEXT),
+        _col("severity", "Severity", itemgetter(2), LEVEL),
+    ),
+)
+EXPOSURE = _Table(
+    "exposure_table",
+    lambda report: [m for m in report.attributes if m.exposure is not None],
+    (_col("attribute", "Attribute", "name", TEXT), _col("exposure", "Exposure", "exposure", LEVEL)),
+)
+EXPLOITABILITY = _Table(
+    "exploitability_rows",
+    attrgetter("exploitability_rows"),
+    (
+        _col("sensitive", "Sensitive", "sensitive", TEXT),
+        _col("combination", "Combination", "combination.members", NAMES),
+        _col("origin", None, "combination.origin.value", TEXT),
+        _col("exposure", "Exposure", "combination.exposure", LEVEL),
+        _col("inference", "Inference", "inference", LEVEL),
+        _col("dr", None, "dr.dr", NUMBER),
+        _col("exploitability", "Exploitability", "exploitability", LEVEL),
+    ),
+)
+RISK = _Table(
+    "risk_rows",
+    attrgetter("exploitability_rows"),
+    (
+        _col("description", "Description", _description, TEXT),
+        _col("sensitive", None, "sensitive", TEXT),
+        _col("combination", None, "combination.members", NAMES),
+        _col("exploitability", "Exploitability", "exploitability", LEVEL),
+        _col("severity", "Severity", "severity", LEVEL),
+        _col("risk", "Risk Level", "risk", LEVEL),
+    ),
+)
+FLAGGED = _Table(
+    "flagged_records",
+    attrgetter("flagged_records"),
+    (
+        _col("row", "Row", lambda rec: rec.row_index + 1, TEXT),
+        _col("attribute", "Attribute", "attribute", TEXT),
+        _col("value", "Value", "sensitive_value", TEXT),
+        _col("value_severity", "Severity", "value_severity", LEVEL),
+        _col("class_inference", "Class Inference", "class_inference", NUMBER),
+        _col("record_risk", "Record Risk", "record_risk", LEVEL),
+    ),
+    bold=True,
+)
+DISCRIMINATION_RATES = _Table(
+    "discrimination_rates",
+    lambda report: [row.dr for row in report.exploitability_rows],
+    (
+        _col("sensitive", "Sensitive", "sensitive", TEXT),
+        _col("qi", "Quasi-identifiers", "qi_set", NAMES),
+        _col("h_s", "H(S)", "h_s", NUMBER),
+        _col("h_s_given_qi", "H(S|QI)", "h_s_given_qi", NUMBER),
+        _col("dr", "DR", "dr", NUMBER),
+        _col("inference", "Inference", "inference", LEVEL),
+    ),
+)
+
+
+def _json_table(table: _Table, report: AssessmentReport) -> list[dict]:
+    cells = [(c.key, c.get, c.kind.json) for c in table.columns]
+    return [{key: encode(get(row)) for key, get, encode in cells} for row in table.rows(report)]
 
 
 def report_to_dict(report: AssessmentReport) -> dict:
     """Plain-data form of a report (the JSON document before encoding)."""
+    appendix = report.metrics_appendix
+    tables = (ATTRIBUTE_SEVERITY, VALUE_SEVERITY, EXPOSURE, EXPLOITABILITY, RISK, FLAGGED)
     return {
         "dataset_label": report.dataset_label,
         "row_count": report.row_count,
-        "attribute_severity_table": [
-            {
-                "attribute": m.name,
-                "bodily": _level(m.severity.bodily),
-                "material": _level(m.severity.material),
-                "moral": _level(m.severity.moral),
-                "global": _level(global_severity(m.severity)),
-            }
-            for m in report.attributes
-            if m.severity is not None
-        ],
-        "value_severity_table": [
-            {"attribute": m.name, "value": v, "severity": _level(global_severity(rating))}
-            for m in report.attributes
-            for v, rating in m.value_severity.items()
-        ],
-        "exposure_table": [
-            {"attribute": m.name, "exposure": _level(m.exposure)}
-            for m in report.attributes
-            if m.exposure is not None
-        ],
-        "exploitability_rows": [
-            {
-                "sensitive": row.sensitive,
-                "combination": list(row.combination.members),
-                "origin": row.combination.origin.value,
-                "exposure": _level(row.combination.exposure),
-                "inference": _level(row.inference),
-                "dr": _num(row.dr.dr),
-                "exploitability": _level(row.exploitability),
-            }
-            for row in report.exploitability_rows
-        ],
-        "risk_rows": [
-            {
-                "description": _description(row),
-                "sensitive": row.sensitive,
-                "combination": list(row.combination.members),
-                "exploitability": _level(row.exploitability),
-                "severity": _level(row.severity),
-                "risk": _level(row.risk),
-            }
-            for row in report.exploitability_rows
-        ],
-        "overall_risk": _level(report.overall_risk),
-        "flagged_records": [
-            {
-                "row": rec.row_index + 1,
-                "attribute": rec.attribute,
-                "value": rec.sensitive_value,
-                "value_severity": _level(rec.value_severity),
-                "class_inference": _num(rec.class_inference),
-                "record_risk": _level(rec.record_risk),
-            }
-            for rec in report.flagged_records
-        ],
+        **{table.key: _json_table(table, report) for table in tables},
+        "overall_risk": LEVEL.json(report.overall_risk),
         "metrics_appendix": {
-            "qi_set": list(report.metrics_appendix.qi_set),
-            "k_anonymity": report.metrics_appendix.k_anonymity,
-            "l_diversity": [
-                {"sensitive": e.sensitive, "l": e.l_value}
-                for e in report.metrics_appendix.l_diversity
-            ],
-            "discrimination_rates": [_dr_entry(row.dr) for row in report.exploitability_rows],
+            "qi_set": list(appendix.qi_set),
+            "k_anonymity": appendix.k_anonymity,
+            "l_diversity": [{"sensitive": e.sensitive, "l": e.l_value} for e in appendix.l_diversity],
+            "discrimination_rates": _json_table(DISCRIMINATION_RATES, report),
         },
         "warnings": list(report.warnings),
     }
@@ -157,157 +209,58 @@ def to_json(report: AssessmentReport) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
-def _table(header: list[str], rows: list[list[str]]) -> list[str]:
-    lines = ["| " + " | ".join(header) + " |"]
-    lines.append("|" + "|".join(" --- " for _ in header) + "|")
-    for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
+def _markdown_table(table: _Table, report: AssessmentReport) -> list[str]:
+    """The table's Markdown lines, or ``none`` when it has no rows."""
+    rows = table.rows(report)
+    if not rows:
+        return ["none"]
+    columns = [c for c in table.columns if c.header is not None]
+    cells = [(c.get, c.kind.markdown) for c in columns]
+    start, sep, end = ("| **", "** | **", "** |") if table.bold else ("| ", " | ", " |")
+    lines = [
+        "| " + " | ".join(c.header for c in columns) + " |",
+        "|" + "|".join(" --- " for _ in columns) + "|",
+    ]
+    lines.extend(start + sep.join([encode(get(row)) for get, encode in cells]) + end for row in rows)
     return lines
 
 
 def to_markdown(report: AssessmentReport) -> str:
     """Human-readable report with sections in fixed order."""
-    out: list[str] = []
-    out.append(f"# Re-identification Risk Assessment: {report.dataset_label}")
-    out.append("")
-
-    out.append("## Summary")
-    out.append("")
-    out.append(f"- Dataset: {report.dataset_label} ({report.row_count} rows)")
-    out.append(f"- Overall risk: **{report.overall_risk.display}**")
-    out.append("")
-
-    out.append("## Severity")
-    out.append("")
-    severity_rows = [
-        [
-            m.name,
-            m.severity.bodily.display,
-            m.severity.material.display,
-            m.severity.moral.display,
-            global_severity(m.severity).display,
-        ]
-        for m in report.attributes
-        if m.severity is not None
-    ]
-    if severity_rows:
-        out.extend(_table(["Attribute", "Bodily", "Material", "Moral", "Global"], severity_rows))
-    else:
-        out.append("none")
-    out.append("")
-    override_rows = [
-        [m.name, v, global_severity(rating).display]
-        for m in report.attributes
-        for v, rating in m.value_severity.items()
-    ]
-    if override_rows:
-        out.append("Value severity overrides:")
-        out.append("")
-        out.extend(_table(["Attribute", "Value", "Severity"], override_rows))
-        out.append("")
-
-    out.append("## Exposure")
-    out.append("")
-    exposure_rows = [
-        [m.name, m.exposure.display] for m in report.attributes if m.exposure is not None
-    ]
-    if exposure_rows:
-        out.extend(_table(["Attribute", "Exposure"], exposure_rows))
-    else:
-        out.append("none")
-    out.append("")
-
-    out.append("## Exploitability")
-    out.append("")
-    out.extend(
-        _table(
-            ["Sensitive", "Combination", "Exposure", "Inference", "Exploitability"],
-            [
-                [
-                    row.sensitive,
-                    "/".join(row.combination.members),
-                    row.combination.exposure.display,
-                    row.inference.display,
-                    row.exploitability.display,
-                ]
-                for row in report.exploitability_rows
-            ],
-        )
-    )
-    out.append("")
-
-    out.append("## Risk")
-    out.append("")
-    out.extend(
-        _table(
-            ["Description", "Exploitability", "Severity", "Risk Level"],
-            [
-                [
-                    _description(row),
-                    row.exploitability.display,
-                    row.severity.display,
-                    row.risk.display,
-                ]
-                for row in report.exploitability_rows
-            ],
-        )
-    )
-    out.append("")
-
-    out.append("## Flagged Records")
-    out.append("")
-    if report.flagged_records:
-        out.extend(
-            _table(
-                ["Row", "Attribute", "Value", "Severity", "Class Inference", "Record Risk"],
-                [
-                    [
-                        f"**{rec.row_index + 1}**",
-                        f"**{rec.attribute}**",
-                        f"**{rec.sensitive_value}**",
-                        f"**{rec.value_severity.display}**",
-                        f"**{_num(rec.class_inference)}**",
-                        f"**{rec.record_risk.display}**",
-                    ]
-                    for rec in report.flagged_records
-                ],
-            )
-        )
-    else:
-        out.append("none")
-    out.append("")
-
     appendix = report.metrics_appendix
-    out.append("## Metrics Appendix")
-    out.append("")
-    out.append(f"- k-anonymity over {'/'.join(appendix.qi_set)}: {appendix.k_anonymity}")
-    for entry in appendix.l_diversity:
-        out.append(f"- distinct l-diversity for {entry.sensitive}: {entry.l_value}")
-    out.append("")
-    out.extend(
-        _table(
-            ["Sensitive", "Quasi-identifiers", "H(S)", "H(S|QI)", "DR", "Inference"],
-            [
-                [
-                    dr.sensitive,
-                    "/".join(dr.qi_set),
-                    _num(dr.h_s),
-                    _num(dr.h_s_given_qi),
-                    _num(dr.dr),
-                    dr.inference.display,
-                ]
-                for dr in (row.dr for row in report.exploitability_rows)
-            ],
-        )
-    )
-    out.append("")
-
-    out.append("## Warnings")
-    out.append("")
-    if report.warnings:
-        out.extend(f"- {w}" for w in report.warnings)
-    else:
-        out.append("none")
-    out.append("")
-
+    out = [
+        f"# Re-identification Risk Assessment: {report.dataset_label}",
+        "",
+        "## Summary",
+        "",
+        f"- Dataset: {report.dataset_label} ({report.row_count} rows)",
+        f"- Overall risk: **{report.overall_risk.display}**",
+        "",
+        "## Severity",
+        "",
+        *_markdown_table(ATTRIBUTE_SEVERITY, report),
+        "",
+    ]
+    if any(m.value_severity for m in report.attributes):
+        out += ["Value severity overrides:", "", *_markdown_table(VALUE_SEVERITY, report), ""]
+    for title, table in (
+        ("Exposure", EXPOSURE),
+        ("Exploitability", EXPLOITABILITY),
+        ("Risk", RISK),
+        ("Flagged Records", FLAGGED),
+    ):
+        out += [f"## {title}", "", *_markdown_table(table, report), ""]
+    out += [
+        "## Metrics Appendix",
+        "",
+        f"- k-anonymity over {'/'.join(appendix.qi_set)}: {appendix.k_anonymity}",
+        *(f"- distinct l-diversity for {e.sensitive}: {e.l_value}" for e in appendix.l_diversity),
+        "",
+        *_markdown_table(DISCRIMINATION_RATES, report),
+        "",
+        "## Warnings",
+        "",
+        *([f"- {w}" for w in report.warnings] or ["none"]),
+        "",
+    ]
     return "\n".join(out)
