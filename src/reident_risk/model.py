@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from enum import Enum, IntEnum
+from functools import cached_property
 from itertools import repeat
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
@@ -43,13 +44,14 @@ def coerce_field(obj: object, name: str, parse: Callable[[Any], Any]) -> None:
 
 
 class _OrdinalScale(IntEnum):
-    """Base for the 1..4 ordinal scales. Labels are bijective with values."""
+    """Base for the 1..4 ordinal scales. Labels are bijective with values.
+    ``label`` and ``display`` are computed once per member."""
 
-    @property
+    @cached_property
     def label(self) -> str:
         return " ".join(self.name.split("_")).title()
 
-    @property
+    @cached_property
     def display(self) -> str:
         """Rendering used throughout reports, e.g. ``4-Critical``."""
         return f"{self.value}-{self.label}"
@@ -96,7 +98,7 @@ class ExposureLevel(_OrdinalScale):
     EXTERNAL_RESTRICTED = 3
     EXTERNAL_EXTENDED = 4
 
-    @property
+    @cached_property
     def label(self) -> str:
         return ("IR", "IE", "ER", "EE")[self.value - 1]
 
