@@ -60,6 +60,12 @@ def _num(x: float) -> str:
     return f"{x:.6f}"
 
 
+def _escape(text: Any) -> str:
+    """A Markdown table cell: ``\\`` and ``|`` escaped, line breaks as ``<br>``."""
+    text = str(text).replace("\\", "\\\\").replace("|", "\\|")
+    return text.replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
+
+
 class _Kind(NamedTuple):
     """How a cell encodes: ``json`` gives the JSON value, ``markdown`` the cell text."""
 
@@ -69,8 +75,8 @@ class _Kind(NamedTuple):
 
 LEVEL = _Kind(lambda level: {"level": int(level), "label": level.label}, attrgetter("display"))
 NUMBER = _Kind(_num, _num)
-NAMES = _Kind(list, "/".join)
-TEXT = _Kind(lambda value: value, str)
+NAMES = _Kind(list, lambda names: _escape("/".join(names)))
+TEXT = _Kind(lambda value: value, _escape)
 
 
 class _Column(NamedTuple):
@@ -218,7 +224,7 @@ def _markdown_table(table: _Table, report: AssessmentReport) -> list[str]:
     cells = [(c.get, c.kind.markdown) for c in columns]
     start, sep, end = ("| **", "** | **", "** |") if table.bold else ("| ", " | ", " |")
     lines = [
-        "| " + " | ".join(c.header for c in columns) + " |",
+        "| " + " | ".join(_escape(c.header) for c in columns) + " |",
         "|" + "|".join(" --- " for _ in columns) + "|",
     ]
     lines.extend(start + sep.join([encode(get(row)) for get, encode in cells]) + end for row in rows)

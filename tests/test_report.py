@@ -59,7 +59,7 @@ none
 - k-anonymity over q: 1
 - distinct l-diversity for s: 1
 
-| Sensitive | Quasi-identifiers | H(S) | H(S|QI) | DR | Inference |
+| Sensitive | Quasi-identifiers | H(S) | H(S\\|QI) | DR | Inference |
 | --- | --- | --- | --- | --- | --- |
 | s | q | 0.918296 | 0.000000 | 1.000000 | 4-Critical |
 
@@ -85,6 +85,20 @@ MILD_JSON = (
     b'"sensitive":"s","severity":{"label":"Negligible","level":1}}],"row_count":3,'
     b'"value_severity_table":[],"warnings":[]}\n'
 )
+
+
+def _cell_count(line: str) -> int:
+    """Cells in a Markdown table line: a backslash escapes the next character,
+    and every other ``|`` between the outer pipes separates two cells."""
+    count, escaped = 1, False
+    for char in line[1:-1]:
+        if escaped:
+            escaped = False
+        elif char == "\\":
+            escaped = True
+        elif char == "|":
+            count += 1
+    return count
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +220,44 @@ class TestMarkdown:
         # left out, and the other two sections print ``none``.
         assert to_markdown(report) == MILD_MARKDOWN
         assert to_json(report) == MILD_JSON
+
+    @pytest.mark.parametrize("name", [*fixtures.FIXTURE_NAMES, "pipes"])
+    def test_table_rows_match_delimiter_row(self, name, reference_meta):
+        if name == "pipes":  # names, values and a line break that a cell must escape
+            dataset = Dataset(
+                attributes=("zip|code", "dx|code"),
+                rows=(("1|2", "a|b"), ("1|2", "c\\|d"), ("3", "e\nf"), ("3", "g")),
+                source_label="pipes",
+            )
+            meta = [
+                AttributeMeta(
+                    name="zip|code",
+                    role=AttributeRole.QUASI_IDENTIFIER,
+                    exposure=ExposureLevel.EXTERNAL_EXTENDED,
+                ),
+                AttributeMeta(
+                    name="dx|code",
+                    role=AttributeRole.SENSITIVE,
+                    severity=SeverityRating(1, 1, 1),
+                    value_severity={v: SeverityRating(4, 4, 4) for v in ("a|b", "c\\|d", "e\nf")},
+                ),
+            ]
+            report = assess(dataset, meta)
+            assert len(report.flagged_records) == 3
+        else:
+            dataset = fixtures.fixture_dataset(name)
+            report = assess(dataset, reference_meta.attributes, reference_meta.options)
+        tables = [[]]
+        for line in to_markdown(report).split("\n"):
+            if line.startswith("|"):
+                tables[-1].append(line)
+            elif tables[-1]:
+                tables.append([])
+        tables = [t for t in tables if t]
+        assert len(tables) == 7
+        for lines in tables:
+            assert set(lines[1]) == set("|- ")  # the delimiter row
+            assert [_cell_count(line) for line in lines] == [_cell_count(lines[1])] * len(lines)
 
     def test_levels_agree_with_json(self, hipaa_report):
         text = to_markdown(hipaa_report)
