@@ -44,8 +44,7 @@ def coerce_field(obj: object, name: str, parse: Callable[[Any], Any]) -> None:
 
 
 class _OrdinalScale(IntEnum):
-    """Base for the 1..4 ordinal scales. Labels are bijective with values.
-    ``label`` and ``display`` are computed once per member."""
+    """Base for the 1..4 ordinal scales. Labels are bijective with values."""
 
     @cached_property
     def label(self) -> str:

@@ -56,10 +56,6 @@ class AssessmentReport:
     warnings: tuple[str, ...]
 
 
-def _num(x: float) -> str:
-    return f"{x:.6f}"
-
-
 def _escape(text: Any) -> str:
     """A Markdown table cell: ``\\`` and ``|`` escaped, line breaks as ``<br>``."""
     text = str(text).replace("\\", "\\\\").replace("|", "\\|")
@@ -74,7 +70,7 @@ class _Kind(NamedTuple):
 
 
 LEVEL = _Kind(lambda level: {"level": int(level), "label": level.label}, attrgetter("display"))
-NUMBER = _Kind(_num, _num)
+NUMBER = _Kind("{:.6f}".format, "{:.6f}".format)
 NAMES = _Kind(list, lambda names: _escape("/".join(names)))
 TEXT = _Kind(lambda value: value, _escape)
 
@@ -93,11 +89,6 @@ class _Table(NamedTuple):
     bold: bool = False
 
 
-def _col(key: str, header: str | None, get: str | Callable[[Any], Any], kind: _Kind) -> _Column:
-    """A column whose getter is a callable or a dotted attribute path."""
-    return _Column(key, header, attrgetter(get) if isinstance(get, str) else get, kind)
-
-
 def _description(row: "ExploitabilityRow") -> str:
     combo = row.combination
     return f"Re-identification risk based on {combo.exposure.display}: " + "/".join(combo.members)
@@ -107,11 +98,11 @@ ATTRIBUTE_SEVERITY = _Table(
     "attribute_severity_table",
     lambda report: [m for m in report.attributes if m.severity is not None],
     (
-        _col("attribute", "Attribute", "name", TEXT),
-        _col("bodily", "Bodily", "severity.bodily", LEVEL),
-        _col("material", "Material", "severity.material", LEVEL),
-        _col("moral", "Moral", "severity.moral", LEVEL),
-        _col("global", "Global", lambda m: global_severity(m.severity), LEVEL),
+        _Column("attribute", "Attribute", attrgetter("name"), TEXT),
+        _Column("bodily", "Bodily", attrgetter("severity.bodily"), LEVEL),
+        _Column("material", "Material", attrgetter("severity.material"), LEVEL),
+        _Column("moral", "Moral", attrgetter("severity.moral"), LEVEL),
+        _Column("global", "Global", lambda m: global_severity(m.severity), LEVEL),
     ),
 )
 VALUE_SEVERITY = _Table(
@@ -122,51 +113,54 @@ VALUE_SEVERITY = _Table(
         for value, rating in m.value_severity.items()
     ],
     (
-        _col("attribute", "Attribute", itemgetter(0), TEXT),
-        _col("value", "Value", itemgetter(1), TEXT),
-        _col("severity", "Severity", itemgetter(2), LEVEL),
+        _Column("attribute", "Attribute", itemgetter(0), TEXT),
+        _Column("value", "Value", itemgetter(1), TEXT),
+        _Column("severity", "Severity", itemgetter(2), LEVEL),
     ),
 )
 EXPOSURE = _Table(
     "exposure_table",
     lambda report: [m for m in report.attributes if m.exposure is not None],
-    (_col("attribute", "Attribute", "name", TEXT), _col("exposure", "Exposure", "exposure", LEVEL)),
+    (
+        _Column("attribute", "Attribute", attrgetter("name"), TEXT),
+        _Column("exposure", "Exposure", attrgetter("exposure"), LEVEL),
+    ),
 )
 EXPLOITABILITY = _Table(
     "exploitability_rows",
     attrgetter("exploitability_rows"),
     (
-        _col("sensitive", "Sensitive", "sensitive", TEXT),
-        _col("combination", "Combination", "combination.members", NAMES),
-        _col("origin", None, "combination.origin.value", TEXT),
-        _col("exposure", "Exposure", "combination.exposure", LEVEL),
-        _col("inference", "Inference", "inference", LEVEL),
-        _col("dr", None, "dr.dr", NUMBER),
-        _col("exploitability", "Exploitability", "exploitability", LEVEL),
+        _Column("sensitive", "Sensitive", attrgetter("sensitive"), TEXT),
+        _Column("combination", "Combination", attrgetter("combination.members"), NAMES),
+        _Column("origin", None, attrgetter("combination.origin.value"), TEXT),
+        _Column("exposure", "Exposure", attrgetter("combination.exposure"), LEVEL),
+        _Column("inference", "Inference", attrgetter("inference"), LEVEL),
+        _Column("dr", None, attrgetter("dr.dr"), NUMBER),
+        _Column("exploitability", "Exploitability", attrgetter("exploitability"), LEVEL),
     ),
 )
 RISK = _Table(
     "risk_rows",
     attrgetter("exploitability_rows"),
     (
-        _col("description", "Description", _description, TEXT),
-        _col("sensitive", None, "sensitive", TEXT),
-        _col("combination", None, "combination.members", NAMES),
-        _col("exploitability", "Exploitability", "exploitability", LEVEL),
-        _col("severity", "Severity", "severity", LEVEL),
-        _col("risk", "Risk Level", "risk", LEVEL),
+        _Column("description", "Description", _description, TEXT),
+        _Column("sensitive", None, attrgetter("sensitive"), TEXT),
+        _Column("combination", None, attrgetter("combination.members"), NAMES),
+        _Column("exploitability", "Exploitability", attrgetter("exploitability"), LEVEL),
+        _Column("severity", "Severity", attrgetter("severity"), LEVEL),
+        _Column("risk", "Risk Level", attrgetter("risk"), LEVEL),
     ),
 )
 FLAGGED = _Table(
     "flagged_records",
     attrgetter("flagged_records"),
     (
-        _col("row", "Row", lambda rec: rec.row_index + 1, TEXT),
-        _col("attribute", "Attribute", "attribute", TEXT),
-        _col("value", "Value", "sensitive_value", TEXT),
-        _col("value_severity", "Severity", "value_severity", LEVEL),
-        _col("class_inference", "Class Inference", "class_inference", NUMBER),
-        _col("record_risk", "Record Risk", "record_risk", LEVEL),
+        _Column("row", "Row", lambda rec: rec.row_index + 1, TEXT),
+        _Column("attribute", "Attribute", attrgetter("attribute"), TEXT),
+        _Column("value", "Value", attrgetter("sensitive_value"), TEXT),
+        _Column("value_severity", "Severity", attrgetter("value_severity"), LEVEL),
+        _Column("class_inference", "Class Inference", attrgetter("class_inference"), NUMBER),
+        _Column("record_risk", "Record Risk", attrgetter("record_risk"), LEVEL),
     ),
     bold=True,
 )
@@ -174,12 +168,12 @@ DISCRIMINATION_RATES = _Table(
     "discrimination_rates",
     lambda report: [row.dr for row in report.exploitability_rows],
     (
-        _col("sensitive", "Sensitive", "sensitive", TEXT),
-        _col("qi", "Quasi-identifiers", "qi_set", NAMES),
-        _col("h_s", "H(S)", "h_s", NUMBER),
-        _col("h_s_given_qi", "H(S|QI)", "h_s_given_qi", NUMBER),
-        _col("dr", "DR", "dr", NUMBER),
-        _col("inference", "Inference", "inference", LEVEL),
+        _Column("sensitive", "Sensitive", attrgetter("sensitive"), TEXT),
+        _Column("qi", "Quasi-identifiers", attrgetter("qi_set"), NAMES),
+        _Column("h_s", "H(S)", attrgetter("h_s"), NUMBER),
+        _Column("h_s_given_qi", "H(S|QI)", attrgetter("h_s_given_qi"), NUMBER),
+        _Column("dr", "DR", attrgetter("dr"), NUMBER),
+        _Column("inference", "Inference", attrgetter("inference"), LEVEL),
     ),
 )
 
