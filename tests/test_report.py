@@ -101,6 +101,32 @@ def _cell_count(line: str) -> int:
     return count
 
 
+def _pipes_report():
+    """Names and flagged values holding ``|``, a backslash and a line break."""
+    values = ("a|b", "c\\|d", "e\nf")
+    dataset = Dataset(
+        attributes=("zip|code", "dx|code"),
+        rows=(("1|2", values[0]), ("1|2", values[1]), ("3", values[2]), ("3", "g")),
+        source_label="pipes",
+    )
+    meta = [
+        AttributeMeta(
+            name="zip|code",
+            role=AttributeRole.QUASI_IDENTIFIER,
+            exposure=ExposureLevel.EXTERNAL_EXTENDED,
+        ),
+        AttributeMeta(
+            name="dx|code",
+            role=AttributeRole.SENSITIVE,
+            severity=SeverityRating(1, 1, 1),
+            value_severity={v: SeverityRating(4, 4, 4) for v in values},
+        ),
+    ]
+    report = assess(dataset, meta)
+    assert len(report.flagged_records) == 3
+    return report
+
+
 @pytest.fixture(scope="module")
 def hipaa_report(hipaa, reference_meta):
     return assess(hipaa, reference_meta.attributes, reference_meta.options)
@@ -223,27 +249,8 @@ class TestMarkdown:
 
     @pytest.mark.parametrize("name", [*fixtures.FIXTURE_NAMES, "pipes"])
     def test_table_rows_match_delimiter_row(self, name, reference_meta):
-        if name == "pipes":  # names, values and a line break that a cell must escape
-            dataset = Dataset(
-                attributes=("zip|code", "dx|code"),
-                rows=(("1|2", "a|b"), ("1|2", "c\\|d"), ("3", "e\nf"), ("3", "g")),
-                source_label="pipes",
-            )
-            meta = [
-                AttributeMeta(
-                    name="zip|code",
-                    role=AttributeRole.QUASI_IDENTIFIER,
-                    exposure=ExposureLevel.EXTERNAL_EXTENDED,
-                ),
-                AttributeMeta(
-                    name="dx|code",
-                    role=AttributeRole.SENSITIVE,
-                    severity=SeverityRating(1, 1, 1),
-                    value_severity={v: SeverityRating(4, 4, 4) for v in ("a|b", "c\\|d", "e\nf")},
-                ),
-            ]
-            report = assess(dataset, meta)
-            assert len(report.flagged_records) == 3
+        if name == "pipes":
+            report = _pipes_report()
         else:
             dataset = fixtures.fixture_dataset(name)
             report = assess(dataset, reference_meta.attributes, reference_meta.options)
