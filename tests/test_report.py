@@ -4,6 +4,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reident_risk import fixtures
 from reident_risk.engine import AssessmentOptions, assess
@@ -127,6 +129,38 @@ def _pipes_report():
     return report
 
 
+# Characters JSON must escape or may pass through: quote, backslash, every C0
+# control, DEL, the two JavaScript line separators, non-ASCII and non-BMP.
+_TRICKY = st.text(
+    alphabet=st.sampled_from(
+        ['"', "\\", *map(chr, range(0x20)), "\x7f", "\u2028", "\u2029", "é", "中", "\U0001f600", "a"]
+    ),
+    max_size=6,
+)
+
+
+@st.composite
+def _drawn_reports(draw):
+    """A report whose label, attribute names, cells, overrides and notes are
+    drawn strings. Names are wrapped in letters so stripping leaves them whole."""
+    qi, sensitive = f"q{draw(_TRICKY)}q", f"s{draw(_TRICKY)}s"
+    rows = draw(st.lists(st.tuples(_TRICKY, _TRICKY), min_size=2, max_size=6))
+    # Overrides flag the records holding them; unused ones become warnings.
+    overrides = draw(st.lists(st.sampled_from([v for _, v in rows]) | _TRICKY, max_size=3))
+    dataset = Dataset(attributes=(qi, sensitive), rows=rows, source_label=draw(_TRICKY))
+    meta = [
+        AttributeMeta(name=qi, role=AttributeRole.QUASI_IDENTIFIER, exposure=ExposureLevel(3)),
+        AttributeMeta(
+            name=sensitive,
+            role=AttributeRole.SENSITIVE,
+            severity=SeverityRating(1, 2, 1),
+            value_severity={v: SeverityRating(3, 4, 1) for v in overrides},
+        ),
+    ]
+    options = AssessmentOptions(notes=draw(st.lists(_TRICKY, max_size=3)))
+    return assess(dataset, meta, options)
+
+
 @pytest.fixture(scope="module")
 def hipaa_report(hipaa, reference_meta):
     return assess(hipaa, reference_meta.attributes, reference_meta.options)
@@ -177,6 +211,15 @@ class TestJson:
 
     def test_injective_on_distinct_reports(self, hipaa_report, initial_report):
         assert to_json(hipaa_report) != to_json(initial_report)
+
+    @given(_drawn_reports())
+    @settings(max_examples=300, deadline=None)
+    def test_canonical_on_drawn_strings(self, report):
+        payload = to_json(report)
+        document = json.loads(payload)
+        canonical = json.dumps(document, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+        assert payload == (canonical + "\n").encode("utf-8")
+        assert report_to_dict(report) == document
 
     def test_levels_and_labels_consistent(self, hipaa_report):
         document = report_to_dict(hipaa_report)
