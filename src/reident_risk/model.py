@@ -13,6 +13,7 @@ from dataclasses import InitVar, dataclass, field
 from enum import Enum, IntEnum
 from functools import cached_property
 from itertools import repeat
+from json.encoder import encode_basestring
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
@@ -54,6 +55,12 @@ class _OrdinalScale(IntEnum):
     def display(self) -> str:
         """Rendering used throughout reports, e.g. ``4-Critical``."""
         return f"{self.value}-{self.label}"
+
+    @cached_property
+    def json_text(self) -> str:
+        """Canonical JSON of the level, e.g. ``{"label":"Critical","level":4}``.
+        Cached per member: ``RiskLevel(3) == SeverityLevel(3)`` as integers."""
+        return f'{{"label":{encode_basestring(self.label)},"level":{self.value}}}'
 
     @classmethod
     def _extra_aliases(cls) -> dict[str, int]:

@@ -10,14 +10,17 @@ both numeral and label ("4-Critical") in both forms.
 Each table is declared once as a ``_Table``: its JSON key, its rows, and per
 column a JSON key, a Markdown header, a cell getter and a kind. Both encoders
 render from these declarations, and the kind alone decides how a cell encodes.
+The JSON text is joined from per-cell fragments, members in sorted-key order,
+with no intermediate tree of dicts; ``report_to_dict`` decodes that text.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _string  # as json.dumps(ensure_ascii=False)
 from operator import attrgetter, itemgetter
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
 
 from .model import AttributeMeta, RiskLevel, global_severity
 
@@ -56,23 +59,28 @@ class AssessmentReport:
     warnings: tuple[str, ...]
 
 
-def _escape(text: Any) -> str:
+def _escape(text: str) -> str:
     """A Markdown table cell: ``\\`` and ``|`` escaped, line breaks as ``<br>``."""
-    text = str(text).replace("\\", "\\\\").replace("|", "\\|")
+    text = text.replace("\\", "\\\\").replace("|", "\\|")
     return text.replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
 
 
 class _Kind(NamedTuple):
-    """How a cell encodes: ``json`` gives the JSON value, ``markdown`` the cell text."""
+    """How a cell encodes: ``json`` gives its JSON text, ``markdown`` its cell text."""
 
-    json: Callable[[Any], Any]
+    json: Callable[[Any], str]
     markdown: Callable[[Any], str]
 
 
-LEVEL = _Kind(lambda level: {"level": int(level), "label": level.label}, attrgetter("display"))
-NUMBER = _Kind("{:.6f}".format, "{:.6f}".format)
-NAMES = _Kind(list, lambda names: _escape("/".join(names)))
-TEXT = _Kind(lambda value: value, _escape)
+def _array(items: Iterable[str]) -> str:
+    return "[" + ",".join(items) + "]"
+
+
+LEVEL = _Kind(attrgetter("json_text"), attrgetter("display"))
+NUMBER = _Kind('"{:.6f}"'.format, "{:.6f}".format)
+NAMES = _Kind(lambda names: _array(map(_string, names)), lambda names: _escape("/".join(names)))
+TEXT = _Kind(_string, _escape)
+INT = _Kind(str, str)
 
 
 class _Column(NamedTuple):
@@ -155,7 +163,7 @@ FLAGGED = _Table(
     "flagged_records",
     attrgetter("flagged_records"),
     (
-        _Column("row", "Row", lambda rec: rec.row_index + 1, TEXT),
+        _Column("row", "Row", lambda rec: rec.row_index + 1, INT),
         _Column("attribute", "Attribute", attrgetter("attribute"), TEXT),
         _Column("value", "Value", attrgetter("sensitive_value"), TEXT),
         _Column("value_severity", "Severity", attrgetter("value_severity"), LEVEL),
@@ -176,37 +184,62 @@ DISCRIMINATION_RATES = _Table(
         _Column("inference", "Inference", attrgetter("inference"), LEVEL),
     ),
 )
+L_DIVERSITY = _Table(
+    "l_diversity",
+    attrgetter("metrics_appendix.l_diversity"),
+    (
+        _Column("l", None, attrgetter("l_value"), INT),
+        _Column("sensitive", None, attrgetter("sensitive"), TEXT),
+    ),
+)
 
 
-def _json_table(table: _Table, report: AssessmentReport) -> list[dict]:
-    cells = [(c.key, c.get, c.kind.json) for c in table.columns]
-    return [{key: encode(get(row)) for key, get, encode in cells} for row in table.rows(report)]
+def _object(members: Iterable[tuple[str, str]]) -> str:
+    """A JSON object from (key, JSON text) members, in sorted-key order."""
+    return "{" + ",".join([_string(key) + ":" + text for key, text in sorted(members)]) + "}"
 
 
-def report_to_dict(report: AssessmentReport) -> dict:
-    """Plain-data form of a report (the JSON document before encoding)."""
-    appendix = report.metrics_appendix
-    tables = (ATTRIBUTE_SEVERITY, VALUE_SEVERITY, EXPOSURE, EXPLOITABILITY, RISK, FLAGGED)
-    return {
-        "dataset_label": report.dataset_label,
-        "row_count": report.row_count,
-        **{table.key: _json_table(table, report) for table in tables},
-        "overall_risk": LEVEL.json(report.overall_risk),
-        "metrics_appendix": {
-            "qi_set": list(appendix.qi_set),
-            "k_anonymity": appendix.k_anonymity,
-            "l_diversity": [{"sensitive": e.sensitive, "l": e.l_value} for e in appendix.l_diversity],
-            "discrimination_rates": _json_table(DISCRIMINATION_RATES, report),
-        },
-        "warnings": list(report.warnings),
-    }
+def _json_table(table: _Table, report: AssessmentReport) -> tuple[str, str]:
+    """The table as a (key, JSON text) member: an array of row objects."""
+    columns = sorted(table.columns, key=attrgetter("key"))
+    cells = [(_string(c.key) + ":", c.get, c.kind.json) for c in columns]
+    rows = (
+        "{" + ",".join([key + encode(get(row)) for key, get, encode in cells]) + "}"
+        for row in table.rows(report)
+    )
+    return table.key, _array(rows)
 
 
 def to_json(report: AssessmentReport) -> bytes:
     """Canonical JSON bytes: sorted keys, fixed formatting, trailing newline."""
-    payload = report_to_dict(report)
-    text = json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    appendix = report.metrics_appendix
+    tables = (ATTRIBUTE_SEVERITY, VALUE_SEVERITY, EXPOSURE, EXPLOITABILITY, RISK, FLAGGED)
+    text = _object(
+        [
+            ("dataset_label", _string(report.dataset_label)),
+            ("row_count", str(report.row_count)),
+            *(_json_table(table, report) for table in tables),
+            ("overall_risk", report.overall_risk.json_text),
+            (
+                "metrics_appendix",
+                _object(
+                    [
+                        ("qi_set", NAMES.json(appendix.qi_set)),
+                        ("k_anonymity", str(appendix.k_anonymity)),
+                        _json_table(L_DIVERSITY, report),
+                        _json_table(DISCRIMINATION_RATES, report),
+                    ]
+                ),
+            ),
+            ("warnings", NAMES.json(report.warnings)),
+        ]
+    )
     return (text + "\n").encode("utf-8")
+
+
+def report_to_dict(report: AssessmentReport) -> dict:
+    """Plain-data form of a report: its canonical JSON, decoded."""
+    return json.loads(to_json(report))
 
 
 def _markdown_table(table: _Table, report: AssessmentReport) -> list[str]:

@@ -14,6 +14,8 @@ from reident_risk.model import (
     AttributeRole,
     Dataset,
     ExposureLevel,
+    RiskLevel,
+    SeverityLevel,
     SeverityRating,
 )
 from reident_risk.report import report_to_dict, to_json, to_markdown
@@ -220,6 +222,12 @@ class TestJson:
         canonical = json.dumps(document, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
         assert payload == (canonical + "\n").encode("utf-8")
         assert report_to_dict(report) == document
+
+    def test_equal_levels_of_two_scales_encode_apart(self):
+        # Levels are IntEnums, so two scales' level 3 compare equal.
+        assert RiskLevel(3) == SeverityLevel(3)
+        assert RiskLevel(3).json_text == '{"label":"High","level":3}'
+        assert SeverityLevel(3).json_text == '{"label":"Significant","level":3}'
 
     def test_levels_and_labels_consistent(self, hipaa_report):
         document = report_to_dict(hipaa_report)
