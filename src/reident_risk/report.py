@@ -17,6 +17,7 @@ with no intermediate tree of dicts; ``report_to_dict`` decodes that text.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _string  # as json.dumps(ensure_ascii=False)
 from operator import attrgetter, itemgetter
@@ -59,10 +60,20 @@ class AssessmentReport:
     warnings: tuple[str, ...]
 
 
+_MARKUP = re.compile(r"[\\|*_`\[\]<>&~\r\n]")
+
+
+def _escape_one(match: re.Match) -> str:
+    char = match[0]
+    return "<br>" if char in "\r\n" else "\\" + char
+
+
 def _escape(text: str) -> str:
-    """A Markdown table cell: ``\\`` and ``|`` escaped, line breaks as ``<br>``."""
-    text = text.replace("\\", "\\\\").replace("|", "\\|")
-    return text.replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
+    """A Markdown table cell shown as text, not markup: ``\\ | * _ ` [ ] < > & ~``
+    escaped with a backslash, a line break (CR, LF or CRLF) written as ``<br>``."""
+    if _MARKUP.search(text) is None:
+        return text
+    return _MARKUP.sub(_escape_one, text.replace("\r\n", "\n"))
 
 
 class _Kind(NamedTuple):

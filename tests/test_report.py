@@ -105,12 +105,39 @@ def _cell_count(line: str) -> int:
     return count
 
 
+def _read_cells(line: str) -> list[str]:
+    """The cells of a Markdown table line read back as text: a backslash escapes
+    the next character, ``<br>`` is a line break, and no markup may be left."""
+    cells, cell = [], ""
+    chars = iter(line.replace("<br>", "\n")[1:-1])
+    for char in chars:
+        if char == "\\":
+            cell += next(chars)
+        elif char == "|":
+            cells.append(cell.strip(" "))
+            cell = ""
+        else:
+            assert char not in "*_`[]<>&~", line
+            cell += char
+    return [*cells, cell.strip(" ")]
+
+
 def _pipes_report():
-    """Names and flagged values holding ``|``, a backslash and a line break."""
-    values = ("a|b", "c\\|d", "e\nf")
+    """Names and flagged values holding ``|``, a backslash, a line break and
+    inline Markdown or HTML."""
+    values = ("a|b", "c\\|d", "e\nf", "<img src=x>", "**x", "[a](b)", "`c`_~&amp;")
     dataset = Dataset(
-        attributes=("zip|code", "dx|code"),
-        rows=(("1|2", values[0]), ("1|2", values[1]), ("3", values[2]), ("3", "g")),
+        attributes=("zip|code", "dx|<b>code</b>"),
+        rows=(
+            ("1|2", values[0]),
+            ("1|2", values[1]),
+            ("3", values[2]),
+            ("3", "g"),
+            ("*4*", values[3]),
+            ("*4*", values[4]),
+            ("_5_", values[5]),
+            ("_5_", values[6]),
+        ),
         source_label="pipes",
     )
     meta = [
@@ -120,14 +147,14 @@ def _pipes_report():
             exposure=ExposureLevel.EXTERNAL_EXTENDED,
         ),
         AttributeMeta(
-            name="dx|code",
+            name="dx|<b>code</b>",
             role=AttributeRole.SENSITIVE,
             severity=SeverityRating(1, 1, 1),
             value_severity={v: SeverityRating(4, 4, 4) for v in values},
         ),
     ]
     report = assess(dataset, meta)
-    assert len(report.flagged_records) == 3
+    assert len(report.flagged_records) == 7
     return report
 
 
@@ -316,6 +343,15 @@ class TestMarkdown:
         for lines in tables:
             assert set(lines[1]) == set("|- ")  # the delimiter row
             assert [_cell_count(line) for line in lines] == [_cell_count(lines[1])] * len(lines)
+
+    def test_cells_show_markup_as_text(self):
+        report = _pipes_report()
+        table = report_to_dict(report)["value_severity_table"]
+        lines = to_markdown(report).split("\n")
+        start = lines.index("Value severity overrides:") + 4  # past the header rows
+        assert [_read_cells(line) for line in lines[start : start + len(table)]] == [
+            [row["attribute"], row["value"], "4-Maximum"] for row in table
+        ]
 
     def test_levels_agree_with_json(self, hipaa_report):
         text = to_markdown(hipaa_report)
