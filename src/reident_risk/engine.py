@@ -368,19 +368,21 @@ def assess(
             )
 
         class_scores = top_partition.class_inference(sensitive)
+        class_bands = list(map(band, class_scores))  # banded once per class
+        class_of = top_partition.class_of
         for i, code in enumerate(codes):
             level = value_severities[code]
             if level < options.flag_threshold:
                 continue
-            score = class_scores[top_partition.class_of[i]]
+            c = class_of[i]
             flagged.append(
                 FlaggedRecord(
                     row_index=i,
                     attribute=sensitive,
                     sensitive_value=values[code],
                     value_severity=level,
-                    class_inference=score,
-                    record_risk=record_risk[band(score), level],
+                    class_inference=class_scores[c],
+                    record_risk=record_risk[class_bands[c], level],
                 )
             )
 
