@@ -207,14 +207,10 @@ def build_combinations(
             raise ValueError(f"explicit combination repeats an attribute: {list(names)!r}")
         candidates.append(make(names, CombinationOrigin.EXPLICIT))
 
-    result: list[QiCombination] = []
-    seen: set[frozenset[str]] = set()
+    unique: dict[frozenset[str], QiCombination] = {}
     for c in candidates:
-        key = frozenset(c.members)
-        if key not in seen:
-            seen.add(key)
-            result.append(c)
-    return result
+        unique.setdefault(frozenset(c.members), c)  # the first occurrence stays, in place
+    return list(unique.values())
 
 
 def exploitability(

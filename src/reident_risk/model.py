@@ -58,8 +58,7 @@ class _OrdinalScale(IntEnum):
 
     @cached_property
     def json_text(self) -> str:
-        """Canonical JSON of the level, e.g. ``{"label":"Critical","level":4}``.
-        Cached per member: ``RiskLevel(3) == SeverityLevel(3)`` as integers."""
+        """Canonical JSON of the member, e.g. ``{"label":"Critical","level":4}``."""
         return f'{{"label":{encode_basestring(self.label)},"level":{self.value}}}'
 
     @classmethod

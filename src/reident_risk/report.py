@@ -61,19 +61,14 @@ class AssessmentReport:
 
 
 _MARKUP = re.compile(r"[\\|*_`\[\]<>&~\r\n]")
-
-
-def _escape_one(match: re.Match) -> str:
-    char = match[0]
-    return "<br>" if char in "\r\n" else "\\" + char
+_ESCAPED = str.maketrans({**{c: "\\" + c for c in "\\|*_`[]<>&~"}, "\r": "<br>", "\n": "<br>"})
 
 
 def _escape(text: str) -> str:
-    """A Markdown table cell shown as text, not markup: ``\\ | * _ ` [ ] < > & ~``
-    escaped with a backslash, a line break (CR, LF or CRLF) written as ``<br>``."""
+    """A Markdown cell shown as text: ``_MARKUP`` characters escaped, line breaks as ``<br>``."""
     if _MARKUP.search(text) is None:
         return text
-    return _MARKUP.sub(_escape_one, text.replace("\r\n", "\n"))
+    return text.replace("\r\n", "\n").translate(_ESCAPED)
 
 
 class _Kind(NamedTuple):
@@ -195,14 +190,6 @@ DISCRIMINATION_RATES = _Table(
         _Column("inference", "Inference", attrgetter("inference"), LEVEL),
     ),
 )
-L_DIVERSITY = _Table(
-    "l_diversity",
-    attrgetter("metrics_appendix.l_diversity"),
-    (
-        _Column("l", None, attrgetter("l_value"), INT),
-        _Column("sensitive", None, attrgetter("sensitive"), TEXT),
-    ),
-)
 
 
 def _object(members: Iterable[tuple[str, str]]) -> str:
@@ -214,38 +201,35 @@ def _json_table(table: _Table, report: AssessmentReport) -> tuple[str, str]:
     """The table as a (key, JSON text) member: an array of row objects."""
     columns = sorted(table.columns, key=attrgetter("key"))
     cells = [(_string(c.key) + ":", c.get, c.kind.json) for c in columns]
-    rows = (
-        "{" + ",".join([key + encode(get(row)) for key, get, encode in cells]) + "}"
-        for row in table.rows(report)
+    rows = table.rows(report)
+    return table.key, _array(
+        "{" + ",".join([key + encode(get(row)) for key, get, encode in cells]) + "}" for row in rows
     )
-    return table.key, _array(rows)
 
 
 def to_json(report: AssessmentReport) -> bytes:
     """Canonical JSON bytes: sorted keys, fixed formatting, trailing newline."""
     appendix = report.metrics_appendix
     tables = (ATTRIBUTE_SEVERITY, VALUE_SEVERITY, EXPOSURE, EXPLOITABILITY, RISK, FLAGGED)
-    text = _object(
-        [
-            ("dataset_label", _string(report.dataset_label)),
-            ("row_count", str(report.row_count)),
-            *(_json_table(table, report) for table in tables),
-            ("overall_risk", report.overall_risk.json_text),
-            (
-                "metrics_appendix",
-                _object(
-                    [
-                        ("qi_set", NAMES.json(appendix.qi_set)),
-                        ("k_anonymity", str(appendix.k_anonymity)),
-                        _json_table(L_DIVERSITY, report),
-                        _json_table(DISCRIMINATION_RATES, report),
-                    ]
-                ),
-            ),
-            ("warnings", NAMES.json(report.warnings)),
-        ]
+    l_diversity = (
+        _object([("l", str(e.l_value)), ("sensitive", _string(e.sensitive))])
+        for e in appendix.l_diversity
     )
-    return (text + "\n").encode("utf-8")
+    appendix_members = [
+        ("qi_set", NAMES.json(appendix.qi_set)),
+        ("k_anonymity", str(appendix.k_anonymity)),
+        ("l_diversity", _array(l_diversity)),
+        _json_table(DISCRIMINATION_RATES, report),
+    ]
+    members = [
+        ("dataset_label", _string(report.dataset_label)),
+        ("row_count", str(report.row_count)),
+        *(_json_table(table, report) for table in tables),
+        ("overall_risk", report.overall_risk.json_text),
+        ("metrics_appendix", _object(appendix_members)),
+        ("warnings", NAMES.json(report.warnings)),
+    ]
+    return (_object(members) + "\n").encode("utf-8")
 
 
 def report_to_dict(report: AssessmentReport) -> dict:

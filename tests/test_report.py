@@ -162,7 +162,8 @@ def _pipes_report():
 # control, DEL, the two JavaScript line separators, non-ASCII and non-BMP.
 _TRICKY = st.text(
     alphabet=st.sampled_from(
-        ['"', "\\", *map(chr, range(0x20)), "\x7f", "\u2028", "\u2029", "é", "中", "\U0001f600", "a"]
+        ['"', "\\", *map(chr, range(0x20)), "\x7f", "\u2028", "\u2029"]
+        + ["é", "中", "\U0001f600", "a"]
     ),
     max_size=6,
 )
