@@ -207,10 +207,14 @@ def build_combinations(
             raise ValueError(f"explicit combination repeats an attribute: {list(names)!r}")
         candidates.append(make(names, CombinationOrigin.EXPLICIT))
 
-    unique: dict[frozenset[str], QiCombination] = {}
+    result: list[QiCombination] = []
+    seen: set[frozenset[str]] = set()
     for c in candidates:
-        unique.setdefault(frozenset(c.members), c)  # the first occurrence stays, in place
-    return list(unique.values())
+        key = frozenset(c.members)
+        if key not in seen:
+            seen.add(key)
+            result.append(c)
+    return result
 
 
 def exploitability(
@@ -364,21 +368,19 @@ def assess(
             )
 
         class_scores = top_partition.class_inference(sensitive)
-        class_bands = list(map(band, class_scores))  # banded once per class
-        class_of = top_partition.class_of
         for i, code in enumerate(codes):
             level = value_severities[code]
             if level < options.flag_threshold:
                 continue
-            c = class_of[i]
+            score = class_scores[top_partition.class_of[i]]
             flagged.append(
                 FlaggedRecord(
                     row_index=i,
                     attribute=sensitive,
                     sensitive_value=values[code],
                     value_severity=level,
-                    class_inference=class_scores[c],
-                    record_risk=record_risk[class_bands[c], level],
+                    class_inference=score,
+                    record_risk=record_risk[band(score), level],
                 )
             )
 
