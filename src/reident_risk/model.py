@@ -13,7 +13,6 @@ from dataclasses import InitVar, dataclass, field
 from enum import Enum, IntEnum
 from functools import cached_property
 from itertools import repeat
-from json.encoder import encode_basestring
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
@@ -55,11 +54,6 @@ class _OrdinalScale(IntEnum):
     def display(self) -> str:
         """Rendering used throughout reports, e.g. ``4-Critical``."""
         return f"{self.value}-{self.label}"
-
-    @cached_property
-    def json_text(self) -> str:
-        """Canonical JSON of the member, e.g. ``{"label":"Critical","level":4}``."""
-        return f'{{"label":{encode_basestring(self.label)},"level":{self.value}}}'
 
     @classmethod
     def _extra_aliases(cls) -> dict[str, int]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from json.encoder import encode_basestring as _string  # as json.dumps(ensure_ascii=False)
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
@@ -71,18 +72,21 @@ def _escape(text: str) -> str:
     return text.replace("\r\n", "\n").translate(_ESCAPED)
 
 
-class _Kind(NamedTuple):
-    """How a cell encodes: ``json`` gives its JSON text, ``markdown`` its cell text."""
-
-    json: Callable[[Any], str]
-    markdown: Callable[[Any], str]
+class _Kind(NamedTuple):  # how a cell encodes
+    json: Callable[[Any], str]  # the cell's JSON text
+    markdown: Callable[[Any], str]  # its Markdown cell text
 
 
 def _array(items: Iterable[str]) -> str:
     return "[" + ",".join(items) + "]"
 
 
-LEVEL = _Kind(attrgetter("json_text"), attrgetter("display"))
+@lru_cache(maxsize=None, typed=True)  # typed: as IntEnums, RiskLevel(3) == SeverityLevel(3)
+def _level_json(level) -> str:
+    return f'{{"label":{_string(level.label)},"level":{level.value}}}'
+
+
+LEVEL = _Kind(_level_json, attrgetter("display"))
 NUMBER = _Kind('"{:.6f}"'.format, "{:.6f}".format)
 NAMES = _Kind(lambda names: _array(map(_string, names)), lambda names: _escape("/".join(names)))
 TEXT = _Kind(_string, _escape)
@@ -178,6 +182,14 @@ FLAGGED = _Table(
     ),
     bold=True,
 )
+L_DIVERSITY = _Table(
+    "l_diversity",
+    lambda report: report.metrics_appendix.l_diversity,
+    (
+        _Column("l", None, attrgetter("l_value"), INT),
+        _Column("sensitive", None, attrgetter("sensitive"), TEXT),
+    ),
+)
 DISCRIMINATION_RATES = _Table(
     "discrimination_rates",
     lambda report: [row.dr for row in report.exploitability_rows],
@@ -198,9 +210,8 @@ def _object(members: Iterable[tuple[str, str]]) -> str:
 
 
 def _json_table(table: _Table, report: AssessmentReport) -> tuple[str, str]:
-    """The table as a (key, JSON text) member: an array of row objects."""
-    columns = sorted(table.columns, key=attrgetter("key"))
-    cells = [(_string(c.key) + ":", c.get, c.kind.json) for c in columns]
+    """The table as a (key, JSON text) member: an array of row objects, columns sorted by key."""
+    cells = [(_string(c.key) + ":", c.get, c.kind.json) for c in sorted(table.columns)]
     rows = table.rows(report)
     return table.key, _array(
         "{" + ",".join([key + encode(get(row)) for key, get, encode in cells]) + "}" for row in rows
@@ -209,23 +220,17 @@ def _json_table(table: _Table, report: AssessmentReport) -> tuple[str, str]:
 
 def to_json(report: AssessmentReport) -> bytes:
     """Canonical JSON bytes: sorted keys, fixed formatting, trailing newline."""
-    appendix = report.metrics_appendix
     tables = (ATTRIBUTE_SEVERITY, VALUE_SEVERITY, EXPOSURE, EXPLOITABILITY, RISK, FLAGGED)
-    l_diversity = (
-        _object([("l", str(e.l_value)), ("sensitive", _string(e.sensitive))])
-        for e in appendix.l_diversity
-    )
     appendix_members = [
-        ("qi_set", NAMES.json(appendix.qi_set)),
-        ("k_anonymity", str(appendix.k_anonymity)),
-        ("l_diversity", _array(l_diversity)),
-        _json_table(DISCRIMINATION_RATES, report),
+        ("qi_set", NAMES.json(report.metrics_appendix.qi_set)),
+        ("k_anonymity", str(report.metrics_appendix.k_anonymity)),
+        *(_json_table(table, report) for table in (L_DIVERSITY, DISCRIMINATION_RATES)),
     ]
     members = [
         ("dataset_label", _string(report.dataset_label)),
         ("row_count", str(report.row_count)),
         *(_json_table(table, report) for table in tables),
-        ("overall_risk", report.overall_risk.json_text),
+        ("overall_risk", LEVEL.json(report.overall_risk)),
         ("metrics_appendix", _object(appendix_members)),
         ("warnings", NAMES.json(report.warnings)),
     ]
@@ -245,12 +250,11 @@ def _markdown_table(table: _Table, report: AssessmentReport) -> list[str]:
     columns = [c for c in table.columns if c.header is not None]
     cells = [(c.get, c.kind.markdown) for c in columns]
     start, sep, end = ("| **", "** | **", "** |") if table.bold else ("| ", " | ", " |")
-    lines = [
+    return [
         "| " + " | ".join(_escape(c.header) for c in columns) + " |",
         "|" + "|".join(" --- " for _ in columns) + "|",
+        *(start + sep.join([encode(get(row)) for get, encode in cells]) + end for row in rows),
     ]
-    lines.extend(start + sep.join([encode(get(row)) for get, encode in cells]) + end for row in rows)
-    return lines
 
 
 def to_markdown(report: AssessmentReport) -> str:

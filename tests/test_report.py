@@ -18,7 +18,7 @@ from reident_risk.model import (
     SeverityLevel,
     SeverityRating,
 )
-from reident_risk.report import report_to_dict, to_json, to_markdown
+from reident_risk.report import LEVEL, report_to_dict, to_json, to_markdown
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -254,8 +254,8 @@ class TestJson:
     def test_equal_levels_of_two_scales_encode_apart(self):
         # Levels are IntEnums, so two scales' level 3 compare equal.
         assert RiskLevel(3) == SeverityLevel(3)
-        assert RiskLevel(3).json_text == '{"label":"High","level":3}'
-        assert SeverityLevel(3).json_text == '{"label":"Significant","level":3}'
+        assert LEVEL.json(RiskLevel(3)) == '{"label":"High","level":3}'
+        assert LEVEL.json(SeverityLevel(3)) == '{"label":"Significant","level":3}'
 
     def test_levels_and_labels_consistent(self, hipaa_report):
         document = report_to_dict(hipaa_report)
