@@ -10,8 +10,7 @@ both numeral and label ("4-Critical") in both forms.
 Each table is declared once as a ``_Table``: its JSON key, its rows, and per
 column a JSON key, a Markdown header, a cell getter and a kind. Both encoders
 render from these declarations, and the kind alone decides how a cell encodes.
-The JSON text is joined from per-cell fragments, members in sorted-key order,
-with no intermediate tree of dicts; ``report_to_dict`` decodes that text.
+The JSON text is joined from per-cell fragments in sorted-key order, with no dict tree.
 """
 
 from __future__ import annotations
@@ -250,11 +249,12 @@ def _markdown_table(table: _Table, report: AssessmentReport) -> list[str]:
     columns = [c for c in table.columns if c.header is not None]
     cells = [(c.get, c.kind.markdown) for c in columns]
     start, sep, end = ("| **", "** | **", "** |") if table.bold else ("| ", " | ", " |")
-    return [
+    lines = [
         "| " + " | ".join(_escape(c.header) for c in columns) + " |",
         "|" + "|".join(" --- " for _ in columns) + "|",
-        *(start + sep.join([encode(get(row)) for get, encode in cells]) + end for row in rows),
     ]
+    lines.extend(start + sep.join([encode(get(row)) for get, encode in cells]) + end for row in rows)
+    return lines
 
 
 def to_markdown(report: AssessmentReport) -> str:
