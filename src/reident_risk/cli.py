@@ -1,16 +1,15 @@
 """Command-line front end: assess, metric, and fixtures subcommands.
 
-Reports go to stdout (or ``--out``); diagnostics go to stderr, so the two
-never mix on one stream. Exit codes: 0 success, 1 I/O or parse failure,
-2 validation errors. Setting REIDENT_RISK_NO_COLOR disables the error
-highlighting on terminals.
+Reports and metrics go to stdout (or ``--out``) as UTF-8 bytes, whatever
+the terminal's encoding; diagnostics go to stderr, so the two never mix on
+one stream. Exit codes: 0 success, 1 I/O or parse failure, 2 validation
+errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -26,30 +25,28 @@ EXIT_INVALID = 2
 
 
 def _diag(message: str) -> None:
-    prefix = "error:"
-    if sys.stderr.isatty() and not os.environ.get("REIDENT_RISK_NO_COLOR"):
-        prefix = f"\x1b[31m{prefix}\x1b[0m"
-    print(f"{prefix} {message}", file=sys.stderr)
+    print(f"error: {message}", file=sys.stderr)
+
+
+def _write(payload: bytes, out: str | None) -> None:
+    """Write one result to the ``out`` path, or to stdout when it is None."""
+    if out is None:
+        sys.stdout.buffer.write(payload)
+        sys.stdout.flush()
+    else:
+        Path(out).write_bytes(payload)
 
 
 def _write_report(report, fmt: str, out: str | None) -> None:
-    if fmt in ("json", "both"):
-        payload = to_json(report)
-        if out is None:
-            sys.stdout.buffer.write(payload)
-            sys.stdout.flush()
-        else:
-            target = Path(out + ".json") if fmt == "both" else Path(out)
-            target.write_bytes(payload)
-    if fmt in ("markdown", "both"):
-        text = to_markdown(report)
-        if out is None:
-            if fmt == "both":
-                print()
-            print(text, end="")
-        else:
-            target = Path(out + ".md") if fmt == "both" else Path(out)
-            target.write_text(text, encoding="utf-8")
+    if fmt == "json":
+        _write(to_json(report), out)
+    elif fmt == "markdown":
+        _write(to_markdown(report).encode("utf-8"), out)
+    elif out is None:
+        _write(to_json(report) + b"\n" + to_markdown(report).encode("utf-8"), None)
+    else:
+        _write(to_json(report), out + ".json")
+        _write(to_markdown(report).encode("utf-8"), out + ".md")
 
 
 def cmd_assess(args: argparse.Namespace) -> int:
@@ -103,7 +100,7 @@ def cmd_metric(args: argparse.Namespace) -> int:
         message = exc.args[0] if exc.args else str(exc)
         _diag(str(message))
         return EXIT_INVALID
-    print(json.dumps(payload, sort_keys=True, ensure_ascii=False))
+    _write(f"{json.dumps(payload, sort_keys=True, ensure_ascii=False)}\n".encode("utf-8"), None)
     return EXIT_OK
 
 

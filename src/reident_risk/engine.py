@@ -144,6 +144,14 @@ class AssessmentOptions:
         coerce_field(self, "combination_strategy", CombinationStrategy.parse)
         coerce_field(self, "explicit_combinations", _combinations)
         coerce_field(self, "notes", strings)
+        coerce_field(self, "exploitability_matrix", _matrix)
+        coerce_field(self, "risk_matrix", _matrix)
+
+
+def _matrix(raw: ScaleMatrix) -> ScaleMatrix:
+    if not isinstance(raw, ScaleMatrix):
+        raise ValueError(f"expected a ScaleMatrix, got {raw!r}")
+    return raw
 
 
 def _combinations(raw: Sequence[Sequence[str]]) -> tuple[tuple[str, ...], ...]:
@@ -233,10 +241,6 @@ def risk(
     return RiskLevel(matrix.lookup(int(exploitability_level), int(severity)))
 
 
-def _member_sort_key(dataset: Dataset, combo: QiCombination) -> tuple[int, ...]:
-    return tuple(dataset.attribute_index(n) for n in combo.members)
-
-
 def assess(
     dataset: Dataset,
     meta: Sequence[AttributeMeta],
@@ -293,12 +297,14 @@ def assess(
     except ValueError as exc:
         raise AssessmentError([str(exc)]) from exc
 
-    # Flag severe records under the highest-exposure combination; ties go to
-    # the larger member set (weakly higher inference), then dataset order.
-    top_combo = min(
-        combinations,
-        key=lambda c: (-int(c.exposure), -len(c.members), _member_sort_key(dataset, c)),
+    # Highest exposure first; ties go to the larger member set (weakly higher
+    # inference), then dataset order. Severe records are flagged under the
+    # first combination, and the stable row sort below keeps this order on ties.
+    position = {name: i for i, name in enumerate(dataset.attributes)}
+    combinations.sort(
+        key=lambda c: (-int(c.exposure), -len(c.members), [position[n] for n in c.members])
     )
+    top_combo = combinations[0]
     qi_set = tuple(qi_names)
 
     # One partition per combination, shared by every sensitive attribute;
@@ -351,13 +357,7 @@ def assess(
                 )
             )
         rows.sort(
-            key=lambda r: (
-                -int(r.exploitability),
-                -int(r.combination.exposure),
-                -int(r.inference),
-                -len(r.combination.members),
-                _member_sort_key(dataset, r.combination),
-            )
+            key=lambda r: (-int(r.exploitability), -int(r.combination.exposure), -int(r.inference))
         )
         exploitability_rows.extend(rows)
 

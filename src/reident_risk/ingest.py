@@ -13,9 +13,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Any, Collection, Union
+from typing import IO, Any, Collection, Iterator, Union
 
 from .engine import AssessmentOptions
 from .model import AttributeMeta, Dataset, ScaleMatrix
@@ -36,13 +37,17 @@ class MetadataDocument:
     options: AssessmentOptions
 
 
-def _open_text(source: Source) -> tuple[IO[str], bool, str]:
+@contextmanager
+def _open_text(source: Source) -> Iterator[tuple[IO[str], str]]:
+    """Yield ``(stream, label)``. A path is opened here and closed on exit; a
+    stream belongs to the caller and is left open."""
     if isinstance(source, (str, Path)):
         path = Path(source)
         # utf-8-sig drops the byte-order mark that spreadsheet exports put first.
-        return path.open("r", encoding="utf-8-sig", newline=""), True, path.name
-    label = getattr(source, "name", "<stream>")
-    return source, False, str(label)
+        with path.open("r", encoding="utf-8-sig", newline="") as stream:
+            yield stream, path.name
+    else:
+        yield source, str(getattr(source, "name", "<stream>"))
 
 
 def load_csv(source: Source, label: str | None = None) -> Dataset:
@@ -52,30 +57,26 @@ def load_csv(source: Source, label: str | None = None) -> Dataset:
     reader cannot parse are rejected with their 1-based data row number, and
     the header and rows are checked by :class:`Dataset`.
     """
-    stream, owned, default_label = _open_text(source)
-    if label is None:
-        label = default_label
-    header: list[str] | None = None
-    rows: list[list[str]] = []
-    try:
-        reader = csv.reader(stream)
-        header = next(reader, None)
-        if header is None:
-            raise IngestError(f"{label}: empty file, no header row")
-        attributes = [cell.strip() for cell in header]
-        if all(a == "" for a in attributes):
-            raise IngestError(f"{label}: empty header")
-        rows.extend([cell.strip() for cell in record] for record in reader)
-    except csv.Error as exc:
-        # For example a cell longer than csv.field_size_limit().
-        where = "header" if header is None else f"row {len(rows) + 1}"
-        raise IngestError(f"{label}: {where}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        # Decoding runs a buffer ahead of the reader, so no row is named.
-        raise IngestError(f"{label}: not valid UTF-8: {exc}") from None
-    finally:
-        if owned:
-            stream.close()
+    with _open_text(source) as (stream, default_label):
+        label = default_label if label is None else label
+        header: list[str] | None = None
+        rows: list[list[str]] = []
+        try:
+            reader = csv.reader(stream)
+            header = next(reader, None)
+            if header is None:
+                raise IngestError(f"{label}: empty file, no header row")
+            attributes = [cell.strip() for cell in header]
+            if all(a == "" for a in attributes):
+                raise IngestError(f"{label}: empty header")
+            rows.extend([cell.strip() for cell in record] for record in reader)
+        except csv.Error as exc:
+            # For example a cell longer than csv.field_size_limit().
+            where = "header" if header is None else f"row {len(rows) + 1}"
+            raise IngestError(f"{label}: {where}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            # Decoding runs a buffer ahead of the reader, so no row is named.
+            raise IngestError(f"{label}: not valid UTF-8: {exc}") from None
     try:
         return Dataset(attributes=attributes, rows=rows, source_label=label)
     except ValueError as exc:
@@ -117,17 +118,13 @@ def _parse_attribute(raw: Any, path: str) -> AttributeMeta:
 
 def load_metadata(source: Source) -> MetadataDocument:
     """Parse a metadata JSON document; every error names its JSON path."""
-    stream, owned, label = _open_text(source)
-    try:
+    with _open_text(source) as (stream, label):
         try:
             document = json.load(stream)
         except (ValueError, RecursionError) as exc:
             # ValueError covers JSONDecodeError and an integer longer than the
             # interpreter's digit limit; RecursionError, arrays nested too deep.
             raise IngestError(f"{label}: invalid JSON: {exc}") from None
-    finally:
-        if owned:
-            stream.close()
 
     if not isinstance(document, dict):
         raise IngestError(f"{label}: expected a JSON object at the top level")

@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .model import Dataset, InferenceLevel
+from .model import Dataset, InferenceLevel, strings
 
 __all__ = [
     "Partition",
@@ -101,7 +101,7 @@ class Partition:
     __slots__ = ("dataset", "qi_set", "class_of", "sizes", "_tallies")
 
     def __init__(self, dataset: Dataset, qi_set: Sequence[str]):
-        names = tuple(qi_set)
+        names = strings(qi_set)
         if not names:
             raise ValueError("quasi-identifier set must be non-empty")
         if len(set(names)) != len(names):

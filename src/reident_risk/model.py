@@ -267,6 +267,8 @@ class Dataset:
 
     def __post_init__(self, rows: Sequence[Sequence[str]]) -> None:
         coerce_field(self, "attributes", strings)
+        if not isinstance(self.source_label, str):
+            raise ValueError(f"source_label: expected a string, got {self.source_label!r}")
         attrs = self.attributes
         if not attrs:
             raise ValueError("dataset needs at least one attribute")

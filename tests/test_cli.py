@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reident_risk import assess, load_csv, load_metadata, to_json, to_markdown
 from reident_risk.cli import main
 from reident_risk.fixtures import (
     FIXTURE_NAMES,
@@ -28,6 +29,15 @@ def emitted(tmp_path):
         csv_path, meta_path = write_fixture(name, tmp_path)
         paths[name] = (str(csv_path), str(meta_path))
     return paths
+
+
+def main_on_ascii_stdout(argv):
+    """Exit code and stdout bytes of ``main(argv)`` on a stdout that cannot
+    encode non-ASCII text, as under PYTHONIOENCODING=ascii."""
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    return code, stdout.buffer.getvalue()
 
 
 class TestAssess:
@@ -56,6 +66,20 @@ class TestAssess:
         assert (tmp_path / "report.md").exists()
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("fmt", ["markdown", "both"])
+    def test_stdout_report_is_utf8_bytes(self, fmt, tmp_path):
+        data, meta = write_fixture("hipaa", tmp_path)
+        data = data.rename(tmp_path / "hipaé.csv")
+        argv = ["assess", "--data", str(data), "--meta", str(meta), "--format", fmt]
+        code, out = main_on_ascii_stdout(argv)
+        assert code == 0
+        document = load_metadata(meta)
+        report = assess(load_csv(data), document.attributes, document.options)
+        markdown = to_markdown(report).encode("utf-8")
+        assert "hipaé.csv".encode("utf-8") in markdown
+        expected = markdown if fmt == "markdown" else to_json(report) + b"\n" + markdown
+        assert out == expected
+
     def test_missing_data_path_is_io_failure(self, emitted, capsys):
         _, meta = emitted["hipaa"]
         code = main(["assess", "--data", "/nonexistent/x.csv", "--meta", meta])
@@ -83,7 +107,7 @@ class TestAssess:
 
     def test_invalid_metadata_is_validation_failure(self, emitted, tmp_path, capsys):
         data, meta = emitted["hipaa"]
-        document = json.loads(open(meta, encoding="utf-8").read())
+        document = json.loads(Path(meta).read_text(encoding="utf-8"))
         for attr in document["attributes"]:
             if attr["name"] == "Disease":
                 attr.pop("severity")
@@ -191,6 +215,17 @@ class TestMetric:
         assert payload["dr"] == "1.000000"
         assert payload["inference"] == 4
         assert payload["h_s_given_qi"] == "0.000000"
+
+    def test_stdout_metric_is_utf8_bytes(self, tmp_path):
+        data = tmp_path / "t.csv"
+        data.write_text("Âge,Disease\n20,Flu\n30,HIV\n", encoding="utf-8")
+        argv = ["metric", "dr", "--data", str(data), "--qi", "Âge", "--sensitive", "Disease"]
+        code, out = main_on_ascii_stdout(argv)
+        assert code == 0
+        assert out == (
+            '{"dr": "1.000000", "h_s": "1.000000", "h_s_given_qi": "0.000000", "inference": 4, '
+            '"inference_label": "Critical", "qi": ["Âge"], "sensitive": "Disease"}\n'
+        ).encode("utf-8")
 
     def test_unknown_attribute_is_validation_failure(self, emitted, capsys):
         data, _ = emitted["hipaa"]

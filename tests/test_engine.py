@@ -134,6 +134,12 @@ class TestAssessmentOptions:
             AssessmentOptions(**{field: value})
         assert str(caught.value).startswith(f"{field}: ") and shown in str(caught.value)
 
+    @pytest.mark.parametrize("field", ["exploitability_matrix", "risk_matrix"])
+    @pytest.mark.parametrize("value", [[[1] * 4] * 4, None])
+    def test_non_matrix_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}: expected a ScaleMatrix, got "):
+            AssessmentOptions(**{field: value})
+
 
 class TestMatrices:
     def test_default_exploitability_cells(self):

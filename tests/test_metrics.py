@@ -83,6 +83,11 @@ class TestEquivalenceClasses:
         with pytest.raises(ValueError):
             Partition(initial, [])
 
+    @pytest.mark.parametrize("qi_set,shown", [("Age", "got 'Age'"), (["Age", 1], "member 1 ")])
+    def test_non_string_qi_set_rejected(self, initial, qi_set, shown):
+        with pytest.raises(ValueError, match=shown):
+            Partition(initial, qi_set)
+
 
 class TestKAnonymity:
     def test_kanon_table_is_3(self, kanon):

@@ -136,6 +136,11 @@ class TestDataset:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Dataset(attributes=attributes, rows=rows)
 
+    @pytest.mark.parametrize("label", [5, None])
+    def test_non_string_label_rejected(self, label):
+        with pytest.raises(ValueError, match=f"^source_label: expected a string, got {label}$"):
+            Dataset(attributes=("a",), rows=(), source_label=label)
+
     def test_immutable(self):
         d = Dataset(attributes=("a",), rows=(("1",),))
         with pytest.raises(AttributeError):
