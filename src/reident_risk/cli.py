@@ -67,7 +67,9 @@ def cmd_assess(args: argparse.Namespace) -> int:
 
 def _split_qi(raw: str) -> list[str]:
     names = [part.strip() for part in raw.split(",")]
-    return [n for n in names if n]
+    if "" in names:
+        raise ValueError(f"--qi: empty attribute name in {raw!r}")
+    return names
 
 
 def cmd_metric(args: argparse.Namespace) -> int:

@@ -249,10 +249,25 @@ def assess(
     """Run the full assessment and assemble the report.
 
     Raises :class:`AssessmentError` with the complete list of problems when
-    the metadata does not validate against the dataset, when no sensitive
-    attribute or quasi-identifier is declared, or when the dataset has
-    fewer than two rows.
+    an argument has the wrong type, when the metadata does not validate
+    against the dataset, when no sensitive attribute or quasi-identifier is
+    declared, or when the dataset has fewer than two rows.
     """
+    errors = []
+    if not isinstance(dataset, Dataset):
+        errors.append(f"dataset: expected a Dataset, got {dataset!r}")
+    if not isinstance(meta, (list, tuple)):
+        errors.append(f"meta: expected an array of AttributeMeta, got {meta!r}")
+    else:
+        errors += [
+            f"meta[{i}]: expected an AttributeMeta, got {m!r}"
+            for i, m in enumerate(meta)
+            if not isinstance(m, AttributeMeta)
+        ]
+    if options is not None and not isinstance(options, AssessmentOptions):
+        errors.append(f"options: expected an AssessmentOptions, got {options!r}")
+    if errors:
+        raise AssessmentError(errors)
     options = options or AssessmentOptions()
     outcome = validate_meta(dataset, meta)
     errors = list(outcome.errors)

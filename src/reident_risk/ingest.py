@@ -67,8 +67,6 @@ def load_csv(source: Source, label: str | None = None) -> Dataset:
             if header is None:
                 raise IngestError(f"{label}: empty file, no header row")
             attributes = [cell.strip() for cell in header]
-            if all(a == "" for a in attributes):
-                raise IngestError(f"{label}: empty header")
             rows.extend([cell.strip() for cell in record] for record in reader)
         except csv.Error as exc:
             # For example a cell longer than csv.field_size_limit().

@@ -295,12 +295,6 @@ class Dataset:
         object.__setattr__(self, "row_count", len(rows))
         object.__setattr__(self, "columns", MappingProxyType(columns))
 
-    def attribute_index(self, name: str) -> int:
-        try:
-            return self.attributes.index(name)
-        except ValueError:
-            raise KeyError(f"unknown attribute {name!r}") from None
-
     def column(self, name: str) -> tuple[str, ...]:
         """The cells of column ``name``, one per row."""
         values, codes, _ = self.columns[name]

@@ -1,8 +1,42 @@
+import math
+
 import pytest
+from hypothesis import strategies as st
 
 from reident_risk import fixtures
 
 FULL_QI = ("Age", "Gender", "Country", "Admission Date", "Blood Type")
+TOL = 1e-12
+
+
+def h_bits(counts):
+    """Independent oracle: direct Shannon formula evaluation."""
+    total = sum(counts)
+    return -sum((c / total) * math.log2(c / total) for c in counts if c)
+
+
+# Disease value counts read off the 12-row tables: Colds 5, Flu 3, HIV 2,
+# Diabetes 1, Cancer 1. The 9-row table has Colds 4, Flu 1, HIV 2,
+# Diabetes 1, Cancer 1.
+H12 = h_bits([5, 3, 2, 1, 1])
+H9 = h_bits([4, 1, 2, 1, 1])
+
+
+@st.composite
+def tables(draw, qi=(1, 4), sensitive=(1, 1), rows=(1, 25), values=4):
+    """A random table as ``(header, rows)``: quasi-identifiers ``q0..`` then
+    sensitive attributes ``s0..``. Each column draws from its own alphabet
+    of 1 to ``values`` letters, so classes mix pure, impure and singleton.
+
+    A property builds the ``Dataset`` itself, so that Hypothesis prints a
+    failing table's header and rows."""
+    n_qi = draw(st.integers(*qi))
+    n_sensitive = draw(st.integers(*sensitive))
+    sizes = [draw(st.integers(1, values)) for _ in range(n_qi + n_sensitive)]
+    cells = st.tuples(*(st.sampled_from("abcdefgh"[:size]) for size in sizes))
+    body = draw(st.lists(cells, min_size=rows[0], max_size=rows[1]))
+    names = tuple(f"q{i}" for i in range(n_qi)) + tuple(f"s{i}" for i in range(n_sensitive))
+    return names, tuple(body)
 
 
 @pytest.fixture(scope="session")

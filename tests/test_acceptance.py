@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive_metrics as naive
-from conftest import FULL_QI
+from conftest import FULL_QI, H9, H12, TOL, tables
 from reident_risk import fixtures
 from reident_risk.engine import AssessmentOptions, assess
 from reident_risk.metrics import Partition, band, entropy
@@ -29,7 +29,6 @@ from reident_risk.model import (
 from reident_risk.report import report_to_dict, to_json
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-TOL = 1e-9
 
 
 @contextmanager
@@ -40,15 +39,6 @@ def criterion(number, title):
         print(f"[criterion {number}] FAIL: {title}")
         raise
     print(f"[criterion {number}] PASS: {title}")
-
-
-def h_bits(counts):
-    total = sum(counts)
-    return -sum((c / total) * math.log2(c / total) for c in counts if c)
-
-
-H12 = h_bits([5, 3, 2, 1, 1])  # disease counts in the 12-row tables
-H9 = h_bits([4, 1, 2, 1, 1])  # disease counts in the 9-row table
 
 
 def find_row(report, members):
@@ -158,70 +148,51 @@ def test_criterion_5_k_anonymity_and_diversity_oracles(initial, kanon, hipaa):
             assert Partition(d, qi).k_anonymity() == brute_force
 
 
-def _tiny_tables(min_cols=2, max_cols=4, max_rows=12, alphabet="abc"):
-    def build(draw):
-        n_cols = draw(st.integers(min_cols, max_cols))
-        rows = draw(
-            st.lists(
-                st.lists(st.sampled_from(alphabet), min_size=n_cols, max_size=n_cols),
-                min_size=2,
-                max_size=max_rows,
-            )
-        )
-        names = tuple(f"c{i}" for i in range(n_cols))
-        return Dataset(attributes=names, rows=tuple(tuple(r) for r in rows), source_label="rand")
-
-    return st.composite(build)()
-
-
 def test_criterion_6_property_suites():
     with criterion(6, "property suites at 500 random cases each"):
 
-        @given(_tiny_tables())
+        @given(tables())
         @settings(max_examples=500, deadline=None)
-        def conditioning_inequality(d):
+        def conditioning_range_and_purity(table):
+            d = Dataset(*table)
             s = d.attributes[-1]
-            counts = {}
-            for v in d.column(s):
-                counts[v] = counts.get(v, 0) + 1
-            h_s = entropy(counts.values())
-            h_cond = Partition(d, d.attributes[:-1]).conditional_entropy(s)
-            assert -TOL <= h_cond <= h_s + TOL
-
-        @given(_tiny_tables())
-        @settings(max_examples=500, deadline=None)
-        def dr_in_range(d):
-            dr = Partition(d, d.attributes[:-1]).discrimination_rate(d.attributes[-1]).dr
-            assert 0.0 <= dr <= 1.0
-
-        @given(_tiny_tables(min_cols=3))
-        @settings(max_examples=500, deadline=None)
-        def dr_superset_monotone(d):
-            s = d.attributes[-1]
-            small = Partition(d, d.attributes[:1]).discrimination_rate(s).dr
-            large = Partition(d, d.attributes[:-1]).discrimination_rate(s).dr
-            assert large >= small - TOL
-
-        @given(_tiny_tables())
-        @settings(max_examples=500, deadline=None)
-        def dr_one_iff_pure(d):
-            s = d.attributes[-1]
-            qi = list(d.attributes[:-1])
+            qi = d.attributes[:-1]
             column = d.column(s)
-            if len(set(column)) < 2:
-                return
-            classes = naive.equivalence_classes(d, qi)
-            pure = all(len({column[i] for i in c.row_indices}) == 1 for c in classes)
-            assert (abs(Partition(d, qi).discrimination_rate(s).dr - 1.0) < TOL) == pure
+            counts = {}
+            for v in column:
+                counts[v] = counts.get(v, 0) + 1
+            partition = Partition(d, qi)
+            h_cond = partition.conditional_entropy(s)
+            assert -TOL <= h_cond <= entropy(counts.values()) + TOL
+            dr = partition.discrimination_rate(s).dr
+            assert 0.0 <= dr <= 1.0
+            if len(counts) > 1:  # H(S) = 0 is pinned to dr = 1 by definition
+                classes = naive.equivalence_classes(d, qi)
+                pure = all(len({column[i] for i in c.row_indices}) == 1 for c in classes)
+                assert (abs(dr - 1.0) < TOL) == pure
+
+        @given(tables(qi=(2, 4)))
+        @settings(max_examples=500, deadline=None)
+        def dr_superset_monotone(table):
+            d = Dataset(*table)
+            s = d.attributes[-1]
+            small = Partition(d, d.attributes[:1]).discrimination_rate(s)
+            large = Partition(d, d.attributes[:-1]).discrimination_rate(s)
+            assert large.dr >= small.dr - TOL
+            # So the inference level never drops either (band is monotone);
+            # guard against float drift landing exactly on a band edge.
+            if large.dr >= small.dr:
+                assert int(large.inference) >= int(small.inference)
 
         @given(
-            _tiny_tables(min_cols=4, max_cols=4, max_rows=8),
+            tables(qi=(3, 3), rows=(2, 8), values=3),
             st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
             st.integers(0, 2),
             st.sampled_from(["cumulative", "explicit"]),
         )
         @settings(max_examples=500, deadline=None)
-        def raising_exposure_never_lowers_risk(d, exposures, which, strategy):
+        def raising_exposure_never_lowers_risk(table, exposures, which, strategy):
+            d = Dataset(*table)
             qi_names = d.attributes[:-1]
             sensitive = d.attributes[-1]
 
@@ -281,10 +252,8 @@ def test_criterion_6_property_suites():
             assert int(lo) in (1, 2, 3, 4) and int(hi) in (1, 2, 3, 4)
             assert int(lo) <= int(hi)
 
-        conditioning_inequality()
-        dr_in_range()
+        conditioning_range_and_purity()
         dr_superset_monotone()
-        dr_one_iff_pure()
         raising_exposure_never_lowers_risk()
         band_monotone_and_total()
 

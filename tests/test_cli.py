@@ -235,6 +235,14 @@ class TestMetric:
         assert "Zip" in captured.err
         assert captured.out == ""
 
+    def test_empty_qi_member_rejected(self, emitted, capsys):
+        data, _ = emitted["hipaa"]
+        code = main(["metric", "k", "--data", data, "--qi", "Age,,Gender,"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: --qi: empty attribute name in 'Age,,Gender,'\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("metric", ["k", "ldiv", "dr"])
     def test_header_only_table_has_no_rows(self, metric, tmp_path, capsys):
         data = tmp_path / "empty.csv"

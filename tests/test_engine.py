@@ -207,6 +207,21 @@ class TestAssessPreconditions:
         with pytest.raises(AssessmentError):
             assess(initial, reference_meta.attributes, options)
 
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda d, m: assess("nope", m), "dataset: expected a Dataset, got 'nope'"),
+            (lambda d, m: assess(d, "abc"), "meta: expected an array of AttributeMeta, got 'abc'"),
+            (lambda d, m: assess(d, [*m, None]), "meta[6]: expected an AttributeMeta, got None"),
+            (lambda d, m: assess(d, m, "x"), "options: expected an AssessmentOptions, got 'x'"),
+        ],
+        ids=["dataset", "meta", "meta-member", "options"],
+    )
+    def test_argument_of_wrong_type_named(self, initial, reference_meta, call, message):
+        with pytest.raises(AssessmentError) as err:
+            call(initial, reference_meta.attributes)
+        assert err.value.errors == (message,)
+
 
 class TestAssessReport:
     def test_hipaa_top_row(self, hipaa, reference_meta):

@@ -87,7 +87,7 @@ class TestLoadCsv:
             load_csv_text("\n".join(lines) + "\n", label="t")
 
     def test_empty_header_rejected(self):
-        with pytest.raises(IngestError, match="empty header"):
+        with pytest.raises(IngestError, match="^t: dataset needs at least one attribute$"):
             load_csv_text("\n1,2\n", label="t")
 
     def test_empty_file_rejected(self):
@@ -100,8 +100,12 @@ class TestLoadCsv:
 
     @pytest.mark.parametrize(
         "header,message",
-        [("a,,b", "attribute names must be non-empty"), ("a,b,a", "duplicate attribute names: a")],
-        ids=["blank", "duplicate"],
+        [
+            ("a,,b", "attribute names must be non-empty"),
+            (",,", "attribute names must be non-empty"),
+            ("a,b,a", "duplicate attribute names: a"),
+        ],
+        ids=["blank", "all-blank", "duplicate"],
     )
     def test_header_names_checked_by_dataset(self, header, message):
         with pytest.raises(IngestError, match=f"^t: {message}$"):

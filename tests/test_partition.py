@@ -1,17 +1,21 @@
-"""The partition core against the naive oracle, and its cost in partitions.
+"""The partition core against the naive oracle, its cost in partitions, and
+the metric properties that no acceptance criterion states.
 
-Floats are compared with ``==``: the partition sums in the same order as the
-regrouping oracle in ``naive_metrics.py``, so any difference is a defect.
+Floats are compared with the oracle by ``==``: the partition sums in the same
+order as the regrouping oracle in ``naive_metrics.py``, so any difference is a
+defect.
 """
 
+import math
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive_metrics as naive
+from conftest import TOL, tables
 from reident_risk.engine import AssessmentOptions, assess, build_combinations
-from reident_risk.metrics import Partition
+from reident_risk.metrics import Partition, entropy
 from reident_risk.model import (
     AttributeMeta,
     AttributeRole,
@@ -21,40 +25,23 @@ from reident_risk.model import (
 )
 
 
-@st.composite
-def tables(draw, n_qi=(1, 4), n_sensitive=(1, 2), max_rows=40):
-    """Random tables ``q0..`` then ``s0..``; each column has its own alphabet
-    size so classes mix pure, impure and singleton."""
-    qi = draw(st.integers(*n_qi))
-    sensitive = draw(st.integers(*n_sensitive))
-    sizes = [draw(st.integers(1, 6)) for _ in range(qi + sensitive)]
-    rows = draw(
-        st.lists(
-            st.tuples(*(st.sampled_from("abcdef"[:size]) for size in sizes)),
-            min_size=2,
-            max_size=max_rows,
-        )
-    )
-    names = tuple(f"q{i}" for i in range(qi)) + tuple(f"s{i}" for i in range(sensitive))
-    return Dataset(attributes=names, rows=tuple(rows), source_label="rand")
-
-
 def _split_names(d):
     qi = [n for n in d.attributes if n.startswith("q")]
     return qi, [n for n in d.attributes if n.startswith("s")]
 
 
-@given(tables(), st.data())
+@given(tables(sensitive=(1, 2), rows=(1, 40), values=6), st.data())
 @settings(deadline=None)
-def test_partition_equals_naive_oracle(d, data):
+def test_partition_equals_naive_oracle(table, data):
+    d = Dataset(*table)
     qi_names, sensitive_names = _split_names(d)
     qi = data.draw(st.lists(st.sampled_from(qi_names), min_size=1, unique=True))
     p = Partition(d, qi)
     classes = naive.equivalence_classes(d, qi)
 
     assert p.sizes == [len(c.row_indices) for c in classes]
-    for class_id, c in enumerate(classes):
-        assert all(p.class_of[i] == class_id for i in c.row_indices)
+    class_of = {i: class_id for class_id, c in enumerate(classes) for i in c.row_indices}
+    assert p.class_of == [class_of[i] for i in range(d.row_count)]
     assert p.k_anonymity() == naive.k_anonymity(d, qi)
 
     for s in sensitive_names:
@@ -67,12 +54,13 @@ def test_partition_equals_naive_oracle(d, data):
 
 
 @given(
-    tables(n_qi=(2, 4)),
+    tables(qi=(2, 4), sensitive=(1, 2), rows=(2, 40), values=6),
     st.lists(st.integers(1, 4), min_size=4, max_size=4),
     st.sampled_from(["per_level", "cumulative"]),
 )
 @settings(deadline=None)
-def test_assess_equals_naive_oracle(d, exposures, strategy):
+def test_assess_equals_naive_oracle(table, exposures, strategy):
+    d = Dataset(*table)
     qi_names, sensitive_names = _split_names(d)
     meta = [
         AttributeMeta(name=n, role=AttributeRole.QUASI_IDENTIFIER, exposure=ExposureLevel(e))
@@ -104,6 +92,30 @@ def test_assess_equals_naive_oracle(d, exposures, strategy):
     for record in report.flagged_records:
         expected = naive.value_inference(d, top.members, keys[record.row_index], record.attribute)
         assert record.class_inference == expected
+
+
+@given(tables())
+@settings(deadline=None)
+def test_value_inference_all_one_iff_dr_one(table):
+    d = Dataset(*table)
+    sensitive = d.attributes[-1]
+    qi = list(d.attributes[:-1])
+    if len(set(d.column(sensitive))) < 2:
+        return
+    p = Partition(d, qi)
+    scores = p.class_inference(sensitive)
+    dr = p.discrimination_rate(sensitive).dr
+    assert all(s >= 1.0 - TOL for s in scores) == (abs(dr - 1.0) < TOL)
+
+
+@given(st.lists(st.integers(1, 50), min_size=1, max_size=10))
+@settings(deadline=None)
+def test_entropy_bounds_and_uniform_maximum(counts):
+    h = entropy(counts)
+    m = len(counts)
+    assert -TOL <= h <= math.log2(m) + TOL
+    uniform = len(set(counts)) == 1
+    assert (abs(h - math.log2(m)) < TOL) == uniform
 
 
 def _near_unique(rows, seed):

@@ -363,13 +363,6 @@ class TestMarkdown:
 
 class TestGoldenFiles:
     @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
-    def test_fixture_report_matches_golden(self, name, reference_meta):
-        dataset = fixtures.fixture_dataset(name)
-        report = assess(dataset, reference_meta.attributes, reference_meta.options)
-        golden = (GOLDEN_DIR / f"{name}.json").read_bytes()
-        assert to_json(report) == golden
-
-    @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
     def test_fixture_markdown_matches_golden(self, name, reference_meta):
         dataset = fixtures.fixture_dataset(name)
         report = assess(dataset, reference_meta.attributes, reference_meta.options)
