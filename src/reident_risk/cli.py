@@ -83,6 +83,8 @@ def cmd_metric(args: argparse.Namespace) -> int:
         return EXIT_FAILURE
     try:
         partition = Partition(dataset, _split_qi(args.qi))
+        if args.sensitive is not None and args.sensitive not in dataset.columns:
+            raise KeyError(f"unknown attribute {args.sensitive!r}")
         if args.metric == "k":
             payload = {"k": partition.k_anonymity()}
         elif args.metric == "ldiv":

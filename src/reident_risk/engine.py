@@ -16,8 +16,9 @@ the combination offers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from typing import Sequence
 
 from .metrics import DrResult, Partition, band
@@ -36,7 +37,7 @@ from .model import (
     strings,
     validate_meta,
 )
-from .report import AssessmentReport, LDiversityEntry, MetricsAppendix
+from .report import AssessmentReport, FlaggedOutcome, LDiversityEntry, MetricsAppendix
 
 DEFAULT_EXPLOITABILITY_MATRIX = ScaleMatrix(
     name="exploitability",
@@ -110,24 +111,6 @@ class ExploitabilityRow:
     @property
     def inference(self) -> InferenceLevel:
         return self.dr.inference
-
-
-@dataclass(frozen=True)
-class FlaggedRecord:
-    """A record whose sensitive value is severe enough to call out.
-
-    ``row_index`` is 0-based; reports render it 1-based to match the way
-    source tables are usually numbered. ``class_inference`` is the
-    per-class inference score of the record's equivalence class under the
-    highest-exposure combination.
-    """
-
-    row_index: int
-    attribute: str
-    sensitive_value: str
-    value_severity: SeverityLevel
-    class_inference: float
-    record_risk: RiskLevel
 
 
 @dataclass(frozen=True)
@@ -322,34 +305,22 @@ def assess(
     top_combo = combinations[0]
     qi_set = tuple(qi_names)
 
-    # One partition per combination, shared by every sensitive attribute;
-    # only the flagging and appendix partitions outlive their iteration.
+    # One pass over the rows: the full quasi-identifier partition, which is
+    # also the k/l appendix's. Every combination is a coarsening of it, shared
+    # by every sensitive attribute; only the flagging one outlives its iteration.
+    full_partition = Partition(dataset, qi_set)
     dr_by_sensitive: dict[str, list[DrResult]] = {s: [] for s in sensitive_names}
-    top_partition = appendix_partition = None
     for combo in combinations:
-        partition = Partition(dataset, combo.members)
+        partition = full_partition.coarsen(combo.members)
         for sensitive in sensitive_names:
             dr_by_sensitive[sensitive].append(partition.discrimination_rate(sensitive))
         if combo is top_combo:
             top_partition = partition
-        if combo.members == qi_set:
-            appendix_partition = partition
-    if appendix_partition is None:
-        appendix_partition = Partition(dataset, qi_set)
 
-    # A flagged record's risk depends only on its class's inference band and
-    # its value's severity: 16 outcomes, looked up rather than recomputed.
-    record_risk = {
-        (inference, severity): risk(
-            exploitability(top_combo.exposure, inference, options.exploitability_matrix),
-            severity,
-            options.risk_matrix,
-        )
-        for inference in InferenceLevel
-        for severity in SeverityLevel
-    }
     exploitability_rows = []
-    flagged: list[FlaggedRecord] = []
+    flagged_rows: list[int] = []
+    flagged_outcome: list[int] = []
+    outcomes: list[FlaggedOutcome] = []
     for sensitive in sensitive_names:
         values, codes, _ = dataset.columns[sensitive]
         entry = by_name[sensitive]  # validated: a sensitive attribute carries a severity
@@ -382,20 +353,37 @@ def assess(
                 "discrimination rate is defined as 1"
             )
 
-        class_scores = top_partition.class_inference(sensitive)
-        for i, code in enumerate(codes):
-            level = value_severities[code]
-            if level < options.flag_threshold:
-                continue
-            score = class_scores[top_partition.class_of[i]]
-            flagged.append(
-                FlaggedRecord(
-                    row_index=i,
+        # A flagged record shows one of few outcomes: its outcome is keyed by
+        # its class's score and its value, not by its class, as most classes
+        # of a near-unique table share a score. Each outcome is banded and
+        # its risk looked up once.
+        scores: dict[float, int] = {}
+        score_of_class = [
+            scores.setdefault(score, len(scores))
+            for score in top_partition.class_inference(sensitive)
+        ]
+        is_flagged = [level >= options.flag_threshold for level in value_severities]
+        mask = list(map(is_flagged.__getitem__, codes))
+        flagged_rows += compress(range(len(codes)), mask)
+        cardinality = len(values)
+        numbering: dict[int, int] = {}  # score id * cardinality + code -> outcome index
+        base = len(outcomes)
+        flagged_outcome += [
+            numbering.setdefault(score_of_class[c] * cardinality + v, base + len(numbering))
+            for c, v in zip(compress(top_partition.class_of, mask), compress(codes, mask))
+        ]
+        distinct_scores = list(scores)
+        for key in numbering:
+            score_id, code = divmod(key, cardinality)
+            score, level = distinct_scores[score_id], value_severities[code]
+            exploit = exploitability(top_combo.exposure, band(score), options.exploitability_matrix)
+            outcomes.append(
+                FlaggedOutcome(
                     attribute=sensitive,
                     sensitive_value=values[code],
                     value_severity=level,
                     class_inference=score,
-                    record_risk=record_risk[band(score), level],
+                    record_risk=risk(exploit, level, options.risk_matrix),
                 )
             )
 
@@ -403,9 +391,9 @@ def assess(
 
     appendix = MetricsAppendix(
         qi_set=qi_set,
-        k_anonymity=appendix_partition.k_anonymity(),
+        k_anonymity=full_partition.k_anonymity(),
         l_diversity=tuple(
-            LDiversityEntry(sensitive=s, l_value=appendix_partition.l_diversity(s))
+            LDiversityEntry(sensitive=s, l_value=full_partition.l_diversity(s))
             for s in sensitive_names
         ),
     )
@@ -418,7 +406,9 @@ def assess(
         attributes=ordered_meta,
         exploitability_rows=tuple(exploitability_rows),
         overall_risk=overall_risk,
-        flagged_records=tuple(flagged),
+        flagged_rows=tuple(flagged_rows),
+        flagged_outcome=tuple(flagged_outcome),
+        outcomes=tuple(outcomes),
         metrics_appendix=appendix,
         warnings=tuple(warnings),
     )

@@ -13,10 +13,15 @@ evaluated inside one equivalence class gives the per-value (per-class)
 inference score. A degenerate sensitive attribute with H(S) = 0 is treated
 as dr = 1: the constant value is known without looking at Q at all.
 
-Every metric is derived from one :class:`Partition` of the rows, built in a
-single pass per quasi-identifier over the integer-coded columns a
-:class:`~reident_risk.model.Dataset` stores, so a whole assessment costs time
-linear in rows times combinations.
+Every metric is derived from a :class:`Partition` of the rows. Building one
+takes a single pass per quasi-identifier over the integer-coded columns a
+:class:`~reident_risk.model.Dataset` stores, and :meth:`Partition.coarsen`
+derives the partition of any subset of its quasi-identifiers from its classes
+and (class, sensitive value) pairs, without reading the rows again. So an
+assessment makes one row pass, over the full quasi-identifier set and the
+sensitive columns, and then works per class for each combination. Coarsening
+visits classes and pairs in first-row order, so its class numbering, its
+tallies and every float derived from them equal (``==``) those of a row pass.
 """
 
 from __future__ import annotations
@@ -85,27 +90,36 @@ def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
 
 
+def _names(qi_set: Sequence[str]) -> tuple[str, ...]:
+    names = strings(qi_set)
+    if not names:
+        raise ValueError("quasi-identifier set must be non-empty")
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate attribute in quasi-identifier set: {names!r}")
+    return names
+
+
 class Partition:
     """Equivalence classes of the rows under a quasi-identifier set.
 
     ``class_of[i]`` is the class of row ``i`` and ``sizes[c]`` the size of
     class ``c``; classes are numbered in order of first occurrence. The
     partition is refined one quasi-identifier at a time with the integer key
-    ``class_id * cardinality + code``. Per-class tallies of a sensitive
-    attribute are counted on first use and kept, so one partition serves
-    every sensitive attribute; a sensitive attribute inside the
-    quasi-identifier set is rejected with ``ValueError``. All lists are
-    shared and must not be mutated.
+    ``class_id * cardinality + code``. For each sensitive attribute the
+    joint (class, value) counts are counted on first use and kept, in the
+    order rows first show each pair, so one partition serves every sensitive
+    attribute; a sensitive attribute inside the quasi-identifier set is
+    rejected with ``ValueError``. :meth:`coarsen` derives the partition of a
+    subset of the quasi-identifiers from the classes instead of the rows.
+    All lists are shared and must not be mutated.
     """
 
-    __slots__ = ("dataset", "qi_set", "class_of", "sizes", "_tallies")
+    __slots__ = (
+        "dataset", "qi_set", "sizes", "_class_of", "_fine", "_fine_to_class", "_first", "_joint"
+    )
 
     def __init__(self, dataset: Dataset, qi_set: Sequence[str]):
-        names = strings(qi_set)
-        if not names:
-            raise ValueError("quasi-identifier set must be non-empty")
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate attribute in quasi-identifier set: {names!r}")
+        names = _names(qi_set)
         columns = [dataset.columns[name] for name in names]  # KeyError on unknown names
         if dataset.row_count == 0:
             raise ValueError("no rows: cannot build equivalence classes")
@@ -117,29 +131,106 @@ class Partition:
                 numbering.setdefault(c * cardinality + v, len(numbering))
                 for c, v in zip(class_of, codes)
             ]
-        sizes = list(Counter(class_of).values())  # ids follow first occurrence, as Counter does
         self.dataset = dataset
         self.qi_set = names
-        self.class_of = class_of
-        self.sizes = sizes
-        self._tallies: dict[str, list[list[int]]] = {}
+        # ids follow first occurrence, as Counter's keys do
+        self.sizes = list(Counter(class_of).values())
+        self._class_of: list[int] | None = class_of
+        # A coarsened partition's source, and per source class its class here.
+        self._fine: Partition | None = None
+        self._fine_to_class: list[int] | None = None
+        self._first: list[int] | None = None  # per class, its first row; set by coarsen
+        self._joint: dict[str, dict[int, int]] = {}
 
-    def tallies(self, sensitive: str) -> list[list[int]]:
-        """Per class, the counts of each sensitive value it holds, in the
-        order the class's rows first show the values."""
-        per_class = self._tallies.get(sensitive)
-        if per_class is None:
+    @property
+    def class_of(self) -> list[int]:
+        if self._class_of is None:
+            self._class_of = list(map(self._fine_to_class.__getitem__, self._fine.class_of))
+        return self._class_of
+
+    def coarsen(self, members: Sequence[str]) -> "Partition":
+        """The partition under ``members``, a subset of this partition's
+        quasi-identifier set, derived from its classes without a pass over
+        the rows.
+
+        Each class maps to a coarse class through its first row, and classes
+        are visited in first-row order, so coarse classes are numbered as a
+        row pass numbers them. Coarse sizes, and the joint counts of each
+        sensitive attribute, are sums over this partition's classes and
+        pairs; a one-member set reads its column's codes and counts.
+        ``class_of`` is computed when first read.
+        """
+        names = _names(members)
+        if names == self.qi_set:
+            return self
+        for name in names:
+            if name not in self.qi_set:
+                raise ValueError(f"{name!r} is not in the quasi-identifier set {self.qi_set!r}")
+        if self._first is None:
+            # Walking the rows backwards leaves each class at its first row;
+            # ids follow first occurrence, so sorted first rows are in id order.
+            class_of = self.class_of
+            last = len(class_of) - 1
+            self._first = sorted(dict(zip(reversed(class_of), range(last, -1, -1))).values())
+        first = self._first
+        columns = [self.dataset.columns[name] for name in names]
+        to_class = list(map(columns[0].codes.__getitem__, first))
+        for values, codes, _ in columns[1:]:
+            cardinality = len(values)
+            numbering: dict[int, int] = {}
+            to_class = [
+                numbering.setdefault(c * cardinality + codes[r], len(numbering))
+                for c, r in zip(to_class, first)
+            ]
+        coarse = object.__new__(Partition)
+        coarse.dataset = self.dataset
+        coarse.qi_set = names
+        if len(columns) == 1:
+            coarse._class_of, coarse.sizes = columns[0].codes, columns[0].counts
+        else:
+            coarse._class_of, coarse.sizes = None, [0] * len(numbering)
+            for c, size in zip(to_class, self.sizes):
+                coarse.sizes[c] += size
+        coarse._fine = self
+        coarse._fine_to_class = to_class
+        coarse._first = None
+        coarse._joint = {}
+        return coarse
+
+    def _joint_counts(self, sensitive: str) -> dict[int, int]:
+        """``class_id * cardinality + code`` of each (class, sensitive value)
+        pair to its row count, in the order rows first show the pairs."""
+        joint = self._joint.get(sensitive)
+        if joint is None:
             if sensitive in self.qi_set:
                 raise ValueError(
                     f"sensitive attribute {sensitive!r} must not be a quasi-identifier"
                 )
             values, codes, _ = self.dataset.columns[sensitive]
             cardinality = len(values)
-            per_class = [[] for _ in self.sizes]
-            joint = Counter(c * cardinality + v for c, v in zip(self.class_of, codes))
-            for key, count in joint.items():
-                per_class[key // cardinality].append(count)
-            self._tallies[sensitive] = per_class
+            fine = self._fine
+            if fine is None or sensitive in fine.qi_set:
+                joint = Counter(c * cardinality + v for c, v in zip(self.class_of, codes))
+            else:
+                # Fine pairs come in first-row order, so each coarse pair is
+                # met first at its own first row.
+                joint = {}
+                to_class = self._fine_to_class
+                for key, count in fine._joint_counts(sensitive).items():
+                    c, v = divmod(key, cardinality)
+                    key = to_class[c] * cardinality + v
+                    joint[key] = joint.get(key, 0) + count
+            self._joint[sensitive] = joint
+        return joint
+
+    def tallies(self, sensitive: str) -> list[list[int]]:
+        """Per class, the counts of each sensitive value it holds, in the
+        order the class's rows first show the values."""
+        joint = self._joint_counts(sensitive)
+        cardinality = len(self.dataset.columns[sensitive].values)
+        per_class: list[list[int]] = [[] for _ in self.sizes]
+        for key, count in joint.items():
+            per_class[key // cardinality].append(count)
         return per_class
 
     def k_anonymity(self) -> int:
@@ -151,7 +242,7 @@ class Partition:
     def conditional_entropy(self, sensitive: str) -> float:
         """H(sensitive | qi_set), classes weighted by frequency and summed in
         class order. A pure class adds exactly 0.0 and is skipped."""
-        n = len(self.class_of)
+        n = self.dataset.row_count
         h = 0.0
         for size, counts in zip(self.sizes, self.tallies(sensitive)):
             if len(counts) > 1:

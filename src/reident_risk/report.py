@@ -11,6 +11,8 @@ Each table is declared once as a ``_Table``: its JSON key, its rows, and per
 column a JSON key, a Markdown header, a cell getter and a kind. Both encoders
 render from these declarations, and the kind alone decides how a cell encodes.
 The JSON text is joined from per-cell fragments in sorted-key order, with no dict tree.
+Flagged records are rendered from the report's outcome table: each outcome's
+cells are encoded once per call, and each record adds only its row number.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from json.encoder import encode_basestring as _string  # as json.dumps(ensure_as
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
 
-from .model import AttributeMeta, RiskLevel, global_severity
+from .model import AttributeMeta, RiskLevel, SeverityLevel, global_severity
 
 if TYPE_CHECKING:  # row types are produced by the engine
-    from .engine import ExploitabilityRow, FlaggedRecord
+    from .engine import ExploitabilityRow
 
 
 @dataclass(frozen=True)
@@ -44,20 +46,65 @@ class MetricsAppendix:
     l_diversity: tuple[LDiversityEntry, ...]
 
 
+class FlaggedOutcome(NamedTuple):
+    """What a flagged record shows besides its row. ``class_inference`` is
+    the per-class inference score of the record's equivalence class under the
+    highest-exposure combination; records with the same value and score share
+    one outcome."""
+
+    attribute: str
+    sensitive_value: str
+    value_severity: SeverityLevel
+    class_inference: float
+    record_risk: RiskLevel
+
+
+@dataclass(frozen=True)
+class FlaggedRecord:
+    """A record whose sensitive value is severe enough to call out.
+
+    ``row_index`` is 0-based; reports render it 1-based to match the way
+    source tables are usually numbered. The other fields are its
+    :class:`FlaggedOutcome`'s.
+    """
+
+    row_index: int
+    attribute: str
+    sensitive_value: str
+    value_severity: SeverityLevel
+    class_inference: float
+    record_risk: RiskLevel
+
+
 @dataclass(frozen=True)
 class AssessmentReport:
     """Each fact once: the renderers derive the severity, override and exposure
     tables from ``attributes`` (metadata in column order), and the risk table and
-    the appendix's discrimination rates from ``exploitability_rows``."""
+    the appendix's discrimination rates from ``exploitability_rows``.
+
+    Flagged record ``j`` is row ``flagged_rows[j]`` (0-based) showing
+    ``outcomes[flagged_outcome[j]]``; :attr:`flagged_records` builds the
+    records from these on each read."""
 
     dataset_label: str
     row_count: int
     attributes: tuple[AttributeMeta, ...]
     exploitability_rows: tuple["ExploitabilityRow", ...]
     overall_risk: RiskLevel
-    flagged_records: tuple["FlaggedRecord", ...]
+    flagged_rows: tuple[int, ...]
+    flagged_outcome: tuple[int, ...]
+    outcomes: tuple[FlaggedOutcome, ...]
     metrics_appendix: MetricsAppendix
     warnings: tuple[str, ...]
+
+    @property
+    def flagged_records(self) -> tuple[FlaggedRecord, ...]:
+        """One record per flagged row, in report order, built on each read."""
+        outcomes = self.outcomes
+        return tuple(
+            FlaggedRecord(row, *outcomes[o])
+            for row, o in zip(self.flagged_rows, self.flagged_outcome)
+        )
 
 
 _MARKUP = re.compile(r"[\\|*_`\[\]<>&~\r\n]")
@@ -95,7 +142,7 @@ INT = _Kind(str, str)
 class _Column(NamedTuple):
     key: str
     header: str | None  # None: the column is JSON-only
-    get: Callable[[Any], Any]
+    get: Callable[[Any], Any] | None  # None: the flagged record's row number (see _lines)
     kind: _Kind
 
 
@@ -170,9 +217,9 @@ RISK = _Table(
 )
 FLAGGED = _Table(
     "flagged_records",
-    attrgetter("flagged_records"),
+    attrgetter("outcomes"),
     (
-        _Column("row", "Row", lambda rec: rec.row_index + 1, INT),
+        _Column("row", "Row", None, INT),
         _Column("attribute", "Attribute", attrgetter("attribute"), TEXT),
         _Column("value", "Value", attrgetter("sensitive_value"), TEXT),
         _Column("value_severity", "Severity", attrgetter("value_severity"), LEVEL),
@@ -208,13 +255,46 @@ def _object(members: Iterable[tuple[str, str]]) -> str:
     return "{" + ",".join([_string(key) + ":" + text for key, text in sorted(members)]) + "}"
 
 
+def _lines(
+    report: AssessmentReport,
+    rows: list,
+    cells: list[tuple[str, Callable[[Any], Any] | None, Callable[[Any], str]]],
+    start: str,
+    sep: str,
+    end: str,
+) -> list[str]:
+    """Each row as ``start``, its cells joined by ``sep``, then ``end``; ``cells``
+    holds a (label, get, encode) triple per column, in output order.
+
+    A column without a getter is FLAGGED's row number, and ``rows`` are then the
+    report's outcomes: the text before and after that column is encoded once per
+    outcome, and each flagged record puts its 1-based row between the two."""
+    gets = [get for _, get, _ in cells]
+    if None not in gets:
+        return [
+            start + sep.join([key + encode(get(row)) for key, get, encode in cells]) + end
+            for row in rows
+        ]
+    at = gets.index(None)
+    label, _, number = cells[at]
+    before, after = cells[:at], cells[at + 1 :]
+    heads = [
+        start + "".join([key + encode(get(o)) + sep for key, get, encode in before]) + label
+        for o in rows
+    ]
+    tails = [
+        "".join([sep + key + encode(get(o)) for key, get, encode in after]) + end for o in rows
+    ]
+    return [
+        heads[o] + number(row + 1) + tails[o]
+        for row, o in zip(report.flagged_rows, report.flagged_outcome)
+    ]
+
+
 def _json_table(table: _Table, report: AssessmentReport) -> tuple[str, str]:
     """The table as a (key, JSON text) member: an array of row objects, columns sorted by key."""
     cells = [(_string(c.key) + ":", c.get, c.kind.json) for c in sorted(table.columns)]
-    rows = table.rows(report)
-    return table.key, _array(
-        "{" + ",".join([key + encode(get(row)) for key, get, encode in cells]) + "}" for row in rows
-    )
+    return table.key, _array(_lines(report, table.rows(report), cells, "{", ",", "}"))
 
 
 def to_json(report: AssessmentReport) -> bytes:
@@ -247,14 +327,13 @@ def _markdown_table(table: _Table, report: AssessmentReport) -> list[str]:
     if not rows:
         return ["none"]
     columns = [c for c in table.columns if c.header is not None]
-    cells = [(c.get, c.kind.markdown) for c in columns]
+    cells = [("", c.get, c.kind.markdown) for c in columns]
     start, sep, end = ("| **", "** | **", "** |") if table.bold else ("| ", " | ", " |")
-    lines = [
+    return [
         "| " + " | ".join(_escape(c.header) for c in columns) + " |",
         "|" + "|".join(" --- " for _ in columns) + "|",
+        *_lines(report, rows, cells, start, sep, end),
     ]
-    lines.extend(start + sep.join([encode(get(row)) for get, encode in cells]) + end for row in rows)
-    return lines
 
 
 def to_markdown(report: AssessmentReport) -> str:

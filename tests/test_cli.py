@@ -235,6 +235,15 @@ class TestMetric:
         assert "Zip" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("metric", ["k", "ldiv", "dr"])
+    def test_unknown_sensitive_is_validation_failure(self, metric, emitted, capsys):
+        data, _ = emitted["hipaa"]
+        code = main(["metric", metric, "--data", data, "--qi", "Age", "--sensitive", "Nope"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: unknown attribute 'Nope'\n"
+        assert captured.out == ""
+
     def test_empty_qi_member_rejected(self, emitted, capsys):
         data, _ = emitted["hipaa"]
         code = main(["metric", "k", "--data", data, "--qi", "Age,,Gender,"])

@@ -59,6 +59,10 @@ class TestEquivalenceClasses:
         with pytest.raises(KeyError):
             Partition(initial, ["Age", "Zip"])
 
+    def test_coarsen_outside_qi_set_rejected(self, initial):
+        with pytest.raises(ValueError, match="'Gender' is not in the quasi-identifier set"):
+            Partition(initial, ["Age", "Country"]).coarsen(["Gender"])
+
     def test_empty_dataset_rejected(self):
         d = Dataset(attributes=("a",), rows=())
         with pytest.raises(ValueError, match="no rows"):
