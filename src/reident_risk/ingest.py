@@ -53,32 +53,37 @@ def _open_text(source: Source) -> Iterator[tuple[IO[str], str]]:
 def load_csv(source: Source, label: str | None = None) -> Dataset:
     """Read a comma-separated UTF-8 table; the first row is the header.
 
-    Cell whitespace is trimmed at both ends, case is preserved. Rows the CSV
-    reader cannot parse are rejected with their 1-based data row number, and
-    the header and rows are checked by :class:`Dataset`.
+    Cell whitespace is trimmed at both ends, case is preserved. The rows go
+    to :class:`Dataset` as they are read, which checks and codes them a block
+    at a time, so the whole table is never held as strings. The first fault
+    in file order is reported: a row the CSV reader cannot parse, or one
+    :class:`Dataset` rejects, with its 1-based data row number.
     """
     with _open_text(source) as (stream, default_label):
         label = default_label if label is None else label
-        header: list[str] | None = None
-        rows: list[list[str]] = []
+        read = -1  # data rows yielded; the header is row 0
+
+        def stripped_rows() -> Iterator[list[str]]:
+            nonlocal read
+            for record in csv.reader(stream):
+                read += 1
+                yield [cell.strip() for cell in record]
+
+        rows = stripped_rows()
         try:
-            reader = csv.reader(stream)
-            header = next(reader, None)
-            if header is None:
-                raise IngestError(f"{label}: empty file, no header row")
-            attributes = [cell.strip() for cell in header]
-            rows.extend([cell.strip() for cell in record] for record in reader)
+            header = next(rows, None)
+            if header is not None:
+                return Dataset(attributes=header, rows=rows, source_label=label)
         except csv.Error as exc:
             # For example a cell longer than csv.field_size_limit().
-            where = "header" if header is None else f"row {len(rows) + 1}"
+            where = "header" if read < 0 else f"row {read + 1}"
             raise IngestError(f"{label}: {where}: {exc}") from None
         except UnicodeDecodeError as exc:
             # Decoding runs a buffer ahead of the reader, so no row is named.
             raise IngestError(f"{label}: not valid UTF-8: {exc}") from None
-    try:
-        return Dataset(attributes=attributes, rows=rows, source_label=label)
-    except ValueError as exc:
-        raise IngestError(f"{label}: {exc}") from None
+        except ValueError as exc:
+            raise IngestError(f"{label}: {exc}") from None
+    raise IngestError(f"{label}: empty file, no header row")
 
 
 def _object(raw: Any, path: str, allowed: Collection[str]) -> dict:

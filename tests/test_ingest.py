@@ -1,10 +1,13 @@
 """CSV and metadata document loading."""
 
 import copy
+import csv
 import io
 import json
 import re
 import tempfile
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,8 +25,13 @@ from reident_risk.engine import (
 )
 from reident_risk.fixtures import fixture_csv, fixture_dataset, reference_metadata_json
 from reident_risk.ingest import IngestError, load_csv, load_csv_text, load_metadata
-from reident_risk.model import AttributeRole, ExposureLevel, SeverityLevel
+from reident_risk.model import _BLOCK_ROWS, AttributeRole, Column, ExposureLevel, SeverityLevel
 from reident_risk.report import to_json
+
+
+B = _BLOCK_ROWS
+OVERSIZED = "x" * (csv.field_size_limit() + 1)
+TOO_LARGE = f"field larger than field limit ({csv.field_size_limit()})"
 
 
 def meta_doc(**overrides):
@@ -85,6 +93,54 @@ class TestLoadCsv:
         lines[6] = "1,2,3,4"  # data row 6 (line 7)
         with pytest.raises(IngestError, match="^t: row 6 has 4 cells, expected 5$"):
             load_csv_text("\n".join(lines) + "\n", label="t")
+
+    @pytest.mark.parametrize("row", [B - 1, B, B + 1, 2 * B + 1])
+    @pytest.mark.parametrize(
+        "fault,message",
+        [("1", "row {} has 1 cells, expected 2"), (f"{OVERSIZED},2", f"row {{}}: {TOO_LARGE}")],
+        ids=["ragged", "oversized"],
+    )
+    def test_fault_named_across_blocks(self, row, fault, message):
+        lines = ["a,b"] + ['"1\n2",3'] * (3 * B)  # two lines per row
+        lines[row] = fault
+        with pytest.raises(IngestError, match=f"^t: {re.escape(message.format(row))}$"):
+            load_csv_text("\n".join(lines) + "\n", label="t")
+
+    @pytest.mark.parametrize("gap", [5, 2 * B])
+    @pytest.mark.parametrize(
+        "first,later,message",
+        [
+            ("1", OVERSIZED, "row 3 has 1 cells, expected 2"),
+            (OVERSIZED, "1", f"row 3: {TOO_LARGE}"),
+        ],
+        ids=["ragged-first", "oversized-first"],
+    )
+    def test_first_fault_in_file_order_is_reported(self, gap, first, later, message):
+        lines = ["a,b"] + ["1,2"] * (3 * B)
+        lines[3], lines[3 + gap] = first, later
+        with pytest.raises(IngestError, match=f"^t: {re.escape(message)}$"):
+            load_csv_text("\n".join(lines) + "\n", label="t")
+
+    def test_load_overhead_does_not_grow_with_rows(self, tmp_path):
+        """The heap a load needs beyond the Dataset it returns stays flat as
+        the file grows, because no more than a block of rows is held as
+        strings. A path, not a text stream: a stream holds its own copy."""
+
+        def overhead(rows):
+            path = tmp_path / f"{rows}.csv"
+            cells = (f"v{i % 7},w{i % 53},x{i % 101},y{i % 3}\n" for i in range(rows))
+            path.write_text("a,b,c,d\n" + "".join(cells), encoding="utf-8")
+            tracemalloc.start()
+            try:
+                dataset = load_csv(path)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert dataset.row_count == rows
+            return peak - held
+
+        n = 4 * B
+        assert overhead(4 * n) <= 1.5 * overhead(n)
 
     def test_empty_header_rejected(self):
         with pytest.raises(IngestError, match="^t: dataset needs at least one attribute$"):
@@ -376,3 +432,76 @@ def test_fuzzed_csv_is_loaded_or_rejected(data):
             return
     for name in dataset.attributes:
         assert len(dataset.column(name)) == dataset.row_count
+
+
+def _reference_load(path):
+    """Naive oracle for load_csv: read the rows one by one, strip each and
+    check it as it is read, then code each column with a Counter. Returns
+    ``(attributes, row_count, columns)`` or the error message."""
+    label = path.name
+    rows = []
+    with path.open(encoding="utf-8-sig", newline="") as stream:
+        try:
+            for record in csv.reader(stream):
+                row = [cell.strip() for cell in record]
+                if rows and len(row) != len(rows[0]):
+                    return f"{label}: row {len(rows)} has {len(row)} cells, expected {len(rows[0])}"
+                rows.append(row)
+        except csv.Error as exc:
+            return f"{label}: row {len(rows)}: {exc}"
+        except UnicodeDecodeError as exc:
+            return f"{label}: not valid UTF-8: {exc}"
+    header, body = rows[0], rows[1:]
+    columns = {}
+    for name, cells in zip(header, zip(*body)):
+        counts = Counter(cells)
+        values = tuple(counts)
+        codes = [values.index(cell) for cell in cells]
+        columns[name] = Column(values, codes, [counts[value] for value in values])
+    return tuple(header), len(body), columns
+
+
+def _encode_row(cells):
+    out = io.StringIO()
+    csv.writer(out).writerow(cells)
+    return out.getvalue().encode("utf-8")
+
+
+@st.composite
+def _faulty_csv(draw):
+    """A header, a few drawn rows repeated past two blocks, and up to two
+    faults: a ragged row, an oversized cell or a byte that is not UTF-8."""
+    width = draw(st.integers(1, 3))
+    cell = st.text(' ab,"\n\r\té', max_size=3)
+    drawn = draw(st.lists(st.lists(cell, min_size=width, max_size=width), min_size=1, max_size=4))
+    lines = [_encode_row([f"c{i}" for i in range(width)])]
+    lines += [_encode_row(row) for row in drawn * (2 * B // len(drawn) + 1)]
+    position = st.sampled_from([1, B - 1, B, B + 1, 2 * B]) | st.integers(1, len(lines) - 1)
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(position)
+        fault = draw(st.sampled_from(["short", "long", "oversized", "utf-8"]))
+        if fault == "short":
+            lines[row] = _encode_row(["z"] * (width - 1)) if width > 1 else b"\n"
+        elif fault == "long":
+            lines[row] = _encode_row(["z"] * (width + 1))
+        elif fault == "oversized":
+            lines[row] = _encode_row([OVERSIZED] * width)
+        else:
+            lines[row] = b"\xff" + lines[row]
+    return b"".join(lines)
+
+
+@given(_faulty_csv())
+def test_csv_load_equals_naive_reference(data):
+    """Across block boundaries, load_csv gives the naive reader's columns, or
+    the error the naive reader meets first."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_bytes(data)
+        expected = _reference_load(path)
+        try:
+            dataset = load_csv(path)
+        except IngestError as exc:
+            assert str(exc) == expected
+            return
+    assert (dataset.attributes, dataset.row_count, dict(dataset.columns)) == expected

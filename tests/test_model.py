@@ -5,6 +5,7 @@ import re
 import pytest
 
 from reident_risk.model import (
+    _BLOCK_ROWS,
     AttributeMeta,
     AttributeRole,
     Column,
@@ -126,15 +127,67 @@ class TestDataset:
             ("ab", (), "attributes: expected an array of strings, got 'ab'"),
             (("a", 1), (), "attributes: member 1 is not a string"),
             (("a",), "xy", "rows: expected an array of rows, got 'xy'"),
+            (("a",), {("1",)}, "rows: expected an array of rows, got {('1',)}"),
+            (("a",), {"1": "2"}, "rows: expected an array of rows, got {'1': '2'}"),
             (("a", "b"), ("xy",), "row 1: expected an array of strings, got 'xy'"),
             (("a",), (("1",), (None,)), "row 2: member None is not a string"),
             (("a",), ((1,),), "row 1: member 1 is not a string"),
         ],
-        ids=["name-string", "name-int", "rows-string", "row-string", "cell-none", "cell-int"],
+        ids=[
+            "name-string",
+            "name-int",
+            "rows-string",
+            "rows-set",
+            "rows-dict",
+            "row-string",
+            "cell-none",
+            "cell-int",
+        ],
     )
     def test_non_strings_rejected(self, attributes, rows, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Dataset(attributes=attributes, rows=rows)
+
+    @pytest.mark.parametrize(
+        "row", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]
+    )
+    @pytest.mark.parametrize(
+        "fault,message",
+        [
+            (("x",), "row {} has 1 cells, expected 2"),
+            (("x", 1), "row {}: member 1 is not a string"),
+        ],
+        ids=["ragged", "cell-int"],
+    )
+    def test_fault_named_across_blocks(self, row, fault, message):
+        rows = [("x", "y")] * (3 * _BLOCK_ROWS)
+        rows[row - 1] = fault
+        for given in (rows, iter(rows)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message.format(row))}$"):
+                Dataset(attributes=("a", "b"), rows=given)
+
+    def test_iterator_codes_like_tuple(self):
+        rows = [(str(i % 7), str(i % 300), str(i // 100)) for i in range(2 * _BLOCK_ROWS)]
+        from_tuple = Dataset(("a", "b", "c"), tuple(rows))
+        assert Dataset(("a", "b", "c"), iter(rows)) == from_tuple
+        assert Dataset(("a", "b", "c"), (row for row in rows)) == from_tuple
+        assert from_tuple.row_count == 2 * _BLOCK_ROWS
+        assert from_tuple.columns["b"].values == tuple(map(str, range(300)))
+        assert from_tuple.columns["b"].counts == [2] * 212 + [1] * 88
+
+    @pytest.mark.parametrize(
+        "second,error,message",
+        [(("x",), ValueError, "row 2 has 1 cells, expected 2"), (("x", "z"), RuntimeError, "gone")],
+        ids=["earlier-fault-first", "iterator-error"],
+    )
+    def test_iterator_error_raised_after_rows_before_it(self, second, error, message):
+        def rows():
+            yield ("x", "y")
+            yield second
+            raise RuntimeError("gone")
+
+        with pytest.raises(error, match=f"^{message}$"):
+            Dataset(("a", "b"), rows())
 
     @pytest.mark.parametrize("label", [5, None])
     def test_non_string_label_rejected(self, label):
