@@ -306,16 +306,28 @@ def assess(
     qi_set = tuple(qi_names)
 
     # One pass over the rows: the full quasi-identifier partition, which is
-    # also the k/l appendix's. Every combination is a coarsening of it, shared
-    # by every sensitive attribute; only the flagging one outlives its iteration.
+    # also the k/l appendix's. Every combination is coarsened, largest first,
+    # from the built superset with the fewest classes (a single quasi-identifier
+    # sums a small group's pairs), and shared by every sensitive attribute. A
+    # partition stays a source until the last combination that is a subset of it.
     full_partition = Partition(dataset, qi_set)
-    dr_by_sensitive: dict[str, list[DrResult]] = {s: [] for s in sensitive_names}
-    for combo in combinations:
-        partition = full_partition.coarsen(combo.members)
+    member_sets = [set(c.members) for c in combinations]
+    by_size = sorted(range(len(combinations)), key=lambda j: -len(member_sets[j]))
+    last_subset = {
+        j: n for n, k in enumerate(by_size) for j, m in enumerate(member_sets) if member_sets[k] < m
+    }
+    sources = [(len(by_size), set(qi_set), full_partition)]
+    dr_by_sensitive = {s: [None] * len(combinations) for s in sensitive_names}
+    for i, j in enumerate(by_size):
+        fits = (p for _, members, p in sources if member_sets[j] <= members)
+        partition = min(fits, key=lambda p: len(p.sizes)).coarsen(combinations[j].members)
         for sensitive in sensitive_names:
-            dr_by_sensitive[sensitive].append(partition.discrimination_rate(sensitive))
-        if combo is top_combo:
+            dr_by_sensitive[sensitive][j] = partition.discrimination_rate(sensitive)
+        if combinations[j] is top_combo:
             top_partition = partition
+        if j in last_subset:
+            sources.append((last_subset[j], member_sets[j], partition))
+        sources = [source for source in sources if source[0] > i]
 
     exploitability_rows = []
     flagged_rows: list[int] = []

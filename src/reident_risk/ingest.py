@@ -67,7 +67,7 @@ def load_csv(source: Source, label: str | None = None) -> Dataset:
             nonlocal read
             for record in csv.reader(stream):
                 read += 1
-                yield [cell.strip() for cell in record]
+                yield list(map(str.strip, record))
 
         rows = stripped_rows()
         try:

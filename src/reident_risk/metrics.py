@@ -14,14 +14,15 @@ inference score. A degenerate sensitive attribute with H(S) = 0 is treated
 as dr = 1: the constant value is known without looking at Q at all.
 
 Every metric is derived from a :class:`Partition` of the rows. Building one
-takes a single pass per quasi-identifier over the integer-coded columns a
-:class:`~reident_risk.model.Dataset` stores, and :meth:`Partition.coarsen`
-derives the partition of any subset of its quasi-identifiers from its classes
-and (class, sensitive value) pairs, without reading the rows again. So an
-assessment makes one row pass, over the full quasi-identifier set and the
-sensitive columns, and then works per class for each combination. Coarsening
-visits classes and pairs in first-row order, so its class numbering, its
-tallies and every float derived from them equal (``==``) those of a row pass.
+keys each row by its codes in the columns a :class:`~reident_risk.model.Dataset`
+stores, in C-level ``map`` and ``Counter`` passes, and :meth:`Partition.coarsen`
+derives the partition of any subset of its quasi-identifiers, also of a
+coarsening, from its classes and (class, sensitive value) pairs, without reading
+the rows again. So an assessment makes one row pass, over the full
+quasi-identifier set and the sensitive columns, and then works per class for
+each combination. Coarsening visits classes and pairs in first-row order, so its
+class numbering, its tallies and every float derived from them equal (``==``)
+those of a row pass.
 """
 
 from __future__ import annotations
@@ -29,9 +30,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import count, repeat
+from operator import add, mul
 from typing import Iterable, Sequence
 
-from .model import Dataset, InferenceLevel, strings
+from .model import Column, Dataset, InferenceLevel, strings
 
 __all__ = [
     "Partition",
@@ -55,17 +58,20 @@ class DrResult:
 
 def entropy(counts: Iterable[int | float]) -> float:
     """Shannon entropy in bits of a multiset of category counts."""
-    values = [float(c) for c in counts]
-    if any(c < 0 for c in values):
-        raise ValueError("counts must be non-negative")
-    total = sum(values)
+    if iter(counts) is counts:  # a one-shot iterator; a list is read as given
+        counts = list(counts)
+    total = sum(counts)
     if total <= 0:
+        if any(c < 0 for c in counts):
+            raise ValueError("counts must be non-negative")
         raise ValueError("total count must be positive")
     h = 0.0
-    for c in values:
+    for c in counts:
         if c > 0:
             p = c / total
             h -= p * math.log2(p)
+        elif c < 0:
+            raise ValueError("counts must be non-negative")
     return h
 
 
@@ -99,23 +105,33 @@ def _names(qi_set: Sequence[str]) -> tuple[str, ...]:
     return names
 
 
+def _keys(columns: Sequence[Column], rows: list[int] | None = None) -> list[int]:
+    """Per row, or per row listed in ``rows``, the mixed-radix number whose digits
+    are its codes in ``columns``: rows agree on every column iff their keys do."""
+    keys: Iterable[int] | None = None
+    for values, codes, _ in columns:
+        digits = codes if rows is None else map(codes.__getitem__, rows)
+        keys = digits if keys is None else map(add, map(mul, keys, repeat(len(values))), digits)
+    return list(keys)
+
+
 class Partition:
     """Equivalence classes of the rows under a quasi-identifier set.
 
     ``class_of[i]`` is the class of row ``i`` and ``sizes[c]`` the size of
-    class ``c``; classes are numbered in order of first occurrence. The
-    partition is refined one quasi-identifier at a time with the integer key
-    ``class_id * cardinality + code``. For each sensitive attribute the
-    joint (class, value) counts are counted on first use and kept, in the
-    order rows first show each pair, so one partition serves every sensitive
-    attribute; a sensitive attribute inside the quasi-identifier set is
-    rejected with ``ValueError``. :meth:`coarsen` derives the partition of a
-    subset of the quasi-identifiers from the classes instead of the rows.
-    All lists are shared and must not be mutated.
+    class ``c``; classes are numbered in order of first occurrence. Each row
+    is keyed by the mixed-radix number whose digits are its codes, and one
+    ``Counter`` of the keys gives the classes in that order. For each
+    sensitive attribute the joint (class, value) counts are counted on first
+    use and kept, in the order rows first show each pair, so one partition
+    serves every sensitive attribute; a sensitive attribute inside the
+    quasi-identifier set is rejected with ``ValueError``. :meth:`coarsen`
+    derives the partition of a subset of the quasi-identifiers from the
+    classes instead of the rows. All lists are shared and must not be mutated.
     """
 
     __slots__ = (
-        "dataset", "qi_set", "sizes", "_class_of", "_fine", "_fine_to_class", "_first", "_joint"
+        "dataset", "qi_set", "sizes", "_class_of", "_fine", "_fine_to_class", "_rows", "_joint"
     )
 
     def __init__(self, dataset: Dataset, qi_set: Sequence[str]):
@@ -123,29 +139,32 @@ class Partition:
         columns = [dataset.columns[name] for name in names]  # KeyError on unknown names
         if dataset.row_count == 0:
             raise ValueError("no rows: cannot build equivalence classes")
-        class_of = columns[0].codes
-        for values, codes, _ in columns[1:]:
-            cardinality = len(values)
-            numbering: dict[int, int] = {}
-            class_of = [
-                numbering.setdefault(c * cardinality + v, len(numbering))
-                for c, v in zip(class_of, codes)
-            ]
+        keys = _keys(columns)
+        sizes = Counter(keys)  # keys in first-occurrence order
+        ids = dict(zip(sizes, count()))
         self.dataset = dataset
         self.qi_set = names
-        # ids follow first occurrence, as Counter's keys do
-        self.sizes = list(Counter(class_of).values())
-        self._class_of: list[int] | None = class_of
+        self.sizes = list(sizes.values())
+        self._class_of: list[int] | None = list(map(ids.__getitem__, keys))
         # A coarsened partition's source, and per source class its class here.
         self._fine: Partition | None = None
         self._fine_to_class: list[int] | None = None
-        self._first: list[int] | None = None  # per class, its first row; set by coarsen
+        self._rows: list[int] | None = None  # per class, one of its rows; set by coarsen
         self._joint: dict[str, dict[int, int]] = {}
+
+    def _from_rows(self) -> tuple["Partition", Sequence[int]]:
+        """The row-pass partition this one derives from, and per class of it
+        the class here."""
+        source, to_class = self, range(len(self.sizes))
+        while source._fine is not None:
+            source, to_class = source._fine, list(map(to_class.__getitem__, source._fine_to_class))
+        return source, to_class
 
     @property
     def class_of(self) -> list[int]:
         if self._class_of is None:
-            self._class_of = list(map(self._fine_to_class.__getitem__, self._fine.class_of))
+            source, to_class = self._from_rows()
+            self._class_of = list(map(to_class.__getitem__, source.class_of))
         return self._class_of
 
     def coarsen(self, members: Sequence[str]) -> "Partition":
@@ -153,12 +172,14 @@ class Partition:
         quasi-identifier set, derived from its classes without a pass over
         the rows.
 
-        Each class maps to a coarse class through its first row, and classes
-        are visited in first-row order, so coarse classes are numbered as a
-        row pass numbers them. Coarse sizes, and the joint counts of each
-        sensitive attribute, are sums over this partition's classes and
-        pairs; a one-member set reads its column's codes and counts.
-        ``class_of`` is computed when first read.
+        Each class maps to a coarse class through one of its rows, and
+        classes are visited in class order, so coarse classes are numbered
+        as a row pass numbers them. Coarse sizes, and the joint counts of
+        each sensitive attribute, are sums over this partition's classes and
+        pairs; a one-member set reads its column's codes and counts. A
+        coarsening can be coarsened again: its rows are found through the
+        row-pass partition it derives from. ``class_of`` is computed when
+        first read.
         """
         names = _names(members)
         if names == self.qi_set:
@@ -166,34 +187,26 @@ class Partition:
         for name in names:
             if name not in self.qi_set:
                 raise ValueError(f"{name!r} is not in the quasi-identifier set {self.qi_set!r}")
-        if self._first is None:
-            # Walking the rows backwards leaves each class at its first row;
-            # ids follow first occurrence, so sorted first rows are in id order.
-            class_of = self.class_of
-            last = len(class_of) - 1
-            self._first = sorted(dict(zip(reversed(class_of), range(last, -1, -1))).values())
-        first = self._first
+        source, to_class = self._from_rows()
+        if source._rows is None:
+            # Class ids follow first occurrence, so the dict lists classes in id order.
+            source._rows = list(dict(zip(source.class_of, count())).values())
+        rows = source._rows if source is self else list(dict(zip(to_class, source._rows)).values())
         columns = [self.dataset.columns[name] for name in names]
-        to_class = list(map(columns[0].codes.__getitem__, first))
-        for values, codes, _ in columns[1:]:
-            cardinality = len(values)
-            numbering: dict[int, int] = {}
-            to_class = [
-                numbering.setdefault(c * cardinality + codes[r], len(numbering))
-                for c, r in zip(to_class, first)
-            ]
+        keys = _keys(columns, rows)
         coarse = object.__new__(Partition)
         coarse.dataset = self.dataset
         coarse.qi_set = names
-        if len(columns) == 1:
+        coarse._fine = self
+        if len(columns) == 1:  # a column's codes number its classes as a row pass does
+            coarse._fine_to_class = keys
             coarse._class_of, coarse.sizes = columns[0].codes, columns[0].counts
         else:
-            coarse._class_of, coarse.sizes = None, [0] * len(numbering)
-            for c, size in zip(to_class, self.sizes):
+            ids = dict(zip(dict.fromkeys(keys), count()))
+            coarse._fine_to_class = to_coarse = list(map(ids.__getitem__, keys))
+            coarse._class_of, coarse.sizes = None, [0] * len(ids)
+            for c, size in zip(to_coarse, self.sizes):
                 coarse.sizes[c] += size
-        coarse._fine = self
-        coarse._fine_to_class = to_class
-        coarse._first = None
         coarse._joint = {}
         return coarse
 
@@ -210,16 +223,16 @@ class Partition:
             cardinality = len(values)
             fine = self._fine
             if fine is None or sensitive in fine.qi_set:
-                joint = Counter(c * cardinality + v for c, v in zip(self.class_of, codes))
+                joint = Counter(map(add, map(mul, self.class_of, repeat(cardinality)), codes))
             else:
                 # Fine pairs come in first-row order, so each coarse pair is
                 # met first at its own first row.
                 joint = {}
                 to_class = self._fine_to_class
-                for key, count in fine._joint_counts(sensitive).items():
+                for key, n in fine._joint_counts(sensitive).items():
                     c, v = divmod(key, cardinality)
                     key = to_class[c] * cardinality + v
-                    joint[key] = joint.get(key, 0) + count
+                    joint[key] = joint.get(key, 0) + n
             self._joint[sensitive] = joint
         return joint
 

@@ -311,6 +311,7 @@ class Dataset:
         width = len(attrs)
         code_of: list[dict[str, int]] = [{} for _ in attrs]  # per column, cell -> code
         codes: list[list[int]] = [[] for _ in attrs]
+        counts: list[list[int]] = [[] for _ in attrs]  # per column, code -> rows
         rows = iter(rows)
         block: list[Any] = []
         done = 0
@@ -325,16 +326,19 @@ class Dataset:
             if not block:
                 break
             _check_rows(block, done, width)
-            for cells, index, column in zip(zip(*block), code_of, codes):
-                new = filterfalse(index.__contains__, dict.fromkeys(cells))
-                index.update(zip(list(new), count(len(index))))
+            for cells, index, column, tally in zip(zip(*block), code_of, codes, counts):
+                seen = Counter(cells)  # the block's cells in first-occurrence order
+                new = list(filterfalse(index.__contains__, seen))
+                index.update(zip(new, count(len(index))))
+                tally += repeat(0, len(new))
+                for cell, n in seen.items():
+                    tally[index[cell]] += n
                 column.extend(map(index.__getitem__, cells))
             done += len(block)
             block.clear()
         columns = _Columns()
-        for name, index, column in zip(attrs, code_of, codes):
-            counts = Counter(column).values()  # codes first occur in code order
-            columns[name] = Column(tuple(index), column, list(counts))
+        for name, index, column, tally in zip(attrs, code_of, codes, counts):
+            columns[name] = Column(tuple(index), column, tally)
         object.__setattr__(self, "row_count", done)
         object.__setattr__(self, "columns", MappingProxyType(columns))
 

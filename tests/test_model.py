@@ -1,8 +1,12 @@
 """Domain type invariants: scales, ratings, datasets, matrices, validation."""
 
+import random
 import re
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reident_risk.model import (
     _BLOCK_ROWS,
@@ -174,6 +178,26 @@ class TestDataset:
         assert from_tuple.row_count == 2 * _BLOCK_ROWS
         assert from_tuple.columns["b"].values == tuple(map(str, range(300)))
         assert from_tuple.columns["b"].counts == [2] * 212 + [1] * 88
+
+    @given(
+        st.integers(0, 2**32),
+        st.lists(st.integers(1, 3 * _BLOCK_ROWS), min_size=1, max_size=4),
+        st.integers(2 * _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS),
+    )
+    @settings(deadline=None, max_examples=50)
+    def test_counts_equal_naive_counter(self, seed, steps, rows):
+        # Column i draws from the first 1 + r // steps[i] values at row r, so
+        # values first show in any block and earlier ones keep recurring.
+        rng = random.Random(seed)
+        names = tuple(f"c{i}" for i in range(len(steps)))
+        table = [tuple(f"v{rng.randrange(1 + r // step)}" for step in steps) for r in range(rows)]
+        for given_rows in (table, iter(table)):
+            d = Dataset(names, given_rows)
+            for name, cells in zip(names, zip(*table)):
+                expected = Counter(cells)  # keys in first-occurrence order
+                assert d.columns[name].values == tuple(expected)
+                assert d.columns[name].counts == list(expected.values())
+                assert d.column(name) == cells
 
     @pytest.mark.parametrize(
         "second,error,message",

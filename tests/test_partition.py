@@ -10,13 +10,14 @@ import json
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive_metrics as naive
-from conftest import TOL, tables
+from conftest import TOL, h_bits, tables
 from reident_risk.engine import AssessmentOptions, assess, build_combinations
-from reident_risk.metrics import Partition, entropy
+from reident_risk.metrics import Partition, _keys, entropy
 from reident_risk.model import (
     AttributeMeta,
     AttributeRole,
@@ -55,26 +56,70 @@ def test_partition_equals_naive_oracle(table, data):
         assert p.class_inference(s) == scores
 
 
-@given(tables(qi=(1, 4), sensitive=(1, 2), rows=(1, 40), values=6), st.data())
+@given(tables(qi=(1, 5), sensitive=(1, 2), rows=(1, 40), values=6), st.data())
 @settings(deadline=None)
 def test_coarsen_equals_row_pass(table, data):
     d = Dataset(*table)
     qi_names, sensitive_names = _split_names(d)
     fine = Partition(d, data.draw(st.permutations(qi_names)))
-    subsets = st.lists(st.sampled_from(qi_names), min_size=1, unique=True)
-    for sub in data.draw(st.lists(subsets, min_size=1, max_size=3)):
-        coarse, direct = fine.coarsen(sub), Partition(d, sub)
-        assert coarse.qi_set == direct.qi_set
-        assert coarse.sizes == direct.sizes
-        # Tallied before class_of is read, so they come from the fine pairs; a
-        # quasi-identifier left out of ``sub`` is tallied as a sensitive attribute.
-        for s in sensitive_names + [q for q in qi_names if q not in sub]:
-            assert coarse.tallies(s) == direct.tallies(s)
-            assert coarse.conditional_entropy(s) == direct.conditional_entropy(s)
-            assert coarse.class_inference(s) == direct.class_inference(s)
-        assert coarse.class_of == direct.class_of
-        one = sub[-1:]  # a coarsening of a coarsening
-        assert coarse.coarsen(one).tallies("s0") == Partition(d, one).tallies("s0")
+    for _ in range(data.draw(st.integers(1, 3))):
+        # A chain of one to three coarsenings, each of the one before, so a
+        # coarsening of a coarsening sums its source's pairs and finds its
+        # rows through the row pass.
+        coarse, members = fine, qi_names
+        for _ in range(data.draw(st.integers(1, 3))):
+            sub = data.draw(st.lists(st.sampled_from(members), min_size=1, unique=True))
+            coarse, members, direct = coarse.coarsen(sub), sub, Partition(d, sub)
+            assert coarse.qi_set == direct.qi_set
+            assert coarse.sizes == direct.sizes
+            if data.draw(st.booleans()):
+                assert coarse.class_of == direct.class_of
+            # Tallied before class_of is read, they come from the source's
+            # pairs; a quasi-identifier left out of ``sub`` is tallied as a
+            # sensitive attribute.
+            for s in sensitive_names + [q for q in qi_names if q not in sub]:
+                assert coarse.tallies(s) == direct.tallies(s)
+                assert coarse.conditional_entropy(s) == direct.conditional_entropy(s)
+                assert coarse.class_inference(s) == direct.class_inference(s)
+            assert coarse.class_of == direct.class_of
+
+
+def _wide_table(rows, seed):
+    """13 quasi-identifiers of 40 values each, then a sensitive column. After
+    40 rows that show every value, each row repeats an earlier one, differs
+    from it in its first or last two columns (the highest and lowest digits
+    of its key), or is new."""
+    rng = random.Random(seed)
+    table = [[f"v{(i + 3 * c) % 40}" for c in range(13)] + ["A"] for i in range(40)]
+    while len(table) < rows:
+        row = list(rng.choice(table))
+        if rng.random() < 0.5:
+            row[rng.choice([0, 1, 11, 12])] = f"v{rng.randrange(40)}"
+        elif rng.random() < 0.5:
+            row = [f"v{rng.randrange(40)}" for _ in range(13)] + [row[-1]]
+        row[-1] = rng.choice("ABCDE") if rng.random() < 0.3 else row[-1]
+        table.append(row)
+    names = tuple(f"q{i}" for i in range(13)) + ("s0",)
+    return Dataset(names, map(tuple, table))
+
+
+def test_keys_past_64_bits_equal_naive_oracle():
+    d = _wide_table(300, seed=3)
+    qi = [n for n in d.attributes if n.startswith("q")]
+    assert all(len(d.columns[q].values) == 40 for q in qi)
+    columns = [d.columns[q] for q in qi]
+    assert max(_keys(columns[:12])) > 2**63 and max(_keys(columns[1:])) > 2**63
+    p = Partition(d, qi)
+    for sub, partition in [(qi, p), (qi[:12], p.coarsen(qi[:12])), (qi[1:], p.coarsen(qi[1:]))]:
+        classes = naive.equivalence_classes(d, sub)
+        assert sum(len(c.row_indices) > 1 for c in classes) > 20
+        assert partition.sizes == [len(c.row_indices) for c in classes]
+        class_of = {i: class_id for class_id, c in enumerate(classes) for i in c.row_indices}
+        assert partition.class_of == [class_of[i] for i in range(d.row_count)]
+        assert partition.l_diversity("s0") == naive.distinct_l_diversity(d, sub, "s0")
+        assert partition.conditional_entropy("s0") == naive.conditional_entropy(d, "s0", sub)
+        scores = [naive.value_inference(d, sub, c.key, "s0") for c in classes]
+        assert partition.class_inference("s0") == scores
 
 
 @given(
@@ -157,6 +202,23 @@ def test_value_inference_all_one_iff_dr_one(table):
     assert all(s >= 1.0 - TOL for s in scores) == (abs(dr - 1.0) < TOL)
 
 
+# Counts are row counts, so their totals stay far below 2**53, where an int
+# quotient and a float quotient are the same correctly rounded double.
+_COUNTS = st.one_of(
+    st.lists(st.integers(0, 10**9), min_size=1, max_size=20),
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e9)), min_size=1, max_size=20),
+).filter(lambda counts: sum(counts) > 0)
+
+
+@given(_COUNTS)
+@settings(deadline=None)
+def test_entropy_equals_float_formula(counts):
+    h = entropy(counts)
+    assert h == naive.entropy(counts)
+    assert h == entropy(tuple(counts)) == entropy(iter(counts))
+    assert h == pytest.approx(h_bits(counts), abs=TOL)
+
+
 @given(st.lists(st.integers(1, 50), min_size=1, max_size=10))
 @settings(deadline=None)
 def test_entropy_bounds_and_uniform_maximum(counts):
@@ -208,7 +270,8 @@ def test_partitions_built_bounded_by_member_sets(monkeypatch):
     for d in (near_unique, small):
         built.clear()
         report = assess(d, meta)
-        assert len(report.flagged_records) == d.row_count
+        assert len(report.flagged_rows) == d.row_count
         # The full quasi-identifier set, also the k/l appendix's; every
-        # combination is coarsened from it, whatever the number of classes.
+        # combination is coarsened from it or from a coarsening of it,
+        # whatever the number of classes.
         assert built == [("Age", "Gender", "Zip", "Date")]

@@ -154,7 +154,7 @@ def _pipes_report():
         ),
     ]
     report = assess(dataset, meta)
-    assert len(report.flagged_records) == 7
+    assert len(report.flagged_rows) == 7
     return report
 
 
