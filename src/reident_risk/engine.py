@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .metrics import DrResult, Partition, band
 from .model import (
@@ -32,6 +32,7 @@ from .model import (
     RiskLevel,
     ScaleMatrix,
     SeverityLevel,
+    argument_errors,
     coerce_field,
     global_severity,
     strings,
@@ -89,15 +90,13 @@ class AssessmentError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-@dataclass(frozen=True)
-class QiCombination:
+class QiCombination(NamedTuple):
     members: tuple[str, ...]
     exposure: ExposureLevel
     origin: CombinationOrigin
 
 
-@dataclass(frozen=True)
-class ExploitabilityRow:
+class ExploitabilityRow(NamedTuple):
     """One (sensitive attribute, combination) pair. ``severity`` is the
     attribute's maximum value severity; ``risk`` combines it with ``exploitability``."""
 
@@ -158,6 +157,9 @@ def build_combinations(
     top, whatever the strategy. Duplicates (same member set) are emitted
     once, keeping the first occurrence.
     """
+    errors = argument_errors(meta=meta)
+    if errors:
+        raise ValueError("; ".join(errors))
     strategy = CombinationStrategy.parse(strategy)
     qis = [m for m in meta if m.role is AttributeRole.QUASI_IDENTIFIER]
     if not qis:
@@ -213,7 +215,7 @@ def exploitability(
     inference: InferenceLevel,
     matrix: ScaleMatrix = DEFAULT_EXPLOITABILITY_MATRIX,
 ) -> ExploitabilityLevel:
-    return ExploitabilityLevel(matrix.lookup(int(exposure), int(inference)))
+    return ExploitabilityLevel(matrix.lookup(exposure, inference))
 
 
 def risk(
@@ -221,7 +223,7 @@ def risk(
     severity: SeverityLevel,
     matrix: ScaleMatrix = DEFAULT_RISK_MATRIX,
 ) -> RiskLevel:
-    return RiskLevel(matrix.lookup(int(exploitability_level), int(severity)))
+    return RiskLevel(matrix.lookup(exploitability_level, severity))
 
 
 def assess(
@@ -236,17 +238,7 @@ def assess(
     against the dataset, when no sensitive attribute or quasi-identifier is
     declared, or when the dataset has fewer than two rows.
     """
-    errors = []
-    if not isinstance(dataset, Dataset):
-        errors.append(f"dataset: expected a Dataset, got {dataset!r}")
-    if not isinstance(meta, (list, tuple)):
-        errors.append(f"meta: expected an array of AttributeMeta, got {meta!r}")
-    else:
-        errors += [
-            f"meta[{i}]: expected an AttributeMeta, got {m!r}"
-            for i, m in enumerate(meta)
-            if not isinstance(m, AttributeMeta)
-        ]
+    errors = argument_errors(dataset=dataset, meta=meta)
     if options is not None and not isinstance(options, AssessmentOptions):
         errors.append(f"options: expected an AssessmentOptions, got {options!r}")
     if errors:

@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import count, repeat
 from operator import add, mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .model import Column, Dataset, InferenceLevel, strings
 
@@ -44,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DrResult:
+class DrResult(NamedTuple):
     """Discrimination rate with the entropies it was derived from."""
 
     qi_set: tuple[str, ...]
@@ -266,14 +264,7 @@ class Partition:
         h_s = entropy(self.dataset.columns[sensitive].counts)
         h_s_given_qi = self.conditional_entropy(sensitive)
         dr = 1.0 if h_s == 0.0 else _clamp01(1.0 - h_s_given_qi / h_s)
-        return DrResult(
-            qi_set=self.qi_set,
-            sensitive=sensitive,
-            h_s=h_s,
-            h_s_given_qi=h_s_given_qi,
-            dr=dr,
-            inference=band(dr),
-        )
+        return DrResult(self.qi_set, sensitive, h_s, h_s_given_qi, dr, band(dr))
 
     def class_inference(self, sensitive: str) -> list[float]:
         """Per-class inference score, indexed by class id.

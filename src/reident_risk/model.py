@@ -348,6 +348,11 @@ class Dataset:
         return tuple(map(values.__getitem__, codes))
 
 
+def _is_level(value: Any) -> bool:
+    """An integer 1..4: an IntEnum level is one, a bool is not."""
+    return isinstance(value, int) and not isinstance(value, bool) and 1 <= value <= 4
+
+
 @dataclass(frozen=True)
 class ScaleMatrix:
     """4x4 lookup combining two ordinal levels into one.
@@ -369,7 +374,7 @@ class ScaleMatrix:
         for r in range(4):
             for c in range(4):
                 v = grid[r][c]
-                if isinstance(v, bool) or not isinstance(v, int) or not 1 <= v <= 4:
+                if not _is_level(v):
                     raise ScaleError(
                         f"matrix {self.name!r}: cell ({r + 1},{c + 1}) value {v!r} "
                         "out of range: expected an integer 1..4"
@@ -385,21 +390,35 @@ class ScaleMatrix:
         object.__setattr__(self, "cells", tuple(tuple(int(v) for v in row) for row in grid))
 
     def lookup(self, row_level: int, col_level: int) -> int:
-        if not (1 <= int(row_level) <= 4 and 1 <= int(col_level) <= 4):
-            raise ScaleError(f"matrix {self.name!r}: lookup levels must be 1..4")
-        return self.cells[int(row_level) - 1][int(col_level) - 1]
+        if not (_is_level(row_level) and _is_level(col_level)):
+            levels = f"{row_level!r}, {col_level!r}"
+            raise ScaleError(f"matrix {self.name!r}: lookup levels {levels} are not integers 1..4")
+        return self.cells[row_level - 1][col_level - 1]
 
 
-@dataclass(frozen=True)
-class ValidationOutcome:
+class ValidationOutcome(NamedTuple):
     """Errors and warnings from cross-checking metadata against a dataset."""
 
     errors: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
 
-    @property
-    def ok(self) -> bool:
-        return not self.errors
+
+_ABSENT: Any = object()
+
+
+def argument_errors(*, meta: Any, dataset: Any = _ABSENT) -> list[str]:
+    """A message naming each wrongly typed argument: ``meta`` must be a list or
+    tuple of :class:`AttributeMeta` and ``dataset``, when passed, a :class:`Dataset`."""
+    errors = []
+    if dataset is not _ABSENT and not isinstance(dataset, Dataset):
+        errors.append(f"dataset: expected a Dataset, got {dataset!r}")
+    if not isinstance(meta, (list, tuple)):
+        return errors + [f"meta: expected an array of AttributeMeta, got {meta!r}"]
+    return errors + [
+        f"meta[{i}]: expected an AttributeMeta, got {m!r}"
+        for i, m in enumerate(meta)
+        if not isinstance(m, AttributeMeta)
+    ]
 
 
 def validate_meta(dataset: Dataset, meta: Sequence[AttributeMeta]) -> ValidationOutcome:
@@ -410,8 +429,11 @@ def validate_meta(dataset: Dataset, meta: Sequence[AttributeMeta]) -> Validation
     role-required fields (exposure for quasi-identifiers, severity for
     sensitive attributes). Warnings: value-severity overrides for values
     never seen in the dataset, and an absence of declared quasi-identifiers.
+    A wrongly typed argument raises ``ValueError`` instead.
     """
-    errors: list[str] = []
+    errors = argument_errors(dataset=dataset, meta=meta)
+    if errors:
+        raise ValueError("; ".join(errors))
     warnings: list[str] = []
 
     seen: dict[str, AttributeMeta] = {}

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring as _string  # as json.dumps(ensure_ascii=False)
 from operator import attrgetter, itemgetter
@@ -31,14 +30,12 @@ if TYPE_CHECKING:  # row types are produced by the engine
     from .engine import ExploitabilityRow
 
 
-@dataclass(frozen=True)
-class LDiversityEntry:
+class LDiversityEntry(NamedTuple):
     sensitive: str
     l_value: int
 
 
-@dataclass(frozen=True)
-class MetricsAppendix:
+class MetricsAppendix(NamedTuple):
     """Raw metric values backing the levels, so a report can be re-derived."""
 
     qi_set: tuple[str, ...]
@@ -59,32 +56,13 @@ class FlaggedOutcome(NamedTuple):
     record_risk: RiskLevel
 
 
-@dataclass(frozen=True)
-class FlaggedRecord:
-    """A record whose sensitive value is severe enough to call out.
-
-    ``row_index`` is 0-based; reports render it 1-based to match the way
-    source tables are usually numbered. The other fields are its
-    :class:`FlaggedOutcome`'s.
-    """
-
-    row_index: int
-    attribute: str
-    sensitive_value: str
-    value_severity: SeverityLevel
-    class_inference: float
-    record_risk: RiskLevel
-
-
-@dataclass(frozen=True)
-class AssessmentReport:
+class AssessmentReport(NamedTuple):
     """Each fact once: the renderers derive the severity, override and exposure
     tables from ``attributes`` (metadata in column order), and the risk table and
     the appendix's discrimination rates from ``exploitability_rows``.
 
-    Flagged record ``j`` is row ``flagged_rows[j]`` (0-based) showing
-    ``outcomes[flagged_outcome[j]]``; :attr:`flagged_records` builds the
-    records from these on each read."""
+    Flagged record ``j`` is row ``flagged_rows[j]`` (0-based; reports render it
+    1-based) showing ``outcomes[flagged_outcome[j]]``."""
 
     dataset_label: str
     row_count: int
@@ -96,15 +74,6 @@ class AssessmentReport:
     outcomes: tuple[FlaggedOutcome, ...]
     metrics_appendix: MetricsAppendix
     warnings: tuple[str, ...]
-
-    @property
-    def flagged_records(self) -> tuple[FlaggedRecord, ...]:
-        """One record per flagged row, in report order, built on each read."""
-        outcomes = self.outcomes
-        return tuple(
-            FlaggedRecord(row, *outcomes[o])
-            for row, o in zip(self.flagged_rows, self.flagged_outcome)
-        )
 
 
 _MARKUP = re.compile(r"[\\|*_`\[\]<>&~\r\n]")

@@ -120,7 +120,7 @@ def test_criterion_4_severity_reproduction(initial, reference_meta):
             assert by_attr[name]["global"]["level"] == 1
 
         assert reference_meta.options.flag_threshold == 3
-        assert [rec.row_index + 1 for rec in report.flagged_records] == [6, 7, 8, 9]
+        assert [row + 1 for row in report.flagged_rows] == [6, 7, 8, 9]
 
 
 def test_criterion_5_k_anonymity_and_diversity_oracles(initial, kanon, hipaa):

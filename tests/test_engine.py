@@ -27,6 +27,7 @@ from reident_risk.model import (
     RiskLevel,
     SeverityLevel,
     SeverityRating,
+    validate_meta,
 )
 from reident_risk.report import report_to_dict, to_json
 
@@ -180,6 +181,10 @@ class TestMatrices:
                         assert matrix.lookup(r, c + 1) >= matrix.lookup(r, c)
 
 
+MEMBER_6 = "meta[6]: expected an AttributeMeta, got None"
+WHOLE_DOCUMENT = "meta: expected an array of AttributeMeta, got {doc!r}"
+
+
 class TestAssessPreconditions:
     def test_missing_severity_reported(self, initial, reference_meta):
         meta = [
@@ -210,17 +215,40 @@ class TestAssessPreconditions:
     @pytest.mark.parametrize(
         "call,message",
         [
-            (lambda d, m: assess("nope", m), "dataset: expected a Dataset, got 'nope'"),
+            (lambda d, m: assess("nope", m.attributes), "dataset: expected a Dataset, got 'nope'"),
             (lambda d, m: assess(d, "abc"), "meta: expected an array of AttributeMeta, got 'abc'"),
-            (lambda d, m: assess(d, [*m, None]), "meta[6]: expected an AttributeMeta, got None"),
-            (lambda d, m: assess(d, m, "x"), "options: expected an AssessmentOptions, got 'x'"),
+            (lambda d, m: assess(d, [*m.attributes, None]), MEMBER_6),
+            (
+                lambda d, m: assess(d, m.attributes, "x"),
+                "options: expected an AssessmentOptions, got 'x'",
+            ),
+            # The whole document, not its attributes, is named as one argument.
+            (lambda d, m: assess(d, m), WHOLE_DOCUMENT),
         ],
-        ids=["dataset", "meta", "meta-member", "options"],
+        ids=["dataset", "meta", "meta-member", "options", "document"],
     )
     def test_argument_of_wrong_type_named(self, initial, reference_meta, call, message):
         with pytest.raises(AssessmentError) as err:
-            call(initial, reference_meta.attributes)
-        assert err.value.errors == (message,)
+            call(initial, reference_meta)
+        assert err.value.errors == (message.format(doc=reference_meta),)
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda d, m: validate_meta("x", m.attributes), "dataset: expected a Dataset, got 'x'"),
+            (lambda d, m: validate_meta(d, m), WHOLE_DOCUMENT),
+            (lambda d, m: validate_meta(d, [*m.attributes, None]), MEMBER_6),
+            (lambda d, m: build_combinations(m), WHOLE_DOCUMENT),
+            (lambda d, m: build_combinations([1]), "meta[0]: expected an AttributeMeta, got 1"),
+        ],
+        ids=["validate-dataset", "validate-meta", "validate-member", "combos-meta", "combos-mem"],
+    )
+    def test_argument_of_wrong_type_named_outside_assess(
+        self, initial, reference_meta, call, message
+    ):
+        message = message.format(doc=reference_meta)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(initial, reference_meta)
 
 
 class TestAssessReport:
@@ -240,8 +268,8 @@ class TestAssessReport:
 
     def test_flagged_records_default_threshold(self, initial, reference_meta):
         report = assess(initial, reference_meta.attributes, reference_meta.options)
-        assert [rec.row_index + 1 for rec in report.flagged_records] == [6, 7, 8, 9]
-        assert [rec.sensitive_value for rec in report.flagged_records] == [
+        assert [row + 1 for row in report.flagged_rows] == [6, 7, 8, 9]
+        assert [report.outcomes[o].sensitive_value for o in report.flagged_outcome] == [
             "HIV",
             "Diabetes",
             "Cancer",
@@ -254,7 +282,7 @@ class TestAssessReport:
             explicit_combinations=reference_meta.options.explicit_combinations,
         )
         report = assess(initial, reference_meta.attributes, options)
-        assert [rec.row_index + 1 for rec in report.flagged_records] == [6, 8, 9]
+        assert [row + 1 for row in report.flagged_rows] == [6, 8, 9]
 
     def test_identifier_attributes_warned_and_excluded(self, initial, reference_meta):
         meta = [

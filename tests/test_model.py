@@ -261,10 +261,13 @@ class TestScaleMatrix:
 
     def test_lookup_range_checked(self):
         m = ScaleMatrix("m", ((1,) * 4,) * 4)
-        with pytest.raises(ScaleError):
-            m.lookup(0, 1)
-        with pytest.raises(ScaleError):
-            m.lookup(1, 5)
+        # Only an integer 1..4 is a level: nothing is truncated or parsed.
+        for level in (0, 5, 2.7, 1.0, "3", True):
+            for row, col in ((level, 1), (1, level)):
+                shown = re.escape(f"lookup levels {row!r}, {col!r} are not integers 1..4")
+                with pytest.raises(ScaleError, match=shown):
+                    m.lookup(row, col)
+        assert m.lookup(InferenceLevel.CRITICAL, ExposureLevel.INTERNAL_RESTRICTED) == 1
 
 
 def _meta_for(dataset_attrs):
@@ -292,7 +295,6 @@ def _meta_for(dataset_attrs):
 class TestValidateMeta:
     def test_consistent_metadata_passes(self, initial, reference_meta):
         outcome = validate_meta(initial, reference_meta.attributes)
-        assert outcome.ok
         assert outcome.errors == ()
         assert outcome.warnings == ()
 
@@ -337,7 +339,7 @@ class TestValidateMeta:
             )
         )
         outcome = validate_meta(initial, meta)
-        assert outcome.ok
+        assert outcome.errors == ()
         assert any("never used" in w and "Scurvy" in w for w in outcome.warnings)
 
     def test_no_quasi_identifiers_is_warning(self, initial):

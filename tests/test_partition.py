@@ -157,33 +157,34 @@ def test_assess_equals_naive_oracle(table, exposures, strategy):
         key=lambda c: (-int(c.exposure), -len(c.members), [qi_names.index(m) for m in c.members]),
     )
     keys = naive.project(d, top.members)
-    records = report.flagged_records
-    assert [(r.attribute, r.row_index) for r in records] == [
+    outcomes = report.outcomes
+    records = [(row, outcomes[o]) for row, o in zip(report.flagged_rows, report.flagged_outcome)]
+    assert [(outcome.attribute, row) for row, outcome in records] == [
         (s, i) for s in sensitive_names for i in range(d.row_count)
     ]
-    for record in records:
-        expected = naive.value_inference(d, top.members, keys[record.row_index], record.attribute)
-        assert record.class_inference == expected
-        assert record.sensitive_value == d.column(record.attribute)[record.row_index]
+    for row, outcome in records:
+        expected = naive.value_inference(d, top.members, keys[row], outcome.attribute)
+        assert outcome.class_inference == expected
+        assert outcome.sensitive_value == d.column(outcome.attribute)[row]
 
     # Both renderings encode each outcome once; every record must still show its own cells.
     document = json.loads(to_json(report))["flagged_records"]
     section = to_markdown(report).split("## Flagged Records\n\n")[1].split("\n\n")[0]
     lines = section.splitlines()[2:]
     assert len(document) == len(lines) == len(records)
-    for record, cells, line in zip(records, document, lines):
-        row, severity, risk = record.row_index + 1, record.value_severity, record.record_risk
-        score = f"{record.class_inference:.6f}"
+    for (row, outcome), cells, line in zip(records, document, lines):
+        severity, risk = outcome.value_severity, outcome.record_risk
+        score = f"{outcome.class_inference:.6f}"
         assert cells == {
-            "row": row,
-            "attribute": record.attribute,
-            "value": record.sensitive_value,
+            "row": row + 1,
+            "attribute": outcome.attribute,
+            "value": outcome.sensitive_value,
             "value_severity": {"label": severity.label, "level": int(severity)},
             "class_inference": score,
             "record_risk": {"label": risk.label, "level": int(risk)},
         }
         assert line == (
-            f"| **{row}** | **{record.attribute}** | **{record.sensitive_value}** "
+            f"| **{row + 1}** | **{outcome.attribute}** | **{outcome.sensitive_value}** "
             f"| **{severity.display}** | **{score}** | **{risk.display}** |"
         )
 

@@ -320,7 +320,7 @@ class TestMarkdown:
             ),
         ]
         report = assess(d, meta)
-        assert report.flagged_records == ()
+        assert report.flagged_rows == ()
         # No overrides, no flagged records and no warnings: the override block is
         # left out, and the other two sections print ``none``.
         assert to_markdown(report) == MILD_MARKDOWN
