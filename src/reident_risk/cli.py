@@ -1,8 +1,8 @@
 """Command-line front end: assess, metric, and fixtures subcommands.
 
 Reports and metrics go to stdout (or ``--out``) as UTF-8 bytes, whatever
-the terminal's encoding; diagnostics go to stderr, so the two never mix on
-one stream. Exit codes: 0 success, 1 I/O or parse failure, 2 validation
+the terminal's encoding, a report part by part as it is rendered;
+diagnostics go to stderr, so the two never mix on one stream. Exit codes: 0 success, 1 I/O or parse failure, 2 validation
 errors.
 """
 
@@ -11,13 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
+from contextlib import nullcontext
+from itertools import chain
+from typing import Iterable
 
 from . import fixtures
 from .engine import AssessmentError, assess
 from .ingest import IngestError, load_csv, load_metadata
 from .metrics import Partition
-from .report import to_json, to_markdown
+from .report import json_parts, markdown_parts
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -28,25 +30,23 @@ def _diag(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _write(payload: bytes, out: str | None) -> None:
-    """Write one result to the ``out`` path, or to stdout when it is None."""
-    if out is None:
-        sys.stdout.buffer.write(payload)
-        sys.stdout.flush()
-    else:
-        Path(out).write_bytes(payload)
+def _write(parts: Iterable[str], out: str | None) -> None:
+    """Write one result to the ``out`` path, or to stdout when it is None,
+    encoding and writing each text part as it is produced."""
+    with nullcontext(sys.stdout.buffer) if out is None else open(out, "wb") as stream:
+        for part in parts:
+            stream.write(part.encode("utf-8"))
+        stream.flush()
 
 
 def _write_report(report, fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        _write(to_json(report), out)
-    elif fmt == "markdown":
-        _write(to_markdown(report).encode("utf-8"), out)
+    if fmt != "both":
+        _write((json_parts if fmt == "json" else markdown_parts)(report), out)
     elif out is None:
-        _write(to_json(report) + b"\n" + to_markdown(report).encode("utf-8"), None)
+        _write(chain(json_parts(report), ["\n"], markdown_parts(report)), None)
     else:
-        _write(to_json(report), out + ".json")
-        _write(to_markdown(report).encode("utf-8"), out + ".md")
+        _write(json_parts(report), out + ".json")
+        _write(markdown_parts(report), out + ".md")
 
 
 def cmd_assess(args: argparse.Namespace) -> int:
@@ -104,7 +104,7 @@ def cmd_metric(args: argparse.Namespace) -> int:
         message = exc.args[0] if exc.args else str(exc)
         _diag(str(message))
         return EXIT_INVALID
-    _write(f"{json.dumps(payload, sort_keys=True, ensure_ascii=False)}\n".encode("utf-8"), None)
+    _write([json.dumps(payload, sort_keys=True, ensure_ascii=False), "\n"], None)
     return EXIT_OK
 
 

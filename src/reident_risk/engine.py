@@ -130,9 +130,10 @@ class AssessmentOptions:
         coerce_field(self, "risk_matrix", _matrix)
 
 
-def _matrix(raw: ScaleMatrix) -> ScaleMatrix:
+def _matrix(raw: ScaleMatrix, name: str = "") -> ScaleMatrix:
+    """``raw`` if it is a ScaleMatrix; ``name`` prefixes the error of an argument."""
     if not isinstance(raw, ScaleMatrix):
-        raise ValueError(f"expected a ScaleMatrix, got {raw!r}")
+        raise ValueError(f"{name}expected a ScaleMatrix, got {raw!r}")
     return raw
 
 
@@ -215,7 +216,7 @@ def exploitability(
     inference: InferenceLevel,
     matrix: ScaleMatrix = DEFAULT_EXPLOITABILITY_MATRIX,
 ) -> ExploitabilityLevel:
-    return ExploitabilityLevel(matrix.lookup(exposure, inference))
+    return ExploitabilityLevel(_matrix(matrix, "matrix: ").lookup(exposure, inference))
 
 
 def risk(
@@ -223,7 +224,7 @@ def risk(
     severity: SeverityLevel,
     matrix: ScaleMatrix = DEFAULT_RISK_MATRIX,
 ) -> RiskLevel:
-    return RiskLevel(matrix.lookup(exploitability_level, severity))
+    return RiskLevel(_matrix(matrix, "matrix: ").lookup(exploitability_level, severity))
 
 
 def assess(

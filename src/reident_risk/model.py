@@ -366,6 +366,8 @@ class ScaleMatrix:
     cells: tuple[tuple[int, int, int, int], ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str) or not self.name.strip():
+            raise ScaleError(f"matrix name: expected a non-empty string, got {self.name!r}")
         grid = self.cells
         if not isinstance(grid, (list, tuple)) or len(grid) != 4 or any(
             not isinstance(row, (list, tuple)) or len(row) != 4 for row in grid

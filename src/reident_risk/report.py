@@ -13,6 +13,9 @@ render from these declarations, and the kind alone decides how a cell encodes.
 The JSON text is joined from per-cell fragments in sorted-key order, with no dict tree.
 Flagged records are rendered from the report's outcome table: each outcome's
 cells are encoded once per call, and each record adds only its row number.
+``json_parts`` and ``markdown_parts`` yield each report as text parts, the
+flagged records a block at a time, so a writer holds no more than one block;
+``to_json`` and ``to_markdown`` join them.
 """
 
 from __future__ import annotations
@@ -20,11 +23,12 @@ from __future__ import annotations
 import json
 import re
 from functools import lru_cache
+from itertools import chain
 from json.encoder import encode_basestring as _string  # as json.dumps(ensure_ascii=False)
 from operator import attrgetter, itemgetter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple
 
-from .model import AttributeMeta, RiskLevel, SeverityLevel, global_severity
+from .model import _BLOCK_ROWS, AttributeMeta, RiskLevel, SeverityLevel, global_severity
 
 if TYPE_CHECKING:  # row types are produced by the engine
     from .engine import ExploitabilityRow
@@ -219,9 +223,14 @@ DISCRIMINATION_RATES = _Table(
 )
 
 
-def _object(members: Iterable[tuple[str, str]]) -> str:
-    """A JSON object from (key, JSON text) members, in sorted-key order."""
-    return "{" + ",".join([_string(key) + ":" + text for key, text in sorted(members)]) + "}"
+def _object(members: Iterable[tuple[str, str | Iterable[str]]]) -> Iterator[str]:
+    """A JSON object from (key, JSON text or its parts) members, in sorted-key order."""
+    lead = "{"
+    for key, text in sorted(members, key=itemgetter(0)):
+        yield lead + _string(key) + ":"
+        yield from (text,) if isinstance(text, str) else text
+        lead = ","
+    yield "}"
 
 
 def _lines(
@@ -231,19 +240,23 @@ def _lines(
     start: str,
     sep: str,
     end: str,
-) -> list[str]:
+    join: str,
+) -> Iterator[str]:
     """Each row as ``start``, its cells joined by ``sep``, then ``end``; ``cells``
-    holds a (label, get, encode) triple per column, in output order.
+    holds a (label, get, encode) triple per column, in output order. The rows are
+    joined by ``join`` and come as one part.
 
     A column without a getter is FLAGGED's row number, and ``rows`` are then the
     report's outcomes: the text before and after that column is encoded once per
-    outcome, and each flagged record puts its 1-based row between the two."""
+    outcome, and each flagged record puts its 1-based row between the two. These
+    rows come as one part per ``_BLOCK_ROWS`` records, none when nothing is flagged."""
     gets = [get for _, get, _ in cells]
     if None not in gets:
-        return [
+        yield join.join(
             start + sep.join([key + encode(get(row)) for key, get, encode in cells]) + end
             for row in rows
-        ]
+        )
+        return
     at = gets.index(None)
     label, _, number = cells[at]
     before, after = cells[:at], cells[at + 1 :]
@@ -254,20 +267,22 @@ def _lines(
     tails = [
         "".join([sep + key + encode(get(o)) for key, get, encode in after]) + end for o in rows
     ]
-    return [
-        heads[o] + number(row + 1) + tails[o]
-        for row, o in zip(report.flagged_rows, report.flagged_outcome)
-    ]
+    flagged, outcome, lead = report.flagged_rows, report.flagged_outcome, ""
+    for i in range(0, len(flagged), _BLOCK_ROWS):
+        block = zip(flagged[i : i + _BLOCK_ROWS], outcome[i : i + _BLOCK_ROWS])
+        yield lead + join.join([heads[o] + number(row + 1) + tails[o] for row, o in block])
+        lead = join
 
 
-def _json_table(table: _Table, report: AssessmentReport) -> tuple[str, str]:
-    """The table as a (key, JSON text) member: an array of row objects, columns sorted by key."""
+def _json_table(table: _Table, report: AssessmentReport) -> tuple[str, Iterator[str]]:
+    """The table as a (key, JSON parts) member: an array of row objects, columns sorted by key."""
     cells = [(_string(c.key) + ":", c.get, c.kind.json) for c in sorted(table.columns)]
-    return table.key, _array(_lines(report, table.rows(report), cells, "{", ",", "}"))
+    rows = _lines(report, table.rows(report), cells, "{", ",", "}", ",")
+    return table.key, chain(["["], rows, ["]"])
 
 
-def to_json(report: AssessmentReport) -> bytes:
-    """Canonical JSON bytes: sorted keys, fixed formatting, trailing newline."""
+def json_parts(report: AssessmentReport) -> Iterator[str]:
+    """The canonical JSON text of ``to_json``, in parts."""
     tables = (ATTRIBUTE_SEVERITY, VALUE_SEVERITY, EXPOSURE, EXPLOITABILITY, RISK, FLAGGED)
     appendix_members = [
         ("qi_set", NAMES.json(report.metrics_appendix.qi_set)),
@@ -282,7 +297,13 @@ def to_json(report: AssessmentReport) -> bytes:
         ("metrics_appendix", _object(appendix_members)),
         ("warnings", NAMES.json(report.warnings)),
     ]
-    return (_object(members) + "\n").encode("utf-8")
+    yield from _object(members)
+    yield "\n"
+
+
+def to_json(report: AssessmentReport) -> bytes:
+    """Canonical JSON bytes: sorted keys, fixed formatting, trailing newline."""
+    return "".join(json_parts(report)).encode("utf-8")
 
 
 def report_to_dict(report: AssessmentReport) -> dict:
@@ -290,57 +311,49 @@ def report_to_dict(report: AssessmentReport) -> dict:
     return json.loads(to_json(report))
 
 
-def _markdown_table(table: _Table, report: AssessmentReport) -> list[str]:
-    """The table's Markdown lines, or ``none`` when it has no rows."""
+def _markdown_table(table: _Table, report: AssessmentReport) -> Iterator[str]:
+    """The table's Markdown lines, or ``none`` when it has no rows, then a blank line."""
     rows = table.rows(report)
     if not rows:
-        return ["none"]
+        yield "none\n\n"
+        return
     columns = [c for c in table.columns if c.header is not None]
     cells = [("", c.get, c.kind.markdown) for c in columns]
     start, sep, end = ("| **", "** | **", "** |") if table.bold else ("| ", " | ", " |")
-    return [
-        "| " + " | ".join(_escape(c.header) for c in columns) + " |",
-        "|" + "|".join(" --- " for _ in columns) + "|",
-        *_lines(report, rows, cells, start, sep, end),
-    ]
+    yield "| " + " | ".join(_escape(c.header) for c in columns) + " |\n"
+    yield "|" + "|".join(" --- " for _ in columns) + "|\n"
+    yield from _lines(report, rows, cells, start, sep, end, "\n")
+    yield "\n\n"
 
 
-def to_markdown(report: AssessmentReport) -> str:
-    """Human-readable report with sections in fixed order."""
+def markdown_parts(report: AssessmentReport) -> Iterator[str]:
+    """The Markdown text of ``to_markdown``, in parts."""
     appendix = report.metrics_appendix
-    out = [
-        f"# Re-identification Risk Assessment: {report.dataset_label}",
-        "",
-        "## Summary",
-        "",
-        f"- Dataset: {report.dataset_label} ({report.row_count} rows)",
-        f"- Overall risk: **{report.overall_risk.display}**",
-        "",
-        "## Severity",
-        "",
-        *_markdown_table(ATTRIBUTE_SEVERITY, report),
-        "",
-    ]
+    yield f"# Re-identification Risk Assessment: {report.dataset_label}\n\n## Summary\n\n"
+    yield f"- Dataset: {report.dataset_label} ({report.row_count} rows)\n"
+    yield f"- Overall risk: **{report.overall_risk.display}**\n\n## Severity\n\n"
+    yield from _markdown_table(ATTRIBUTE_SEVERITY, report)
     if any(m.value_severity for m in report.attributes):
-        out += ["Value severity overrides:", "", *_markdown_table(VALUE_SEVERITY, report), ""]
+        yield "Value severity overrides:\n\n"
+        yield from _markdown_table(VALUE_SEVERITY, report)
     for title, table in (
         ("Exposure", EXPOSURE),
         ("Exploitability", EXPLOITABILITY),
         ("Risk", RISK),
         ("Flagged Records", FLAGGED),
     ):
-        out += [f"## {title}", "", *_markdown_table(table, report), ""]
-    out += [
-        "## Metrics Appendix",
-        "",
-        f"- k-anonymity over {'/'.join(appendix.qi_set)}: {appendix.k_anonymity}",
-        *(f"- distinct l-diversity for {e.sensitive}: {e.l_value}" for e in appendix.l_diversity),
-        "",
-        *_markdown_table(DISCRIMINATION_RATES, report),
-        "",
-        "## Warnings",
-        "",
-        *([f"- {w}" for w in report.warnings] or ["none"]),
-        "",
-    ]
-    return "\n".join(out)
+        yield f"## {title}\n\n"
+        yield from _markdown_table(table, report)
+    yield "## Metrics Appendix\n\n"
+    yield f"- k-anonymity over {'/'.join(appendix.qi_set)}: {appendix.k_anonymity}\n"
+    for e in appendix.l_diversity:
+        yield f"- distinct l-diversity for {e.sensitive}: {e.l_value}\n"
+    yield "\n"
+    yield from _markdown_table(DISCRIMINATION_RATES, report)
+    yield "## Warnings\n\n"
+    yield "".join([f"- {w}\n" for w in report.warnings]) or "none\n"
+
+
+def to_markdown(report: AssessmentReport) -> str:
+    """Human-readable report with sections in fixed order."""
+    return "".join(markdown_parts(report))

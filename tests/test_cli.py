@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,13 +12,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reident_risk import assess, load_csv, load_metadata, to_json, to_markdown
-from reident_risk.cli import main
+from reident_risk.cli import _write_report, main
 from reident_risk.fixtures import (
     FIXTURE_NAMES,
     fixture_csv,
     reference_metadata_json,
     write_fixture,
 )
+from reident_risk.report import _BLOCK_ROWS as B
 
 QI_ARG = "Age,Gender,Country,Admission Date,Blood Type"
 
@@ -29,6 +31,18 @@ def emitted(tmp_path):
         csv_path, meta_path = write_fixture(name, tmp_path)
         paths[name] = (str(csv_path), str(meta_path))
     return paths
+
+
+def _without_severity(meta, tmp_path) -> str:
+    """A copy of the hipaa metadata whose sensitive attribute has no severity."""
+    document = json.loads(Path(meta).read_text(encoding="utf-8"))
+    for attr in document["attributes"]:
+        if attr["name"] == "Disease":
+            attr.pop("severity")
+            attr.pop("value_severity")
+    broken = tmp_path / "broken.meta.json"
+    broken.write_text(json.dumps(document), encoding="utf-8")
+    return str(broken)
 
 
 def main_on_ascii_stdout(argv):
@@ -107,18 +121,24 @@ class TestAssess:
 
     def test_invalid_metadata_is_validation_failure(self, emitted, tmp_path, capsys):
         data, meta = emitted["hipaa"]
-        document = json.loads(Path(meta).read_text(encoding="utf-8"))
-        for attr in document["attributes"]:
-            if attr["name"] == "Disease":
-                attr.pop("severity")
-                attr.pop("value_severity")
-        broken = tmp_path / "broken.meta.json"
-        broken.write_text(json.dumps(document), encoding="utf-8")
-        code = main(["assess", "--data", data, "--meta", str(broken)])
+        code = main(["assess", "--data", data, "--meta", _without_severity(meta, tmp_path)])
         captured = capsys.readouterr()
         assert code == 2
         assert "missing severity" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("fmt", ["json", "markdown", "both"])
+    def test_validation_failure_leaves_out_untouched(self, fmt, emitted, tmp_path, capsys):
+        """The report file is opened only once the assessment has succeeded."""
+        data, meta = emitted["hipaa"]
+        out = tmp_path / "report"
+        targets = [Path(f"{out}.json"), Path(f"{out}.md")] if fmt == "both" else [out]
+        for target in targets:
+            target.write_bytes(b"earlier report\n")
+        argv = ["assess", "--data", data, "--meta", _without_severity(meta, tmp_path)]
+        code = main([*argv, "--format", fmt, "--out", str(out)])
+        assert code == 2 and "missing severity" in capsys.readouterr().err
+        assert [target.read_bytes() for target in targets] == [b"earlier report\n"] * len(targets)
 
     def test_malformed_csv_is_parse_failure(self, emitted, tmp_path, capsys):
         _, meta = emitted["hipaa"]
@@ -176,6 +196,76 @@ class TestAssess:
         main(["assess", "--data", data, "--meta", meta])
         second = capsys.readouterr().out
         assert first == second
+
+
+def _with_flagged(report, n):
+    """``report`` with ``n`` flagged records, rows 0..n-1, cycling through its outcomes."""
+    outcomes = report.outcomes if n else ()
+    flagged_outcome = tuple(j % len(outcomes) for j in range(n))
+    return report._replace(
+        flagged_rows=tuple(range(n)), flagged_outcome=flagged_outcome, outcomes=outcomes
+    )
+
+
+@pytest.fixture(scope="module")
+def hipaa_report(hipaa, reference_meta):
+    return assess(hipaa, reference_meta.attributes, reference_meta.options)
+
+
+class TestStreamedReport:
+    """Reports are written a block of ``B`` flagged records at a time."""
+
+    @pytest.mark.parametrize("n", [0, B - 1, B, B + 1, 2 * B + 1])
+    def test_block_boundaries(self, n, hipaa_report, tmp_path):
+        report = _with_flagged(hipaa_report, n)
+        as_json, as_markdown = to_json(report), to_markdown(report).encode("utf-8")
+        both = as_json + b"\n" + as_markdown
+        for fmt, text in {"json": as_json, "markdown": as_markdown, "both": both}.items():
+            stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+            with contextlib.redirect_stdout(stdout):
+                _write_report(report, fmt, None)
+            assert stdout.buffer.getvalue() == text
+            _write_report(report, fmt, str(tmp_path / fmt))
+        names = ("json", "markdown", "both.json", "both.md")
+        assert [(tmp_path / name).read_bytes() for name in names] == [as_json, as_markdown] * 2
+
+        outcomes = [report.outcomes[o] for o in report.flagged_outcome]
+        assert json.loads(as_json)["flagged_records"] == [
+            {
+                "row": row + 1,
+                "attribute": o.attribute,
+                "value": o.sensitive_value,
+                "value_severity": {"level": o.value_severity, "label": o.value_severity.label},
+                "class_inference": f"{o.class_inference:.6f}",
+                "record_risk": {"level": o.record_risk, "label": o.record_risk.label},
+            }
+            for row, o in zip(report.flagged_rows, outcomes)
+        ]
+        section = as_markdown.decode().split("## Flagged Records\n\n")[1].split("\n\n")[0]
+        if n == 0:
+            assert section == "none"
+        else:
+            rows = section.splitlines()[2:]
+            assert [line.split(" | ")[0] for line in rows] == [f"| **{r + 1}**" for r in range(n)]
+            assert all(line.endswith("** |") for line in rows)
+
+    @pytest.mark.parametrize("fmt", ["json", "markdown"])
+    def test_write_overhead_does_not_grow_with_flagged_records(self, fmt, hipaa_report, tmp_path):
+        """The heap a write needs stays flat as the flagged records grow,
+        because no more than a block of them is held as text."""
+
+        def peak(n):
+            report = _with_flagged(hipaa_report, n)
+            tracemalloc.start()
+            try:
+                _write_report(report, fmt, str(tmp_path / f"{n}.{fmt}"))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        n = 4 * B
+        small = peak(n)
+        assert peak(4 * n) <= 1.5 * small
 
 
 class TestMetric:

@@ -171,6 +171,20 @@ class TestMatrices:
         assert risk(ExploitabilityLevel.EASY, SeverityLevel.MAXIMUM) is RiskLevel.CRITICAL
         assert risk(ExploitabilityLevel.VERY_DIFFICULT, SeverityLevel.NEGLIGIBLE) is RiskLevel.LOW
 
+    @pytest.mark.parametrize("matrix", ["x", None, ((1,) * 4,) * 4], ids=["str", "none", "grid"])
+    @pytest.mark.parametrize(
+        "combine,levels",
+        [
+            (exploitability, (ExposureLevel(4), InferenceLevel(4))),
+            (risk, (ExploitabilityLevel(4), SeverityLevel(4))),
+        ],
+        ids=["exploitability", "risk"],
+    )
+    def test_non_matrix_rejected(self, combine, levels, matrix):
+        shown = re.escape(f"matrix: expected a ScaleMatrix, got {matrix!r}")
+        with pytest.raises(ValueError, match=f"^{shown}$"):
+            combine(*levels, matrix)
+
     def test_matrices_monotone_pointwise(self):
         for matrix in (DEFAULT_EXPLOITABILITY_MATRIX, DEFAULT_RISK_MATRIX):
             for r in range(1, 5):

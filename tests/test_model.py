@@ -259,6 +259,12 @@ class TestScaleMatrix:
         with pytest.raises(ScaleError, match=re.escape(f"cell (2,3) value {cell!r} out of range")):
             ScaleMatrix("m", cells)
 
+    @pytest.mark.parametrize("name", [3, "", None])
+    def test_name_must_be_a_non_empty_string(self, name):
+        shown = re.escape(f"matrix name: expected a non-empty string, got {name!r}")
+        with pytest.raises(ScaleError, match=f"^{shown}$"):
+            ScaleMatrix(name=name, cells=((1,) * 4,) * 4)
+
     def test_lookup_range_checked(self):
         m = ScaleMatrix("m", ((1,) * 4,) * 4)
         # Only an integer 1..4 is a level: nothing is truncated or parsed.
