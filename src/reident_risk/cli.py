@@ -27,7 +27,8 @@ EXIT_INVALID = 2
 
 
 def _diag(message: str) -> None:
-    print(f"error: {message}", file=sys.stderr)
+    # A file name that did not decode holds lone surrogates: show them escaped.
+    print("error:", message.encode("utf-8", "backslashreplace").decode("utf-8"), file=sys.stderr)
 
 
 def _write(parts: Iterable[str], out: str | None) -> None:

@@ -16,7 +16,6 @@ the combination offers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
 from typing import NamedTuple, Sequence
@@ -29,12 +28,13 @@ from .model import (
     ExploitabilityLevel,
     ExposureLevel,
     InferenceLevel,
+    Record,
     RiskLevel,
     ScaleMatrix,
     SeverityLevel,
     argument_errors,
-    coerce_field,
     global_severity,
+    parsed,
     strings,
     validate_meta,
 )
@@ -112,28 +112,9 @@ class ExploitabilityRow(NamedTuple):
         return self.dr.inference
 
 
-@dataclass(frozen=True)
-class AssessmentOptions:
-    flag_threshold: SeverityLevel = SeverityLevel.SIGNIFICANT
-    combination_strategy: CombinationStrategy = CombinationStrategy.PER_LEVEL
-    explicit_combinations: tuple[tuple[str, ...], ...] = ()
-    exploitability_matrix: ScaleMatrix = DEFAULT_EXPLOITABILITY_MATRIX
-    risk_matrix: ScaleMatrix = DEFAULT_RISK_MATRIX
-    notes: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        coerce_field(self, "flag_threshold", SeverityLevel.parse)
-        coerce_field(self, "combination_strategy", CombinationStrategy.parse)
-        coerce_field(self, "explicit_combinations", _combinations)
-        coerce_field(self, "notes", strings)
-        coerce_field(self, "exploitability_matrix", _matrix)
-        coerce_field(self, "risk_matrix", _matrix)
-
-
-def _matrix(raw: ScaleMatrix, name: str = "") -> ScaleMatrix:
-    """``raw`` if it is a ScaleMatrix; ``name`` prefixes the error of an argument."""
+def _matrix(raw: ScaleMatrix) -> ScaleMatrix:
     if not isinstance(raw, ScaleMatrix):
-        raise ValueError(f"{name}expected a ScaleMatrix, got {raw!r}")
+        raise ValueError(f"expected a ScaleMatrix, got {raw!r}")
     return raw
 
 
@@ -141,6 +122,19 @@ def _combinations(raw: Sequence[Sequence[str]]) -> tuple[tuple[str, ...], ...]:
     if not isinstance(raw, (list, tuple)):
         raise ValueError(f"expected an array of attribute-name arrays, got {raw!r}")
     return tuple(strings(combo) for combo in raw)
+
+
+class AssessmentOptions(Record):
+    """How to assess. A document gives ``<key>_matrix`` as ``matrices.<key>``, others as options."""
+
+    fields = {
+        "flag_threshold": (SeverityLevel.parse, SeverityLevel.SIGNIFICANT),
+        "combination_strategy": (CombinationStrategy.parse, CombinationStrategy.PER_LEVEL),
+        "explicit_combinations": (_combinations, ()),
+        "exploitability_matrix": (_matrix, DEFAULT_EXPLOITABILITY_MATRIX),
+        "risk_matrix": (_matrix, DEFAULT_RISK_MATRIX),
+        "notes": (strings, ()),
+    }
 
 
 def build_combinations(
@@ -216,7 +210,7 @@ def exploitability(
     inference: InferenceLevel,
     matrix: ScaleMatrix = DEFAULT_EXPLOITABILITY_MATRIX,
 ) -> ExploitabilityLevel:
-    return ExploitabilityLevel(_matrix(matrix, "matrix: ").lookup(exposure, inference))
+    return ExploitabilityLevel(parsed("matrix", _matrix, matrix).lookup(exposure, inference))
 
 
 def risk(
@@ -224,7 +218,7 @@ def risk(
     severity: SeverityLevel,
     matrix: ScaleMatrix = DEFAULT_RISK_MATRIX,
 ) -> RiskLevel:
-    return RiskLevel(_matrix(matrix, "matrix: ").lookup(exploitability_level, severity))
+    return RiskLevel(parsed("matrix", _matrix, matrix).lookup(exploitability_level, severity))
 
 
 def assess(

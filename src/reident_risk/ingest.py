@@ -14,12 +14,11 @@ import csv
 import io
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, Collection, Iterator, Union
 
 from .engine import AssessmentOptions
-from .model import AttributeMeta, Dataset, ScaleMatrix
+from .model import MISSING, AttributeMeta, Dataset, Record, ScaleMatrix
 
 Source = Union[str, Path, IO[str]]
 
@@ -30,11 +29,16 @@ class IngestError(ValueError):
     """Input could not be parsed; the message names the location."""
 
 
-@dataclass(frozen=True)
-class MetadataDocument:
-    version: int
-    attributes: tuple[AttributeMeta, ...]
-    options: AssessmentOptions
+class MetadataDocument(Record):
+    """A loaded metadata document; its members are stored as given."""
+
+    fields = dict.fromkeys(("version", "attributes", "options"), (None, MISSING))
+
+
+# Each key is declared once, by the type that takes its value.
+_OPTIONS = [key for key in AssessmentOptions.fields if not key.endswith("_matrix")]
+_MATRICES = {k.removesuffix("_matrix"): k for k in AssessmentOptions.fields if k not in _OPTIONS}
+_REQUIRED = [key for key, (_, default) in AttributeMeta.fields.items() if default is MISSING]
 
 
 @contextmanager
@@ -86,35 +90,27 @@ def load_csv(source: Source, label: str | None = None) -> Dataset:
     raise IngestError(f"{label}: empty file, no header row")
 
 
-def _object(raw: Any, path: str, allowed: Collection[str]) -> dict:
-    """A JSON object (null reads as an empty one) whose keys are all in
-    ``allowed``: a misspelled option must not fall back to its default."""
+def _object(raw: Any, path: str, allowed: Collection[str], required: Collection[str] = ()) -> dict:
+    """The non-null members of a JSON object, which may be null: null means
+    absent. Its keys must be in ``allowed``, so a misspelled option cannot
+    fall back to its default, and include ``required``, whose null is kept."""
     if raw is None:
-        return {}
+        raw = {}
     if not isinstance(raw, dict):
         raise IngestError(f"{path}: expected an object")
     for key in raw:
         if key not in allowed:
             raise IngestError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
-    return raw
-
-
-def _require(obj: dict, key: str, path: str) -> Any:
-    if key not in obj:
-        raise IngestError(f"{path}.{key}: required field is missing")
-    return obj[key]
-
-
-def _present(raw: dict) -> dict:
-    """The members that are not null: null means absent."""
-    return {key: value for key, value in raw.items() if value is not None}
+    for key in required:
+        if key not in raw:
+            raise IngestError(f"{path}.{key}: required field is missing")
+    return {key: value for key, value in raw.items() if value is not None or key in required}
 
 
 def _parse_attribute(raw: Any, path: str) -> AttributeMeta:
-    raw = _object(raw, path, ("name", "role", "exposure", "severity", "value_severity"))
-    required = {key: _require(raw, key, path) for key in ("name", "role")}  # null stays null
+    raw = _object(raw, path, AttributeMeta.fields, _REQUIRED)
     try:
-        return AttributeMeta(**{**_present(raw), **required})
+        return AttributeMeta(**raw)
     except ValueError as exc:
         raise IngestError(f"{path}.{exc}") from None
 
@@ -131,7 +127,7 @@ def load_metadata(source: Source) -> MetadataDocument:
 
     if not isinstance(document, dict):
         raise IngestError(f"{label}: expected a JSON object at the top level")
-    _object(document, "", ("version", "attributes", "matrices", "options"))
+    _object(document, "", (*MetadataDocument.fields, "matrices"))
     version = document.get("version")
     if type(version) is not int or version != METADATA_VERSION:
         raise IngestError(f"version: unrecognized value {version!r}, expected {METADATA_VERSION}")
@@ -144,20 +140,15 @@ def load_metadata(source: Source) -> MetadataDocument:
     )
 
     matrices = {}
-    raw_matrices = _object(document.get("matrices"), "matrices", ("exploitability", "risk"))
-    for key, cells in _present(raw_matrices).items():
+    for key, cells in _object(document.get("matrices"), "matrices", _MATRICES).items():
         try:
-            matrices[f"{key}_matrix"] = ScaleMatrix(name=key, cells=cells)
+            matrices[_MATRICES[key]] = ScaleMatrix(name=key, cells=cells)
         except ValueError as exc:
             raise IngestError(f"matrices.{key}: {exc}") from None
 
-    raw_options = _object(
-        document.get("options"),
-        "options",
-        ("flag_threshold", "combination_strategy", "explicit_combinations", "notes"),
-    )
+    raw_options = _object(document.get("options"), "options", _OPTIONS)
     try:
-        options = AssessmentOptions(**_present(raw_options), **matrices)
+        options = AssessmentOptions(**raw_options, **matrices)
     except ValueError as exc:
         raise IngestError(f"options.{exc}") from None
     return MetadataDocument(version=version, attributes=attributes, options=options)

@@ -9,7 +9,6 @@ at once.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import InitVar, dataclass, field
 from enum import Enum, IntEnum
 from functools import cached_property
 from itertools import chain, count, filterfalse, islice, repeat
@@ -22,6 +21,19 @@ class ScaleError(ValueError):
     level, an unknown label, a bad matrix, or a value of the wrong shape."""
 
 
+def utf8(text: str) -> str:
+    """``text`` if it is a string that encodes as UTF-8, as every report is
+    written. A lone surrogate, such as Python makes of a file-name byte that
+    does not decode, is rejected where it enters."""
+    if not isinstance(text, str):
+        raise ValueError(f"expected a string, got {text!r}")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"{text!r} does not encode as UTF-8") from None
+    return text
+
+
 def strings(raw: Sequence[str]) -> tuple[str, ...]:
     """An array of strings as a tuple: a bare string is rejected, not split,
     and no other value is turned into a string."""
@@ -30,17 +42,61 @@ def strings(raw: Sequence[str]) -> tuple[str, ...]:
     if not all(map(isinstance, raw, repeat(str))):
         member = next(m for m in raw if not isinstance(m, str))
         raise ValueError(f"member {member!r} is not a string")
+    for member in filterfalse(str.isascii, raw):
+        utf8(member)
     return tuple(raw)
 
 
-def coerce_field(obj: object, name: str, parse: Callable[[Any], Any]) -> None:
-    """Replace the frozen field ``name`` of ``obj`` by ``parse(value)``. An
-    error starts with the field name; the JSON loader prepends its path."""
+MISSING: Any = object()  # the default of a required field, or an argument not passed
+
+
+def parsed(name: str, parse: Callable[[Any], Any], value: Any) -> Any:
+    """``parse(value)``, whose error gets the prefix ``<name>: ``."""
     try:
-        value = parse(getattr(obj, name))
+        return parse(value)
     except ValueError as exc:
         raise ScaleError(f"{name}: {exc}") from None
-    object.__setattr__(obj, name, value)
+
+
+class Record:
+    """Base of the immutable types that check their arguments when built.
+
+    ``fields`` maps each parameter, in order, to ``(parse, default)``; a
+    ``MISSING`` default makes it required. A value is stored as ``parse(value)``,
+    or as given if ``parse`` is None or value and default are both None. A
+    subclass with its own ``__init__`` lists only what repr and hash show."""
+
+    fields: dict[str, tuple[Callable[[Any], Any] | None, Any]] = {}
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        if len(args) > len(self.fields) or not kwargs.keys() <= self.fields.keys():
+            raise TypeError(f"{type(self).__name__}() takes only {', '.join(self.fields)}")
+        for i, (key, (parse, default)) in enumerate(self.fields.items()):
+            value = args[i] if i < len(args) else kwargs.pop(key, default)
+            if value is MISSING:
+                raise TypeError(f"{type(self).__name__}() missing required argument {key!r}")
+            if parse is not None and not (value is None and default is None):
+                value = parsed(key, parse, value)
+            super().__setattr__(key, value)  # unlike self.__dict__, makes no dict per instance
+        if kwargs:  # left over when also given by position
+            raise TypeError(f"{type(self).__name__}() got {', '.join(kwargs)} twice")
+
+    def __setattr__(self, name: str, value: Any = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        return hash(tuple(map(self.__dict__.__getitem__, self.fields)))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{key}={self.__dict__[key]!r}" for key in self.fields)
+        return f"{type(self).__name__}({shown})"
 
 
 class _OrdinalScale(IntEnum):
@@ -157,20 +213,10 @@ class AttributeRole(str, Enum):
             raise ScaleError(f"unknown attribute role {raw!r}") from None
 
 
-_IMPACT_TYPES = ("bodily", "material", "moral")
-
-
-@dataclass(frozen=True)
-class SeverityRating:
+class SeverityRating(Record):
     """Per-impact-type severity: bodily, material, and moral, each 1..4."""
 
-    bodily: SeverityLevel
-    material: SeverityLevel
-    moral: SeverityLevel
-
-    def __post_init__(self) -> None:
-        for name in _IMPACT_TYPES:
-            coerce_field(self, name, SeverityLevel.parse)
+    fields = dict.fromkeys(("bodily", "material", "moral"), (SeverityLevel.parse, MISSING))
 
     @classmethod
     def parse(cls, raw: "SeverityRating | Mapping[str, int | str]") -> "SeverityRating":
@@ -180,7 +226,7 @@ class SeverityRating:
             return raw
         if not isinstance(raw, Mapping):
             raise ScaleError(f"expected an object with bodily/material/moral, got {raw!r}")
-        if set(raw) != set(_IMPACT_TYPES):
+        if set(raw) != set(cls.fields):
             raise ScaleError(f"expected the keys bodily, material and moral, got {list(raw)!r}")
         return cls(**raw)
 
@@ -193,8 +239,28 @@ def global_severity(rating: SeverityRating) -> SeverityLevel:
     return SeverityLevel(max(rating.components()))
 
 
-@dataclass(frozen=True)
-class AttributeMeta:
+def _name(raw: str) -> str:
+    if not isinstance(raw, str) or not raw.strip():
+        raise ValueError("expected a non-empty string")
+    return utf8(raw.strip())  # as the CSV header loader does
+
+
+def _value_severities(raw: Mapping[str, Any]) -> Mapping[str, SeverityRating]:
+    if not isinstance(raw, Mapping):
+        raise ScaleError(f"expected an object, got {raw!r}")
+    ratings = {}
+    for value, rating in raw.items():
+        if not isinstance(value, str):
+            raise ScaleError(f"key {value!r} is not a string")
+        utf8(value)
+        try:
+            ratings[value] = SeverityRating.parse(rating)
+        except ValueError as exc:
+            raise ScaleError(f"{value!r}: {exc}") from None
+    return MappingProxyType(ratings)
+
+
+class AttributeMeta(Record):
     """Analyst judgments for one attribute.
 
     ``exposure`` is meaningful for quasi-identifiers and ``severity`` for
@@ -205,36 +271,13 @@ class AttributeMeta:
     its problems reported together.
     """
 
-    name: str
-    role: AttributeRole
-    exposure: ExposureLevel | None = None
-    severity: SeverityRating | None = None
-    value_severity: Mapping[str, SeverityRating] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name.strip():
-            raise ScaleError("name: expected a non-empty string")
-        object.__setattr__(self, "name", self.name.strip())  # as the CSV header loader does
-        coerce_field(self, "role", AttributeRole.parse)
-        if self.exposure is not None:
-            coerce_field(self, "exposure", ExposureLevel.parse)
-        if self.severity is not None:
-            coerce_field(self, "severity", SeverityRating.parse)
-        coerce_field(self, "value_severity", _value_severities)
-
-
-def _value_severities(raw: Mapping[str, Any]) -> Mapping[str, SeverityRating]:
-    if not isinstance(raw, Mapping):
-        raise ScaleError(f"expected an object, got {raw!r}")
-    ratings = {}
-    for value, rating in raw.items():
-        if not isinstance(value, str):
-            raise ScaleError(f"key {value!r} is not a string")
-        try:
-            ratings[value] = SeverityRating.parse(rating)
-        except ValueError as exc:
-            raise ScaleError(f"{value!r}: {exc}") from None
-    return MappingProxyType(ratings)
+    fields = {
+        "name": (_name, MISSING),
+        "role": (AttributeRole.parse, MISSING),
+        "exposure": (ExposureLevel.parse, None),
+        "severity": (SeverityRating.parse, None),
+        "value_severity": (_value_severities, MappingProxyType({})),
+    }
 
 
 class Column(NamedTuple):
@@ -276,28 +319,25 @@ def _check_rows(block: list[Any], done: int, width: int) -> None:
             raise ValueError(f"row {i} has {size} cells, expected {width}")
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Record):
     """Immutable table of categorical string cells with a named header,
     stored by column as integer codes.
 
     ``rows`` is any ordered iterable of rows: a list, a tuple or an iterator,
     which is consumed. The rows are checked and coded as they are read, a
     block at a time, and are not kept. The first faulty row is reported,
-    also ahead of an error the iterator raises after yielding it. The code
+    also ahead of an error the iterator raises after yielding it. A value
+    that does not encode as UTF-8 is found once the rows are read. The code
     lists are shared and must not be mutated."""
 
-    attributes: tuple[str, ...]
-    rows: InitVar[Iterable[Sequence[str]]]
-    source_label: str = ""
-    row_count: int = field(init=False)
-    columns: Mapping[str, Column] = field(init=False, repr=False, hash=False)
+    # ``columns`` is compared, but neither shown nor hashed.
+    fields = dict.fromkeys(("attributes", "source_label", "row_count"))
 
-    def __post_init__(self, rows: Iterable[Sequence[str]]) -> None:
-        coerce_field(self, "attributes", strings)
-        if not isinstance(self.source_label, str):
-            raise ValueError(f"source_label: expected a string, got {self.source_label!r}")
-        attrs = self.attributes
+    def __init__(
+        self, attributes: Sequence[str], rows: Iterable[Sequence[str]], source_label: str = ""
+    ) -> None:
+        attrs = parsed("attributes", strings, attributes)
+        label = parsed("source_label", utf8, source_label)
         if not attrs:
             raise ValueError("dataset needs at least one attribute")
         if any(a == "" for a in attrs):
@@ -339,8 +379,11 @@ class Dataset:
         columns = _Columns()
         for name, index, column, tally in zip(attrs, code_of, codes, counts):
             columns[name] = Column(tuple(index), column, tally)
-        object.__setattr__(self, "row_count", done)
-        object.__setattr__(self, "columns", MappingProxyType(columns))
+            for value in filterfalse(str.isascii, index):
+                parsed(f"attribute {name!r}", utf8, value)
+        self.__dict__.update(
+            attributes=attrs, source_label=label, row_count=done, columns=MappingProxyType(columns)
+        )
 
     def column(self, name: str) -> tuple[str, ...]:
         """The cells of column ``name``, one per row."""
@@ -353,8 +396,7 @@ def _is_level(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and 1 <= value <= 4
 
 
-@dataclass(frozen=True)
-class ScaleMatrix:
+class ScaleMatrix(Record):
     """4x4 lookup combining two ordinal levels into one.
 
     ``cells[r][c]`` is the output level for row level ``r+1`` and column
@@ -362,34 +404,28 @@ class ScaleMatrix:
     rows and columns: a higher input level never lowers the output.
     """
 
-    name: str
-    cells: tuple[tuple[int, int, int, int], ...]
+    fields = dict.fromkeys(("name", "cells"))
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name.strip():
-            raise ScaleError(f"matrix name: expected a non-empty string, got {self.name!r}")
-        grid = self.cells
-        if not isinstance(grid, (list, tuple)) or len(grid) != 4 or any(
-            not isinstance(row, (list, tuple)) or len(row) != 4 for row in grid
+    def __init__(self, name: str, cells: Sequence[Sequence[int]]) -> None:
+        if not isinstance(name, str) or not name.strip():
+            raise ScaleError(f"matrix name: expected a non-empty string, got {name!r}")
+        if not isinstance(cells, (list, tuple)) or len(cells) != 4 or any(
+            not isinstance(row, (list, tuple)) or len(row) != 4 for row in cells
         ):
-            raise ScaleError(f"matrix {self.name!r}: expected a 4x4 grid")
+            raise ScaleError(f"matrix {name!r}: expected a 4x4 grid")
         for r in range(4):
             for c in range(4):
-                v = grid[r][c]
+                v = cells[r][c]
                 if not _is_level(v):
                     raise ScaleError(
-                        f"matrix {self.name!r}: cell ({r + 1},{c + 1}) value {v!r} "
+                        f"matrix {name!r}: cell ({r + 1},{c + 1}) value {v!r} "
                         "out of range: expected an integer 1..4"
                     )
-                if c > 0 and v < grid[r][c - 1]:
-                    raise ScaleError(
-                        f"matrix {self.name!r}: row {r + 1} decreases at column {c + 1}"
-                    )
-                if r > 0 and v < grid[r - 1][c]:
-                    raise ScaleError(
-                        f"matrix {self.name!r}: column {c + 1} decreases at row {r + 1}"
-                    )
-        object.__setattr__(self, "cells", tuple(tuple(int(v) for v in row) for row in grid))
+                if c > 0 and v < cells[r][c - 1]:
+                    raise ScaleError(f"matrix {name!r}: row {r + 1} decreases at column {c + 1}")
+                if r > 0 and v < cells[r - 1][c]:
+                    raise ScaleError(f"matrix {name!r}: column {c + 1} decreases at row {r + 1}")
+        self.__dict__.update(name=name, cells=tuple(tuple(int(v) for v in row) for row in cells))
 
     def lookup(self, row_level: int, col_level: int) -> int:
         if not (_is_level(row_level) and _is_level(col_level)):
@@ -405,14 +441,11 @@ class ValidationOutcome(NamedTuple):
     warnings: tuple[str, ...] = ()
 
 
-_ABSENT: Any = object()
-
-
-def argument_errors(*, meta: Any, dataset: Any = _ABSENT) -> list[str]:
+def argument_errors(*, meta: Any, dataset: Any = MISSING) -> list[str]:
     """A message naming each wrongly typed argument: ``meta`` must be a list or
     tuple of :class:`AttributeMeta` and ``dataset``, when passed, a :class:`Dataset`."""
     errors = []
-    if dataset is not _ABSENT and not isinstance(dataset, Dataset):
+    if dataset is not MISSING and not isinstance(dataset, Dataset):
         errors.append(f"dataset: expected a Dataset, got {dataset!r}")
     if not isinstance(meta, (list, tuple)):
         return errors + [f"meta: expected an array of AttributeMeta, got {meta!r}"]

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import shutil
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -172,6 +176,30 @@ class TestAssess:
         assert code == 1
         assert captured.err.startswith("error: bad.csv: not valid UTF-8: ")
         assert captured.out == ""
+
+    def test_data_file_name_that_does_not_decode_is_rejected(self, emitted, tmp_path, capsys):
+        """Its label would hold a lone surrogate, which no report can encode."""
+        data, meta = emitted["hipaa"]
+        named = tmp_path / os.fsdecode(b"h\xff.csv")
+        shutil.copyfile(data, named)
+        out = tmp_path / "report.json"
+        code = main(["assess", "--data", str(named), "--meta", meta, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and not out.exists()
+        expected = "error: h\\udcff.csv: source_label: 'h\\udcff.csv' does not encode as UTF-8\n"
+        assert captured.err == expected
+
+    def test_note_that_does_not_encode_is_rejected(self, emitted, tmp_path, capsys):
+        data, meta = emitted["hipaa"]
+        document = json.loads(Path(meta).read_text(encoding="utf-8"))
+        document["options"]["notes"] = ["\ud800"]
+        noted = tmp_path / "noted.meta.json"
+        noted.write_text(json.dumps(document), encoding="ascii")  # written as the escape \ud800
+        out = tmp_path / "report.json"
+        code = main(["assess", "--data", data, "--meta", str(noted), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and not out.exists()
+        assert captured.err == "error: options.notes: '\\ud800' does not encode as UTF-8\n"
 
     @pytest.mark.parametrize("fmt", ["json", "both"])
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
@@ -442,3 +470,16 @@ def test_fuzzed_invocation_exits_cleanly(command, data, meta, fmt, out, metric, 
     assert code in (0, 1, 2)
     if code != 0:
         assert stdout.buffer.getvalue() == b""
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """Start-up cost: ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis``
+    and ``tokenize``, and the package needs none of them. ``-I -S`` leaves
+    out what an installation's ``site`` hooks may import."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = f"import sys; sys.path.insert(0, {src!r}); import reident_risk.cli; " + (
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    argv = [sys.executable, "-I", "-S", "-c", code]
+    run = subprocess.run(argv, capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"

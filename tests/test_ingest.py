@@ -24,8 +24,21 @@ from reident_risk.engine import (
     assess,
 )
 from reident_risk.fixtures import fixture_csv, fixture_dataset, reference_metadata_json
-from reident_risk.ingest import IngestError, load_csv, load_csv_text, load_metadata
-from reident_risk.model import _BLOCK_ROWS, AttributeRole, Column, ExposureLevel, SeverityLevel
+from reident_risk.ingest import (
+    IngestError,
+    MetadataDocument,
+    load_csv,
+    load_csv_text,
+    load_metadata,
+)
+from reident_risk.model import (
+    _BLOCK_ROWS,
+    AttributeMeta,
+    AttributeRole,
+    Column,
+    ExposureLevel,
+    SeverityLevel,
+)
 from reident_risk.report import to_json
 
 
@@ -376,6 +389,17 @@ class TestLoadMetadata:
             load_metadata(with_value(where, value))
         message = str(caught.value)
         assert message.startswith(f"{path}: ") and shown in message
+
+
+def test_readme_names_the_declared_keys():
+    """The README lists the keys that the types taking their values declare:
+    each ``<key>_matrix`` option is ``matrices.<key>``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index("The allowed keys are")
+    listed = re.findall(r"`(\w+)`", readme[start : readme.index(".", start)])
+    options = [key.replace("_matrix", "") for key in AssessmentOptions.fields]
+    declared = [*MetadataDocument.fields, "matrices", *AttributeMeta.fields, *options]
+    assert set(listed) == set(declared)
 
 
 # Values the format can mean, drawn as often as arbitrary JSON, so that many

@@ -1,5 +1,7 @@
 """Domain type invariants: scales, ratings, datasets, matrices, validation."""
 
+import copy
+import pickle
 import random
 import re
 from collections import Counter
@@ -8,6 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reident_risk.engine import (
+    DEFAULT_EXPLOITABILITY_MATRIX,
+    DEFAULT_RISK_MATRIX,
+    AssessmentOptions,
+    CombinationStrategy,
+)
+from reident_risk.ingest import MetadataDocument
 from reident_risk.model import (
     _BLOCK_ROWS,
     AttributeMeta,
@@ -405,3 +414,205 @@ class TestAttributeMeta:
         )
         with pytest.raises(TypeError):
             m.value_severity["b"] = SeverityRating(1, 1, 1)
+
+
+# The six types that check their arguments when built share one contract:
+# pinned reprs (error messages quote them), immutability, equality only with
+# their own type, and construction by position or keyword with defaults.
+_RATING = SeverityRating(1, "limited", moral=3)
+_RATING_REPR = (
+    "SeverityRating(bodily=<SeverityLevel.NEGLIGIBLE: 1>, material=<SeverityLevel.LIMITED: 2>,"
+    " moral=<SeverityLevel.SIGNIFICANT: 3>)"
+)
+_ATTRIBUTE = AttributeMeta("Age", "quasi_identifier", exposure="EE")
+_ATTRIBUTE_REPR = (
+    "AttributeMeta(name='Age', role=<AttributeRole.QUASI_IDENTIFIER: 'quasi_identifier'>,"
+    " exposure=<ExposureLevel.EXTERNAL_EXTENDED: 4>, severity=None,"
+    " value_severity=mappingproxy({}))"
+)
+_DATASET = Dataset(("a", "b"), [("1", "2"), ("3", "2")], "t.csv")
+_DATASET_REPR = "Dataset(attributes=('a', 'b'), source_label='t.csv', row_count=2)"
+_GRID = [[1, 1, 2, 2], [1, 2, 2, 3], [2, 2, 3, 3], [2, 3, 3, 4]]
+_MATRIX = ScaleMatrix("exploitability", _GRID)
+_MATRIX_REPR = (
+    "ScaleMatrix(name='exploitability',"
+    " cells=((1, 1, 2, 2), (1, 2, 2, 3), (2, 2, 3, 3), (2, 3, 3, 4)))"
+)
+_OPTIONS = AssessmentOptions(flag_threshold=2, explicit_combinations=[["a", "b"]], notes=["n"])
+_OPTIONS_REPR = (
+    "AssessmentOptions(flag_threshold=<SeverityLevel.LIMITED: 2>,"
+    " combination_strategy=<CombinationStrategy.PER_LEVEL: 'per_level'>,"
+    " explicit_combinations=(('a', 'b'),), exploitability_matrix=" + _MATRIX_REPR + ","
+    " risk_matrix=ScaleMatrix(name='risk',"
+    " cells=((1, 1, 2, 2), (1, 2, 2, 3), (2, 2, 3, 4), (2, 3, 4, 4))), notes=('n',))"
+)
+_DOCUMENT = MetadataDocument(1, (_ATTRIBUTE,), _OPTIONS)
+_DOCUMENT_REPR = (
+    f"MetadataDocument(version=1, attributes=({_ATTRIBUTE_REPR},), options={_OPTIONS_REPR})"
+)
+_RECORDS = {
+    "SeverityRating": (_RATING, _RATING_REPR, ("bodily", "material", "moral")),
+    "AttributeMeta": (
+        _ATTRIBUTE,
+        _ATTRIBUTE_REPR,
+        ("name", "role", "exposure", "severity", "value_severity"),
+    ),
+    "Dataset": (_DATASET, _DATASET_REPR, ("attributes", "source_label", "row_count")),
+    "ScaleMatrix": (_MATRIX, _MATRIX_REPR, ("name", "cells")),
+    "AssessmentOptions": (
+        _OPTIONS,
+        _OPTIONS_REPR,
+        (
+            "flag_threshold",
+            "combination_strategy",
+            "explicit_combinations",
+            "exploitability_matrix",
+            "risk_matrix",
+            "notes",
+        ),
+    ),
+    "MetadataDocument": (_DOCUMENT, _DOCUMENT_REPR, ("version", "attributes", "options")),
+}
+
+
+@pytest.mark.parametrize("name", _RECORDS)
+class TestRecordContract:
+    def test_repr(self, name):
+        record, text, _ = _RECORDS[name]
+        assert repr(record) == text
+
+    def test_assignment_and_deletion_raise(self, name):
+        record, text, fields = _RECORDS[name]
+        for field in (*fields, "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+        assert repr(record) == text
+
+    def test_not_equal_to_a_tuple_of_its_values(self, name):
+        record, _, fields = _RECORDS[name]
+        values = tuple(getattr(record, field) for field in fields)
+        assert record != values and values != record
+        assert record == record and not record != record
+
+
+OPTIONS_DEFAULTS = (
+    SeverityLevel.SIGNIFICANT,
+    CombinationStrategy.PER_LEVEL,
+    (),
+    DEFAULT_EXPLOITABILITY_MATRIX,
+    DEFAULT_RISK_MATRIX,
+    (),
+)
+
+
+@pytest.mark.parametrize(
+    "build,by_position,by_keyword,missing,unknown",
+    [
+        (SeverityRating, (1, 2, 3), {"moral": 3, "material": 2}, (1, 2), {"severe": 1}),
+        (
+            AttributeMeta,
+            ("x", "other"),
+            {"value_severity": {}, "exposure": None, "role": "other"},
+            ("x",),
+            {"kind": "other"},
+        ),
+        (
+            Dataset,
+            (("a",), [("1",)]),
+            {"source_label": "", "rows": [("1",)]},
+            (("a",),),
+            {"label": "t"},
+        ),
+        (ScaleMatrix, ("risk", _GRID), {"cells": _GRID}, ("risk",), {"grid": _GRID}),
+        (AssessmentOptions, OPTIONS_DEFAULTS, {"notes": ()}, None, {"threshold": 3}),
+        (
+            MetadataDocument,
+            (1, (), _OPTIONS),
+            {"options": _OPTIONS, "attributes": ()},
+            (1, ()),
+            {"matrices": None},
+        ),
+    ],
+    ids=list(_RECORDS),
+)
+def test_built_by_position_or_keyword(build, by_position, by_keyword, missing, unknown):
+    """``by_keyword`` names every argument but the first, which is passed
+    both by position and by its name."""
+    record = build(*by_position)
+    first = _RECORDS[build.__name__][2][0]
+    assert build(by_position[0], **by_keyword) == record
+    assert build(**{first: by_position[0]}, **by_keyword) == record
+    if missing is not None:
+        with pytest.raises(TypeError):
+            build(*missing)
+    with pytest.raises(TypeError):
+        build(*by_position, **unknown)
+    with pytest.raises(TypeError):
+        build(*by_position, None, None, None, None, None, None)
+    with pytest.raises(TypeError):  # the same argument twice
+        build(*by_position, **{first: by_position[0]})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SeverityRating("negligible", 2, 3),
+        lambda: ScaleMatrix("exploitability", tuple(map(tuple, _GRID))),
+        lambda: AssessmentOptions("limited", "per_level", [("a", "b")], notes=("n",)),
+        lambda: Dataset(["a", "b"], iter([["1", "2"], ["3", "2"]]), source_label="t.csv"),
+    ],
+    ids=["SeverityRating", "ScaleMatrix", "AssessmentOptions", "Dataset"],
+)
+def test_equal_values_hash_equal(build):
+    record = build()
+    assert record == _RECORDS[type(record).__name__][0]
+    assert hash(record) == hash(_RECORDS[type(record).__name__][0])
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: Dataset(("a", "\ud800"), ()), "attributes: '\\ud800'"),
+        (lambda: Dataset(("a",), (), "h\udcff.csv"), "source_label: 'h\\udcff.csv'"),
+        (
+            lambda: Dataset(("a", "b"), [("é", "x")] * 2 * _BLOCK_ROWS + [("x", "é\udfff")]),
+            "attribute 'b': 'é\\udfff'",
+        ),
+        (lambda: AttributeMeta(" \ud800 ", "other"), "name: '\\ud800'"),
+        (
+            lambda: AttributeMeta("x", "other", value_severity={"\ud800": _RATING}),
+            "value_severity: '\\ud800'",
+        ),
+        (lambda: AssessmentOptions(notes=["é", "\udc80"]), "notes: '\\udc80'"),
+        (
+            lambda: AssessmentOptions(explicit_combinations=[["a", "b\ud800"]]),
+            "explicit_combinations: 'b\\ud800'",
+        ),
+    ],
+    ids=["header", "label", "cell", "name", "override", "note", "combination"],
+)
+def test_text_that_does_not_encode_is_rejected(build, message):
+    """A lone surrogate cannot be written to a report, so it is rejected where
+    it enters, naming the field; other non-ASCII text is kept."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)} does not encode as UTF-8$"):
+        build()
+
+
+@pytest.mark.parametrize("record", [_RATING, _MATRIX, _OPTIONS], ids=type)
+def test_pickle_and_deepcopy_round_trip(record):
+    for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert copied == record and repr(copied) == repr(record)
+        assert hash(copied) == hash(record)
+        with pytest.raises(AttributeError):
+            copied.name = "x"
+
+
+@pytest.mark.parametrize("record", [_ATTRIBUTE, _DATASET, _DOCUMENT], ids=type)
+def test_mappingproxy_holders_do_not_pickle(record):
+    with pytest.raises(TypeError):
+        pickle.dumps(record)
+    if record is not _DATASET:
+        with pytest.raises(TypeError):
+            hash(record)
