@@ -57,27 +57,29 @@ def _open_text(source: Source) -> Iterator[tuple[IO[str], str]]:
 def load_csv(source: Source, label: str | None = None) -> Dataset:
     """Read a comma-separated UTF-8 table; the first row is the header.
 
-    Cell whitespace is trimmed at both ends, case is preserved. The rows go
-    to :class:`Dataset` as they are read, which checks and codes them a block
-    at a time, so the whole table is never held as strings. The first fault
-    in file order is reported: a row the CSV reader cannot parse, or one
-    :class:`Dataset` rejects, with its 1-based data row number.
+    Cell whitespace is trimmed at both ends, case is preserved; cells that
+    differ only in it are one value. The rows go to :class:`Dataset` as they
+    are read, which checks and codes them a block at a time, so the whole
+    table is never held as strings; each distinct value is then trimmed once.
+    The first fault in file order is reported: a row the CSV reader cannot
+    parse, or one :class:`Dataset` rejects, with its 1-based data row number.
     """
     with _open_text(source) as (stream, default_label):
         label = default_label if label is None else label
         read = -1  # data rows yielded; the header is row 0
 
-        def stripped_rows() -> Iterator[list[str]]:
+        def counted_rows() -> Iterator[list[str]]:
             nonlocal read
             for record in csv.reader(stream):
                 read += 1
-                yield list(map(str.strip, record))
+                yield record
 
-        rows = stripped_rows()
+        rows = counted_rows()
         try:
             header = next(rows, None)
             if header is not None:
-                return Dataset(attributes=header, rows=rows, source_label=label)
+                header = list(map(str.strip, header))
+                return Dataset(attributes=header, rows=rows, source_label=label)._trimmed()
         except csv.Error as exc:
             # For example a cell longer than csv.field_size_limit().
             where = "header" if read < 0 else f"row {read + 1}"

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import gc
 import io
 import json
 import re
@@ -38,6 +39,7 @@ from reident_risk.model import (
     Column,
     ExposureLevel,
     SeverityLevel,
+    SeverityRating,
 )
 from reident_risk.report import to_json
 
@@ -513,6 +515,55 @@ def _faulty_csv(draw):
         else:
             lines[row] = b"\xff" + lines[row]
     return b"".join(lines)
+
+
+def test_cells_equal_once_trimmed_are_merged_across_blocks(tmp_path):
+    """Cells that differ only in surrounding whitespace, first seen in
+    different blocks, load as one value with their counts summed, as the
+    naive reader codes them; the empty-cell warning counts the merged value."""
+    rows = [["b", "1"]] * (3 * B)
+    for row, cell in zip([B - 1, B, B + 1, 2 * B + 1], ["a", " a", "a\t", "  "]):
+        rows[row - 1 :: B // 2] = [[cell, cell]] * len(rows[row - 1 :: B // 2])
+    path = tmp_path / "t.csv"
+    path.write_bytes(_encode_row([" v ", "w"]) + b"".join(map(_encode_row, rows)))
+    expected = _reference_load(path)
+    dataset = load_csv(path)
+    assert (dataset.attributes, dataset.row_count, dict(dataset.columns)) == expected
+    assert dataset.columns["v"].values == ("b", "a", "")
+
+    meta = [
+        AttributeMeta("v", "quasi_identifier", exposure=4),
+        AttributeMeta("w", "sensitive", severity=SeverityRating(1, 1, 1)),
+    ]
+    empty = sum(column.counts[column.values.index("")] for column in expected[2].values())
+    warnings = " ".join(assess(dataset, meta).warnings)
+    assert f"dataset contains {empty} empty-string cell(s)" in warnings
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("a,b\n" + " x,y \n" * (3 * B), None),
+        ("a,b\n" + "x,y\n" * (2 * B) + "z\n", f"t: row {2 * B + 1} has 1 cells, expected 2"),
+    ],
+    ids=["loaded", "rejected"],
+)
+def test_load_leaves_no_cyclic_garbage(text, message):
+    """A load, also one rejected in a later block, frees what it made by
+    reference counting alone: nothing is left for the cycle collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            load_csv_text(text, label="t")
+            error = None
+        except IngestError as exc:
+            error = str(exc)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert error == message
+    assert garbage == 0
 
 
 @given(_faulty_csv())

@@ -121,6 +121,8 @@ class TestDataset:
         assert d.columns["a"] == Column(("1", "3"), [0, 1], [1, 1])
         d = Dataset(["a"], [["x"], ["y"], ["x"]])
         assert d.columns["a"] == Column(("x", "y"), [0, 1, 0], [2, 1])
+        d = Dataset(("a",), [(" x",), ("x",)])  # cells are kept as given
+        assert d.columns["a"] == Column((" x", "x"), [0, 1], [1, 1])
 
     def test_ragged_row_rejected(self):
         with pytest.raises(ValueError, match="row 2"):
@@ -161,16 +163,21 @@ class TestDataset:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Dataset(attributes=attributes, rows=rows)
 
+    # Around both block boundaries, and a middle row of the second block.
     @pytest.mark.parametrize(
-        "row", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]
+        "row",
+        [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, _BLOCK_ROWS + 100]
+        + [2 * _BLOCK_ROWS, 2 * _BLOCK_ROWS + 1],
     )
     @pytest.mark.parametrize(
         "fault,message",
         [
             (("x",), "row {} has 1 cells, expected 2"),
             (("x", 1), "row {}: member 1 is not a string"),
+            ((None, "y"), "row {}: member None is not a string"),
+            (("x", b"x"), "row {}: member b'x' is not a string"),
         ],
-        ids=["ragged", "cell-int"],
+        ids=["ragged", "cell-int", "cell-none", "cell-bytes"],
     )
     def test_fault_named_across_blocks(self, row, fault, message):
         rows = [("x", "y")] * (3 * _BLOCK_ROWS)
@@ -178,6 +185,25 @@ class TestDataset:
         for given in (rows, iter(rows)):
             with pytest.raises(ValueError, match=f"^{re.escape(message.format(row))}$"):
                 Dataset(attributes=("a", "b"), rows=given)
+
+    def test_string_subclass_cell_accepted(self):
+        class Text(str):
+            pass
+
+        rows = [("x", "y")] * (3 * _BLOCK_ROWS)
+        rows[_BLOCK_ROWS + 100] = ("x", Text("z"))
+        d = Dataset(("a", "b"), rows)
+        assert d.columns["b"].values == ("y", "z")
+        assert d.columns["b"].counts == [3 * _BLOCK_ROWS - 1, 1]
+
+    def test_encoding_fault_found_once_rows_are_read(self):
+        """A cell that does not encode as UTF-8 is named by its column after
+        every row is read, so a ragged row after it is reported first."""
+        message = "attribute 'b': '\\ud800' does not encode as UTF-8"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Dataset(("a", "b"), [("x", "\ud800")])
+        with pytest.raises(ValueError, match="^row 2 has 1 cells, expected 2$"):
+            Dataset(("a", "b"), [("x", "\ud800"), ("y",)])
 
     def test_iterator_codes_like_tuple(self):
         rows = [(str(i % 7), str(i % 300), str(i // 100)) for i in range(2 * _BLOCK_ROWS)]
