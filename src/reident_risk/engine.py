@@ -16,8 +16,10 @@ the combination offers.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from enum import Enum
-from itertools import compress
+from itertools import compress, count, repeat
+from operator import add, mul
 from typing import NamedTuple, Sequence
 
 from .metrics import DrResult, Partition, band
@@ -35,6 +37,7 @@ from .model import (
     argument_errors,
     global_severity,
     parsed,
+    recode,
     strings,
     validate_meta,
 )
@@ -362,15 +365,14 @@ def assess(
             for score in top_partition.class_inference(sensitive)
         ]
         is_flagged = [level >= options.flag_threshold for level in value_severities]
-        mask = list(map(is_flagged.__getitem__, codes))
+        mask = recode(codes, is_flagged, 2)
         flagged_rows += compress(range(len(codes)), mask)
         cardinality = len(values)
-        numbering: dict[int, int] = {}  # score id * cardinality + code -> outcome index
-        base = len(outcomes)
-        flagged_outcome += [
-            numbering.setdefault(score_of_class[c] * cardinality + v, base + len(numbering))
-            for c, v in zip(compress(top_partition.class_of, mask), compress(codes, mask))
-        ]
+        # score id * cardinality + code -> outcome index: a new key gets the next index.
+        numbering = defaultdict(count(len(outcomes)).__next__)
+        score_ids = map(score_of_class.__getitem__, compress(top_partition.class_of, mask))
+        keys = map(add, map(mul, score_ids, repeat(cardinality)), compress(codes, mask))
+        flagged_outcome += map(numbering.__getitem__, keys)
         distinct_scores = list(scores)
         for key in numbering:
             score_id, code = divmod(key, cardinality)

@@ -30,10 +30,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import count, repeat
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .model import Column, Dataset, InferenceLevel, strings
+from .model import Column, Dataset, InferenceLevel, code_sequence, recode, strings
 
 __all__ = [
     "Partition",
@@ -107,8 +107,10 @@ def _keys(columns: Sequence[Column], rows: list[int] | None = None) -> list[int]
     """Per row, or per row listed in ``rows``, the mixed-radix number whose digits
     are its codes in ``columns``: rows agree on every column iff their keys do."""
     keys: Iterable[int] | None = None
+    if rows is not None:  # itemgetter of one index returns the item, not a tuple
+        pick = itemgetter(*rows) if len(rows) > 1 else lambda codes: (codes[rows[0]],)
     for values, codes, _ in columns:
-        digits = codes if rows is None else map(codes.__getitem__, rows)
+        digits = codes if rows is None else pick(codes)
         keys = digits if keys is None else map(add, map(mul, keys, repeat(len(values))), digits)
     return list(keys)
 
@@ -125,7 +127,9 @@ class Partition:
     serves every sensitive attribute; a sensitive attribute inside the
     quasi-identifier set is rejected with ``ValueError``. :meth:`coarsen`
     derives the partition of a subset of the quasi-identifiers from the
-    classes instead of the rows. All lists are shared and must not be mutated.
+    classes instead of the rows. ``class_of`` is ``bytes`` when there are at
+    most 256 classes; it and ``sizes`` are shared, and a list must not be
+    mutated.
     """
 
     __slots__ = (
@@ -143,7 +147,8 @@ class Partition:
         self.dataset = dataset
         self.qi_set = names
         self.sizes = list(sizes.values())
-        self._class_of: list[int] | None = list(map(ids.__getitem__, keys))
+        self._class_of: bytes | list[int] | None
+        self._class_of = code_sequence(map(ids.__getitem__, keys), len(ids))
         # A coarsened partition's source, and per source class its class here.
         self._fine: Partition | None = None
         self._fine_to_class: list[int] | None = None
@@ -159,10 +164,10 @@ class Partition:
         return source, to_class
 
     @property
-    def class_of(self) -> list[int]:
+    def class_of(self) -> bytes | list[int]:
         if self._class_of is None:
             source, to_class = self._from_rows()
-            self._class_of = list(map(to_class.__getitem__, source.class_of))
+            self._class_of = recode(source.class_of, to_class, len(self.sizes))
         return self._class_of
 
     def coarsen(self, members: Sequence[str]) -> "Partition":

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from enum import Enum, IntEnum
 from functools import cached_property
-from itertools import filterfalse, islice, repeat
+from itertools import count, filterfalse, islice, repeat
 from types import MappingProxyType
 from typing import AbstractSet, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -285,13 +285,28 @@ class AttributeMeta(Record):
     }
 
 
+def code_sequence(codes: Iterable[int], size: int) -> bytes | list[int]:
+    """``codes``, each in ``range(size)``, as ``bytes`` if ``size`` is at
+    most 256, else as a list: one byte per row instead of an 8-byte slot."""
+    return bytes(codes) if size <= 256 else list(codes)
+
+
+def recode(codes: bytes | list[int], table: Sequence[int], size: int) -> bytes | list[int]:
+    """``table[c]`` for each code ``c`` of ``codes``, each in ``range(size)``,
+    by :func:`code_sequence`; ``bytes`` codes are translated in one C pass."""
+    if type(codes) is bytes:  # so table has at most 256 entries
+        return codes.translate(bytes(table).ljust(256, b"\0"))
+    return code_sequence(map(table.__getitem__, codes), size)
+
+
 class Column(NamedTuple):
     """One column, coded: ``values`` holds the distinct cells in order of
     first occurrence, ``codes[i]`` is the index in ``values`` of row ``i``'s
-    cell, and ``counts[c]`` the number of rows with code ``c``."""
+    cell, and ``counts[c]`` the number of rows with code ``c``. ``codes`` is
+    ``bytes`` when there are at most 256 values, else a list."""
 
     values: tuple[str, ...]
-    codes: list[int]
+    codes: bytes | list[int]
     counts: list[int]
 
 
@@ -301,10 +316,16 @@ class _Columns(dict):
 
 
 # Rows checked and coded at a time: a load holds at most this many rows as
-# strings. A 6,000-row kanon_bulk CSV loads in 11-12 ms (best of 40) with
-# blocks of 64 to 1,024 rows, while the heap the load needs above its Dataset
-# grows with the block, from 0.07 to 0.61 MiB (0.16 MiB at 256).
+# strings. A 6,000-row kanon_bulk CSV loads in 10-13 ms (best of 40) with
+# blocks of 64 to 1,024 rows into a Dataset of 0.07 MiB, while the heap the
+# load needs above it grows with the block, from 0.06 to 0.74 MiB (0.19 MiB
+# at 256).
 _BLOCK_ROWS = 256
+
+# Up to this many values, a column is counted with one bytes.count scan per
+# value, at about 0.6 ns a row each, instead of one Counter pass, at about
+# 40 ns a row (Python 3.11; the two cost the same at about 45 values).
+_COUNT_EACH = 32
 
 
 def _check_rows(block: list[Any], done: int, width: int) -> None:
@@ -327,8 +348,9 @@ class Dataset(Record):
     which is consumed. The rows are checked and coded as they are read, a
     block at a time, and are not kept. The first faulty row is reported,
     also ahead of an error the iterator raises after yielding it. A value
-    that does not encode as UTF-8 is found once the rows are read. The code
-    lists are shared and must not be mutated."""
+    that does not encode as UTF-8 is found once the rows are read. A
+    column's codes are ``bytes`` when it has at most 256 values, else a
+    list, which is shared and must not be mutated."""
 
     # ``columns`` is compared, but neither shown nor hashed.
     fields = dict.fromkeys(("attributes", "source_label", "row_count"))
@@ -350,44 +372,49 @@ class Dataset(Record):
             raise ValueError(f"rows: expected an array of rows, got {rows!r}")
         width = len(attrs)
         # Per column, cell -> code: looking up a new cell gives it the next code.
-        code_of: list[defaultdict[str, int]] = [defaultdict() for _ in attrs]
-        codes: list[list[int]] = [[] for _ in attrs]
+        code_of = [defaultdict(count().__next__) for _ in attrs]
+        codes: list[bytearray | list[int]] = [bytearray() for _ in attrs]
         rows = iter(rows)
         block: list[Any] = []
         done = 0
-        try:
-            for index in code_of:
-                index.default_factory = index.__len__
-            while True:
+        while True:
+            try:
+                block.extend(islice(rows, _BLOCK_ROWS))
+            except Exception:
+                # extend keeps the rows read before the error: an earlier
+                # faulty row is reported first.
+                _check_rows(block, done, width)
+                raise
+            if not block:
+                break
+            if not (
+                all(map(isinstance, block, repeat((list, tuple))))
+                and all(map(width.__eq__, map(len, block)))
+            ):
+                _check_rows(block, done, width)
+            for i, (cells, index) in enumerate(zip(zip(*block), code_of)):
                 try:
-                    block.extend(islice(rows, _BLOCK_ROWS))
-                except Exception:
-                    # extend keeps the rows read before the error: an earlier
-                    # faulty row is reported first.
+                    "".join(cells)  # a TypeError for exactly the cells that are not strings
+                except TypeError:
                     _check_rows(block, done, width)
-                    raise
-                if not block:
-                    break
-                if not (
-                    all(map(isinstance, block, repeat((list, tuple))))
-                    and all(map(width.__eq__, map(len, block)))
-                ):
-                    _check_rows(block, done, width)
-                for cells, index, column in zip(zip(*block), code_of, codes):
-                    try:
-                        "".join(cells)  # a TypeError for exactly the cells that are not strings
-                    except TypeError:
-                        _check_rows(block, done, width)
-                    column.extend(map(index.__getitem__, cells))
-                done += len(block)
-                block.clear()
-        finally:
-            for index in code_of:
-                index.default_factory = None  # it refers to its own dict
+                try:
+                    codes[i].extend(map(index.__getitem__, cells))
+                except ValueError:
+                    # Code 256 does not fit a byte, and bytearray.extend then
+                    # adds none of the block: the column becomes a list.
+                    codes[i] = list(codes[i])
+                    codes[i].extend(map(index.__getitem__, cells))
+            done += len(block)
+            block.clear()
         columns = _Columns()
         for name, index, column in zip(attrs, code_of, codes):
-            # Counter's keys first occur in code order.
-            columns[name] = Column(tuple(index), column, list(Counter(column).values()))
+            if type(column) is bytearray:
+                column = bytes(column)
+            if len(index) <= _COUNT_EACH:
+                counts = list(map(column.count, range(len(index))))
+            else:
+                counts = list(Counter(column).values())  # its keys first occur in code order
+            columns[name] = Column(tuple(index), column, counts)
             for value in filterfalse(str.isascii, index):
                 parsed(f"attribute {name!r}", utf8, value)
         self.__dict__.update(
@@ -408,7 +435,7 @@ class Dataset(Record):
             merged = [0] * len(code_of)
             for code, n in zip(remap, counts):
                 merged[code] += n
-            changed[name] = Column(tuple(code_of), list(map(remap.__getitem__, codes)), merged)
+            changed[name] = Column(tuple(code_of), recode(codes, remap, len(merged)), merged)
         if not changed:
             return self
         columns = _Columns(self.columns)

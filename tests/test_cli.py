@@ -217,6 +217,29 @@ class TestAssess:
         assert captured.err.startswith("error: ") and str(out) in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("fmt", ["json", "both"])
+    @pytest.mark.parametrize("limit", [0, 100])
+    def test_closed_pipe_is_io_failure(self, limit, fmt, emitted, capsys):
+        """A reader that closes stdout after ``limit`` bytes, as ``| head -c
+        100`` does, ends the run with exit 1 and one error line."""
+
+        class Pipe(io.BytesIO):
+            def write(self, data):
+                if self.tell() + len(data) > limit:
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(data)
+
+        data, meta = emitted["hipaa"]
+        pipe = Pipe()
+        stdout = io.TextIOWrapper(pipe, encoding="utf-8")
+        with contextlib.redirect_stdout(stdout):
+            code = main(["assess", "--data", data, "--meta", meta, "--format", fmt])
+        assert code == 1
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+        document = load_metadata(meta)
+        report = to_json(assess(load_csv(data), document.attributes, document.options))
+        assert report.startswith(pipe.getvalue())
+
     def test_determinism_across_runs(self, emitted, capsys):
         data, meta = emitted["initial"]
         main(["assess", "--data", data, "--meta", meta])

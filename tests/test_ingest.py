@@ -37,6 +37,7 @@ from reident_risk.model import (
     AttributeMeta,
     AttributeRole,
     Column,
+    Dataset,
     ExposureLevel,
     SeverityLevel,
     SeverityRating,
@@ -487,6 +488,16 @@ def _reference_load(path):
     return tuple(header), len(body), columns
 
 
+def _loaded(dataset):
+    """A dataset in ``_reference_load``'s form, each column's codes as a list.
+    Codes are bytes exactly when a column has at most 256 values."""
+    columns = dict(dataset.columns)
+    for name, column in columns.items():
+        assert type(column.codes) is (bytes if len(column.values) <= 256 else list)
+        columns[name] = column._replace(codes=list(column.codes))
+    return dataset.attributes, dataset.row_count, columns
+
+
 def _encode_row(cells):
     out = io.StringIO()
     csv.writer(out).writerow(cells)
@@ -528,7 +539,7 @@ def test_cells_equal_once_trimmed_are_merged_across_blocks(tmp_path):
     path.write_bytes(_encode_row([" v ", "w"]) + b"".join(map(_encode_row, rows)))
     expected = _reference_load(path)
     dataset = load_csv(path)
-    assert (dataset.attributes, dataset.row_count, dict(dataset.columns)) == expected
+    assert _loaded(dataset) == expected
     assert dataset.columns["v"].values == ("b", "a", "")
 
     meta = [
@@ -538,6 +549,44 @@ def test_cells_equal_once_trimmed_are_merged_across_blocks(tmp_path):
     empty = sum(column.counts[column.values.index("")] for column in expected[2].values())
     warnings = " ".join(assess(dataset, meta).warnings)
     assert f"dataset contains {empty} empty-string cell(s)" in warnings
+
+
+# A 257th value needs 256 rows before it, so it cannot show before row B + 1;
+# column b's 256th value shows on row B.
+@pytest.mark.parametrize("row", [B + 1, B + 2, 2 * B, 2 * B + 1])
+def test_257th_value_turns_codes_into_a_list(tmp_path, row):
+    """A column's codes are bytes up to 256 values, and a list once a 257th
+    value shows, wherever in a block it does. Loaded from CSV, or built from
+    a list or a generator of rows, the columns equal the naive reader's."""
+    rows = [
+        [f"v{r % 256}" if r < row else f"w{r % 3}", f"u{r % 256}", "x"]
+        for r in range(1, 3 * B + 1)
+    ]
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"".join(map(_encode_row, [["a", "b", "c"]] + rows)))
+    expected = _reference_load(path)
+    assert [len(column.values) for column in expected[2].values()] == [259, 256, 1]
+    built = [Dataset(("a", "b", "c"), given, "t.csv") for given in (rows, iter(rows))]
+    for dataset in [load_csv(path)] + built:
+        assert _loaded(dataset) == expected
+        assert [type(column.codes) for column in dataset.columns.values()] == [list, bytes, bytes]
+
+
+def test_trimming_to_256_values_gives_bytes(tmp_path):
+    """257 raw values of which two trim to the same text load as 256 values
+    coded in bytes; 258 raw values that trim to 257 stay a list."""
+    rows = [[f"v{r % 256}", f"v{r % 257}"] for r in range(3 * B)]
+    rows[2 * B + 1] = [" v7", "v7\t"]
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"".join(map(_encode_row, [["a", "b"]] + rows)))
+    raw = Dataset(("a", "b"), rows)
+    assert [len(column.values) for column in raw.columns.values()] == [257, 258]
+    assert [type(column.codes) for column in raw.columns.values()] == [list, list]
+    expected = _reference_load(path)
+    dataset = load_csv(path)
+    assert _loaded(dataset) == expected
+    assert [len(column.values) for column in dataset.columns.values()] == [256, 257]
+    assert [type(column.codes) for column in dataset.columns.values()] == [bytes, list]
 
 
 @pytest.mark.parametrize(
@@ -579,4 +628,4 @@ def test_csv_load_equals_naive_reference(data):
         except IngestError as exc:
             assert str(exc) == expected
             return
-    assert (dataset.attributes, dataset.row_count, dict(dataset.columns)) == expected
+    assert _loaded(dataset) == expected

@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -118,11 +119,11 @@ class TestDataset:
         d = Dataset(attributes=("a", "b"), rows=(("1", "2"), ("3", "4")), source_label="t")
         assert d.row_count == 2
         assert d.column("b") == ("2", "4")
-        assert d.columns["a"] == Column(("1", "3"), [0, 1], [1, 1])
+        assert d.columns["a"] == Column(("1", "3"), bytes([0, 1]), [1, 1])
         d = Dataset(["a"], [["x"], ["y"], ["x"]])
-        assert d.columns["a"] == Column(("x", "y"), [0, 1, 0], [2, 1])
+        assert d.columns["a"] == Column(("x", "y"), bytes([0, 1, 0]), [2, 1])
         d = Dataset(("a",), [(" x",), ("x",)])  # cells are kept as given
-        assert d.columns["a"] == Column((" x", "x"), [0, 1], [1, 1])
+        assert d.columns["a"] == Column((" x", "x"), bytes([0, 1]), [1, 1])
 
     def test_ragged_row_rejected(self):
         with pytest.raises(ValueError, match="row 2"):
@@ -213,6 +214,20 @@ class TestDataset:
         assert from_tuple.row_count == 2 * _BLOCK_ROWS
         assert from_tuple.columns["b"].values == tuple(map(str, range(300)))
         assert from_tuple.columns["b"].counts == [2] * 212 + [1] * 88
+
+    def test_codes_keep_two_bytes_per_cell(self):
+        """20,000 rows of 4 columns of at most 12 values each: one byte per
+        coded cell, against an 8-byte slot in a list."""
+        pool = [tuple(f"v{(i * (c + 2)) % (c + 9)}" for c in range(4)) for i in range(97)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            d = Dataset(("a", "b", "c", "d"), (pool[i % 97] for i in range(20_000)))
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert max(len(column.values) for column in d.columns.values()) == 12
+        assert kept / (20_000 * 4) < 2
 
     @given(
         st.integers(0, 2**32),

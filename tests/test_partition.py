@@ -44,7 +44,7 @@ def test_partition_equals_naive_oracle(table, data):
 
     assert p.sizes == [len(c.row_indices) for c in classes]
     class_of = {i: class_id for class_id, c in enumerate(classes) for i in c.row_indices}
-    assert p.class_of == [class_of[i] for i in range(d.row_count)]
+    assert list(p.class_of) == [class_of[i] for i in range(d.row_count)]
     assert p.k_anonymity() == naive.k_anonymity(d, qi)
 
     for s in sensitive_names:
@@ -103,6 +103,28 @@ def _wide_table(rows, seed):
     return Dataset(names, map(tuple, table))
 
 
+@pytest.mark.parametrize("rows", [1, 255, 256, 257, 700])
+def test_class_of_is_bytes_up_to_256_classes(rows):
+    """Row ``i`` has the cells ``i % 20``, ``i // 20 % 15`` and ``i % 7``, so
+    each set of columns has ``min(rows, its period)`` classes: 20, 140, 300
+    or 2,100, or fewer. ``class_of`` is bytes exactly when there are at most
+    256 classes, for a row pass and for a coarsening of either form."""
+    names = ("q0", "q1", "q2")
+    d = Dataset(names, [(f"{i % 20}", f"{i // 20 % 15}", f"{i % 7}") for i in range(rows)])
+    full = Partition(d, names)
+    partitions = [full, Partition(d, ("q0", "q1"))]
+    for source in partitions[:2]:
+        for sub in [("q0",), ("q0", "q2"), ("q1", "q2"), ("q0", "q1")]:
+            if set(sub) < set(source.qi_set):
+                partitions.append(source.coarsen(sub))
+    partitions.append(full.coarsen(("q0", "q1")).coarsen(("q1",)))
+    for partition in partitions:
+        classes = naive.equivalence_classes(d, partition.qi_set)
+        class_of = {i: class_id for class_id, c in enumerate(classes) for i in c.row_indices}
+        assert list(partition.class_of) == [class_of[i] for i in range(rows)]
+        assert type(partition.class_of) is (bytes if len(classes) <= 256 else list)
+
+
 def test_keys_past_64_bits_equal_naive_oracle():
     d = _wide_table(300, seed=3)
     qi = [n for n in d.attributes if n.startswith("q")]
@@ -115,7 +137,7 @@ def test_keys_past_64_bits_equal_naive_oracle():
         assert sum(len(c.row_indices) > 1 for c in classes) > 20
         assert partition.sizes == [len(c.row_indices) for c in classes]
         class_of = {i: class_id for class_id, c in enumerate(classes) for i in c.row_indices}
-        assert partition.class_of == [class_of[i] for i in range(d.row_count)]
+        assert list(partition.class_of) == [class_of[i] for i in range(d.row_count)]
         assert partition.l_diversity("s0") == naive.distinct_l_diversity(d, sub, "s0")
         assert partition.conditional_entropy("s0") == naive.conditional_entropy(d, "s0", sub)
         scores = [naive.value_inference(d, sub, c.key, "s0") for c in classes]
