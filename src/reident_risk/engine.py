@@ -298,26 +298,21 @@ def assess(
     # One pass over the rows: the full quasi-identifier partition, which is
     # also the k/l appendix's. Every combination is coarsened, largest first,
     # from the built superset with the fewest classes (a single quasi-identifier
-    # sums a small group's pairs), and shared by every sensitive attribute. A
-    # partition stays a source until the last combination that is a subset of it.
+    # sums a small group's pairs), and shared by every sensitive attribute.
     full_partition = Partition(dataset, qi_set)
-    member_sets = [set(c.members) for c in combinations]
-    by_size = sorted(range(len(combinations)), key=lambda j: -len(member_sets[j]))
-    last_subset = {
-        j: n for n, k in enumerate(by_size) for j, m in enumerate(member_sets) if member_sets[k] < m
-    }
-    sources = [(len(by_size), set(qi_set), full_partition)]
+    built = [full_partition]
     dr_by_sensitive = {s: [None] * len(combinations) for s in sensitive_names}
-    for i, j in enumerate(by_size):
-        fits = (p for _, members, p in sources if member_sets[j] <= members)
-        partition = min(fits, key=lambda p: len(p.sizes)).coarsen(combinations[j].members)
+    for j in sorted(range(len(combinations)), key=lambda j: -len(combinations[j].members)):
+        members = combinations[j].members
+        fits = (p for p in built if set(members).issubset(p.qi_set))
+        partition = min(fits, key=lambda p: len(p.sizes)).coarsen(members)
         for sensitive in sensitive_names:
             dr_by_sensitive[sensitive][j] = partition.discrimination_rate(sensitive)
         if combinations[j] is top_combo:
             top_partition = partition
-        if j in last_subset:
-            sources.append((last_subset[j], member_sets[j], partition))
-        sources = [source for source in sources if source[0] > i]
+        if len(members) > 1:
+            built.append(partition)
+    del built
 
     exploitability_rows = []
     flagged_rows: list[int] = []

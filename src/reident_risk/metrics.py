@@ -55,10 +55,12 @@ class DrResult(NamedTuple):
 
 
 def entropy(counts: Iterable[int | float]) -> float:
-    """Shannon entropy in bits of a multiset of category counts."""
+    """Shannon entropy in bits of a multiset of finite, non-negative category counts."""
     if iter(counts) is counts:  # a one-shot iterator; a list is read as given
         counts = list(counts)
     total = sum(counts)
+    if not total < math.inf:  # inf or nan
+        raise ValueError("counts must be finite")
     if total <= 0:
         if any(c < 0 for c in counts):
             raise ValueError("counts must be non-negative")
@@ -127,9 +129,10 @@ class Partition:
     serves every sensitive attribute; a sensitive attribute inside the
     quasi-identifier set is rejected with ``ValueError``. :meth:`coarsen`
     derives the partition of a subset of the quasi-identifiers from the
-    classes instead of the rows. ``class_of`` is ``bytes`` when there are at
-    most 256 classes; it and ``sizes`` are shared, and a list must not be
-    mutated.
+    classes instead of the rows: it keys each class by one of its rows, and
+    keeps one row per coarse class for the next coarsening. ``class_of`` is
+    ``bytes`` when there are at most 256 classes; it and ``sizes`` are
+    shared, and a list must not be mutated.
     """
 
     __slots__ = (
@@ -137,6 +140,8 @@ class Partition:
     )
 
     def __init__(self, dataset: Dataset, qi_set: Sequence[str]):
+        if not isinstance(dataset, Dataset):
+            raise ValueError(f"dataset: expected a Dataset, got {dataset!r}")
         names = _names(qi_set)
         columns = [dataset.columns[name] for name in names]  # KeyError on unknown names
         if dataset.row_count == 0:
@@ -155,19 +160,10 @@ class Partition:
         self._rows: list[int] | None = None  # per class, one of its rows; set by coarsen
         self._joint: dict[str, dict[int, int]] = {}
 
-    def _from_rows(self) -> tuple["Partition", Sequence[int]]:
-        """The row-pass partition this one derives from, and per class of it
-        the class here."""
-        source, to_class = self, range(len(self.sizes))
-        while source._fine is not None:
-            source, to_class = source._fine, list(map(to_class.__getitem__, source._fine_to_class))
-        return source, to_class
-
     @property
     def class_of(self) -> bytes | list[int]:
         if self._class_of is None:
-            source, to_class = self._from_rows()
-            self._class_of = recode(source.class_of, to_class, len(self.sizes))
+            self._class_of = recode(self._fine.class_of, self._fine_to_class, len(self.sizes))
         return self._class_of
 
     def coarsen(self, members: Sequence[str]) -> "Partition":
@@ -179,10 +175,10 @@ class Partition:
         classes are visited in class order, so coarse classes are numbered
         as a row pass numbers them. Coarse sizes, and the joint counts of
         each sensitive attribute, are sums over this partition's classes and
-        pairs; a one-member set reads its column's codes and counts. A
-        coarsening can be coarsened again: its rows are found through the
-        row-pass partition it derives from. ``class_of`` is computed when
-        first read.
+        pairs; a one-member set reads its column's codes and counts. The rows
+        are the ones this partition keeps, one per class, and the coarsening
+        keeps one per coarse class from them, so it can be coarsened again.
+        ``class_of`` is computed when first read, from the source's.
         """
         names = _names(members)
         if names == self.qi_set:
@@ -190,22 +186,21 @@ class Partition:
         for name in names:
             if name not in self.qi_set:
                 raise ValueError(f"{name!r} is not in the quasi-identifier set {self.qi_set!r}")
-        source, to_class = self._from_rows()
-        if source._rows is None:
-            # Class ids follow first occurrence, so the dict lists classes in id order.
-            source._rows = list(dict(zip(source.class_of, count())).values())
-        rows = source._rows if source is self else list(dict(zip(to_class, source._rows)).values())
+        if self._rows is None:  # a row pass: its class ids follow first occurrence
+            self._rows = list(dict(zip(self.class_of, count())).values())
         columns = [self.dataset.columns[name] for name in names]
-        keys = _keys(columns, rows)
+        keys = _keys(columns, self._rows)
+        rows = dict(zip(keys, self._rows))  # coarse classes in id order, any row of each
         coarse = object.__new__(Partition)
         coarse.dataset = self.dataset
         coarse.qi_set = names
         coarse._fine = self
+        coarse._rows = list(rows.values())
         if len(columns) == 1:  # a column's codes number its classes as a row pass does
             coarse._fine_to_class = keys
             coarse._class_of, coarse.sizes = columns[0].codes, columns[0].counts
         else:
-            ids = dict(zip(dict.fromkeys(keys), count()))
+            ids = dict(zip(rows, count()))
             coarse._fine_to_class = to_coarse = list(map(ids.__getitem__, keys))
             coarse._class_of, coarse.sizes = None, [0] * len(ids)
             for c, size in zip(to_coarse, self.sizes):

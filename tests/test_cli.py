@@ -448,39 +448,66 @@ class TestFixtures:
 
 
 _NAME = st.sampled_from(["Age", "Gender", "Country", "Blood Type", "Disease", "Zip", ""])
-_TEXT = _NAME | st.text(max_size=6)
+_SURROGATE = st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, exclude_categories=())
+_TEXT = _NAME | st.text(max_size=6) | st.tuples(_NAME, _SURROGATE).map("".join)
 _FIXTURE_CSV = st.sampled_from([fixture_csv(name).encode() for name in FIXTURE_NAMES])
 _CSV = _FIXTURE_CSV | st.binary(max_size=40) | st.tuples(_FIXTURE_CSV, st.binary(max_size=8)).map(
     b"".join
 )
-_META = st.just(reference_metadata_json().encode()) | st.binary(max_size=40)
+
+
+@st.composite
+def _drawn_meta(draw):
+    """The reference document with drawn attribute names, override keys and
+    notes; ``json.dumps`` writes a lone surrogate as its ``\\ud800`` escape."""
+    document = json.loads(reference_metadata_json())
+    for attribute in document["attributes"]:
+        attribute["name"] = draw(st.just(attribute["name"]) | _TEXT)
+    overrides = document["attributes"][-1]["value_severity"]
+    for key in list(overrides):
+        overrides[draw(st.just(key) | _TEXT)] = overrides.pop(key)
+    document["options"]["notes"] = draw(st.lists(_TEXT, max_size=2))
+    return json.dumps(document).encode()
+
+
+_META = st.just(reference_metadata_json().encode()) | _drawn_meta() | st.binary(max_size=40)
+# Bytes 0x80-0xff alone are not UTF-8: Python decodes such a file name to a lone surrogate.
+_DATA_NAME = st.just(b"data.csv") | st.integers(0x80, 0xFF).map(lambda b: b"d%c.csv" % b)
 
 
 @given(
     command=st.sampled_from(["assess", "metric"]),
     data=_CSV,
+    data_name=_DATA_NAME,
     meta=_META,
     fmt=st.sampled_from(["json", "markdown", "both"]),
-    out=st.sampled_from([None, "file", "directory", "missing-directory"]),
+    out=st.sampled_from([None, "file", "existing", "directory", "missing-directory"]),
     metric=st.sampled_from(["k", "ldiv", "dr"]),
     qi=st.lists(_TEXT, max_size=3).map(",".join),
     sensitive=st.none() | _TEXT,
 )
-def test_fuzzed_invocation_exits_cleanly(command, data, meta, fmt, out, metric, qi, sensitive):
-    """Exit code 0, 1 or 2, no other exception, and nothing on stdout on failure."""
+def test_fuzzed_invocation_exits_cleanly(
+    command, data, data_name, meta, fmt, out, metric, qi, sensitive
+):
+    """Exit code 0, 1 or 2, no other exception, and on failure nothing on
+    stdout, an existing ``--out`` file left as it was and no new one."""
     with tempfile.TemporaryDirectory() as tmp:  # a tmp_path fixture is not reset per example
         root = Path(tmp)
-        (root / "data.csv").write_bytes(data)
+        data_path = os.fsdecode(os.path.join(os.fsencode(tmp), data_name))
+        Path(data_path).write_bytes(data)
         (root / "meta.json").write_bytes(meta)
         (root / "directory").mkdir()
+        if out == "existing":
+            for suffix in ("", ".json", ".md"):
+                (root / f"report{suffix}").write_bytes(b"earlier report")
         if command == "assess":
-            argv = ["assess", "--data", str(root / "data.csv"), "--meta", str(root / "meta.json")]
+            argv = ["assess", "--data", data_path, "--meta", str(root / "meta.json")]
             argv += ["--format", fmt]
             if out is not None:
-                target = {"file": "report", "directory": "directory", "missing-directory": "x/r"}
-                argv += ["--out", str(root / target[out])]
+                target = {"directory": "directory", "missing-directory": "x/r"}.get(out, "report")
+                argv += ["--out", str(root / target)]
         else:
-            argv = ["metric", metric, "--data", str(root / "data.csv"), f"--qi={qi}"]
+            argv = ["metric", metric, "--data", data_path, f"--qi={qi}"]
             if sensitive is not None:
                 argv.append(f"--sensitive={sensitive}")
         stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")  # reports use .buffer
@@ -490,9 +517,14 @@ def test_fuzzed_invocation_exits_cleanly(command, data, meta, fmt, out, metric, 
             except SystemExit as exc:  # argparse
                 code = exc.code
             stdout.flush()
+        inputs = {Path(data_path).name, "meta.json"}
+        written = [path for path in root.iterdir() if path.is_file() and path.name not in inputs]
+        outputs = {path.name: path.read_bytes() for path in written}
     assert code in (0, 1, 2)
     if code != 0:
         assert stdout.buffer.getvalue() == b""
+        earlier = ["report", "report.json", "report.md"] if out == "existing" else []
+        assert outputs == dict.fromkeys(earlier, b"earlier report")
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():

@@ -77,6 +77,12 @@ class TestEquivalenceClasses:
         with pytest.raises(ValueError, match=shown):
             Partition(initial, qi_set)
 
+    @pytest.mark.parametrize("dataset", ["x", None, ("Age",)])
+    def test_non_dataset_rejected(self, dataset):
+        with pytest.raises(ValueError) as err:
+            Partition(dataset, ["Age"])
+        assert str(err.value) == f"dataset: expected a Dataset, got {dataset!r}"
+
 
 class TestKAnonymity:
     def test_constant_attribute_gives_row_count(self):
@@ -123,6 +129,11 @@ class TestEntropy:
 
     def test_zero_counts_ignored(self):
         assert entropy([2, 0, 2]) == pytest.approx(1.0, abs=TOL)
+
+    @pytest.mark.parametrize("counts", [[math.nan], [math.nan, 1], [math.inf, 1], [math.inf, -1]])
+    def test_non_finite_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match="^counts must be finite$"):
+            entropy(counts)
 
 
 class TestConditionalEntropy:

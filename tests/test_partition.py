@@ -6,9 +6,12 @@ order as the regrouping oracle in ``naive_metrics.py``, so any difference is a
 defect.
 """
 
+import gc
+import itertools
 import json
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -64,8 +67,8 @@ def test_coarsen_equals_row_pass(table, data):
     fine = Partition(d, data.draw(st.permutations(qi_names)))
     for _ in range(data.draw(st.integers(1, 3))):
         # A chain of one to three coarsenings, each of the one before, so a
-        # coarsening of a coarsening sums its source's pairs and finds its
-        # rows through the row pass.
+        # coarsening of a coarsening sums its source's pairs and keys its
+        # source's rows.
         coarse, members = fine, qi_names
         for _ in range(data.draw(st.integers(1, 3))):
             sub = data.draw(st.lists(st.sampled_from(members), min_size=1, unique=True))
@@ -298,3 +301,84 @@ def test_partitions_built_bounded_by_member_sets(monkeypatch):
         # combination is coarsened from it or from a coarsening of it,
         # whatever the number of classes.
         assert built == [("Age", "Gender", "Zip", "Date")]
+
+
+def _spy(name, record):
+    """Patch ``Partition.<name>`` to pass each call's partition, arguments
+    and result to ``record``."""
+    method = getattr(Partition, name)
+
+    def spy(self, *args):
+        result = method(self, *args)
+        record(self, args, result)
+        return result
+
+    return mock.patch.object(Partition, name, spy)
+
+
+@given(
+    tables(qi=(2, 5), sensitive=(1, 1), rows=(2, 40), values=6),
+    st.lists(st.integers(1, 4), min_size=5, max_size=5),
+    st.sampled_from(["per_level", "cumulative", "explicit"]),
+    st.data(),
+)
+@settings(deadline=None)
+def test_each_combination_coarsened_from_smallest_built_superset(table, exposures, strategy, data):
+    d = Dataset(*table)
+    qi_names, _ = _split_names(d)
+    meta = [
+        AttributeMeta(name=n, role=AttributeRole.QUASI_IDENTIFIER, exposure=ExposureLevel(e))
+        for n, e in zip(qi_names, exposures)
+    ] + [AttributeMeta(name="s0", role=AttributeRole.SENSITIVE, severity=SeverityRating(1, 2, 3))]
+    explicit = data.draw(
+        st.lists(st.lists(st.sampled_from(qi_names), min_size=1, unique=True), max_size=6)
+    )
+    options = AssessmentOptions(combination_strategy=strategy, explicit_combinations=explicit)
+    calls = []
+    with _spy("coarsen", lambda source, args, coarse: calls.append((source, coarse))):
+        assess(d, meta, options)
+
+    combos = build_combinations(meta, strategy, explicit)
+    assert sorted(coarse.qi_set for _, coarse in calls) == sorted(c.members for c in combos)
+    sizes = [len(coarse.qi_set) for _, coarse in calls]
+    assert sizes == sorted(sizes, reverse=True)
+    full = calls[0][0]
+    assert full.qi_set == tuple(qi_names)
+    # Each combination's source is the full partition or one built before it,
+    # and has the fewest classes of those that contain the combination.
+    for i, (source, coarse) in enumerate(calls):
+        built = [full] + [earlier for _, earlier in calls[:i]]
+        fits = [p for p in built if set(coarse.qi_set) <= set(p.qi_set)]
+        assert any(source is p for p in fits)
+        assert len(source.sizes) == min(len(p.sizes) for p in fits)
+
+
+def test_live_partitions_do_not_grow_with_combinations():
+    """Partitions alive when flagging starts: the full one, the top
+    combination's and the sources it keeps, whatever the number of
+    combinations coarsened before."""
+    exposures = {"Age": 4, "Gender": 4, "Zip": 4, "Date": 2}
+    meta = [
+        AttributeMeta(name=n, role=AttributeRole.QUASI_IDENTIFIER, exposure=ExposureLevel(e))
+        for n, e in exposures.items()
+    ]
+    meta.append(
+        AttributeMeta(name="Disease", role=AttributeRole.SENSITIVE, severity=SeverityRating(1, 2, 4))
+    )
+    d = _near_unique(300, seed=7)
+    # Pairs of the top combination, Age/Gender/Zip: they leave it on top, and
+    # the last combination, Date, is coarsened from the full partition.
+    pairs = [list(pair) for pair in itertools.combinations(["Age", "Gender", "Zip"], 2)]
+    counted = []
+
+    def count(*_):
+        counted.append(sum(type(o) is Partition for o in gc.get_objects()))
+
+    live = []
+    for explicit in ([], pairs[:1], pairs):
+        counted.clear()
+        with _spy("class_inference", count):
+            report = assess(d, meta, AssessmentOptions(explicit_combinations=explicit))
+        assert len(report.exploitability_rows) == len(build_combinations(meta, explicit=explicit))
+        live.append(counted[0])
+    assert live[0] == live[1] == live[2]
