@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from enum import Enum
-from itertools import compress, count, repeat
-from operator import add, mul
+from itertools import compress, count
 from typing import NamedTuple, Sequence
 
 from .metrics import DrResult, Partition, band
@@ -354,24 +353,16 @@ def assess(
         # its class's score and its value, not by its class, as most classes
         # of a near-unique table share a score. Each outcome is banded and
         # its risk looked up once.
-        scores: dict[float, int] = {}
-        score_of_class = [
-            scores.setdefault(score, len(scores))
-            for score in top_partition.class_inference(sensitive)
-        ]
+        scores = top_partition.class_inference(sensitive)
         is_flagged = [level >= options.flag_threshold for level in value_severities]
         mask = recode(codes, is_flagged, 2)
         flagged_rows += compress(range(len(codes)), mask)
-        cardinality = len(values)
-        # score id * cardinality + code -> outcome index: a new key gets the next index.
+        # (score, code) -> outcome index: a new key gets the next index.
         numbering = defaultdict(count(len(outcomes)).__next__)
-        score_ids = map(score_of_class.__getitem__, compress(top_partition.class_of, mask))
-        keys = map(add, map(mul, score_ids, repeat(cardinality)), compress(codes, mask))
-        flagged_outcome += map(numbering.__getitem__, keys)
-        distinct_scores = list(scores)
-        for key in numbering:
-            score_id, code = divmod(key, cardinality)
-            score, level = distinct_scores[score_id], value_severities[code]
+        flagged_scores = map(scores.__getitem__, compress(top_partition.class_of, mask))
+        flagged_outcome += map(numbering.__getitem__, zip(flagged_scores, compress(codes, mask)))
+        for score, code in numbering:
+            level = value_severities[code]
             exploit = exploitability(top_combo.exposure, band(score), options.exploitability_matrix)
             outcomes.append(
                 FlaggedOutcome(

@@ -59,7 +59,9 @@ def entropy(counts: Iterable[int | float]) -> float:
     if iter(counts) is counts:  # a one-shot iterator; a list is read as given
         counts = list(counts)
     total = sum(counts)
-    if not total < math.inf:  # inf or nan
+    if not total < math.inf:  # inf or nan, from a count or from finite counts that overflow
+        if all(-math.inf < c < math.inf for c in counts):
+            raise ValueError("total count overflows")
         raise ValueError("counts must be finite")
     if total <= 0:
         if any(c < 0 for c in counts):

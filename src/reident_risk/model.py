@@ -117,12 +117,9 @@ class _OrdinalScale(IntEnum):
         return f"{self.value}-{self.label}"
 
     @classmethod
-    def _extra_aliases(cls) -> dict[str, int]:
-        return {}
-
-    @classmethod
     def parse(cls, raw: int | str) -> "_OrdinalScale":
-        """Coerce an integer 1..4 or a label (case-insensitive) to a level."""
+        """Coerce an integer 1..4 or, case-insensitively, a member's label,
+        name, name with spaces for underscores, or display to a level."""
         if isinstance(raw, bool):
             raise ScaleError(f"{cls.__name__}: expected level 1..4 or label, got bool")
         if isinstance(raw, int):
@@ -132,11 +129,14 @@ class _OrdinalScale(IntEnum):
         if isinstance(raw, str):
             text = raw.strip().lower()
             for member in cls:
-                if text in (member.label.lower(), member.name.lower(), member.display.lower()):
+                name = member.name.lower()
+                if text in (
+                    member.label.lower(), name, name.replace("_", " "), member.display.lower()
+                ):
                     return member
-            aliases = {k.lower(): v for k, v in cls._extra_aliases().items()}
-            if text in aliases:
-                return cls(aliases[text])
+            member = _SWAPPED_SPELLINGS.get(text)
+            if isinstance(member, cls):
+                return member
             raise ScaleError(f"{cls.__name__}: unknown label {raw!r}")
         raise ScaleError(f"{cls.__name__}: expected int or str, got {type(raw).__name__}")
 
@@ -162,19 +162,14 @@ class ExposureLevel(_OrdinalScale):
     def label(self) -> str:
         return ("IR", "IE", "ER", "EE")[self.value - 1]
 
-    @classmethod
-    def _extra_aliases(cls) -> dict[str, int]:
-        # RI/EI are accepted swapped spellings seen in the wild.
-        return {
-            "RI": 1,
-            "EI": 2,
-            "1-RI": 1,
-            "2-EI": 2,
-            "Internal Restricted": 1,
-            "Internal Extended": 2,
-            "External Restricted": 3,
-            "External Extended": 4,
-        }
+
+# Swapped spellings of exposure labels seen in the wild, lower-cased.
+_SWAPPED_SPELLINGS = {
+    "ri": ExposureLevel.INTERNAL_RESTRICTED,
+    "1-ri": ExposureLevel.INTERNAL_RESTRICTED,
+    "ei": ExposureLevel.INTERNAL_EXTENDED,
+    "2-ei": ExposureLevel.INTERNAL_EXTENDED,
+}
 
 
 class InferenceLevel(_OrdinalScale):

@@ -422,6 +422,22 @@ class TestFixtures:
             main(["fixtures", "emit", "bogus", "--dir", str(tmp_path)])
         assert err.value.code == 2
 
+    def test_unknown_fixture_name_rejected_by_the_library(self):
+        with pytest.raises(KeyError) as err:
+            fixture_csv("nope")
+        known = ", ".join(FIXTURE_NAMES)
+        assert err.value.args == (f"unknown fixture 'nope'; available: {known}",)
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under-a-file"])
+    def test_unwritable_dir_is_io_failure(self, below, tmp_path, capsys):
+        (tmp_path / "taken").write_text("not a directory", encoding="utf-8")
+        target = tmp_path / "taken" / "sub" if below else tmp_path / "taken"
+        code = main(["fixtures", "emit", "initial", "--dir", str(target)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: ") and str(tmp_path / "taken") in captured.err
+        assert captured.out == "" and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_emit_then_assess_round_trip(self, name, tmp_path, capsys):
         code = main(["fixtures", "emit", name, "--dir", str(tmp_path)])
@@ -530,11 +546,14 @@ def test_fuzzed_invocation_exits_cleanly(
 def test_import_loads_neither_dataclasses_nor_inspect():
     """Start-up cost: ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis``
     and ``tokenize``, and the package needs none of them. ``-I -S`` leaves
-    out what an installation's ``site`` hooks may import."""
+    out what an installation's ``site`` hooks may import, and with only
+    ``src`` added to the path, every other module loaded must be the
+    standard library's: the runtime has no dependencies."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = f"import sys; sys.path.insert(0, {src!r}); import reident_risk.cli; " + (
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules))); "
+        "print(sorted({m.partition('.')[0] for m in sys.modules} - sys.stdlib_module_names))"
     )
     argv = [sys.executable, "-I", "-S", "-c", code]
     run = subprocess.run(argv, capture_output=True, text=True, check=True)
-    assert run.stdout == "[]\n"
+    assert run.stdout == "[]\n['__main__', 'reident_risk']\n"

@@ -111,6 +111,27 @@ class TestBuildCombinations:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build_combinations(meta, "explicit", explicit)
 
+    @pytest.mark.parametrize(
+        "meta,explicit,message",
+        [
+            (
+                [AttributeMeta(name="a", role=AttributeRole.QUASI_IDENTIFIER), sens("s")],
+                [],
+                "quasi-identifier 'a': missing exposure level",
+            ),
+            ([qi("a", 2), qi("b", 3)], [[]], "explicit combination must not be empty"),
+            (
+                [qi("a", 2), qi("b", 3)],
+                [["a", "b", "a"]],
+                "explicit combination repeats an attribute: ['a', 'b', 'a']",
+            ),
+        ],
+        ids=["missing-exposure", "empty-combination", "repeated-member"],
+    )
+    def test_malformed_combination_rejected(self, meta, explicit, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_combinations(meta, "per_level", explicit)
+
     def test_no_quasi_identifiers_rejected(self):
         with pytest.raises(ValueError, match="quasi-identifier"):
             build_combinations([sens("s")], "per_level")
@@ -214,6 +235,16 @@ class TestAssessPreconditions:
         with pytest.raises(AssessmentError) as err:
             assess(initial, meta)
         assert any("sensitive" in e for e in err.value.errors)
+
+    def test_no_quasi_identifier_reported(self, initial):
+        meta = [sens("Disease")] + [
+            AttributeMeta(name=n, role=AttributeRole.OTHER)
+            for n in initial.attributes
+            if n != "Disease"
+        ]
+        with pytest.raises(AssessmentError) as err:
+            assess(initial, meta)
+        assert err.value.errors == ("at least one quasi-identifier is required",)
 
     def test_too_few_rows_reported(self, reference_meta):
         d = Dataset(attributes=FULL_QI + ("Disease",), rows=(("1", "M", "X", "d", "O+", "Flu"),))

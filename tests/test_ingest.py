@@ -357,6 +357,14 @@ class TestLoadMetadata:
         with pytest.raises(IngestError, match=f"^{re.escape(path)}: unknown key$"):
             load_metadata(meta_doc(**overrides))
 
+    @pytest.mark.parametrize(
+        "attribute,path",
+        [({"name": "a"}, "attributes[0].role"), ({"role": "other"}, "attributes[0].name")],
+    )
+    def test_missing_required_field_rejected(self, attribute, path):
+        with pytest.raises(IngestError, match=f"^{re.escape(path)}: required field is missing$"):
+            load_metadata(meta_doc(attributes=[attribute]))
+
     def test_bad_strategy_rejected(self):
         with pytest.raises(IngestError, match="strategy"):
             load_metadata(meta_doc(options={"combination_strategy": "pairwise"}))

@@ -72,7 +72,14 @@ class TestEquivalenceClasses:
         with pytest.raises(ValueError):
             Partition(initial, [])
 
-    @pytest.mark.parametrize("qi_set,shown", [("Age", "got 'Age'"), (["Age", 1], "member 1 ")])
+    @pytest.mark.parametrize(
+        "qi_set,shown",
+        [
+            ("Age", "got 'Age'"),
+            (["Age", 1], "member 1 "),
+            (["Age", "Age"], r"^duplicate attribute in quasi-identifier set: \('Age', 'Age'\)$"),
+        ],
+    )
     def test_non_string_qi_set_rejected(self, initial, qi_set, shown):
         with pytest.raises(ValueError, match=shown):
             Partition(initial, qi_set)
@@ -126,13 +133,26 @@ class TestEntropy:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             entropy([3, -1])
+        with pytest.raises(ValueError, match="^counts must be non-negative$"):
+            entropy([-1, 0])
 
     def test_zero_counts_ignored(self):
         assert entropy([2, 0, 2]) == pytest.approx(1.0, abs=TOL)
 
-    @pytest.mark.parametrize("counts", [[math.nan], [math.nan, 1], [math.inf, 1], [math.inf, -1]])
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            [math.nan], [math.nan, 1], [math.inf, 1], [math.inf, -1],
+            [1e308, 1e308, math.inf], [1e308, 1e308, math.nan],
+        ],
+    )
     def test_non_finite_counts_rejected(self, counts):
         with pytest.raises(ValueError, match="^counts must be finite$"):
+            entropy(counts)
+
+    @pytest.mark.parametrize("counts", [[1e308, 1e308], [1e308, 1e308, -1e308], [2**1023, 1e308]])
+    def test_overflowing_total_rejected(self, counts):
+        with pytest.raises(ValueError, match="^total count overflows$"):
             entropy(counts)
 
 

@@ -39,6 +39,54 @@ from reident_risk.model import (
 ALL_SCALES = [SeverityLevel, ExposureLevel, InferenceLevel, ExploitabilityLevel, RiskLevel]
 MISSPELT = {"bodily": 1, "material": 1, "moral": 1, "moarl": 4}
 
+# Every text each scale accepts, by level: label, name, display, and for
+# exposure the long names and the swapped spellings RI/EI.
+SPELLINGS = {
+    SeverityLevel: [
+        ["Negligible", "NEGLIGIBLE", "1-Negligible"],
+        ["Limited", "LIMITED", "2-Limited"],
+        ["Significant", "SIGNIFICANT", "3-Significant"],
+        ["Maximum", "MAXIMUM", "4-Maximum"],
+    ],
+    ExposureLevel: [
+        ["IR", "INTERNAL_RESTRICTED", "1-IR", "Internal Restricted", "RI", "1-RI"],
+        ["IE", "INTERNAL_EXTENDED", "2-IE", "Internal Extended", "EI", "2-EI"],
+        ["ER", "EXTERNAL_RESTRICTED", "3-ER", "External Restricted"],
+        ["EE", "EXTERNAL_EXTENDED", "4-EE", "External Extended"],
+    ],
+    InferenceLevel: [
+        ["Weak", "WEAK", "1-Weak"],
+        ["Moderate", "MODERATE", "2-Moderate"],
+        ["Severe", "SEVERE", "3-Severe"],
+        ["Critical", "CRITICAL", "4-Critical"],
+    ],
+    ExploitabilityLevel: [
+        ["Very Difficult", "VERY_DIFFICULT", "1-Very Difficult"],
+        ["Difficult", "DIFFICULT", "2-Difficult"],
+        ["Easy", "EASY", "3-Easy"],
+        ["Very Easy", "VERY_EASY", "4-Very Easy"],
+    ],
+    RiskLevel: [
+        ["Low", "LOW", "1-Low"],
+        ["Medium", "MEDIUM", "2-Medium"],
+        ["High", "HIGH", "3-High"],
+        ["Critical", "CRITICAL", "4-Critical"],
+    ],
+}
+ACCEPTED = [
+    (scale, text, level)
+    for scale, levels in SPELLINGS.items()
+    for level, texts in enumerate(levels, 1)
+    for text in texts
+]
+# Near misses: a swapped spelling at the wrong level, other separators, a
+# long name with a level prefix, and spaces inside a word. A message shows
+# the text as given, padding included.
+NEAR_MISSES = [
+    "3-RI", "4-EI", "1-EI", " 2-RI ", "internal-restricted", "internal__restricted",
+    "1-Internal Restricted", "very-easy", "Very  Easy", "4 - Critical", "4-", "1-", "", "   ", "I R",
+]
+
 
 class TestScales:
     @pytest.mark.parametrize("scale", ALL_SCALES)
@@ -55,12 +103,17 @@ class TestScales:
 
     @pytest.mark.parametrize("scale", ALL_SCALES)
     def test_out_of_range_rejected(self, scale):
-        with pytest.raises(ScaleError):
-            scale.parse(0)
-        with pytest.raises(ScaleError):
-            scale.parse(5)
-        with pytest.raises(ScaleError):
-            scale.parse("no-such-label")
+        for raw, message in [
+            (0, "level 0 out of range 1..4"),
+            (5, "level 5 out of range 1..4"),
+            ("no-such-label", "unknown label 'no-such-label'"),
+            (True, "expected level 1..4 or label, got bool"),
+            (2.0, "expected int or str, got float"),
+            (None, "expected int or str, got NoneType"),
+        ]:
+            with pytest.raises(ScaleError) as caught:
+                scale.parse(raw)
+            assert str(caught.value) == f"{scale.__name__}: {message}"
 
     def test_display_format(self):
         assert RiskLevel.CRITICAL.display == "4-Critical"
@@ -72,19 +125,19 @@ class TestScales:
     def test_exposure_labels(self):
         assert [m.label for m in ExposureLevel] == ["IR", "IE", "ER", "EE"]
 
-    def test_exposure_variant_spellings(self):
-        assert ExposureLevel.parse("RI") is ExposureLevel.INTERNAL_RESTRICTED
-        assert ExposureLevel.parse("EI") is ExposureLevel.INTERNAL_EXTENDED
-        assert ExposureLevel.parse("1-RI") is ExposureLevel.INTERNAL_RESTRICTED
-        assert ExposureLevel.parse("2-EI") is ExposureLevel.INTERNAL_EXTENDED
-        assert ExposureLevel.parse("internal extended") is ExposureLevel.INTERNAL_EXTENDED
-        assert ExposureLevel.parse("External Extended") is ExposureLevel.EXTERNAL_EXTENDED
+    @pytest.mark.parametrize("scale, text, level", ACCEPTED)
+    def test_accepted_spelling(self, scale, text, level):
+        for variant in (text, text.lower(), text.upper(), text.swapcase(), f" \t{text}  \n"):
+            assert scale.parse(variant) is scale(level)
 
-    def test_severity_cnil_labels(self):
-        assert SeverityLevel.parse("negligible") is SeverityLevel.NEGLIGIBLE
-        assert SeverityLevel.parse("limited") is SeverityLevel.LIMITED
-        assert SeverityLevel.parse("significant") is SeverityLevel.SIGNIFICANT
-        assert SeverityLevel.parse("maximum") is SeverityLevel.MAXIMUM
+    @pytest.mark.parametrize("scale", ALL_SCALES)
+    def test_only_its_own_spellings_accepted(self, scale):
+        own = {text.lower() for levels in SPELLINGS[scale] for text in levels}
+        others = {text for _, text, _ in ACCEPTED if text.lower() not in own}
+        for text in sorted(others) + NEAR_MISSES:
+            with pytest.raises(ScaleError) as caught:
+                scale.parse(text)
+            assert str(caught.value) == f"{scale.__name__}: unknown label {text!r}"
 
 
 class TestSeverityRating:

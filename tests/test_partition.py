@@ -147,20 +147,35 @@ def test_keys_past_64_bits_equal_naive_oracle():
         assert partition.class_inference("s0") == scores
 
 
+_RATINGS = st.builds(SeverityRating, *[st.integers(1, 4)] * 3)
+
+
 @given(
     tables(qi=(2, 4), sensitive=(1, 2), rows=(2, 40), values=6),
     st.lists(st.integers(1, 4), min_size=4, max_size=4),
     st.sampled_from(["per_level", "cumulative"]),
+    st.data(),
 )
 @settings(deadline=None)
-def test_assess_equals_naive_oracle(table, exposures, strategy):
+def test_assess_equals_naive_oracle(table, exposures, strategy, data):
     d = Dataset(*table)
     qi_names, sensitive_names = _split_names(d)
+    # The attribute's own rating has global severity 3, at the flag threshold;
+    # a value may override it with any rating, so it may fall below.
+    overrides = {
+        s: data.draw(st.dictionaries(st.sampled_from(d.columns[s].values), _RATINGS))
+        for s in sensitive_names
+    }
     meta = [
         AttributeMeta(name=n, role=AttributeRole.QUASI_IDENTIFIER, exposure=ExposureLevel(e))
         for n, e in zip(qi_names, exposures)
     ] + [
-        AttributeMeta(name=n, role=AttributeRole.SENSITIVE, severity=SeverityRating(1, 2, 3))
+        AttributeMeta(
+            name=n,
+            role=AttributeRole.SENSITIVE,
+            severity=SeverityRating(1, 2, 3),
+            value_severity=overrides[n],
+        )
         for n in sensitive_names
     ]
     options = AssessmentOptions(combination_strategy=strategy)
@@ -174,23 +189,35 @@ def test_assess_equals_naive_oracle(table, exposures, strategy):
     for r in (row.dr for row in report.exploitability_rows):
         assert (r.h_s, r.h_s_given_qi, r.dr) == naive.discrimination_rate(d, r.qi_set, r.sensitive)
 
-    # Every value has global severity 3, so every record is flagged under the
-    # highest-exposure combination (ties: more members, then column order).
+    # A record is flagged when its value's global severity reaches 3, under
+    # the highest-exposure combination (ties: more members, then column order).
     combos = build_combinations(meta, strategy)
     top = min(
         combos,
         key=lambda c: (-int(c.exposure), -len(c.members), [qi_names.index(m) for m in c.members]),
     )
     keys = naive.project(d, top.members)
+
+    def severity(s, value):
+        return max(overrides[s].get(value, SeverityRating(1, 2, 3)).components())
+
+    expected = [
+        (s, i) for s in sensitive_names for i, v in enumerate(d.column(s)) if severity(s, v) >= 3
+    ]
     outcomes = report.outcomes
     records = [(row, outcomes[o]) for row, o in zip(report.flagged_rows, report.flagged_outcome)]
-    assert [(outcome.attribute, row) for row, outcome in records] == [
-        (s, i) for s in sensitive_names for i in range(d.row_count)
+    assert [(outcome.attribute, row) for row, outcome in records] == expected
+    triples = [
+        (s, naive.value_inference(d, top.members, keys[i], s), d.column(s)[i]) for s, i in expected
     ]
-    for row, outcome in records:
-        expected = naive.value_inference(d, top.members, keys[row], outcome.attribute)
-        assert outcome.class_inference == expected
-        assert outcome.sensitive_value == d.column(outcome.attribute)[row]
+    # One outcome per distinct (attribute, class score, value), in first-record order.
+    assert [(o.attribute, o.class_inference, o.sensitive_value) for o in outcomes] == list(
+        dict.fromkeys(triples)
+    )
+    assert sorted(set(report.flagged_outcome)) == list(range(len(outcomes)))
+    for (row, outcome), triple in zip(records, triples):
+        assert (outcome.attribute, outcome.class_inference, outcome.sensitive_value) == triple
+        assert outcome.value_severity == severity(outcome.attribute, outcome.sensitive_value)
 
     # Both renderings encode each outcome once; every record must still show its own cells.
     document = json.loads(to_json(report))["flagged_records"]
