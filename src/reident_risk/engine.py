@@ -16,6 +16,7 @@ the combination offers.
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from enum import Enum
 from itertools import compress, count
@@ -41,6 +42,9 @@ from .model import (
     validate_meta,
 )
 from .report import AssessmentReport, FlaggedOutcome, LDiversityEntry, MetricsAppendix
+
+# Flagged numbers, below rows × sensitive attributes, fit 4-byte 'I' arrays up to this.
+_UINT32_VALUES = 2**32
 
 DEFAULT_EXPLOITABILITY_MATRIX = ScaleMatrix(
     name="exploitability",
@@ -314,8 +318,8 @@ def assess(
     del built
 
     exploitability_rows = []
-    flagged_rows: list[int] = []
-    flagged_outcome: list[int] = []
+    typecode = "I" if dataset.row_count * len(sensitive_names) <= _UINT32_VALUES else "Q"
+    flagged_rows, flagged_outcome = array(typecode), array(typecode)
     outcomes: list[FlaggedOutcome] = []
     for sensitive in sensitive_names:
         values, codes, _ = dataset.columns[sensitive]
@@ -356,12 +360,12 @@ def assess(
         scores = top_partition.class_inference(sensitive)
         is_flagged = [level >= options.flag_threshold for level in value_severities]
         mask = recode(codes, is_flagged, 2)
-        flagged_rows += compress(range(len(codes)), mask)
+        flagged_rows.extend(compress(range(len(codes)), mask))
         # (score, code) -> outcome index: a new key gets the next index.
-        numbering = defaultdict(count(len(outcomes)).__next__)
+        index = defaultdict(count(len(outcomes)).__next__)
         flagged_scores = map(scores.__getitem__, compress(top_partition.class_of, mask))
-        flagged_outcome += map(numbering.__getitem__, zip(flagged_scores, compress(codes, mask)))
-        for score, code in numbering:
+        flagged_outcome.extend(map(index.__getitem__, zip(flagged_scores, compress(codes, mask))))
+        for score, code in index:
             level = value_severities[code]
             exploit = exploitability(top_combo.exposure, band(score), options.exploitability_matrix)
             outcomes.append(
@@ -393,8 +397,8 @@ def assess(
         attributes=ordered_meta,
         exploitability_rows=tuple(exploitability_rows),
         overall_risk=overall_risk,
-        flagged_rows=tuple(flagged_rows),
-        flagged_outcome=tuple(flagged_outcome),
+        flagged_rows=flagged_rows,
+        flagged_outcome=flagged_outcome,
         outcomes=tuple(outcomes),
         metrics_appendix=appendix,
         warnings=tuple(warnings),

@@ -15,7 +15,7 @@ as dr = 1: the constant value is known without looking at Q at all.
 
 Every metric is derived from a :class:`Partition` of the rows. Building one
 keys each row by its codes in the columns a :class:`~reident_risk.model.Dataset`
-stores, in C-level ``map`` and ``Counter`` passes, and :meth:`Partition.coarsen`
+stores, in C-level ``map`` passes a block of rows at a time, and :meth:`Partition.coarsen`
 derives the partition of any subset of its quasi-identifiers, also of a
 coarsening, from its classes and (class, sensitive value) pairs, without reading
 the rows again. So an assessment makes one row pass, over the full
@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import count, repeat
+from itertools import count, islice, repeat
 from operator import add, itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .model import Column, Dataset, InferenceLevel, code_sequence, recode, strings
+from .model import _BLOCK_ROWS, Coder, Column, Dataset, InferenceLevel, recode, strings
 
 __all__ = [
     "Partition",
@@ -58,8 +58,12 @@ def entropy(counts: Iterable[int | float]) -> float:
     """Shannon entropy in bits of a multiset of finite, non-negative category counts."""
     if iter(counts) is counts:  # a one-shot iterator; a list is read as given
         counts = list(counts)
-    total = sum(counts)
-    if not total < math.inf:  # inf or nan, from a count or from finite counts that overflow
+    try:
+        total = sum(counts)
+        in_range = float(total) < math.inf
+    except OverflowError:  # an int past the float range, as a count or as the total
+        in_range = False
+    if not in_range:  # inf or nan, from a count or from finite counts that overflow
         if all(-math.inf < c < math.inf for c in counts):
             raise ValueError("total count overflows")
         raise ValueError("counts must be finite")
@@ -107,7 +111,7 @@ def _names(qi_set: Sequence[str]) -> tuple[str, ...]:
     return names
 
 
-def _keys(columns: Sequence[Column], rows: list[int] | None = None) -> list[int]:
+def _keys(columns: Sequence[Column], rows: list[int] | None = None) -> Iterable[int]:
     """Per row, or per row listed in ``rows``, the mixed-radix number whose digits
     are its codes in ``columns``: rows agree on every column iff their keys do."""
     keys: Iterable[int] | None = None
@@ -116,7 +120,7 @@ def _keys(columns: Sequence[Column], rows: list[int] | None = None) -> list[int]
     for values, codes, _ in columns:
         digits = codes if rows is None else pick(codes)
         keys = digits if keys is None else map(add, map(mul, keys, repeat(len(values))), digits)
-    return list(keys)
+    return keys
 
 
 class Partition:
@@ -124,12 +128,12 @@ class Partition:
 
     ``class_of[i]`` is the class of row ``i`` and ``sizes[c]`` the size of
     class ``c``; classes are numbered in order of first occurrence. Each row
-    is keyed by the mixed-radix number whose digits are its codes, and one
-    ``Counter`` of the keys gives the classes in that order. For each
-    sensitive attribute the joint (class, value) counts are counted on first
-    use and kept, in the order rows first show each pair, so one partition
-    serves every sensitive attribute; a sensitive attribute inside the
-    quasi-identifier set is rejected with ``ValueError``. :meth:`coarsen`
+    is keyed by the mixed-radix number whose digits are its codes, and the
+    keys are coded a block of rows at a time, as a column's cells are. For
+    each sensitive attribute the joint (class, value) counts are counted on
+    first use and kept, in the order rows first show each pair, so one
+    partition serves every sensitive attribute; a sensitive attribute inside
+    the quasi-identifier set is rejected with ``ValueError``. :meth:`coarsen`
     derives the partition of a subset of the quasi-identifiers from the
     classes instead of the rows: it keys each class by one of its rows, and
     keeps one row per coarse class for the next coarsening. ``class_of`` is
@@ -148,14 +152,13 @@ class Partition:
         columns = [dataset.columns[name] for name in names]  # KeyError on unknown names
         if dataset.row_count == 0:
             raise ValueError("no rows: cannot build equivalence classes")
-        keys = _keys(columns)
-        sizes = Counter(keys)  # keys in first-occurrence order
-        ids = dict(zip(sizes, count()))
+        keys, coder = iter(_keys(columns)), Coder()
+        while block := list(islice(keys, _BLOCK_ROWS)):
+            coder.extend(block)
         self.dataset = dataset
         self.qi_set = names
-        self.sizes = list(sizes.values())
         self._class_of: bytes | list[int] | None
-        self._class_of = code_sequence(map(ids.__getitem__, keys), len(ids))
+        self._class_of, self.sizes = coder.done()
         # A coarsened partition's source, and per source class its class here.
         self._fine: Partition | None = None
         self._fine_to_class: list[int] | None = None
@@ -191,7 +194,7 @@ class Partition:
         if self._rows is None:  # a row pass: its class ids follow first occurrence
             self._rows = list(dict(zip(self.class_of, count())).values())
         columns = [self.dataset.columns[name] for name in names]
-        keys = _keys(columns, self._rows)
+        keys = list(_keys(columns, self._rows))
         rows = dict(zip(keys, self._rows))  # coarse classes in id order, any row of each
         coarse = object.__new__(Partition)
         coarse.dataset = self.dataset

@@ -280,18 +280,13 @@ class AttributeMeta(Record):
     }
 
 
-def code_sequence(codes: Iterable[int], size: int) -> bytes | list[int]:
-    """``codes``, each in ``range(size)``, as ``bytes`` if ``size`` is at
-    most 256, else as a list: one byte per row instead of an 8-byte slot."""
-    return bytes(codes) if size <= 256 else list(codes)
-
-
 def recode(codes: bytes | list[int], table: Sequence[int], size: int) -> bytes | list[int]:
-    """``table[c]`` for each code ``c`` of ``codes``, each in ``range(size)``,
-    by :func:`code_sequence`; ``bytes`` codes are translated in one C pass."""
+    """``table[c]`` for each code ``c`` of ``codes``, each in ``range(size)``, as
+    ``bytes`` if ``size`` is at most 256, else a list; ``bytes`` are translated in C."""
     if type(codes) is bytes:  # so table has at most 256 entries
         return codes.translate(bytes(table).ljust(256, b"\0"))
-    return code_sequence(map(table.__getitem__, codes), size)
+    coded = map(table.__getitem__, codes)
+    return bytes(coded) if size <= 256 else list(coded)
 
 
 class Column(NamedTuple):
@@ -321,6 +316,30 @@ _BLOCK_ROWS = 256
 # value, at about 0.6 ns a row each, instead of one Counter pass, at about
 # 40 ns a row (Python 3.11; the two cost the same at about 45 values).
 _COUNT_EACH = 32
+
+
+class Coder:
+    """Codes hashable items in order of first occurrence, a block at a time,
+    into a ``bytearray`` until a code passes 255, then a list: ``index`` maps
+    each item to its code, and a new item gets the next code in C."""
+
+    def __init__(self) -> None:
+        self.index: defaultdict[Any, int] = defaultdict(count().__next__)
+        self.codes: bytearray | list[int] = bytearray()
+
+    def extend(self, block: Sequence[Any]) -> None:
+        try:
+            self.codes.extend(map(self.index.__getitem__, block))
+        except ValueError:  # code 256, and bytearray.extend adds none of the block
+            self.codes = list(self.codes)
+            self.codes.extend(map(self.index.__getitem__, block))
+
+    def done(self) -> tuple[bytes | list[int], list[int]]:
+        """The codes, ``bytes`` if they fit, and per code its number of items."""
+        codes = bytes(self.codes) if type(self.codes) is bytearray else self.codes
+        size = len(self.index)  # a Counter's keys first occur in code order
+        counts = map(codes.count, range(size)) if size <= _COUNT_EACH else Counter(codes).values()
+        return codes, list(counts)
 
 
 def _check_rows(block: list[Any], done: int, width: int) -> None:
@@ -366,9 +385,7 @@ class Dataset(Record):
         if isinstance(rows, (str, bytes, AbstractSet, Mapping)) or not isinstance(rows, Iterable):
             raise ValueError(f"rows: expected an array of rows, got {rows!r}")
         width = len(attrs)
-        # Per column, cell -> code: looking up a new cell gives it the next code.
-        code_of = [defaultdict(count().__next__) for _ in attrs]
-        codes: list[bytearray | list[int]] = [bytearray() for _ in attrs]
+        coders = [Coder() for _ in attrs]
         rows = iter(rows)
         block: list[Any] = []
         done = 0
@@ -387,30 +404,18 @@ class Dataset(Record):
                 and all(map(width.__eq__, map(len, block)))
             ):
                 _check_rows(block, done, width)
-            for i, (cells, index) in enumerate(zip(zip(*block), code_of)):
+            for cells, coder in zip(zip(*block), coders):
                 try:
                     "".join(cells)  # a TypeError for exactly the cells that are not strings
                 except TypeError:
                     _check_rows(block, done, width)
-                try:
-                    codes[i].extend(map(index.__getitem__, cells))
-                except ValueError:
-                    # Code 256 does not fit a byte, and bytearray.extend then
-                    # adds none of the block: the column becomes a list.
-                    codes[i] = list(codes[i])
-                    codes[i].extend(map(index.__getitem__, cells))
+                coder.extend(cells)
             done += len(block)
             block.clear()
         columns = _Columns()
-        for name, index, column in zip(attrs, code_of, codes):
-            if type(column) is bytearray:
-                column = bytes(column)
-            if len(index) <= _COUNT_EACH:
-                counts = list(map(column.count, range(len(index))))
-            else:
-                counts = list(Counter(column).values())  # its keys first occur in code order
-            columns[name] = Column(tuple(index), column, counts)
-            for value in filterfalse(str.isascii, index):
+        for name, coder in zip(attrs, coders):
+            columns[name] = Column(tuple(coder.index), *coder.done())
+            for value in filterfalse(str.isascii, coder.index):
                 parsed(f"attribute {name!r}", utf8, value)
         self.__dict__.update(
             attributes=attrs, source_label=label, row_count=done, columns=MappingProxyType(columns)

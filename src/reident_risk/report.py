@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import re
+from array import array
 from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring as _string  # as json.dumps(ensure_ascii=False)
@@ -66,15 +67,16 @@ class AssessmentReport(NamedTuple):
     the appendix's discrimination rates from ``exploitability_rows``.
 
     Flagged record ``j`` is row ``flagged_rows[j]`` (0-based; reports render it
-    1-based) showing ``outcomes[flagged_outcome[j]]``."""
+    1-based) showing ``outcomes[flagged_outcome[j]]``. Both are unsigned-int
+    arrays, shared and not to be mutated; renderers take any sequence of ints."""
 
     dataset_label: str
     row_count: int
     attributes: tuple[AttributeMeta, ...]
     exploitability_rows: tuple["ExploitabilityRow", ...]
     overall_risk: RiskLevel
-    flagged_rows: tuple[int, ...]
-    flagged_outcome: tuple[int, ...]
+    flagged_rows: array[int]
+    flagged_outcome: array[int]
     outcomes: tuple[FlaggedOutcome, ...]
     metrics_appendix: MetricsAppendix
     warnings: tuple[str, ...]

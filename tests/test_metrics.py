@@ -143,14 +143,22 @@ class TestEntropy:
         "counts",
         [
             [math.nan], [math.nan, 1], [math.inf, 1], [math.inf, -1],
-            [1e308, 1e308, math.inf], [1e308, 1e308, math.nan],
+            [1e308, 1e308, math.inf], [1e308, 1e308, math.nan], [10**400, math.nan],
         ],
     )
     def test_non_finite_counts_rejected(self, counts):
         with pytest.raises(ValueError, match="^counts must be finite$"):
             entropy(counts)
 
-    @pytest.mark.parametrize("counts", [[1e308, 1e308], [1e308, 1e308, -1e308], [2**1023, 1e308]])
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            [1e308, 1e308], [1e308, 1e308, -1e308], [2**1023, 1e308],
+            # An int total past the float range: summed with a float, and
+            # summed alone, where 1 / total would underflow to 0.0.
+            [10**400, 1.0], [10**400, 1], [2**1023, 2**1023],
+        ],
+    )
     def test_overflowing_total_rejected(self, counts):
         with pytest.raises(ValueError, match="^total count overflows$"):
             entropy(counts)

@@ -11,6 +11,8 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -128,6 +130,45 @@ def test_class_of_is_bytes_up_to_256_classes(rows):
         assert type(partition.class_of) is (bytes if len(classes) <= 256 else list)
 
 
+def _oracle_view(d, qi, sensitive):
+    """The oracle's classes under ``qi``: their sizes, the class of each row,
+    the type ``class_of`` must have (``bytes`` up to 256 classes), and per
+    sensitive attribute the joint (class, value) counts in first-row order
+    and the metrics derived from them."""
+    classes = naive.equivalence_classes(d, qi)
+    class_of = {i: class_id for class_id, c in enumerate(classes) for i in c.row_indices}
+    per_sensitive = []
+    for s in sensitive:
+        values, codes, _ = d.columns[s]
+        pairs = (class_of[i] * len(values) + codes[i] for i in range(d.row_count))
+        per_sensitive.append(
+            (
+                list(Counter(pairs).items()),
+                naive.distinct_l_diversity(d, qi, s),
+                naive.conditional_entropy(d, s, qi),
+                [naive.value_inference(d, qi, c.key, s) for c in classes],
+            )
+        )
+    sizes = [len(c.row_indices) for c in classes]
+    row_classes = [class_of[i] for i in range(d.row_count)]
+    return sizes, row_classes, bytes if len(classes) <= 256 else list, per_sensitive
+
+
+def _view(partition, sensitive):
+    """What ``_oracle_view`` gives, read off ``partition``."""
+    per_sensitive = [
+        (
+            list(partition._joint_counts(s).items()),
+            partition.l_diversity(s),
+            partition.conditional_entropy(s),
+            partition.class_inference(s),
+        )
+        for s in sensitive
+    ]
+    class_of = partition.class_of
+    return partition.sizes, list(class_of), type(class_of), per_sensitive
+
+
 def test_keys_past_64_bits_equal_naive_oracle():
     d = _wide_table(300, seed=3)
     qi = [n for n in d.attributes if n.startswith("q")]
@@ -136,15 +177,53 @@ def test_keys_past_64_bits_equal_naive_oracle():
     assert max(_keys(columns[:12])) > 2**63 and max(_keys(columns[1:])) > 2**63
     p = Partition(d, qi)
     for sub, partition in [(qi, p), (qi[:12], p.coarsen(qi[:12])), (qi[1:], p.coarsen(qi[1:]))]:
-        classes = naive.equivalence_classes(d, sub)
-        assert sum(len(c.row_indices) > 1 for c in classes) > 20
-        assert partition.sizes == [len(c.row_indices) for c in classes]
-        class_of = {i: class_id for class_id, c in enumerate(classes) for i in c.row_indices}
-        assert list(partition.class_of) == [class_of[i] for i in range(d.row_count)]
-        assert partition.l_diversity("s0") == naive.distinct_l_diversity(d, sub, "s0")
-        assert partition.conditional_entropy("s0") == naive.conditional_entropy(d, "s0", sub)
-        scores = [naive.value_inference(d, sub, c.key, "s0") for c in classes]
-        assert partition.class_inference("s0") == scores
+        assert partition.qi_set == tuple(sub)
+        expected = _oracle_view(d, sub, ["s0"])
+        assert _view(partition, ["s0"]) == expected
+        assert sum(size > 1 for size in expected[0]) > 20
+
+
+def _classes_table(classes, last_at, rows=800):
+    """A table whose columns ``hi``/``lo`` (16 values each) and ``c`` show
+    ``classes`` classes. Rows before ``last_at`` cycle through every class
+    but the last, which first shows at row ``last_at`` and then every 97th
+    row. ``z`` splits each class in two, ``s0`` is sensitive."""
+    last = classes - 1
+    of_row = [i % last if i < last_at or (i - last_at) % 97 else last for i in range(rows)]
+    table = [
+        (f"h{c // 16}", f"l{c % 16}", f"c{c}", f"z{i % 2}", "xyz"[c * i % 3])
+        for i, c in enumerate(of_row)
+    ]
+    return Dataset(("hi", "lo", "c", "z", "s0"), table)
+
+
+@pytest.mark.parametrize(
+    "classes, last_at",
+    [(255, 254), (255, 512), (256, 255), (256, 256), (256, 513)]
+    + [(257, at) for at in (256, 257, 511, 512, 513, 700)],
+)
+def test_streamed_coder_at_block_and_byte_boundaries(classes, last_at):
+    """Keys are coded a block of 256 rows at a time into bytes, which become
+    a list when class 257 shows: in the first row of a block, in its second,
+    in the last of a block, or within a later one. Each partition over the
+    classes, a row pass over two columns or one (bytes codes up to 256
+    classes, list codes past) or a coarsening, equals the oracle's, and so
+    does each one-column coarsening of the two-column row pass."""
+    d = _classes_table(classes, last_at)
+    assert type(d.columns["c"].codes) is (bytes if classes <= 256 else list)
+    # hi/lo and c number the same classes in the same order.
+    expected = _oracle_view(d, ("c",), ["s0", "z"])
+    assert len(expected[0]) == classes
+    full = Partition(d, ("hi", "lo"))
+    for partition in [
+        full,
+        Partition(d, ("c",)),
+        Partition(d, ("hi", "lo", "z")).coarsen(("hi", "lo")),
+        Partition(d, ("c", "z")).coarsen(("c",)),
+    ]:
+        assert _view(partition, ["s0", "z"]) == expected
+    for name in ("hi", "lo"):
+        assert _view(full.coarsen((name,)), ["s0"]) == _oracle_view(d, (name,), ["s0"])
 
 
 _RATINGS = st.builds(SeverityRating, *[st.integers(1, 4)] * 3)
@@ -409,3 +488,59 @@ def test_live_partitions_do_not_grow_with_combinations():
         assert len(report.exploitability_rows) == len(build_combinations(meta, explicit=explicit))
         live.append(counted[0])
     assert live[0] == live[1] == live[2]
+
+
+def _peak_bytes(build):
+    """The tracemalloc peak, above what was traced before, of ``build()``."""
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        build()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+# Per-row budgets of the two row-length phases. A list of ints past the
+# cached small ones costs about 40 bytes a row. Measured on Python 3.10-3.13,
+# a row pass takes 2.8 bytes a row and an assessment that flags every row 16.0
+# to 16.5.
+@pytest.fixture(scope="module")
+def budget_table():
+    """50,000 rows of 256 classes drawn from three quasi-identifiers of 16
+    values each, so most keys are ints past the cached small ones, and a
+    sensitive column whose three values are all severe."""
+    rng = random.Random(11)
+    keys = rng.sample(list(itertools.product(range(16), repeat=3)), 256)
+    table = [(*(f"v{v}" for v in rng.choice(keys)), rng.choice("xyz")) for _ in range(50_000)]
+    meta = [
+        AttributeMeta(name=n, role=AttributeRole.QUASI_IDENTIFIER, exposure=ExposureLevel(4))
+        for n in ("q0", "q1", "q2")
+    ]
+    meta.append(
+        AttributeMeta(name="s0", role=AttributeRole.SENSITIVE, severity=SeverityRating(4, 4, 4))
+    )
+    return Dataset(("q0", "q1", "q2", "s0"), table), meta
+
+
+def test_row_pass_keeps_no_int_object_per_row(budget_table):
+    """A row pass codes its keys a block at a time, into bytes here."""
+    d, _ = budget_table
+    assert len(Partition(d, ("q0", "q1", "q2")).sizes) == 256
+    per_row = _peak_bytes(lambda: Partition(d, ("q0", "q1", "q2"))) / d.row_count
+    assert per_row < 8, f"Partition: {per_row:.1f} bytes per row"
+
+
+def test_flagged_records_keep_no_int_object_per_row(budget_table):
+    """``assess`` keeps flagged records in two arrays of 4-byte unsigned ints."""
+    d, meta = budget_table
+    reports = []
+    per_row = _peak_bytes(lambda: reports.append(assess(d, meta))) / d.row_count
+    assert len(reports[0].flagged_rows) == d.row_count
+    assert reports[0].flagged_rows.itemsize == 4
+    assert per_row < 24, f"assess: {per_row:.1f} bytes per row"

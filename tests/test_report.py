@@ -2,12 +2,13 @@
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reident_risk import fixtures
+from reident_risk import engine, fixtures
 from reident_risk.engine import AssessmentOptions, assess
 from reident_risk.model import (
     AttributeMeta,
@@ -239,6 +240,19 @@ class TestJson:
         document = json.loads(to_json(initial_report))
         assert [r["row"] for r in document["flagged_records"]] == [6, 7, 8, 9]
 
+    def test_eight_byte_flagged_records_render_the_same(self, initial, reference_meta):
+        """Past 2**32 row-attribute pairs the arrays hold 8-byte ints; a limit
+        of 0 takes that branch on a small table."""
+        args = (initial, reference_meta.attributes, reference_meta.options)
+        narrow = assess(*args)
+        with mock.patch.object(engine, "_UINT32_VALUES", 0):
+            wide = assess(*args)
+        assert (narrow.flagged_rows.itemsize, wide.flagged_rows.itemsize) == (4, 8)
+        assert wide.flagged_outcome.itemsize == 8
+        assert len(wide.flagged_rows) > 0
+        assert to_json(wide) == to_json(narrow)
+        assert to_markdown(wide) == to_markdown(narrow)
+
     def test_injective_on_distinct_reports(self, hipaa_report, initial_report):
         assert to_json(hipaa_report) != to_json(initial_report)
 
@@ -320,7 +334,7 @@ class TestMarkdown:
             ),
         ]
         report = assess(d, meta)
-        assert report.flagged_rows == ()
+        assert len(report.flagged_rows) == 0
         # No overrides, no flagged records and no warnings: the override block is
         # left out, and the other two sections print ``none``.
         assert to_markdown(report) == MILD_MARKDOWN
