@@ -4,18 +4,22 @@ Reports and metrics go to stdout (or ``--out``) as UTF-8 bytes, whatever
 the terminal's encoding, a report part by part as it is rendered;
 diagnostics go to stderr, so the two never mix on one stream. Exit codes: 0 success, 1 I/O or parse failure, 2 validation
 errors.
+
+A run builds only the parser of the command its first argument names,
+or all three when that names none; help and errors read the same either
+way. ``assess`` and ``metric`` never load the fixtures module.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from contextlib import nullcontext
 from itertools import chain
 from typing import Iterable
 
-from . import fixtures
 from .engine import AssessmentError, assess
 from .ingest import IngestError, load_csv, load_metadata
 from .metrics import Partition
@@ -110,8 +114,10 @@ def cmd_metric(args: argparse.Namespace) -> int:
 
 
 def cmd_fixtures(args: argparse.Namespace) -> int:
+    from .fixtures import write_fixture
+
     try:
-        csv_path, meta_path = fixtures.write_fixture(args.name, args.dir)
+        csv_path, meta_path = write_fixture(args.name, args.dir)
     except OSError as exc:
         _diag(str(exc))
         return EXIT_FAILURE
@@ -120,14 +126,7 @@ def cmd_fixtures(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="reident-risk",
-        description="Quantify the re-identification risk of an anonymized tabular dataset.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_assess = sub.add_parser("assess", help="run a full assessment and emit the report")
+def _assess_arguments(p_assess: argparse.ArgumentParser) -> None:
     p_assess.add_argument("--data", required=True, help="dataset CSV (header row first)")
     p_assess.add_argument("--meta", required=True, help="attribute metadata JSON")
     p_assess.add_argument("--out", default=None, help="write the report here instead of stdout")
@@ -136,25 +135,65 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_assess.set_defaults(func=cmd_assess)
 
-    p_metric = sub.add_parser("metric", help="compute a single metric for ad-hoc exploration")
+
+def _metric_arguments(p_metric: argparse.ArgumentParser) -> None:
     p_metric.add_argument("metric", choices=("dr", "k", "ldiv"))
     p_metric.add_argument("--data", required=True, help="dataset CSV")
     p_metric.add_argument("--qi", required=True, help="comma-separated quasi-identifier names")
     p_metric.add_argument("--sensitive", default=None, help="sensitive attribute (dr and ldiv)")
     p_metric.set_defaults(func=cmd_metric)
 
-    p_fixtures = sub.add_parser("fixtures", help="manage the bundled example datasets")
+
+def _fixtures_arguments(p_fixtures: argparse.ArgumentParser) -> None:
+    from .fixtures import FIXTURE_NAMES
+
     fix_sub = p_fixtures.add_subparsers(dest="fixtures_command", required=True)
     p_emit = fix_sub.add_parser("emit", help="write a fixture CSV and its reference metadata")
-    p_emit.add_argument("name", choices=fixtures.FIXTURE_NAMES)
+    p_emit.add_argument("name", choices=FIXTURE_NAMES)
     p_emit.add_argument("--dir", default=".", help="target directory (default: current)")
     p_emit.set_defaults(func=cmd_fixtures)
 
+
+# Per command, its help line and the function that adds its arguments.
+COMMANDS = {
+    "assess": ("run a full assessment and emit the report", _assess_arguments),
+    "metric": ("compute a single metric for ad-hoc exploration", _metric_arguments),
+    "fixtures": ("manage the bundled example datasets", _fixtures_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with the sub-parser of ``command`` only, or of every
+    command when ``command`` names none; both write the same text."""
+    parser = argparse.ArgumentParser(
+        prog="reident-risk",
+        description="Quantify the re-identification risk of an anonymized tabular dataset.",
+    )
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    # One sub-parser would show as "{assess}" in the usage line. All three
+    # leave metavar unset, so that an unknown command is "argument command".
+    metavar = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_line, add_arguments = COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # The parsers hold reference cycles. Built with the collector off, all
+    # of them stay in the youngest generation, so collecting that one alone
+    # frees them before the run, wherever the collector's counts stood.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
+    finally:
+        gc.collect(0)
+        if enabled:
+            gc.enable()
     return args.func(args)
 
 

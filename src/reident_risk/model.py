@@ -12,6 +12,7 @@ from collections import Counter, defaultdict
 from enum import Enum, IntEnum
 from functools import cached_property
 from itertools import count, filterfalse, islice, repeat
+from operator import itemgetter
 from types import MappingProxyType
 from typing import AbstractSet, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -328,11 +329,13 @@ class Coder:
         self.codes: bytearray | list[int] = bytearray()
 
     def extend(self, block: Sequence[Any]) -> None:
+        # itemgetter of one item returns the item, not a tuple
+        codes = itemgetter(*block)(self.index) if len(block) > 1 else (self.index[block[0]],)
         try:
-            self.codes.extend(map(self.index.__getitem__, block))
+            self.codes.extend(codes)
         except ValueError:  # code 256, and bytearray.extend adds none of the block
             self.codes = list(self.codes)
-            self.codes.extend(map(self.index.__getitem__, block))
+            self.codes.extend(codes)
 
     def done(self) -> tuple[bytes | list[int], list[int]]:
         """The codes, ``bytes`` if they fit, and per code its number of items."""

@@ -1,6 +1,8 @@
 """Command-line behaviour: exit codes, stream separation, round trips."""
 
+import argparse
 import contextlib
+import gc
 import io
 import json
 import os
@@ -15,8 +17,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reident_risk.cli
 from reident_risk import assess, load_csv, load_metadata, to_json, to_markdown
-from reident_risk.cli import _write_report, main
+from reident_risk.cli import _write_report, build_parser, main
 from reident_risk.fixtures import (
     FIXTURE_NAMES,
     fixture_csv,
@@ -26,6 +29,10 @@ from reident_risk.fixtures import (
 from reident_risk.report import _BLOCK_ROWS as B
 
 QI_ARG = "Age,Gender,Country,Admission Date,Blood Type"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+# Help, usage and argparse errors at 80 columns, per invocation, as written
+# by Python 3.11 when every parser was built on every call.
+CLI_TEXT = json.loads((Path(__file__).parent / "cli_text.json").read_text(encoding="utf-8"))
 
 
 @pytest.fixture()
@@ -549,11 +556,86 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     out what an installation's ``site`` hooks may import, and with only
     ``src`` added to the path, every other module loaded must be the
     standard library's: the runtime has no dependencies."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    code = f"import sys; sys.path.insert(0, {src!r}); import reident_risk.cli; " + (
+    code = f"import sys; sys.path.insert(0, {SRC!r}); import reident_risk.cli; " + (
         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules))); "
         "print(sorted({m.partition('.')[0] for m in sys.modules} - sys.stdlib_module_names))"
     )
     argv = [sys.executable, "-I", "-S", "-c", code]
     run = subprocess.run(argv, capture_output=True, text=True, check=True)
     assert run.stdout == "[]\n['__main__', 'reident_risk']\n"
+
+
+def test_assess_never_loads_the_fixtures_module(emitted, tmp_path):
+    data, meta = emitted["hipaa"]
+    argv = ["assess", "--data", data, "--meta", meta, "--out", str(tmp_path / "report.json")]
+    code = f"import sys; sys.path.insert(0, {SRC!r}); import reident_risk.cli; " + (
+        "loaded = ['reident_risk.fixtures' in sys.modules]; "
+        f"code = reident_risk.cli.main({argv!r}); "
+        "print(code, [*loaded, 'reident_risk.fixtures' in sys.modules])"
+    )
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
+    assert (run.stdout, run.stderr) == ("0 [False, False]\n", "")
+
+
+def _parse(parse, argv, capsys):
+    """Exit code, stdout and stderr of a call that ends in argparse."""
+    try:
+        code = parse(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _full_build(argv):
+    return build_parser().parse_args(argv)
+
+
+CASE_IDS = [" ".join(case["argv"]) or "none" for case in CLI_TEXT]
+
+
+@pytest.mark.parametrize("argv", [case["argv"] for case in CLI_TEXT], ids=CASE_IDS)
+def test_help_usage_and_errors_read_as_with_every_parser_built(argv, monkeypatch, capsys):
+    """argparse's wording varies between Python releases, so this compares
+    a run with the build of all three commands in the same interpreter."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parse(main, argv, capsys) == _parse(_full_build, argv, capsys)
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="text recorded under Python 3.11")
+@pytest.mark.parametrize("case", CLI_TEXT, ids=CASE_IDS)
+def test_help_usage_and_errors_keep_their_recorded_text(case, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parse(main, case["argv"], capsys) == (case["code"], case["stdout"], case["stderr"])
+
+
+def test_module_run_reads_its_arguments_from_the_command_line(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": SRC}
+    for argv in ([], ["fixtures", "emit", "nope"]):
+        run = subprocess.run(
+            [sys.executable, "-m", "reident_risk.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert (run.returncode, run.stdout, run.stderr) == _parse(_full_build, argv, capsys)
+
+
+def test_no_parser_is_alive_when_the_assessment_starts(emitted, monkeypatch, tmp_path):
+    """argparse parsers hold reference cycles; ``main`` frees its own before
+    the assessment, so they add nothing to its peak, also with the cyclic
+    collector disabled."""
+    alive = []
+
+    def spy(*args):
+        parsers = (o for o in gc.get_objects() if isinstance(o, argparse.ArgumentParser))
+        alive.append(sum(parser.prog.startswith("reident-risk") for parser in parsers))
+        return assess(*args)
+
+    monkeypatch.setattr(reident_risk.cli, "assess", spy)
+    data, meta = emitted["hipaa"]
+    gc.collect()
+    gc.disable()
+    try:
+        code = main(["assess", "--data", data, "--meta", meta, "--out", str(tmp_path / "r.json")])
+    finally:
+        gc.enable()
+    assert (code, alive) == (0, [0])

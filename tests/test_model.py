@@ -22,6 +22,7 @@ from reident_risk.model import (
     _BLOCK_ROWS,
     AttributeMeta,
     AttributeRole,
+    Coder,
     Column,
     Dataset,
     ExploitabilityLevel,
@@ -267,6 +268,27 @@ class TestDataset:
         assert from_tuple.row_count == 2 * _BLOCK_ROWS
         assert from_tuple.columns["b"].values == tuple(map(str, range(300)))
         assert from_tuple.columns["b"].counts == [2] * 212 + [1] * 88
+
+    def test_block_that_passes_255_codes_is_looked_up_once(self):
+        """The block in which code 256 appears moves the codes to a list,
+        yet every item in it is hashed as often as one in an earlier block."""
+        hashes = Counter()
+
+        class Item(int):
+            def __hash__(self):
+                hashes[int(self)] += 1
+                return int.__hash__(self)
+
+        coder = Coder()
+        coder.extend([Item(i) for i in range(200)])
+        coder.extend([Item(i) for i in range(200, 300)])
+        coder.extend([Item(0)])  # a one-item block
+        codes, counts = coder.done()
+        assert codes == [*range(300), 0] and counts == [2] + [1] * 299
+        assert {hashes[i] for i in range(1, 300)} == {hashes[1]}
+        one = Coder()
+        one.extend(["x"])
+        assert one.done() == (b"\x00", [1])
 
     def test_codes_keep_two_bytes_per_cell(self):
         """20,000 rows of 4 columns of at most 12 values each: one byte per
