@@ -14,6 +14,8 @@ import csv
 import io
 import json
 from contextlib import contextmanager
+from itertools import count
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Any, Collection, Iterator, Union
 
@@ -66,23 +68,19 @@ def load_csv(source: Source, label: str | None = None) -> Dataset:
     """
     with _open_text(source) as (stream, default_label):
         label = default_label if label is None else label
-        read = -1  # data rows yielded; the header is row 0
-
-        def counted_rows() -> Iterator[list[str]]:
-            nonlocal read
-            for record in csv.reader(stream):
-                read += 1
-                yield record
-
-        rows = counted_rows()
+        read = count()  # numbers the records the reader returns, the header 0
+        rows = map(itemgetter(0), zip(csv.reader(stream), read))
         try:
             header = next(rows, None)
             if header is not None:
                 header = list(map(str.strip, header))
                 return Dataset(attributes=header, rows=rows, source_label=label)._trimmed()
         except csv.Error as exc:
-            # For example a cell longer than csv.field_size_limit().
-            where = "header" if read < 0 else f"row {read + 1}"
+            # For example a cell longer than csv.field_size_limit(). zip
+            # numbers a record only once the reader has returned it, so the
+            # next number is the faulty record's.
+            faulty = next(read)
+            where = "header" if faulty == 0 else f"row {faulty}"
             raise IngestError(f"{label}: {where}: {exc}") from None
         except UnicodeDecodeError as exc:
             # Decoding runs a buffer ahead of the reader, so no row is named.

@@ -17,12 +17,12 @@ Every metric is derived from a :class:`Partition` of the rows. Building one
 keys each row by its codes in the columns a :class:`~reident_risk.model.Dataset`
 stores, in C-level ``map`` passes a block of rows at a time, and :meth:`Partition.coarsen`
 derives the partition of any subset of its quasi-identifiers, also of a
-coarsening, from its classes and (class, sensitive value) pairs, without reading
-the rows again. So an assessment makes one row pass, over the full
-quasi-identifier set and the sensitive columns, and then works per class for
-each combination. Coarsening visits classes and pairs in first-row order, so its
-class numbering, its tallies and every float derived from them equal (``==``)
-those of a row pass.
+coarsening, from its classes without reading the rows again. n * H(S | Q) is
+sum n_c * log2(n_c) over class sizes less sum n_cv * log2(n_cv) over pairs.
+
+A rate or class score within 1e-9 of a band boundary (1/4, 1/2, 3/4) is
+banded on its exact value, decided from the counts by :mod:`reident_risk.exact`,
+which moves a float on the wrong side of the boundary onto the exact side.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import count, islice, repeat
-from operator import add, itemgetter, mul
+from operator import add, floordiv, itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .model import _BLOCK_ROWS, Coder, Column, Dataset, InferenceLevel, recode, strings
@@ -102,6 +102,17 @@ def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
 
 
+# A rate this near a band boundary has its band decided on the counts, by
+# :mod:`reident_risk.exact`, which is imported only then.
+_NEAR = 1e-9
+
+
+def _near(x: float) -> int:
+    """``p`` when ``x`` is within ``_NEAR`` of the band boundary p/4, else 0."""
+    p = round(4 * x)
+    return p if 0 < p < 4 and abs(x - p / 4) <= _NEAR else 0
+
+
 def _names(qi_set: Sequence[str]) -> tuple[str, ...]:
     names = strings(qi_set)
     if not names:
@@ -123,22 +134,26 @@ def _keys(columns: Sequence[Column], rows: list[int] | None = None) -> Iterable[
     return keys
 
 
+# A coarsening counts its pairs from the rows once its source has this many
+# pairs per row: at 6,000 kanon_bulk rows, summing 1,342 pairs took 134-162 ns
+# a pair and the row pass 94-132 ns a row (Python 3.11). kanon_bulk's sources
+# have at most 0.22 pairs per row, raw_unique's 1.0.
+_ROW_PASS_PAIRS = 0.5
+
+
 class Partition:
     """Equivalence classes of the rows under a quasi-identifier set.
 
     ``class_of[i]`` is the class of row ``i`` and ``sizes[c]`` the size of
-    class ``c``; classes are numbered in order of first occurrence. Each row
-    is keyed by the mixed-radix number whose digits are its codes, and the
-    keys are coded a block of rows at a time, as a column's cells are. For
-    each sensitive attribute the joint (class, value) counts are counted on
-    first use and kept, in the order rows first show each pair, so one
-    partition serves every sensitive attribute; a sensitive attribute inside
-    the quasi-identifier set is rejected with ``ValueError``. :meth:`coarsen`
+    class ``c``; classes are numbered in order of first occurrence. For each
+    sensitive attribute the joint (class, value) counts are counted on first
+    use and kept, in the order rows first show each pair, so one partition
+    serves every sensitive attribute; a sensitive attribute inside the
+    quasi-identifier set is rejected with ``ValueError``. :meth:`coarsen`
     derives the partition of a subset of the quasi-identifiers from the
-    classes instead of the rows: it keys each class by one of its rows, and
-    keeps one row per coarse class for the next coarsening. ``class_of`` is
-    ``bytes`` when there are at most 256 classes; it and ``sizes`` are
-    shared, and a list must not be mutated.
+    classes instead of the rows. ``class_of`` is ``bytes`` when there are at
+    most 256 classes; it and ``sizes`` are shared, and a list must not be
+    mutated.
     """
 
     __slots__ = (
@@ -178,12 +193,13 @@ class Partition:
 
         Each class maps to a coarse class through one of its rows, and
         classes are visited in class order, so coarse classes are numbered
-        as a row pass numbers them. Coarse sizes, and the joint counts of
-        each sensitive attribute, are sums over this partition's classes and
-        pairs; a one-member set reads its column's codes and counts. The rows
-        are the ones this partition keeps, one per class, and the coarsening
-        keeps one per coarse class from them, so it can be coarsened again.
-        ``class_of`` is computed when first read, from the source's.
+        as a row pass numbers them. Coarse sizes are sums over the classes; a
+        one-member set reads its column's codes and counts. The rows are the
+        ones this partition keeps, one per class, and the coarsening keeps one
+        per coarse class from them, so it can be coarsened again. Its
+        ``class_of`` is computed when first read, from the source's, and its
+        pairs are summed from the source's, in first-row order, or counted
+        from the rows when the source has ``_ROW_PASS_PAIRS`` pairs a row.
         """
         names = _names(members)
         if names == self.qi_set:
@@ -213,6 +229,12 @@ class Partition:
         coarse._joint = {}
         return coarse
 
+    def _classes(self) -> Iterable[int]:
+        """``class_of``, streamed from the source's when it is not set."""
+        if self._class_of is not None:
+            return self._class_of
+        return map(self._fine_to_class.__getitem__, self._fine._classes())
+
     def _joint_counts(self, sensitive: str) -> dict[int, int]:
         """``class_id * cardinality + code`` of each (class, sensitive value)
         pair to its row count, in the order rows first show the pairs."""
@@ -224,9 +246,11 @@ class Partition:
                 )
             values, codes, _ = self.dataset.columns[sensitive]
             cardinality = len(values)
-            fine = self._fine
-            if fine is None or sensitive in fine.qi_set:
-                joint = Counter(map(add, map(mul, self.class_of, repeat(cardinality)), codes))
+            fine, rows = self._fine, self.dataset.row_count
+            if fine is None or sensitive in fine.qi_set or (
+                len(fine._joint_counts(sensitive)) >= _ROW_PASS_PAIRS * rows
+            ):
+                joint = Counter(map(add, map(mul, self._classes(), repeat(cardinality)), codes))
             else:
                 # Fine pairs come in first-row order, so each coarse pair is
                 # met first at its own first row.
@@ -239,36 +263,33 @@ class Partition:
             self._joint[sensitive] = joint
         return joint
 
-    def tallies(self, sensitive: str) -> list[list[int]]:
-        """Per class, the counts of each sensitive value it holds, in the
-        order the class's rows first show the values."""
-        joint = self._joint_counts(sensitive)
-        cardinality = len(self.dataset.columns[sensitive].values)
-        per_class: list[list[int]] = [[] for _ in self.sizes]
-        for key, count in joint.items():
-            per_class[key // cardinality].append(count)
-        return per_class
-
     def k_anonymity(self) -> int:
         return min(self.sizes)
 
     def l_diversity(self, sensitive: str) -> int:
-        return min(map(len, self.tallies(sensitive)))
+        joint, values = self._joint_counts(sensitive), self.dataset.columns[sensitive].values
+        return min(Counter(map(floordiv, joint, repeat(len(values)))).values())
 
     def conditional_entropy(self, sensitive: str) -> float:
-        """H(sensitive | qi_set), classes weighted by frequency and summed in
-        class order. A pure class adds exactly 0.0 and is skipped."""
-        n = self.dataset.row_count
-        h = 0.0
-        for size, counts in zip(self.sizes, self.tallies(sensitive)):
-            if len(counts) > 1:
-                h += (size / n) * entropy(counts)
-        return h
+        """H(sensitive | qi_set) in closed form, and 0.0 when every class is pure."""
+        pairs = self._joint_counts(sensitive).values()
+        if len(pairs) == len(self.sizes):
+            return 0.0
+        h = sum(map(mul, self.sizes, map(math.log2, self.sizes)))
+        h = (h - sum(map(mul, pairs, map(math.log2, pairs)))) / self.dataset.row_count
+        return h if h > 0.0 else 0.0
 
     def discrimination_rate(self, sensitive: str) -> DrResult:
-        h_s = entropy(self.dataset.columns[sensitive].counts)
+        counts = self.dataset.columns[sensitive].counts
+        h_s = entropy(counts)
         h_s_given_qi = self.conditional_entropy(sensitive)
         dr = 1.0 if h_s == 0.0 else _clamp01(1.0 - h_s_given_qi / h_s)
+        p = _near(dr)
+        if p:
+            from .exact import decided
+
+            pairs = self._joint_counts(sensitive).values()
+            dr = decided(dr, p, (self.sizes, pairs, 1), ([self.dataset.row_count], counts, 1))
         return DrResult(self.qi_set, sensitive, h_s, h_s_given_qi, dr, band(dr))
 
     def class_inference(self, sensitive: str) -> list[float]:
@@ -277,9 +298,16 @@ class Partition:
         1 - H(S within the class) / H(S overall), clamped to [0, 1]; a pure
         class scores 1. An impure class implies H(S) > 0.
         """
-        h_s = entropy(self.dataset.columns[sensitive].counts)
-        return [
-            1.0 if len(counts) == 1 else _clamp01(1.0 - entropy(counts) / h_s)
-            for counts in self.tallies(sensitive)
-        ]
+        values, _, counts = self.dataset.columns[sensitive]
+        cardinality, h_s = len(values), entropy(counts)
+        per_class: list[list[int]] = [[] for _ in self.sizes]
+        for key, n in self._joint_counts(sensitive).items():
+            per_class[key // cardinality].append(n)
+        scores = [1.0 if len(t) == 1 else _clamp01(1.0 - entropy(t) / h_s) for t in per_class]
+        if any(map(_near, set(scores))):
+            from .exact import decided
 
+            n = self.dataset.row_count
+            near = zip(scores, map(_near, scores), self.sizes, per_class)
+            scores = [decided(x, p, ([c], pairs, n), ([n], counts, c)) for x, p, c, pairs in near]
+        return scores

@@ -3,19 +3,27 @@
 This is the regrouping implementation that ``reident_risk.metrics`` used
 before the partition core: every call regroups the whole table by tuples of
 strings, and a class is looked up by a linear scan of the classes. It is
-quadratic in the number of classes and kept only as a reference. The sums
-run in the same order as the package's (classes in first-occurrence order,
-values in first-occurrence order within a class), so its floats must equal
-the package's under ``==``.
+quadratic in the number of classes and kept only as a reference. Class
+scores are summed in the same order as the package's (values in
+first-occurrence order within a class), so they must equal the package's
+under ``==``; the conditional entropy is the per-class sum, which the
+package's closed form matches only to the last bits.
+
+Bands are decided exactly, with big-int powers: a rate 1 - u*ln(A)/(v*ln(B))
+reaches p/4 iff A**(4u) <= B**((4-p)v), so a rate on a boundary takes the
+upper band. A float within 1e-9 of a boundary that lies on the wrong side of
+it is moved onto the exact value's side, as the package does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from reident_risk.model import Dataset
+from reident_risk.model import Dataset, InferenceLevel
+
+_NEAR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -84,6 +92,54 @@ def conditional_entropy(dataset: Dataset, target: str, given_set: Sequence[str])
     return h
 
 
+def _power(counts: Iterable[int]) -> int:
+    """The product of c**c over ``counts``: 2 to the sum of c*log2(c)."""
+    return math.prod(c**c for c in counts)
+
+
+def _exact(
+    dataset: Dataset, qi_set: Sequence[str], sensitive: str, key: Sequence[str] | None = None
+) -> Callable[[int], bool]:
+    """Whether the discrimination rate, or with ``key`` that class's score,
+    reaches p/4, for p in 1, 2, 3. A is the product of n_c**n_c over the
+    classes (or of the class alone) over that of n_cv**n_cv over their
+    (class, value) pairs, and B is n**n over the product of n_v**n_v."""
+    column = dataset.column(sensitive)
+    n = len(column)
+    b = (n**n, _power(_counts(column)))
+    classes = equivalence_classes(dataset, qi_set)
+    if key is not None:
+        classes = [find(classes, key, qi_set)]
+    groups = [[column[i] for i in c.row_indices] for c in classes]
+    a = (_power(map(len, groups)), math.prod(_power(_counts(g)) for g in groups))
+    u, v = (1, 1) if key is None else (n, len(groups[0]))
+
+    def at_least(p: int) -> bool:
+        k, m = 4 * u, (4 - p) * v
+        return a[0] ** k * b[1] ** m <= b[0] ** m * a[1] ** k
+
+    return at_least
+
+
+def exact_level(
+    dataset: Dataset, qi_set: Sequence[str], sensitive: str, key: Sequence[str] | None = None
+) -> InferenceLevel:
+    """The inference level of the discrimination rate, or with ``key`` of that
+    class's score, decided with big-int powers."""
+    at_least = _exact(dataset, qi_set, sensitive, key)
+    return InferenceLevel(1 + sum(map(at_least, (1, 2, 3))))
+
+
+def _decided(x: float, exact: Callable[[], Callable[[int], bool]]) -> float:
+    for p in (1, 2, 3):
+        boundary = p / 4
+        if abs(x - boundary) <= _NEAR:
+            at_least = exact()(p)
+            if at_least != (x >= boundary):
+                return boundary if at_least else math.nextafter(boundary, 0.0)
+    return x
+
+
 def discrimination_rate(
     dataset: Dataset, qi_set: Sequence[str], sensitive: str
 ) -> tuple[float, float, float]:
@@ -91,7 +147,7 @@ def discrimination_rate(
     h_s = entropy(_counts(dataset.column(sensitive)))
     h_s_given_qi = conditional_entropy(dataset, sensitive, qi_set)
     dr = 1.0 if h_s == 0.0 else _clamp01(1.0 - h_s_given_qi / h_s)
-    return h_s, h_s_given_qi, dr
+    return h_s, h_s_given_qi, _decided(dr, lambda: _exact(dataset, qi_set, sensitive))
 
 
 def value_inference(
@@ -105,4 +161,5 @@ def value_inference(
     h_s = entropy(_counts(column))
     if h_s == 0.0:
         return 1.0
-    return _clamp01(1.0 - h_class / h_s)
+    score = _clamp01(1.0 - h_class / h_s)
+    return _decided(score, lambda: _exact(dataset, qi_set, sensitive, key))
