@@ -16,9 +16,9 @@ import argparse
 import gc
 import json
 import sys
+from collections.abc import Iterable
 from contextlib import nullcontext
 from itertools import chain
-from typing import Iterable
 
 from .engine import AssessmentError, assess
 from .ingest import IngestError, load_csv, load_metadata

@@ -17,10 +17,10 @@ the combination offers.
 from __future__ import annotations
 
 from array import array
-from collections import defaultdict
+from collections import defaultdict, namedtuple
+from collections.abc import Sequence
 from enum import Enum
 from itertools import compress, count
-from typing import NamedTuple, Sequence
 
 from .metrics import DrResult, Partition, band
 from .model import (
@@ -96,22 +96,21 @@ class AssessmentError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-class QiCombination(NamedTuple):
-    members: tuple[str, ...]
-    exposure: ExposureLevel
-    origin: CombinationOrigin
+QiCombination = namedtuple("QiCombination", "members exposure origin")
+QiCombination.__doc__ = """Quasi-identifiers evaluated together: the ``members`` tuple of
+names in dataset order, their combined ``exposure``, an :class:`ExposureLevel`,
+and the :class:`CombinationOrigin` that added them."""
 
 
-class ExploitabilityRow(NamedTuple):
-    """One (sensitive attribute, combination) pair. ``severity`` is the
-    attribute's maximum value severity; ``risk`` combines it with ``exploitability``."""
+class ExploitabilityRow(
+    namedtuple("ExploitabilityRow", "sensitive combination dr exploitability severity risk")
+):
+    """One (sensitive attribute, combination) pair: the ``sensitive`` name, the
+    :class:`QiCombination`, its :class:`DrResult` and the levels that follow.
+    ``severity`` is the attribute's maximum value severity; ``risk`` combines it
+    with ``exploitability``."""
 
-    sensitive: str
-    combination: QiCombination
-    dr: DrResult
-    exploitability: ExploitabilityLevel
-    severity: SeverityLevel
-    risk: RiskLevel
+    __slots__ = ()
 
     @property
     def inference(self) -> InferenceLevel:

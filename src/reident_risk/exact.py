@@ -17,7 +17,7 @@ from __future__ import annotations
 import decimal
 import math
 from collections import Counter
-from typing import Iterable
+from collections.abc import Iterable
 
 
 def factored(totals: Iterable[int], parts: Iterable[int]) -> Counter[int]:

@@ -14,7 +14,7 @@ disease attribute is sensitive, with per-value severity overrides.
 from __future__ import annotations
 
 import json
-from pathlib import Path
+import os
 
 from .ingest import MetadataDocument, load_csv_text, load_metadata
 from .model import Dataset
@@ -145,10 +145,13 @@ def fixture_metadata() -> MetadataDocument:
     return load_metadata(io.StringIO(reference_metadata_json()))
 
 
-def write_fixture(name: str, directory: str | Path) -> tuple[Path, Path]:
-    """Write ``<name>.csv`` and ``<name>.meta.json`` into ``directory``."""
+def write_fixture(name: str, directory: str | os.PathLike) -> tuple[os.PathLike, os.PathLike]:
+    """Write ``<name>.csv`` and ``<name>.meta.json`` into ``directory``, and
+    return their two paths as ``pathlib.Path`` objects."""
+    import pathlib
+
     _check_name(name)
-    target = Path(directory)
+    target = pathlib.Path(directory)
     target.mkdir(parents=True, exist_ok=True)
     csv_path = target / f"{name}.csv"
     meta_path = target / f"{name}.meta.json"

@@ -13,16 +13,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+from collections.abc import Collection, Iterator
 from contextlib import contextmanager
 from itertools import count
 from operator import itemgetter
-from pathlib import Path
-from typing import IO, Any, Collection, Iterator, Union
 
 from .engine import AssessmentOptions
 from .model import MISSING, AttributeMeta, Dataset, Record, ScaleMatrix
-
-Source = Union[str, Path, IO[str]]
 
 METADATA_VERSION = 1
 
@@ -44,19 +42,26 @@ _REQUIRED = [key for key, (_, default) in AttributeMeta.fields.items() if defaul
 
 
 @contextmanager
-def _open_text(source: Source) -> Iterator[tuple[IO[str], str]]:
-    """Yield ``(stream, label)``. A path is opened here and closed on exit; a
-    stream belongs to the caller and is left open."""
-    if isinstance(source, (str, Path)):
-        path = Path(source)
+def _open_text(
+    source: str | bytes | os.PathLike | io.TextIOBase,
+) -> Iterator[tuple[io.TextIOBase, str]]:
+    """Yield ``(stream, label)``. A path, a ``str``, ``bytes`` or ``os.PathLike``,
+    is opened here, labelled with its file name and closed on exit; an object
+    with a ``read`` method is a text stream, which belongs to the caller and is
+    left open. Anything else is rejected."""
+    if isinstance(source, (str, bytes, os.PathLike)):
         # utf-8-sig drops the byte-order mark that spreadsheet exports put first.
-        with path.open("r", encoding="utf-8-sig", newline="") as stream:
-            yield stream, path.name
-    else:
+        with open(source, encoding="utf-8-sig", newline="") as stream:
+            yield stream, os.fsdecode(os.path.basename(source))
+    elif hasattr(source, "read"):
         yield source, str(getattr(source, "name", "<stream>"))
+    else:
+        raise IngestError(f"source: expected a path or a text stream, got {source!r}")
 
 
-def load_csv(source: Source, label: str | None = None) -> Dataset:
+def load_csv(
+    source: str | bytes | os.PathLike | io.TextIOBase, label: str | None = None
+) -> Dataset:
     """Read a comma-separated UTF-8 table; the first row is the header.
 
     Cell whitespace is trimmed at both ends, case is preserved; cells that
@@ -90,7 +95,9 @@ def load_csv(source: Source, label: str | None = None) -> Dataset:
     raise IngestError(f"{label}: empty file, no header row")
 
 
-def _object(raw: Any, path: str, allowed: Collection[str], required: Collection[str] = ()) -> dict:
+def _object(
+    raw: object, path: str, allowed: Collection[str], required: Collection[str] = ()
+) -> dict:
     """The non-null members of a JSON object, which may be null: null means
     absent. Its keys must be in ``allowed``, so a misspelled option cannot
     fall back to its default, and include ``required``, whose null is kept."""
@@ -107,7 +114,7 @@ def _object(raw: Any, path: str, allowed: Collection[str], required: Collection[
     return {key: value for key, value in raw.items() if value is not None or key in required}
 
 
-def _parse_attribute(raw: Any, path: str) -> AttributeMeta:
+def _parse_attribute(raw: object, path: str) -> AttributeMeta:
     raw = _object(raw, path, AttributeMeta.fields, _REQUIRED)
     try:
         return AttributeMeta(**raw)
@@ -115,7 +122,7 @@ def _parse_attribute(raw: Any, path: str) -> AttributeMeta:
         raise IngestError(f"{path}.{exc}") from None
 
 
-def load_metadata(source: Source) -> MetadataDocument:
+def load_metadata(source: str | bytes | os.PathLike | io.TextIOBase) -> MetadataDocument:
     """Parse a metadata JSON document; every error names its JSON path."""
     with _open_text(source) as (stream, label):
         try:

@@ -28,10 +28,10 @@ which moves a float on the wrong side of the boundary onto the exact side.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Sequence
 from itertools import count, islice, repeat
 from operator import add, floordiv, itemgetter, mul
-from typing import Iterable, NamedTuple, Sequence
 
 from .model import _BLOCK_ROWS, Coder, Column, Dataset, InferenceLevel, recode, strings
 
@@ -43,15 +43,11 @@ __all__ = [
 ]
 
 
-class DrResult(NamedTuple):
-    """Discrimination rate with the entropies it was derived from."""
-
-    qi_set: tuple[str, ...]
-    sensitive: str
-    h_s: float
-    h_s_given_qi: float
-    dr: float
-    inference: InferenceLevel
+DrResult = namedtuple("DrResult", "qi_set sensitive h_s h_s_given_qi dr inference")
+DrResult.__doc__ = """Discrimination rate with the entropies it was derived from: the
+``qi_set`` tuple of names and the ``sensitive`` name, the floats H(S) as
+``h_s``, H(S|Q) as ``h_s_given_qi`` and the rate ``dr``, and its ``inference``,
+an :class:`InferenceLevel`."""
 
 
 def entropy(counts: Iterable[int | float]) -> float:

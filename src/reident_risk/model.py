@@ -8,13 +8,13 @@ at once.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, namedtuple
+from collections.abc import Callable, Iterable, Mapping, Sequence, Set
 from enum import Enum, IntEnum
 from functools import cached_property
 from itertools import count, filterfalse, islice, repeat
 from operator import itemgetter
 from types import MappingProxyType
-from typing import AbstractSet, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 
 class ScaleError(ValueError):
@@ -53,10 +53,10 @@ def strings(raw: Sequence[str]) -> tuple[str, ...]:
     return tuple(raw)
 
 
-MISSING: Any = object()  # the default of a required field, or an argument not passed
+MISSING = object()  # the default of a required field, or an argument not passed
 
 
-def parsed(name: str, parse: Callable[[Any], Any], value: Any) -> Any:
+def parsed(name: str, parse: Callable[[object], object], value: object) -> object:
     """``parse(value)``, whose error gets the prefix ``<name>: ``."""
     try:
         return parse(value)
@@ -72,9 +72,9 @@ class Record:
     or as given if ``parse`` is None or value and default are both None. A
     subclass with its own ``__init__`` lists only what repr and hash show."""
 
-    fields: dict[str, tuple[Callable[[Any], Any] | None, Any]] = {}
+    fields: dict[str, tuple[Callable[[object], object] | None, object]] = {}
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
+    def __init__(self, *args: object, **kwargs: object) -> None:
         if len(args) > len(self.fields) or not kwargs.keys() <= self.fields.keys():
             raise TypeError(f"{type(self).__name__}() takes only {', '.join(self.fields)}")
         for i, (key, (parse, default)) in enumerate(self.fields.items()):
@@ -87,7 +87,7 @@ class Record:
         if kwargs:  # left over when also given by position
             raise TypeError(f"{type(self).__name__}() got {', '.join(kwargs)} twice")
 
-    def __setattr__(self, name: str, value: Any = None) -> None:
+    def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
@@ -246,7 +246,7 @@ def _name(raw: str) -> str:
     return utf8(raw.strip())  # as the CSV header loader does
 
 
-def _value_severities(raw: Mapping[str, Any]) -> Mapping[str, SeverityRating]:
+def _value_severities(raw: Mapping[str, object]) -> Mapping[str, SeverityRating]:
     if not isinstance(raw, Mapping):
         raise ScaleError(f"expected an object, got {raw!r}")
     ratings = {}
@@ -290,15 +290,12 @@ def recode(codes: bytes | list[int], table: Sequence[int], size: int) -> bytes |
     return bytes(coded) if size <= 256 else list(coded)
 
 
-class Column(NamedTuple):
-    """One column, coded: ``values`` holds the distinct cells in order of
-    first occurrence, ``codes[i]`` is the index in ``values`` of row ``i``'s
-    cell, and ``counts[c]`` the number of rows with code ``c``. ``codes`` is
-    ``bytes`` when there are at most 256 values, else a list."""
-
-    values: tuple[str, ...]
-    codes: bytes | list[int]
-    counts: list[int]
+Column = namedtuple("Column", "values codes counts")
+Column.__doc__ = """One column, coded: ``values``, a tuple of strings, holds the
+distinct cells in order of first occurrence, ``codes[i]`` is the index in
+``values`` of row ``i``'s cell, and ``counts[c]``, in a list of ints, the
+number of rows with code ``c``. ``codes`` is ``bytes`` when there are at most
+256 values, else a list of ints."""
 
 
 class _Columns(dict):
@@ -325,10 +322,10 @@ class Coder:
     each item to its code, and a new item gets the next code in C."""
 
     def __init__(self) -> None:
-        self.index: defaultdict[Any, int] = defaultdict(count().__next__)
+        self.index: defaultdict[object, int] = defaultdict(count().__next__)
         self.codes: bytearray | list[int] = bytearray()
 
-    def extend(self, block: Sequence[Any]) -> None:
+    def extend(self, block: Sequence[object]) -> None:
         # itemgetter of one item returns the item, not a tuple
         codes = itemgetter(*block)(self.index) if len(block) > 1 else (self.index[block[0]],)
         try:
@@ -345,7 +342,7 @@ class Coder:
         return codes, list(counts)
 
 
-def _check_rows(block: list[Any], done: int, width: int) -> None:
+def _check_rows(block: list[object], done: int, width: int) -> None:
     """Raise for the first row of ``block`` that is not a list or tuple of
     ``width`` strings, numbering the block's rows from ``done + 1``."""
     for i, raw in enumerate(block, done + 1):
@@ -385,12 +382,12 @@ class Dataset(Record):
             dupes = sorted({a for a in attrs if attrs.count(a) > 1})
             raise ValueError(f"duplicate attribute names: {', '.join(dupes)}")
         # A set or a mapping is iterable but unordered, or not rows at all.
-        if isinstance(rows, (str, bytes, AbstractSet, Mapping)) or not isinstance(rows, Iterable):
+        if isinstance(rows, (str, bytes, Set, Mapping)) or not isinstance(rows, Iterable):
             raise ValueError(f"rows: expected an array of rows, got {rows!r}")
         width = len(attrs)
         coders = [Coder() for _ in attrs]
         rows = iter(rows)
-        block: list[Any] = []
+        block: list[object] = []
         done = 0
         while True:
             try:
@@ -453,7 +450,7 @@ class Dataset(Record):
         return tuple(map(values.__getitem__, codes))
 
 
-def _is_level(value: Any) -> bool:
+def _is_level(value: object) -> bool:
     """An integer 1..4: an IntEnum level is one, a bool is not."""
     return isinstance(value, int) and not isinstance(value, bool) and 1 <= value <= 4
 
@@ -496,14 +493,12 @@ class ScaleMatrix(Record):
         return self.cells[row_level - 1][col_level - 1]
 
 
-class ValidationOutcome(NamedTuple):
-    """Errors and warnings from cross-checking metadata against a dataset."""
-
-    errors: tuple[str, ...] = ()
-    warnings: tuple[str, ...] = ()
+ValidationOutcome = namedtuple("ValidationOutcome", "errors warnings", defaults=((), ()))
+ValidationOutcome.__doc__ = """Errors and warnings from cross-checking metadata against a
+dataset, each a tuple of messages, empty by default."""
 
 
-def argument_errors(*, meta: Any, dataset: Any = MISSING) -> list[str]:
+def argument_errors(*, meta: object, dataset: object = MISSING) -> list[str]:
     """A message naming each wrongly typed argument: ``meta`` must be a list or
     tuple of :class:`AttributeMeta` and ``dataset``, when passed, a :class:`Dataset`."""
     errors = []

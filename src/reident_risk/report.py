@@ -22,64 +22,52 @@ from __future__ import annotations
 
 import json
 import re
-from array import array
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring as _string  # as json.dumps(ensure_ascii=False)
 from operator import attrgetter, itemgetter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple
 
 from .model import _BLOCK_ROWS, AttributeMeta, RiskLevel, SeverityLevel, global_severity
 
-if TYPE_CHECKING:  # row types are produced by the engine
-    from .engine import ExploitabilityRow
 
+LDiversityEntry = namedtuple("LDiversityEntry", "sensitive l_value")
+LDiversityEntry.__doc__ = """The distinct l-diversity ``l_value``, an int, of the
+``sensitive`` attribute over the full quasi-identifier set."""
 
-class LDiversityEntry(NamedTuple):
-    sensitive: str
-    l_value: int
+MetricsAppendix = namedtuple("MetricsAppendix", "qi_set k_anonymity l_diversity")
+MetricsAppendix.__doc__ = """Raw metric values backing the levels, so a report can be
+re-derived: the ``qi_set`` tuple of every quasi-identifier, its int
+``k_anonymity``, and per sensitive attribute an :class:`LDiversityEntry`, in
+the ``l_diversity`` tuple."""
 
+FlaggedOutcome = namedtuple(
+    "FlaggedOutcome", "attribute sensitive_value value_severity class_inference record_risk"
+)
+FlaggedOutcome.__doc__ = """What a flagged record shows besides its row: the sensitive
+``attribute`` and ``sensitive_value``, the value's :class:`SeverityLevel`, the float
+``class_inference`` and the :class:`RiskLevel` ``record_risk``. ``class_inference``
+is the per-class inference score of the record's equivalence class under the
+highest-exposure combination; records with the same value and score share
+one outcome."""
 
-class MetricsAppendix(NamedTuple):
-    """Raw metric values backing the levels, so a report can be re-derived."""
+AssessmentReport = namedtuple(
+    "AssessmentReport",
+    "dataset_label row_count attributes exploitability_rows overall_risk"
+    " flagged_rows flagged_outcome outcomes metrics_appendix warnings",
+)
+AssessmentReport.__doc__ = """Each fact once: the renderers derive the severity, override and
+exposure tables from ``attributes`` (a tuple of :class:`AttributeMeta` in column
+order), and the risk table and the appendix's discrimination rates from the
+``exploitability_rows`` tuple. ``dataset_label`` is a string, ``row_count`` an
+int, ``overall_risk`` a :class:`RiskLevel`, ``metrics_appendix`` a
+:class:`MetricsAppendix` and ``warnings`` a tuple of strings.
 
-    qi_set: tuple[str, ...]
-    k_anonymity: int
-    l_diversity: tuple[LDiversityEntry, ...]
-
-
-class FlaggedOutcome(NamedTuple):
-    """What a flagged record shows besides its row. ``class_inference`` is
-    the per-class inference score of the record's equivalence class under the
-    highest-exposure combination; records with the same value and score share
-    one outcome."""
-
-    attribute: str
-    sensitive_value: str
-    value_severity: SeverityLevel
-    class_inference: float
-    record_risk: RiskLevel
-
-
-class AssessmentReport(NamedTuple):
-    """Each fact once: the renderers derive the severity, override and exposure
-    tables from ``attributes`` (metadata in column order), and the risk table and
-    the appendix's discrimination rates from ``exploitability_rows``.
-
-    Flagged record ``j`` is row ``flagged_rows[j]`` (0-based; reports render it
-    1-based) showing ``outcomes[flagged_outcome[j]]``. Both are unsigned-int
-    arrays, shared and not to be mutated; renderers take any sequence of ints."""
-
-    dataset_label: str
-    row_count: int
-    attributes: tuple[AttributeMeta, ...]
-    exploitability_rows: tuple["ExploitabilityRow", ...]
-    overall_risk: RiskLevel
-    flagged_rows: array[int]
-    flagged_outcome: array[int]
-    outcomes: tuple[FlaggedOutcome, ...]
-    metrics_appendix: MetricsAppendix
-    warnings: tuple[str, ...]
+Flagged record ``j`` is row ``flagged_rows[j]`` (0-based; reports render it
+1-based) showing ``outcomes[flagged_outcome[j]]``, from the ``outcomes`` tuple
+of :class:`FlaggedOutcome`. Both are unsigned-int arrays, shared and not to be
+mutated; renderers take any sequence of ints."""
 
 
 _MARKUP = re.compile(r"[\\|*_`\[\]<>&~\r\n]")
@@ -93,9 +81,8 @@ def _escape(text: str) -> str:
     return text.replace("\r\n", "\n").translate(_ESCAPED)
 
 
-class _Kind(NamedTuple):  # how a cell encodes
-    json: Callable[[Any], str]  # the cell's JSON text
-    markdown: Callable[[Any], str]  # its Markdown cell text
+# How a cell encodes: ``json`` gives the cell's JSON text, ``markdown`` its Markdown cell text.
+_Kind = namedtuple("_Kind", "json markdown")
 
 
 def _array(items: Iterable[str]) -> str:
@@ -114,18 +101,14 @@ TEXT = _Kind(_string, _escape)
 INT = _Kind(str, str)
 
 
-class _Column(NamedTuple):
-    key: str
-    header: str | None  # None: the column is JSON-only
-    get: Callable[[Any], Any] | None  # None: the flagged record's row number (see _lines)
-    kind: _Kind
+# A column's JSON key, its Markdown header or None for a JSON-only column, the
+# getter of its cell from a row, or None for the flagged record's row number
+# (see _lines), and its _Kind.
+_Column = namedtuple("_Column", "key header get kind")
 
-
-class _Table(NamedTuple):
-    key: str
-    rows: Callable[[AssessmentReport], list]
-    columns: tuple[_Column, ...]
-    bold: bool = False
+# A table's JSON key, the function of a report that lists its rows, its tuple
+# of _Columns, and whether its Markdown cells are bold.
+_Table = namedtuple("_Table", "key rows columns bold", defaults=(False,))
 
 
 def _description(row: "ExploitabilityRow") -> str:
@@ -238,7 +221,7 @@ def _object(members: Iterable[tuple[str, str | Iterable[str]]]) -> Iterator[str]
 def _lines(
     report: AssessmentReport,
     rows: list,
-    cells: list[tuple[str, Callable[[Any], Any] | None, Callable[[Any], str]]],
+    cells: list[tuple[str, Callable[[object], object] | None, Callable[[object], str]]],
     start: str,
     sep: str,
     end: str,

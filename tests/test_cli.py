@@ -14,7 +14,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reident_risk.cli
@@ -498,6 +498,7 @@ _META = st.just(reference_metadata_json().encode()) | _drawn_meta() | st.binary(
 _DATA_NAME = st.just(b"data.csv") | st.integers(0x80, 0xFF).map(lambda b: b"d%c.csv" % b)
 
 
+@settings(deadline=None)  # writes files per example
 @given(
     command=st.sampled_from(["assess", "metric"]),
     data=_CSV,
@@ -550,31 +551,56 @@ def test_fuzzed_invocation_exits_cleanly(
         assert outputs == dict.fromkeys(earlier, b"earlier report")
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    """Start-up cost: ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis``
-    and ``tokenize``, and the package needs none of them. ``-I -S`` leaves
-    out what an installation's ``site`` hooks may import, and with only
-    ``src`` added to the path, every other module loaded must be the
-    standard library's: the runtime has no dependencies."""
-    code = f"import sys; sys.path.insert(0, {SRC!r}); import reident_risk.cli; " + (
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules))); "
+# Modules that importing the CLI, ``assess`` and ``metric`` do not use:
+# ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``, and
+# ``typing`` and ``pathlib`` each add milliseconds to start-up.
+UNUSED = ("dataclasses", "inspect", "pathlib", "reident_risk.fixtures", "typing")
+
+
+def _isolated(code):
+    """Run ``code`` after importing the CLI from ``src`` alone, under ``-I -S``,
+    which leaves out what an installation's ``site`` hooks may import."""
+    code = f"import sys; sys.path.insert(0, {SRC!r}); import reident_risk.cli\n" + code
+    return subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
+
+
+def test_import_loads_only_what_the_runtime_uses():
+    """Start-up cost: no module of ``UNUSED`` is loaded, and with only ``src``
+    added to the path, every other module loaded must be the standard
+    library's: the runtime has no dependencies."""
+    run = _isolated(
+        f"print(sorted(set({UNUSED!r}) & set(sys.modules)))\n"
         "print(sorted({m.partition('.')[0] for m in sys.modules} - sys.stdlib_module_names))"
     )
-    argv = [sys.executable, "-I", "-S", "-c", code]
-    run = subprocess.run(argv, capture_output=True, text=True, check=True)
-    assert run.stdout == "[]\n['__main__', 'reident_risk']\n"
+    assert (run.stdout, run.stderr) == ("[]\n['__main__', 'reident_risk']\n", "")
+
+
+def _loaded_by_main(argv):
+    """The exit code of ``main(argv)`` in an isolated interpreter, and which
+    modules of ``UNUSED`` it left loaded."""
+    run = _isolated(
+        "try:\n"
+        f"    code = reident_risk.cli.main({argv!r})\n"
+        "except SystemExit as exc:  # argparse\n"
+        "    code = exc.code\n"
+        f"print(code, sorted(set({UNUSED!r}) & set(sys.modules)), file=sys.stderr)"
+    )
+    return run.stderr.splitlines()[-1]
 
 
 def test_assess_never_loads_the_fixtures_module(emitted, tmp_path):
     data, meta = emitted["hipaa"]
-    argv = ["assess", "--data", data, "--meta", meta, "--out", str(tmp_path / "report.json")]
-    code = f"import sys; sys.path.insert(0, {SRC!r}); import reident_risk.cli; " + (
-        "loaded = ['reident_risk.fixtures' in sys.modules]; "
-        f"code = reident_risk.cli.main({argv!r}); "
-        "print(code, [*loaded, 'reident_risk.fixtures' in sys.modules])"
-    )
-    run = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
-    assert (run.stdout, run.stderr) == ("0 [False, False]\n", "")
+    out = str(tmp_path / "report")
+    both = ["assess", "--data", data, "--meta", meta, "--format", "both", "--out", out]
+    assert _loaded_by_main(both) == "0 []"
+    metric = ["metric", "dr", "--data", data, f"--qi={QI_ARG}", "--sensitive", "Disease"]
+    assert _loaded_by_main(metric) == "0 []"
+
+
+@pytest.mark.parametrize("argv,code", [(["--help"], 0), (["nope"], 2)], ids=["help", "unknown"])
+def test_help_and_errors_load_neither_typing_nor_pathlib(argv, code):
+    """Help and argparse errors build every command's parser, the fixtures one too."""
+    assert _loaded_by_main(argv) == f"{code} ['reident_risk.fixtures']"
 
 
 def _parse(parse, argv, capsys):

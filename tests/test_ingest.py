@@ -5,6 +5,7 @@ import csv
 import gc
 import io
 import json
+import os
 import re
 import tempfile
 import tracemalloc
@@ -12,7 +13,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from naive_metrics import project
@@ -393,6 +394,7 @@ class TestLoadMetadata:
             (("matrices", "risk", 3, 3), "2", "matrices.risk", "'2'"),
             (("version",), True, "version", "True"),
             (("version",), 1.0, "version", "1.0"),
+            (("attributes", 5, "value_severity"), "x", "attributes[5].value_severity", "'x'"),
         ],
     )
     def test_bad_value_rejected_with_path(self, where, value, path, shown):
@@ -400,6 +402,38 @@ class TestLoadMetadata:
             load_metadata(with_value(where, value))
         message = str(caught.value)
         assert message.startswith(f"{path}: ") and shown in message
+
+
+class _FsPath:
+    """An ``os.PathLike`` that is not a ``pathlib.Path``."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __fspath__(self):
+        return self.path
+
+
+@pytest.mark.parametrize(
+    "load,text",
+    [(load_csv, "a,b\n1,2\n"), (load_metadata, reference_metadata_json())],
+    ids=["load_csv", "load_metadata"],
+)
+def test_source_is_a_path_or_a_text_stream(load, text, tmp_path):
+    """A ``str``, ``bytes`` or ``os.PathLike`` is a path, opened and labelled
+    with its file name; an object with ``read`` is a text stream, labelled with
+    its ``name``; anything else is rejected."""
+    path = tmp_path / "source"
+    path.write_text(text, encoding="utf-8")
+    stream = io.StringIO(text)
+    stream.name = "source"
+    sources = [path, str(path), os.fsencode(path), _FsPath(str(path)), _FsPath(os.fsencode(path))]
+    loaded = [load(source) for source in [*sources, stream]]
+    assert loaded == [loaded[0]] * len(loaded)
+    for source in (None, 3, text.splitlines(keepends=True)):
+        message = f"source: expected a path or a text stream, got {source!r}"
+        with pytest.raises(IngestError, match=f"^{re.escape(message)}$"):
+            load(source)
 
 
 def test_readme_names_the_declared_keys():
@@ -454,6 +488,7 @@ _CSV_PIECE = st.binary(max_size=6) | st.sampled_from(
 )
 
 
+@settings(deadline=None)  # writes a file per example
 @given(st.lists(_CSV_PIECE, max_size=24).map(b"".join))
 def test_fuzzed_csv_is_loaded_or_rejected(data):
     """Any bytes give a Dataset whose columns have one cell per row, or an
@@ -623,6 +658,7 @@ def test_load_leaves_no_cyclic_garbage(text, message):
     assert garbage == 0
 
 
+@settings(deadline=None)  # writes a file per example
 @given(_faulty_csv())
 def test_csv_load_equals_naive_reference(data):
     """Across block boundaries, load_csv gives the naive reader's columns, or
