@@ -15,9 +15,10 @@ as dr = 1: the constant value is known without looking at Q at all.
 
 Every metric is derived from a :class:`Partition` of the rows. Building one
 keys each row by its codes in the columns a :class:`~reident_risk.model.Dataset`
-stores, in C-level ``map`` passes a block of rows at a time, and :meth:`Partition.coarsen`
-derives the partition of any subset of its quasi-identifiers, also of a
-coarsening, from its classes without reading the rows again. n * H(S | Q) is
+stores, packed a block of rows at a time into 8-byte machine words by strided
+slice assignments, and :meth:`Partition.coarsen` derives the partition of any
+subset of its quasi-identifiers, also of a coarsening, from its classes
+without reading the rows again. n * H(S | Q) is
 sum n_c * log2(n_c) over class sizes less sum n_cv * log2(n_cv) over pairs.
 
 A rate or class score within 1e-9 of a band boundary (1/4, 1/2, 3/4) is
@@ -28,10 +29,12 @@ which moves a float on the wrong side of the boundary onto the exact side.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter, namedtuple
-from collections.abc import Iterable, Sequence
-from itertools import count, islice, repeat
-from operator import add, floordiv, itemgetter, mul
+from collections.abc import Iterable, Iterator, Sequence
+from functools import reduce
+from itertools import count, repeat
+from operator import add, floordiv, iadd, itemgetter, lshift, mul
 
 from .model import _BLOCK_ROWS, Coder, Column, Dataset, InferenceLevel, recode, strings
 
@@ -118,23 +121,60 @@ def _names(qi_set: Sequence[str]) -> tuple[str, ...]:
     return names
 
 
-def _keys(columns: Sequence[Column], rows: list[int] | None = None) -> Iterable[int]:
-    """Per row, or per row listed in ``rows``, the mixed-radix number whose digits
-    are its codes in ``columns``: rows agree on every column iff their keys do."""
-    keys: Iterable[int] | None = None
-    if rows is not None:  # itemgetter of one index returns the item, not a tuple
-        pick = itemgetter(*rows) if len(rows) > 1 else lambda codes: (codes[rows[0]],)
+def _key_blocks(
+    columns: Sequence[Column], rows: list[int] | None = None
+) -> Iterator[Sequence[int]]:
+    """Per block of ``_BLOCK_ROWS`` rows, or of the rows listed in ``rows``, the
+    key of each row: rows agree on every column iff their keys do.
+
+    One column's keys are its codes. Several columns' codes are copied, a
+    byte at a time with strided slices, into a zeroed ``bytearray`` of a
+    whole number of 8-byte words per row: ``bytes`` codes take one byte,
+    list codes two or four. A row's words are read as ``array("Q")``; a key
+    of one word is that word, a wider one joins its words into one int."""
+    size = len(columns[0].codes) if rows is None else len(rows)
+    layout, width = [], 0  # per column: its codes, their width and byte offset
     for values, codes, _ in columns:
-        digits = codes if rows is None else pick(codes)
-        keys = digits if keys is None else map(add, map(mul, keys, repeat(len(values))), digits)
-    return keys
+        code_width = 1 if type(codes) is bytes else 2 if len(values) <= 1 << 16 else 4
+        layout.append((codes, code_width, width))
+        width += code_width
+    words = -(-width // 8)
+    stride = 8 * words
+    for start in range(0, size, _BLOCK_ROWS):
+        n = min(_BLOCK_ROWS, size - start)
+        if rows is None:
+            take = itemgetter(slice(start, start + n))
+        else:  # itemgetter of one index returns the item, not a tuple
+            picked = rows[start : start + n]
+            take = itemgetter(*picked) if n > 1 else lambda codes: (codes[picked[0]],)
+        if len(columns) == 1:
+            yield take(columns[0].codes)
+            continue
+        buf = bytearray(stride * n)
+        for codes, code_width, offset in layout:
+            if code_width == 1:  # bytes, or a tuple of ints below 256
+                buf[offset::stride] = take(codes)
+                continue
+            raw = array("H" if code_width == 2 else "I", take(codes)).tobytes()
+            for b in range(code_width):
+                buf[offset + b :: stride] = raw[b::code_width]
+        keys = array("Q", buf)
+        if words > 1:
+            joined = keys[::words]
+            for w in range(1, words):
+                joined = map(add, map(lshift, joined, repeat(64)), keys[w::words])
+            keys = list(joined)
+        yield keys
 
 
 # A coarsening counts its pairs from the rows once its source has this many
-# pairs per row: at 6,000 kanon_bulk rows, summing 1,342 pairs took 134-162 ns
-# a pair and the row pass 94-132 ns a row (Python 3.11). kanon_bulk's sources
-# have at most 0.22 pairs per row, raw_unique's 1.0.
-_ROW_PASS_PAIRS = 0.5
+# pairs per row. Over the 2- to 6-member coarsenings of the full partitions of
+# 6,000 kanon_bulk and 500 raw_unique rows (Python 3.11, best of 25 each), the
+# row pass took 126-179 ns a row and summing 159-267 ns a source pair
+# (quartiles), and the two cost the same at 0.62-0.81 pairs per row (quartiles
+# of the per-coarsening ratios); this is the middle of that range. kanon_bulk's
+# sources have at most 0.22 pairs per row, raw_unique's 1.0.
+_ROW_PASS_PAIRS = 0.7
 
 
 class Partition:
@@ -163,8 +203,8 @@ class Partition:
         columns = [dataset.columns[name] for name in names]  # KeyError on unknown names
         if dataset.row_count == 0:
             raise ValueError("no rows: cannot build equivalence classes")
-        keys, coder = iter(_keys(columns)), Coder()
-        while block := list(islice(keys, _BLOCK_ROWS)):
+        coder = Coder()
+        for block in _key_blocks(columns):
             coder.extend(block)
         self.dataset = dataset
         self.qi_set = names
@@ -206,7 +246,9 @@ class Partition:
         if self._rows is None:  # a row pass: its class ids follow first occurrence
             self._rows = list(dict(zip(self.class_of, count())).values())
         columns = [self.dataset.columns[name] for name in names]
-        keys = list(_keys(columns, self._rows))
+        # Extended in place a block at a time, so sized exactly: a one-member
+        # coarsening keeps the list, and no block outlives the loop.
+        keys = reduce(iadd, _key_blocks(columns, self._rows), [])
         rows = dict(zip(keys, self._rows))  # coarse classes in id order, any row of each
         coarse = object.__new__(Partition)
         coarse.dataset = self.dataset

@@ -5,18 +5,23 @@ counts read off the bundled example tables, or by brute-force oracles,
 never by the code under test.
 """
 
+import hashlib
+import importlib.util
+import io
 import json
 import math
 import random
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive_metrics as naive
 from conftest import FULL_QI, H9, H12, TOL, tables
 from reident_risk import fixtures
+from reident_risk.cli import main
 from reident_risk.engine import AssessmentOptions, assess
 from reident_risk.metrics import Partition, band, entropy
 from reident_risk.model import (
@@ -29,6 +34,7 @@ from reident_risk.model import (
 from reident_risk.report import report_to_dict, to_json
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+BENCH_GEN = Path(__file__).parent.parent / "bench" / "gen.py"
 
 
 @contextmanager
@@ -268,3 +274,29 @@ def test_criterion_7_determinism_and_golden_files(reference_meta):
             golden = (GOLDEN_DIR / f"{name}.json").read_bytes()
             assert first == golden
             json.loads(golden)
+
+
+# SHA-256 of ``assess --format both`` on each generator's output at seed 1:
+# the JSON, a newline, then the Markdown.
+GENERATED_REPORTS = {
+    "kanon_bulk": "0aae791a09645541179534f536c88e481e5cdf5a3d3c7460a45f5d7ca8ba5ca8",
+    "raw_unique": "845879c79f692e165592f29e4916a6c13e23c557458414fb8a38be334bfa06c2",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(GENERATED_REPORTS))
+def test_generated_reports_keep_their_bytes(workload, tmp_path):
+    """Reports on the benchmark's generated inputs keep their pinned bytes.
+    ``bench/gen.py`` is only read: it writes the inputs."""
+    spec = importlib.util.spec_from_file_location("_bench_gen", BENCH_GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    data, meta = tmp_path / "t.csv", tmp_path / "t.meta.json"
+    for path, content in zip((data, meta), getattr(gen, workload)(1)):
+        path.write_bytes(content)
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with redirect_stdout(stdout):
+        code = main(["assess", "--data", str(data), "--meta", str(meta), "--format", "both"])
+    assert code == 0
+    digest = hashlib.sha256(stdout.buffer.getvalue()).hexdigest()
+    assert digest == GENERATED_REPORTS[workload]

@@ -26,7 +26,7 @@ import naive_metrics as naive
 from conftest import TOL, h_bits, tables
 from reident_risk import metrics
 from reident_risk.engine import AssessmentOptions, assess, build_combinations
-from reident_risk.metrics import Partition, _keys, band, entropy
+from reident_risk.metrics import Partition, _key_blocks, band, entropy
 from reident_risk.model import (
     AttributeMeta,
     AttributeRole,
@@ -148,8 +148,8 @@ def test_coarse_pairs_summed_equal_pairs_counted_from_rows(rows, sizes, seed, pi
 def _wide_table(rows, seed):
     """13 quasi-identifiers of 40 values each, then a sensitive column. After
     40 rows that show every value, each row repeats an earlier one, differs
-    from it in its first or last two columns (the highest and lowest digits
-    of its key), or is new."""
+    from it in its first or last two columns (in the first and the last
+    8-byte word of its key), or is new."""
     rng = random.Random(seed)
     table = [[f"v{(i + 3 * c) % 40}" for c in range(13)] + ["A"] for i in range(40)]
     while len(table) < rows:
@@ -238,13 +238,88 @@ def test_keys_past_64_bits_equal_naive_oracle():
     qi = [n for n in d.attributes if n.startswith("q")]
     assert all(len(d.columns[q].values) == 40 for q in qi)
     columns = [d.columns[q] for q in qi]
-    assert max(_keys(columns[:12])) > 2**63 and max(_keys(columns[1:])) > 2**63
+    # 12 byte codes pack into two 8-byte words, so keys pass 64 bits.
+    for sub in (columns[:12], columns[1:]):
+        assert max(itertools.chain.from_iterable(_key_blocks(sub))) >= 2**64
     p = Partition(d, qi)
     for sub, partition in [(qi, p), (qi[:12], p.coarsen(qi[:12])), (qi[1:], p.coarsen(qi[1:]))]:
         assert partition.qi_set == tuple(sub)
         expected = _oracle_view(d, sub, ["s0"])
         _assert_same_view(_view(partition, ["s0"]), expected)
         assert sum(size > 1 for size in expected[0]) > 20
+
+
+def _widths_table(widths, seed, pool=260, repeats=40):
+    """A quasi-identifier ``q<i>`` per entry of ``widths``, then a sensitive
+    column. A 1 is a column of one to four values, coded in one byte; a 2 is
+    a column of ``pool`` values, past 256, so coded in two. The first
+    ``pool`` rows show every value; ``repeats`` rows repeat one of them, some
+    with one cell changed, and the rows are shuffled."""
+    rng = random.Random(seed)
+    domains = [pool if w == 2 else rng.randint(1, 4) for w in widths]
+    columns = [
+        rng.sample(range(size), pool) if size == pool else [rng.randrange(size) for _ in range(pool)]
+        for size in domains
+    ]
+    table = [[f"v{v}" for v in row] + [rng.choice("xyz")] for row in zip(*columns)]
+    for _ in range(repeats):
+        row = list(rng.choice(table[:pool]))
+        if rng.random() < 0.5:
+            c = rng.randrange(len(widths))
+            row[c] = f"v{rng.randrange(domains[c])}"
+        row[-1] = rng.choice("xyz") if rng.random() < 0.3 else row[-1]
+        table.append(row)
+    rng.shuffle(table)
+    names = tuple(f"q{i}" for i in range(len(widths))) + ("s0",)
+    return Dataset(names, map(tuple, table))
+
+
+@given(
+    st.lists(st.sampled_from([1, 2]), min_size=2, max_size=10),
+    st.integers(0, 2**32),
+    st.lists(st.lists(st.integers(0, 9), min_size=1, unique=True), min_size=1, max_size=2),
+)
+@example([1] * 8, 0, [[0, 7], [1]])  # one word, full
+@example([2] * 4, 1, [[0, 1, 2], [0, 1]])  # one word of two-byte codes
+@example([1] * 7, 2, [[0, 6]])  # below a word
+@example([1] * 9, 3, [[0, 8], [0]])  # a byte past a word
+@example([2, 1, 2, 1, 2], 4, [[0, 1, 2, 3], [1, 3]])  # one word, mixed widths
+@example([2] * 5 + [1] * 5, 5, [[0, 9, 4], [0, 1]])
+@example([2] * 8 + [1], 6, [[0, 8], [1]])  # a byte past two words
+@settings(deadline=None, max_examples=50)
+def test_key_widths_equal_naive_oracle(widths, seed, picks):
+    """Keys of one- and two-byte codes that fill less than, exactly or more
+    than one 8-byte word give the oracle's classes, as a row pass and along
+    a chain of coarsenings, each keeping the members its source has at the
+    positions ``picks`` draws. What a partition derives from its classes is
+    checked on smaller tables above."""
+    d = _widths_table(widths, seed)
+    members = tuple(f"q{i}" for i in range(len(widths)))
+    for q, w in zip(members, widths):
+        assert type(d.columns[q].codes) is (bytes if w == 1 else list)
+    partition = Partition(d, members)
+    _assert_same_view(_view(partition, []), _oracle_view(d, members, []))
+    for positions in picks:
+        members = tuple(dict.fromkeys(members[i % len(members)] for i in positions))
+        partition = partition.coarsen(members)
+        _assert_same_view(_view(partition, []), _oracle_view(d, members, []))
+
+
+def test_four_byte_codes_equal_naive_oracle():
+    """A column of more than 65,536 values is coded in four bytes; with a
+    two-byte and three one-byte columns its keys fill two 8-byte words. Each
+    partition's classes equal the oracle's."""
+    rng = random.Random(5)
+    big = 1 << 16 | 100
+    rows = [(f"b{i}", f"m{i % 300}", *(rng.choice("ab") for _ in range(3))) for i in range(big)]
+    rows += [rows[rng.randrange(big)] for _ in range(3_000)]
+    d = Dataset(("big", "mid", "n0", "n1", "n2"), rows)
+    assert len(d.columns["big"].values) == big and len(d.columns["mid"].values) == 300
+    full = Partition(d, d.attributes)
+    assert max(itertools.chain.from_iterable(_key_blocks(list(d.columns.values())))) >= 2**64
+    for partition in [full, full.coarsen(("big", "n1")), full.coarsen(("mid", "n0", "n2"))]:
+        _assert_same_view(_view(partition, []), _oracle_view(d, partition.qi_set, []))
+    _assert_same_view(_view(full.coarsen(("big",)), []), _oracle_view(d, ("big",), []))
 
 
 def _classes_table(classes, last_at, rows=800):
@@ -597,6 +672,22 @@ def test_row_pass_keeps_no_int_object_per_row(budget_table):
     d, _ = budget_table
     assert len(Partition(d, ("q0", "q1", "q2")).sizes) == 256
     per_row = _peak_bytes(lambda: Partition(d, ("q0", "q1", "q2"))) / d.row_count
+    assert per_row < 8, f"Partition: {per_row:.1f} bytes per row"
+
+
+def test_wide_keys_keep_no_int_object_per_row():
+    """Keys of nine one-byte codes fill two 8-byte words, which are joined
+    into ints past 64 bits a block at a time, so a row pass over 256 classes
+    keeps to the budget of one whose keys fit a word."""
+    rng = random.Random(12)
+    names = tuple(f"q{i}" for i in range(9))
+    keys: dict[tuple[str, ...], None] = {}
+    while len(keys) < 256:
+        keys[tuple(f"v{rng.randrange(16)}" for _ in names)] = None
+    d = Dataset(names, [rng.choice(list(keys)) for _ in range(50_000)])
+    assert len(Partition(d, names).sizes) == 256
+    assert max(itertools.chain.from_iterable(_key_blocks(list(d.columns.values())))) >= 2**64
+    per_row = _peak_bytes(lambda: Partition(d, names)) / d.row_count
     assert per_row < 8, f"Partition: {per_row:.1f} bytes per row"
 
 
