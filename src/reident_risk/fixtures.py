@@ -13,10 +13,11 @@ disease attribute is sensitive, with per-value severity overrides.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 
-from .ingest import MetadataDocument, load_csv_text, load_metadata
+from .ingest import MetadataDocument, load_csv, load_metadata
 from .model import Dataset
 
 FIXTURE_NAMES = ("initial", "kanon", "hipaa")
@@ -131,7 +132,7 @@ def fixture_csv(name: str) -> str:
 
 
 def fixture_dataset(name: str) -> Dataset:
-    return load_csv_text(fixture_csv(name), label=_check_name(name))
+    return load_csv(io.StringIO(fixture_csv(name)), label=_check_name(name))
 
 
 def reference_metadata_json() -> str:
@@ -140,8 +141,6 @@ def reference_metadata_json() -> str:
 
 def fixture_metadata() -> MetadataDocument:
     """The reference metadata document shared by all three fixtures."""
-    import io
-
     return load_metadata(io.StringIO(reference_metadata_json()))
 
 

@@ -159,8 +159,3 @@ def load_metadata(source: str | bytes | os.PathLike | io.TextIOBase) -> Metadata
     except ValueError as exc:
         raise IngestError(f"options.{exc}") from None
     return MetadataDocument(version=version, attributes=attributes, options=options)
-
-
-def load_csv_text(text: str, label: str) -> Dataset:
-    """Convenience wrapper for in-memory CSV content."""
-    return load_csv(io.StringIO(text), label=label)

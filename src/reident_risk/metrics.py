@@ -81,13 +81,14 @@ def entropy(counts: Iterable[int | float]) -> float:
 
 
 def band(dr: float) -> InferenceLevel:
-    """Map a discrimination rate in [0, 1] to its inference level.
+    """Map a discrimination rate, an int or float in [0, 1], to its inference
+    level; anything else, a bool too, is a ``ValueError``.
 
     Boundaries belong to the upper band, so 0.25 is already Moderate and
     0.75 is Critical.
     """
-    if not 0.0 <= dr <= 1.0:
-        raise ValueError(f"discrimination rate {dr!r} out of range [0, 1]")
+    if isinstance(dr, bool) or not isinstance(dr, (int, float)) or not 0.0 <= dr <= 1.0:
+        raise ValueError(f"discrimination rate: expected a number in [0, 1], got {dr!r}")
     if dr < 0.25:
         return InferenceLevel.WEAK
     if dr < 0.5:

@@ -444,11 +444,6 @@ class Dataset(Record):
         trimmed.__dict__.update(self.__dict__, columns=MappingProxyType(columns))
         return trimmed
 
-    def column(self, name: str) -> tuple[str, ...]:
-        """The cells of column ``name``, one per row."""
-        values, codes, _ = self.columns[name]
-        return tuple(map(values.__getitem__, codes))
-
 
 def _is_level(value: object) -> bool:
     """An integer 1..4: an IntEnum level is one, a bool is not."""

@@ -1,25 +1,37 @@
-import math
-
 import pytest
 from hypothesis import strategies as st
 
+import naive_metrics as naive
 from reident_risk import fixtures
+from reident_risk.model import AttributeMeta, AttributeRole, ExposureLevel, SeverityRating
 
 FULL_QI = ("Age", "Gender", "Country", "Admission Date", "Blood Type")
 TOL = 1e-12
 
 
-def h_bits(counts):
-    """Independent oracle: direct Shannon formula evaluation."""
-    total = sum(counts)
-    return -sum((c / total) * math.log2(c / total) for c in counts if c)
+def qi(name, exposure):
+    """A quasi-identifier's metadata at ``exposure``, a level or its label."""
+    return AttributeMeta(
+        name=name, role=AttributeRole.QUASI_IDENTIFIER, exposure=ExposureLevel.parse(exposure)
+    )
+
+
+def sens(name, rating=(1, 3, 4), overrides=None):
+    """A sensitive attribute's metadata: its own rating, and in ``overrides``
+    a rating per value."""
+    return AttributeMeta(
+        name=name,
+        role=AttributeRole.SENSITIVE,
+        severity=SeverityRating(*rating),
+        value_severity={v: SeverityRating(*r) for v, r in (overrides or {}).items()},
+    )
 
 
 # Disease value counts read off the 12-row tables: Colds 5, Flu 3, HIV 2,
 # Diabetes 1, Cancer 1. The 9-row table has Colds 4, Flu 1, HIV 2,
 # Diabetes 1, Cancer 1.
-H12 = h_bits([5, 3, 2, 1, 1])
-H9 = h_bits([4, 1, 2, 1, 1])
+H12 = naive.entropy([5, 3, 2, 1, 1])
+H9 = naive.entropy([4, 1, 2, 1, 1])
 
 
 @st.composite

@@ -18,6 +18,7 @@ it is moved onto the exact value's side, as the package does.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -40,9 +41,15 @@ def find(classes: Sequence[NaiveClass], key: Sequence[str], qi_set: Sequence[str
     raise KeyError(f"unknown class {wanted!r} for quasi-identifiers {tuple(qi_set)!r}")
 
 
+def column(dataset: Dataset, name: str) -> tuple[str, ...]:
+    """The cells of column ``name``, one per row, decoded from its codes."""
+    values, codes, _ = dataset.columns[name]
+    return tuple(values[code] for code in codes)
+
+
 def project(dataset: Dataset, names: Sequence[str]) -> list[tuple[str, ...]]:
     """Per-row tuples of the cells under ``names``, in row order."""
-    return list(zip(*map(dataset.column, names)))
+    return list(zip(*(column(dataset, name) for name in names)))
 
 
 def equivalence_classes(dataset: Dataset, qi_set: Sequence[str]) -> list[NaiveClass]:
@@ -79,16 +86,16 @@ def k_anonymity(dataset: Dataset, qi_set: Sequence[str]) -> int:
 
 
 def distinct_l_diversity(dataset: Dataset, qi_set: Sequence[str], sensitive: str) -> int:
-    column = dataset.column(sensitive)
-    return min(len({column[i] for i in c.row_indices}) for c in equivalence_classes(dataset, qi_set))
+    cells = column(dataset, sensitive)
+    return min(len({cells[i] for i in c.row_indices}) for c in equivalence_classes(dataset, qi_set))
 
 
 def conditional_entropy(dataset: Dataset, target: str, given_set: Sequence[str]) -> float:
-    column = dataset.column(target)
+    cells = column(dataset, target)
     n = dataset.row_count
     h = 0.0
     for c in equivalence_classes(dataset, given_set):
-        h += (len(c.row_indices) / n) * entropy(_counts(column[i] for i in c.row_indices))
+        h += (len(c.row_indices) / n) * entropy(_counts(cells[i] for i in c.row_indices))
     return h
 
 
@@ -104,13 +111,13 @@ def _exact(
     reaches p/4, for p in 1, 2, 3. A is the product of n_c**n_c over the
     classes (or of the class alone) over that of n_cv**n_cv over their
     (class, value) pairs, and B is n**n over the product of n_v**n_v."""
-    column = dataset.column(sensitive)
-    n = len(column)
-    b = (n**n, _power(_counts(column)))
+    cells = column(dataset, sensitive)
+    n = len(cells)
+    b = (n**n, _power(_counts(cells)))
     classes = equivalence_classes(dataset, qi_set)
     if key is not None:
         classes = [find(classes, key, qi_set)]
-    groups = [[column[i] for i in c.row_indices] for c in classes]
+    groups = [[cells[i] for i in c.row_indices] for c in classes]
     a = (_power(map(len, groups)), math.prod(_power(_counts(g)) for g in groups))
     u, v = (1, 1) if key is None else (n, len(groups[0]))
 
@@ -144,7 +151,7 @@ def discrimination_rate(
     dataset: Dataset, qi_set: Sequence[str], sensitive: str
 ) -> tuple[float, float, float]:
     """(H(S), H(S|Q), DR)."""
-    h_s = entropy(_counts(dataset.column(sensitive)))
+    h_s = entropy(_counts(column(dataset, sensitive)))
     h_s_given_qi = conditional_entropy(dataset, sensitive, qi_set)
     dr = 1.0 if h_s == 0.0 else _clamp01(1.0 - h_s_given_qi / h_s)
     return h_s, h_s_given_qi, _decided(dr, lambda: _exact(dataset, qi_set, sensitive))
@@ -154,12 +161,33 @@ def value_inference(
     dataset: Dataset, qi_set: Sequence[str], key: Sequence[str], sensitive: str
 ) -> float:
     cls = find(equivalence_classes(dataset, qi_set), key, qi_set)
-    column = dataset.column(sensitive)
-    h_class = entropy(_counts(column[i] for i in cls.row_indices))
+    cells = column(dataset, sensitive)
+    h_class = entropy(_counts(cells[i] for i in cls.row_indices))
     if h_class == 0.0:
         return 1.0
-    h_s = entropy(_counts(column))
+    h_s = entropy(_counts(cells))
     if h_s == 0.0:
         return 1.0
     score = _clamp01(1.0 - h_class / h_s)
     return _decided(score, lambda: _exact(dataset, qi_set, sensitive, key))
+
+
+def view(dataset: Dataset, qi_set: Sequence[str], sensitive: Sequence[str]) -> tuple:
+    """What a partition under ``qi_set`` derives from its classes: their sizes,
+    the class of each row, the type ``class_of`` must have (``bytes`` up to 256
+    classes), per sensitive attribute the joint (class, value) counts keyed
+    ``class * len(values) + code`` in first-row order, l and the class scores,
+    and last the conditional entropies."""
+    classes = equivalence_classes(dataset, qi_set)
+    class_of = {i: class_id for class_id, c in enumerate(classes) for i in c.row_indices}
+    row_classes = [class_of[i] for i in range(dataset.row_count)]
+    per_sensitive = []
+    for s in sensitive:
+        values, codes, _ = dataset.columns[s]
+        pairs = Counter(c * len(values) + code for c, code in zip(row_classes, codes))
+        l_value = distinct_l_diversity(dataset, qi_set, s)
+        scores = [value_inference(dataset, qi_set, c.key, s) for c in classes]
+        per_sensitive.append((list(pairs.items()), l_value, scores))
+    sizes = [len(c.row_indices) for c in classes]
+    entropies = [conditional_entropy(dataset, s, qi_set) for s in sensitive]
+    return sizes, row_classes, bytes if len(classes) <= 256 else list, per_sensitive, entropies

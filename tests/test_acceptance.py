@@ -19,18 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive_metrics as naive
-from conftest import FULL_QI, H9, H12, TOL, tables
+from conftest import FULL_QI, H9, H12, TOL, qi, sens, tables
 from reident_risk import fixtures
 from reident_risk.cli import main
 from reident_risk.engine import AssessmentOptions, assess
 from reident_risk.metrics import Partition, band, entropy
-from reident_risk.model import (
-    AttributeMeta,
-    AttributeRole,
-    Dataset,
-    ExposureLevel,
-    SeverityRating,
-)
+from reident_risk.model import Dataset
 from reident_risk.report import report_to_dict, to_json
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -56,10 +50,12 @@ def test_criterion_1_hipaa_end_to_end(hipaa, reference_meta):
         report = assess(hipaa, reference_meta.attributes, reference_meta.options)
 
         demographics = find_row(report, ("Age", "Gender", "Country"))
+        assert report.exploitability_rows[0] is demographics
         assert demographics.combination.exposure.display == "4-EE"
         assert demographics.inference.display == "4-Critical"
         assert demographics.exploitability.display == "4-Very Easy"
         assert demographics.dr.dr == 1.0  # all 12 projections unique, exactly
+        assert demographics.dr.h_s_given_qi == 0.0
         assert f"{demographics.dr.dr:.6f}" == "1.000000"
 
         pair = find_row(report, ("Admission Date", "Blood Type"))
@@ -67,6 +63,7 @@ def test_criterion_1_hipaa_end_to_end(hipaa, reference_meta):
         assert int(pair.inference) >= 3
         assert int(pair.inference) == 4 and pair.exploitability.display == "3-Easy"
 
+        assert demographics.severity.display == "4-Maximum"
         assert demographics.risk.display == "4-Critical"
         assert pair.risk.display == "4-Critical"
         assert report.overall_risk.display == "4-Critical"
@@ -93,6 +90,7 @@ def test_criterion_3_non_reproducible_cells_documented(hipaa, kanon, reference_m
         dr_group = Partition(kanon, FULL_QI).discrimination_rate("Disease")
         expected = 1 - (2 / 3) * math.log2(3) / H9
         assert abs(dr_group.dr - expected) < TOL
+        assert abs(dr_group.h_s - H9) < TOL
         assert dr_group.inference.display == "2-Moderate"
 
         # Single attributes whose circulated labels do not follow from the
@@ -127,14 +125,18 @@ def test_criterion_4_severity_reproduction(initial, reference_meta):
 
         assert reference_meta.options.flag_threshold == 3
         assert [row + 1 for row in report.flagged_rows] == [6, 7, 8, 9]
+        values = [report.outcomes[o].sensitive_value for o in report.flagged_outcome]
+        assert values == ["HIV", "Diabetes", "Cancer", "HIV"]
 
 
-def test_criterion_5_k_anonymity_and_diversity_oracles(initial, kanon, hipaa):
+def test_criterion_5_k_anonymity_and_diversity_oracles(initial, kanon, hipaa, reference_meta):
     with criterion(5, "k-anonymity / diversity values and brute-force equivalence"):
-        assert Partition(kanon, FULL_QI).k_anonymity() == 3
+        report = assess(kanon, reference_meta.attributes, reference_meta.options)
+        appendix = report.metrics_appendix
+        assert (appendix.qi_set, appendix.k_anonymity) == (FULL_QI, 3)
+        assert [(e.sensitive, e.l_value) for e in appendix.l_diversity] == [("Disease", 1)]
         assert Partition(initial, FULL_QI).k_anonymity() == 1
         assert Partition(hipaa, FULL_QI).k_anonymity() == 1
-        assert Partition(kanon, FULL_QI).l_diversity("Disease") == 1
 
         rng = random.Random(20260809)
         alphabet = "abcdefgh"
@@ -162,18 +164,18 @@ def test_criterion_6_property_suites():
         def conditioning_range_and_purity(table):
             d = Dataset(*table)
             s = d.attributes[-1]
-            qi = d.attributes[:-1]
-            column = d.column(s)
+            qi_set = d.attributes[:-1]
+            column = naive.column(d, s)
             counts = {}
             for v in column:
                 counts[v] = counts.get(v, 0) + 1
-            partition = Partition(d, qi)
+            partition = Partition(d, qi_set)
             h_cond = partition.conditional_entropy(s)
             assert -TOL <= h_cond <= entropy(counts.values()) + TOL
             dr = partition.discrimination_rate(s).dr
             assert 0.0 <= dr <= 1.0
             if len(counts) > 1:  # H(S) = 0 is pinned to dr = 1 by definition
-                classes = naive.equivalence_classes(d, qi)
+                classes = naive.equivalence_classes(d, qi_set)
                 pure = all(len({column[i] for i in c.row_indices}) == 1 for c in classes)
                 assert (abs(dr - 1.0) < TOL) == pure
 
@@ -203,22 +205,7 @@ def test_criterion_6_property_suites():
             sensitive = d.attributes[-1]
 
             def build_meta(levels):
-                meta = [
-                    AttributeMeta(
-                        name=n,
-                        role=AttributeRole.QUASI_IDENTIFIER,
-                        exposure=ExposureLevel(levels[i]),
-                    )
-                    for i, n in enumerate(qi_names)
-                ]
-                meta.append(
-                    AttributeMeta(
-                        name=sensitive,
-                        role=AttributeRole.SENSITIVE,
-                        severity=SeverityRating(1, 2, 3),
-                    )
-                )
-                return meta
+                return [*map(qi, qi_names, levels), sens(sensitive, (1, 2, 3))]
 
             options = AssessmentOptions(
                 combination_strategy=strategy,
@@ -268,11 +255,13 @@ def test_criterion_7_determinism_and_golden_files(reference_meta):
     with criterion(7, "byte-identical reports and golden files"):
         for name in fixtures.FIXTURE_NAMES:
             dataset = fixtures.fixture_dataset(name)
-            first = to_json(assess(dataset, reference_meta.attributes, reference_meta.options))
-            second = to_json(assess(dataset, reference_meta.attributes, reference_meta.options))
+            first, second = (
+                assess(dataset, reference_meta.attributes, reference_meta.options)
+                for _ in range(2)
+            )
             assert first == second
             golden = (GOLDEN_DIR / f"{name}.json").read_bytes()
-            assert first == golden
+            assert to_json(first) == to_json(second) == golden
             json.loads(golden)
 
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import naive_metrics as naive
-from conftest import tables
+from conftest import qi, sens, tables
 from reident_risk.engine import (
     AssessmentOptions,
     assess,
@@ -23,13 +23,7 @@ from reident_risk.engine import (
 )
 from reident_risk.exact import log_sign
 from reident_risk.metrics import band
-from reident_risk.model import (
-    AttributeMeta,
-    AttributeRole,
-    Dataset,
-    ExposureLevel,
-    SeverityRating,
-)
+from reident_risk.model import Dataset
 
 
 def _rows(*columns):
@@ -57,13 +51,8 @@ def test_levels_equal_exact_bands(table, exposures, strategy):
     qi_names = [n for n in d.attributes if n.startswith("q")]
     sensitive_names = [n for n in d.attributes if n.startswith("s")]
     # Every record is flagged, so every class of the top combination is banded.
-    meta = [
-        AttributeMeta(name=n, role=AttributeRole.QUASI_IDENTIFIER, exposure=ExposureLevel(e))
-        for n, e in zip(qi_names, exposures)
-    ] + [
-        AttributeMeta(name=n, role=AttributeRole.SENSITIVE, severity=SeverityRating(1, 1, 4))
-        for n in sensitive_names
-    ]
+    meta = [qi(n, e) for n, e in zip(qi_names, exposures)]
+    meta += [sens(n, (1, 1, 4)) for n in sensitive_names]
     report = assess(d, meta, AssessmentOptions(combination_strategy=strategy))
 
     for row in report.exploitability_rows:

@@ -247,14 +247,6 @@ class TestAssess:
         report = to_json(assess(load_csv(data), document.attributes, document.options))
         assert report.startswith(pipe.getvalue())
 
-    def test_determinism_across_runs(self, emitted, capsys):
-        data, meta = emitted["initial"]
-        main(["assess", "--data", data, "--meta", meta])
-        first = capsys.readouterr().out
-        main(["assess", "--data", data, "--meta", meta])
-        second = capsys.readouterr().out
-        assert first == second
-
 
 def _with_flagged(report, n):
     """``report`` with ``n`` flagged records, rows 0..n-1, cycling through its outcomes."""

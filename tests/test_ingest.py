@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from naive_metrics import project
+import naive_metrics as naive
 from reident_risk.engine import (
     DEFAULT_EXPLOITABILITY_MATRIX,
     DEFAULT_RISK_MATRIX,
@@ -30,7 +30,6 @@ from reident_risk.ingest import (
     IngestError,
     MetadataDocument,
     load_csv,
-    load_csv_text,
     load_metadata,
 )
 from reident_risk.model import (
@@ -44,6 +43,11 @@ from reident_risk.model import (
     SeverityRating,
 )
 from reident_risk.report import to_json
+
+
+def load_text(text, label="t"):
+    """``load_csv`` on CSV text in memory."""
+    return load_csv(io.StringIO(text), label=label)
 
 
 B = _BLOCK_ROWS
@@ -90,26 +94,27 @@ def with_value(where, value):
 
 class TestLoadCsv:
     def test_fixture_shape(self):
-        d = load_csv_text(fixture_csv("initial"), label="initial")
+        d = load_text(fixture_csv("initial"), label="initial")
         assert len(d.attributes) == 6
         assert d.row_count == 12
         assert d.attributes[0] == "Age"
-        assert project(d, d.attributes)[0] == ("23", "M", "Nigeria", "2019-09-21", "A+", "Colds")
+        first = ("23", "M", "Nigeria", "2019-09-21", "A+", "Colds")
+        assert naive.project(d, d.attributes)[0] == first
 
     def test_whitespace_trimmed_case_preserved(self):
-        d = load_csv_text("a, b \n X , yY \n", label="t")
+        d = load_text("a, b \n X , yY \n")
         assert d.attributes == ("a", "b")
-        assert project(d, d.attributes) == [("X", "yY")]
+        assert naive.project(d, d.attributes) == [("X", "yY")]
 
     def test_header_only_is_valid(self):
-        d = load_csv_text("a,b\n", label="t")
+        d = load_text("a,b\n")
         assert d.row_count == 0
 
     def test_ragged_row_names_row_number(self):
         lines = ["a,b,c,d,e"] + ["1,2,3,4,5"] * 12
         lines[6] = "1,2,3,4"  # data row 6 (line 7)
         with pytest.raises(IngestError, match="^t: row 6 has 4 cells, expected 5$"):
-            load_csv_text("\n".join(lines) + "\n", label="t")
+            load_text("\n".join(lines) + "\n")
 
     @pytest.mark.parametrize("row", [B - 1, B, B + 1, 2 * B + 1])
     @pytest.mark.parametrize(
@@ -121,7 +126,7 @@ class TestLoadCsv:
         lines = ["a,b"] + ['"1\n2",3'] * (3 * B)  # two lines per row
         lines[row] = fault
         with pytest.raises(IngestError, match=f"^t: {re.escape(message.format(row))}$"):
-            load_csv_text("\n".join(lines) + "\n", label="t")
+            load_text("\n".join(lines) + "\n")
 
     @pytest.mark.parametrize("gap", [5, 2 * B])
     @pytest.mark.parametrize(
@@ -136,7 +141,7 @@ class TestLoadCsv:
         lines = ["a,b"] + ["1,2"] * (3 * B)
         lines[3], lines[3 + gap] = first, later
         with pytest.raises(IngestError, match=f"^t: {re.escape(message)}$"):
-            load_csv_text("\n".join(lines) + "\n", label="t")
+            load_text("\n".join(lines) + "\n")
 
     def test_load_overhead_does_not_grow_with_rows(self, tmp_path):
         """The heap a load needs beyond the Dataset it returns stays flat as
@@ -161,15 +166,15 @@ class TestLoadCsv:
 
     def test_empty_header_rejected(self):
         with pytest.raises(IngestError, match="^t: dataset needs at least one attribute$"):
-            load_csv_text("\n1,2\n", label="t")
+            load_text("\n1,2\n")
 
     def test_empty_file_rejected(self):
         with pytest.raises(IngestError, match="no header"):
-            load_csv_text("", label="t")
+            load_text("")
 
     def test_duplicate_header_rejected(self):
         with pytest.raises(IngestError, match="duplicate"):
-            load_csv_text("a,a\n1,2\n", label="t")
+            load_text("a,a\n1,2\n")
 
     @pytest.mark.parametrize(
         "header,message",
@@ -182,22 +187,22 @@ class TestLoadCsv:
     )
     def test_header_names_checked_by_dataset(self, header, message):
         with pytest.raises(IngestError, match=f"^t: {message}$"):
-            load_csv_text(f"{header}\n1,2,3\n", label="t")
+            load_text(f"{header}\n1,2,3\n")
 
     def test_quoted_cells(self):
-        d = load_csv_text('a,b\n"x,y",z\n', label="t")
-        assert project(d, d.attributes) == [("x,y", "z")]
+        d = load_text('a,b\n"x,y",z\n')
+        assert naive.project(d, d.attributes) == [("x,y", "z")]
 
     def test_deterministic(self):
         text = fixture_csv("hipaa")
-        assert load_csv_text(text, label="x") == load_csv_text(text, label="x")
+        assert load_text(text, label="x") == load_text(text, label="x")
 
     def test_path_loading(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,b\n1,2\n", encoding="utf-8")
         d = load_csv(p)
         assert d.source_label == "t.csv"
-        assert project(d, d.attributes) == [("1", "2")]
+        assert naive.project(d, d.attributes) == [("1", "2")]
 
     @pytest.mark.parametrize(
         "text,where",
@@ -208,7 +213,7 @@ class TestLoadCsv:
     )
     def test_oversized_cell_names_row(self, text, where):
         with pytest.raises(IngestError, match=f"^t: {where}: field larger than field limit"):
-            load_csv_text(text, label="t")
+            load_text(text)
 
     def test_invalid_utf8_rejected(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -501,7 +506,7 @@ def test_fuzzed_csv_is_loaded_or_rejected(data):
         except IngestError:
             return
     for name in dataset.attributes:
-        assert len(dataset.column(name)) == dataset.row_count
+        assert len(naive.column(dataset, name)) == dataset.row_count
 
 
 def _reference_load(path):
@@ -647,7 +652,7 @@ def test_load_leaves_no_cyclic_garbage(text, message):
     gc.disable()
     try:
         try:
-            load_csv_text(text, label="t")
+            load_text(text)
             error = None
         except IngestError as exc:
             error = str(exc)

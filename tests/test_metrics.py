@@ -6,12 +6,13 @@ calling the code under test.
 """
 
 import math
+import re
 
 import pytest
 
 import reident_risk
-from conftest import FULL_QI, H9, H12, TOL
-from naive_metrics import project
+import naive_metrics as naive
+from conftest import FULL_QI, H12, TOL
 from reident_risk.metrics import Partition, band, entropy
 from reident_risk.model import Dataset, InferenceLevel
 
@@ -24,7 +25,7 @@ def tiny(rows, attrs=None):
 def class_score(d, qi, key, sensitive):
     """Inference score of the class whose rows project onto ``key``."""
     p = Partition(d, qi)
-    return p.class_inference(sensitive)[p.class_of[project(d, qi).index(tuple(key))]]
+    return p.class_inference(sensitive)[p.class_of[naive.project(d, qi).index(tuple(key))]]
 
 
 def test_star_import_binds_every_export():
@@ -48,7 +49,7 @@ class TestEquivalenceClasses:
     def test_partition_and_order(self, initial):
         p = Partition(initial, ["Country"])
         key_of = {}  # class id -> country, in the order of each class's first row
-        for country, c in zip(initial.column("Country"), p.class_of):
+        for country, c in zip(naive.column(initial, "Country"), p.class_of):
             assert key_of.setdefault(c, country) == country  # one country per class
         assert list(key_of) == list(range(len(p.sizes)))
         assert len(set(key_of.values())) == len(p.sizes)  # one class per country
@@ -103,12 +104,8 @@ class TestLDiversity:
         assert Partition(d, ["c0"]).l_diversity("c1") == 1
 
     def test_kanon_groups_2_and_3(self, kanon):
-        subset = Dataset(attributes=kanon.attributes, rows=project(kanon, kanon.attributes)[3:], source_label="t")
+        subset = Dataset(kanon.attributes, naive.project(kanon, kanon.attributes)[3:])
         assert Partition(subset, FULL_QI).l_diversity("Disease") == 3
-
-    def test_sensitive_in_qi_rejected(self, kanon):
-        with pytest.raises(ValueError):
-            Partition(kanon, ["Age", "Disease"]).l_diversity("Disease")
 
 
 class TestEntropy:
@@ -120,7 +117,7 @@ class TestEntropy:
 
     def test_initial_disease_counts(self, initial):
         counts = {}
-        for v in initial.column("Disease"):
+        for v in naive.column(initial, "Disease"):
             counts[v] = counts.get(v, 0) + 1
         assert sorted(counts.values(), reverse=True) == [5, 3, 2, 1, 1]
         assert entropy(counts.values()) == pytest.approx(H12, abs=TOL)
@@ -170,42 +167,16 @@ class TestConditionalEntropy:
         assert Partition(d, ["c0"]).conditional_entropy("c1") == pytest.approx(0.0, abs=TOL)
 
     def test_constant_given_equals_marginal(self, initial):
-        d = tiny([["k", v] for v in initial.column("Disease")])
+        d = tiny([["k", v] for v in naive.column(initial, "Disease")])
         assert Partition(d, ["c0"]).conditional_entropy("c1") == pytest.approx(H12, abs=TOL)
-
-    def test_hipaa_disease_given_age(self, hipaa):
-        # Only the two age-53 rows form an impure class ({Cancer, HIV}, 1 bit).
-        expected = (2 / 12) * 1.0
-        h = Partition(hipaa, ["Age"]).conditional_entropy("Disease")
-        assert h == pytest.approx(expected, abs=TOL)
-
-    def test_target_in_given_set_rejected(self, hipaa):
-        with pytest.raises(ValueError):
-            Partition(hipaa, ["Age", "Gender"]).conditional_entropy("Age")
 
 
 class TestDiscriminationRate:
-    def test_hipaa_demographics_perfect_inference(self, hipaa):
-        # All 12 (Age, Gender, Country) projections are distinct.
-        assert len(set(project(hipaa, ["Age", "Gender", "Country"]))) == 12
-        result = Partition(hipaa, ["Age", "Gender", "Country"]).discrimination_rate("Disease")
-        assert result.dr == 1.0
-        assert result.h_s_given_qi == 0.0
-        assert result.inference is InferenceLevel.CRITICAL
-
     def test_constant_qi_no_inference(self):
         d = tiny([["k", "x"], ["k", "y"], ["k", "x"], ["k", "z"]])
         result = Partition(d, ["c0"]).discrimination_rate("c1")
         assert result.dr == pytest.approx(0.0, abs=TOL)
         assert result.inference is InferenceLevel.WEAK
-
-    def test_kanon_group_key(self, kanon):
-        # Group 1 is pure; groups 2 and 3 are uniform over three diseases.
-        expected = 1.0 - (2 / 3) * math.log2(3) / H9
-        result = Partition(kanon, FULL_QI).discrimination_rate("Disease")
-        assert result.dr == pytest.approx(expected, abs=1e-9)
-        assert result.h_s == pytest.approx(H9, abs=TOL)
-        assert result.inference is InferenceLevel.MODERATE
 
     def test_constant_sensitive_degenerate(self):
         d = tiny([["a", "x"], ["b", "x"], ["c", "x"]])
@@ -221,7 +192,9 @@ class TestDiscriminationRate:
         assert 0.0 <= result.h_s_given_qi <= result.h_s
         assert result.dr == pytest.approx(1 - (2 / 12) / H12, abs=1e-9)
 
-    @pytest.mark.parametrize("metric", ["discrimination_rate", "class_inference"])
+    @pytest.mark.parametrize(
+        "metric", ["l_diversity", "conditional_entropy", "discrimination_rate", "class_inference"]
+    )
     def test_sensitive_in_qi_rejected(self, hipaa, metric):
         # Inside its own QI set every class is pure, which would read dr = 1.
         p = Partition(hipaa, ["Age", "Disease"])
@@ -263,7 +236,7 @@ class TestBand:
         assert int(band(dr)) == expected
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            band(-0.01)
-        with pytest.raises(ValueError):
-            band(1.01)
+        # A bool is not a rate, though it is an int; nothing is converted.
+        for dr in (-0.01, 1.01, math.nan, True, False, "0.3", None):
+            with pytest.raises(ValueError, match=f"got {re.escape(repr(dr))}$"):
+                band(dr)

@@ -8,17 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import qi, sens
 from reident_risk import engine, fixtures
 from reident_risk.engine import AssessmentOptions, assess
-from reident_risk.model import (
-    AttributeMeta,
-    AttributeRole,
-    Dataset,
-    ExposureLevel,
-    RiskLevel,
-    SeverityLevel,
-    SeverityRating,
-)
+from reident_risk.model import Dataset, RiskLevel, SeverityLevel
 from reident_risk.report import LEVEL, report_to_dict, to_json, to_markdown
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -141,20 +134,8 @@ def _pipes_report():
         ),
         source_label="pipes",
     )
-    meta = [
-        AttributeMeta(
-            name="zip|code",
-            role=AttributeRole.QUASI_IDENTIFIER,
-            exposure=ExposureLevel.EXTERNAL_EXTENDED,
-        ),
-        AttributeMeta(
-            name="dx|<b>code</b>",
-            role=AttributeRole.SENSITIVE,
-            severity=SeverityRating(1, 1, 1),
-            value_severity={v: SeverityRating(4, 4, 4) for v in values},
-        ),
-    ]
-    report = assess(dataset, meta)
+    overrides = dict.fromkeys(values, (4, 4, 4))
+    report = assess(dataset, [qi("zip|code", "EE"), sens("dx|<b>code</b>", (1, 1, 1), overrides)])
     assert len(report.flagged_rows) == 7
     return report
 
@@ -174,20 +155,12 @@ _TRICKY = st.text(
 def _drawn_reports(draw):
     """A report whose label, attribute names, cells, overrides and notes are
     drawn strings. Names are wrapped in letters so stripping leaves them whole."""
-    qi, sensitive = f"q{draw(_TRICKY)}q", f"s{draw(_TRICKY)}s"
+    q_name, s_name = f"q{draw(_TRICKY)}q", f"s{draw(_TRICKY)}s"
     rows = draw(st.lists(st.tuples(_TRICKY, _TRICKY), min_size=2, max_size=6))
     # Overrides flag the records holding them; unused ones become warnings.
     overrides = draw(st.lists(st.sampled_from([v for _, v in rows]) | _TRICKY, max_size=3))
-    dataset = Dataset(attributes=(qi, sensitive), rows=rows, source_label=draw(_TRICKY))
-    meta = [
-        AttributeMeta(name=qi, role=AttributeRole.QUASI_IDENTIFIER, exposure=ExposureLevel(3)),
-        AttributeMeta(
-            name=sensitive,
-            role=AttributeRole.SENSITIVE,
-            severity=SeverityRating(1, 2, 1),
-            value_severity={v: SeverityRating(3, 4, 1) for v in overrides},
-        ),
-    ]
+    dataset = Dataset(attributes=(q_name, s_name), rows=rows, source_label=draw(_TRICKY))
+    meta = [qi(q_name, 3), sens(s_name, (1, 2, 1), dict.fromkeys(overrides, (3, 4, 1)))]
     options = AssessmentOptions(notes=draw(st.lists(_TRICKY, max_size=3)))
     return assess(dataset, meta, options)
 
@@ -323,17 +296,7 @@ class TestMarkdown:
             rows=(("a", "x"), ("b", "y"), ("a", "x")),
             source_label="mild",
         )
-        meta = [
-            AttributeMeta(
-                name="q",
-                role=AttributeRole.QUASI_IDENTIFIER,
-                exposure=ExposureLevel.INTERNAL_RESTRICTED,
-            ),
-            AttributeMeta(
-                name="s", role=AttributeRole.SENSITIVE, severity=SeverityRating(1, 1, 1)
-            ),
-        ]
-        report = assess(d, meta)
+        report = assess(d, [qi("q", "IR"), sens("s", (1, 1, 1))])
         assert len(report.flagged_rows) == 0
         # No overrides, no flagged records and no warnings: the override block is
         # left out, and the other two sections print ``none``.
