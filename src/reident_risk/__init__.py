@@ -14,11 +14,9 @@ from .engine import (
     DEFAULT_RISK_MATRIX,
     assess,
     build_combinations,
-    exploitability,
-    risk,
 )
 from .ingest import IngestError, MetadataDocument, load_csv, load_metadata
-from .metrics import DrResult, Partition, band, entropy
+from .metrics import DrResult, Partition, band
 from .model import (
     AttributeMeta,
     AttributeRole,
@@ -65,12 +63,9 @@ __all__ = [
     "assess",
     "band",
     "build_combinations",
-    "entropy",
-    "exploitability",
     "global_severity",
     "load_csv",
     "load_metadata",
-    "risk",
     "to_json",
     "to_markdown",
     "validate_meta",

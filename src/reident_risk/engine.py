@@ -36,7 +36,6 @@ from .model import (
     SeverityLevel,
     argument_errors,
     global_severity,
-    parsed,
     recode,
     strings,
     validate_meta,
@@ -210,22 +209,6 @@ def build_combinations(
     return result
 
 
-def exploitability(
-    exposure: ExposureLevel,
-    inference: InferenceLevel,
-    matrix: ScaleMatrix = DEFAULT_EXPLOITABILITY_MATRIX,
-) -> ExploitabilityLevel:
-    return ExploitabilityLevel(parsed("matrix", _matrix, matrix).lookup(exposure, inference))
-
-
-def risk(
-    exploitability_level: ExploitabilityLevel,
-    severity: SeverityLevel,
-    matrix: ScaleMatrix = DEFAULT_RISK_MATRIX,
-) -> RiskLevel:
-    return RiskLevel(parsed("matrix", _matrix, matrix).lookup(exploitability_level, severity))
-
-
 def assess(
     dataset: Dataset,
     meta: Sequence[AttributeMeta],
@@ -330,15 +313,15 @@ def assess(
 
         rows = []
         for combo, dr in zip(combinations, dr_by_sensitive[sensitive]):
-            level = exploitability(combo.exposure, dr.inference, options.exploitability_matrix)
+            level = options.exploitability_matrix.lookup(combo.exposure, dr.inference)
             rows.append(
                 ExploitabilityRow(
                     sensitive=sensitive,
                     combination=combo,
                     dr=dr,
-                    exploitability=level,
+                    exploitability=ExploitabilityLevel(level),
                     severity=attribute_max_severity,
-                    risk=risk(level, attribute_max_severity, options.risk_matrix),
+                    risk=RiskLevel(options.risk_matrix.lookup(level, attribute_max_severity)),
                 )
             )
         rows.sort(
@@ -366,14 +349,14 @@ def assess(
         flagged_outcome.extend(map(index.__getitem__, zip(flagged_scores, compress(codes, mask))))
         for score, code in index:
             level = value_severities[code]
-            exploit = exploitability(top_combo.exposure, band(score), options.exploitability_matrix)
+            exploit = options.exploitability_matrix.lookup(top_combo.exposure, band(score))
             outcomes.append(
                 FlaggedOutcome(
                     attribute=sensitive,
                     sensitive_value=values[code],
                     value_severity=level,
                     class_inference=score,
-                    record_risk=risk(exploit, level, options.risk_matrix),
+                    record_risk=RiskLevel(options.risk_matrix.lookup(exploit, level)),
                 )
             )
 

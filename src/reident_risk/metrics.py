@@ -41,7 +41,6 @@ from .model import _BLOCK_ROWS, Coder, Column, Dataset, InferenceLevel, recode, 
 __all__ = [
     "Partition",
     "DrResult",
-    "entropy",
     "band",
 ]
 
@@ -53,30 +52,13 @@ DrResult.__doc__ = """Discrimination rate with the entropies it was derived from
 an :class:`InferenceLevel`."""
 
 
-def entropy(counts: Iterable[int | float]) -> float:
-    """Shannon entropy in bits of a multiset of finite, non-negative category counts."""
-    if iter(counts) is counts:  # a one-shot iterator; a list is read as given
-        counts = list(counts)
-    try:
-        total = sum(counts)
-        in_range = float(total) < math.inf
-    except OverflowError:  # an int past the float range, as a count or as the total
-        in_range = False
-    if not in_range:  # inf or nan, from a count or from finite counts that overflow
-        if all(-math.inf < c < math.inf for c in counts):
-            raise ValueError("total count overflows")
-        raise ValueError("counts must be finite")
-    if total <= 0:
-        if any(c < 0 for c in counts):
-            raise ValueError("counts must be non-negative")
-        raise ValueError("total count must be positive")
+def _entropy(counts: list[int]) -> float:
+    """Shannon entropy in bits of a list of positive category counts."""
+    total = sum(counts)
     h = 0.0
     for c in counts:
-        if c > 0:
-            p = c / total
-            h -= p * math.log2(p)
-        elif c < 0:
-            raise ValueError("counts must be non-negative")
+        p = c / total
+        h -= p * math.log2(p)
     return h
 
 
@@ -320,7 +302,7 @@ class Partition:
 
     def discrimination_rate(self, sensitive: str) -> DrResult:
         counts = self.dataset.columns[sensitive].counts
-        h_s = entropy(counts)
+        h_s = _entropy(counts)
         h_s_given_qi = self.conditional_entropy(sensitive)
         dr = 1.0 if h_s == 0.0 else _clamp01(1.0 - h_s_given_qi / h_s)
         p = _near(dr)
@@ -338,11 +320,11 @@ class Partition:
         class scores 1. An impure class implies H(S) > 0.
         """
         values, _, counts = self.dataset.columns[sensitive]
-        cardinality, h_s = len(values), entropy(counts)
+        cardinality, h_s = len(values), _entropy(counts)
         per_class: list[list[int]] = [[] for _ in self.sizes]
         for key, n in self._joint_counts(sensitive).items():
             per_class[key // cardinality].append(n)
-        scores = [1.0 if len(t) == 1 else _clamp01(1.0 - entropy(t) / h_s) for t in per_class]
+        scores = [1.0 if len(t) == 1 else _clamp01(1.0 - _entropy(t) / h_s) for t in per_class]
         if any(map(_near, set(scores))):
             from .exact import decided
 

@@ -16,10 +16,10 @@ import naive_metrics as naive
 from conftest import qi, sens, tables
 from reident_risk.engine import (
     AssessmentOptions,
+    DEFAULT_EXPLOITABILITY_MATRIX,
+    DEFAULT_RISK_MATRIX,
     assess,
     build_combinations,
-    exploitability,
-    risk,
 )
 from reident_risk.exact import log_sign
 from reident_risk.metrics import band
@@ -72,8 +72,8 @@ def test_levels_equal_exact_bands(table, exposures, strategy):
         outcome = outcomes[o]
         level = naive.exact_level(d, top.members, outcome.attribute, keys[row])
         assert band(outcome.class_inference) == level
-        exploit = exploitability(top.exposure, level)
-        assert outcome.record_risk == risk(exploit, outcome.value_severity)
+        exploit = DEFAULT_EXPLOITABILITY_MATRIX.lookup(top.exposure, level)
+        assert outcome.record_risk == DEFAULT_RISK_MATRIX.lookup(exploit, outcome.value_severity)
 
 
 

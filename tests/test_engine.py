@@ -13,8 +13,6 @@ from reident_risk.engine import (
     DEFAULT_RISK_MATRIX,
     assess,
     build_combinations,
-    exploitability,
-    risk,
 )
 from reident_risk.model import (
     AttributeMeta,
@@ -22,9 +20,7 @@ from reident_risk.model import (
     Dataset,
     ExploitabilityLevel,
     ExposureLevel,
-    InferenceLevel,
     RiskLevel,
-    SeverityLevel,
     validate_meta,
 )
 
@@ -162,41 +158,6 @@ class TestMatrices:
             (2, 3, 4, 4),
         )
 
-    def test_exploitability_published_points(self):
-        ee, ie = ExposureLevel.EXTERNAL_EXTENDED, ExposureLevel.INTERNAL_EXTENDED
-        critical, severe = InferenceLevel.CRITICAL, InferenceLevel.SEVERE
-        assert exploitability(ee, critical) is ExploitabilityLevel.VERY_EASY
-        assert exploitability(ie, critical) is ExploitabilityLevel.EASY
-        assert exploitability(ie, severe) is ExploitabilityLevel.DIFFICULT
-
-    def test_risk_published_points(self):
-        assert risk(ExploitabilityLevel.VERY_EASY, SeverityLevel.MAXIMUM) is RiskLevel.CRITICAL
-        assert risk(ExploitabilityLevel.EASY, SeverityLevel.MAXIMUM) is RiskLevel.CRITICAL
-        assert risk(ExploitabilityLevel.VERY_DIFFICULT, SeverityLevel.NEGLIGIBLE) is RiskLevel.LOW
-
-    @pytest.mark.parametrize("matrix", ["x", None, ((1,) * 4,) * 4], ids=["str", "none", "grid"])
-    @pytest.mark.parametrize(
-        "combine,levels",
-        [
-            (exploitability, (ExposureLevel(4), InferenceLevel(4))),
-            (risk, (ExploitabilityLevel(4), SeverityLevel(4))),
-        ],
-        ids=["exploitability", "risk"],
-    )
-    def test_non_matrix_rejected(self, combine, levels, matrix):
-        shown = re.escape(f"matrix: expected a ScaleMatrix, got {matrix!r}")
-        with pytest.raises(ValueError, match=f"^{shown}$"):
-            combine(*levels, matrix)
-
-    def test_matrices_monotone_pointwise(self):
-        for matrix in (DEFAULT_EXPLOITABILITY_MATRIX, DEFAULT_RISK_MATRIX):
-            for r in range(1, 5):
-                for c in range(1, 5):
-                    if r < 4:
-                        assert matrix.lookup(r + 1, c) >= matrix.lookup(r, c)
-                    if c < 4:
-                        assert matrix.lookup(r, c + 1) >= matrix.lookup(r, c)
-
 
 MEMBER_6 = "meta[6]: expected an AttributeMeta, got None"
 WHOLE_DOCUMENT = "meta: expected an array of AttributeMeta, got {doc!r}"
@@ -321,7 +282,7 @@ class TestAssessReport:
         meta = [qi("q", 1), sens("s", rating=(2, 2, 2))]
         report = assess(d, meta)
         assert any("single value" in w for w in report.warnings)
-        # dr = 1 -> inference 4; exploitability(1, 4) = 2; risk(2, severity 2) = 2.
+        # dr = 1 -> inference 4; exploitability cell (1, 4) = 2; risk cell (2, 2) = 2.
         assert report.exploitability_rows[0].dr.dr == 1.0
         assert report.exploitability_rows[0].exploitability is ExploitabilityLevel.DIFFICULT
         assert report.overall_risk is RiskLevel.MEDIUM

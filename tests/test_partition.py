@@ -25,7 +25,7 @@ import naive_metrics as naive
 from conftest import TOL, qi, sens, tables
 from reident_risk import metrics
 from reident_risk.engine import AssessmentOptions, assess, build_combinations
-from reident_risk.metrics import Partition, _key_blocks, band, entropy
+from reident_risk.metrics import Partition, _key_blocks, band
 from reident_risk.model import Dataset
 from reident_risk.report import to_json, to_markdown
 
@@ -422,26 +422,10 @@ def test_value_inference_all_one_iff_dr_one(table):
     assert all(s >= 1.0 - TOL for s in scores) == (abs(dr - 1.0) < TOL)
 
 
-# Counts are row counts, so their totals stay far below 2**53, where an int
-# quotient and a float quotient are the same correctly rounded double.
-_COUNTS = st.one_of(
-    st.lists(st.integers(0, 10**9), min_size=1, max_size=20),
-    st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e9)), min_size=1, max_size=20),
-).filter(lambda counts: sum(counts) > 0)
-
-
-@given(_COUNTS)
-@settings(deadline=None)
-def test_entropy_equals_float_formula(counts):
-    h = entropy(counts)
-    assert h == naive.entropy(counts)
-    assert h == entropy(tuple(counts)) == entropy(iter(counts))
-
-
 @given(st.lists(st.integers(1, 50), min_size=1, max_size=10))
 @settings(deadline=None)
 def test_entropy_bounds_and_uniform_maximum(counts):
-    h = entropy(counts)
+    h = metrics._entropy(counts)
     m = len(counts)
     assert -TOL <= h <= math.log2(m) + TOL
     uniform = len(set(counts)) == 1
