@@ -20,6 +20,9 @@ slice assignments, and :meth:`Partition.coarsen` derives the partition of any
 subset of its quasi-identifiers, also of a coarsening, from its classes
 without reading the rows again. n * H(S | Q) is
 sum n_c * log2(n_c) over class sizes less sum n_cv * log2(n_cv) over pairs.
+A partition whose classes times a sensitive attribute's values are at most its
+rows keeps that attribute's counts as a list per class, and a coarsening of it
+adds its source's lists in C; any other counts its pairs in a pass over the rows.
 
 A rate or class score within 1e-9 of a band boundary (1/4, 1/2, 3/4) is
 banded on its exact value, decided from the counts by :mod:`reident_risk.exact`,
@@ -31,9 +34,9 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter, namedtuple
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from functools import reduce
-from itertools import count, repeat
+from itertools import chain, count, repeat
 from operator import add, floordiv, iadd, itemgetter, lshift, mul
 
 from .model import _BLOCK_ROWS, Coder, Column, Dataset, InferenceLevel, recode, strings
@@ -53,13 +56,10 @@ an :class:`InferenceLevel`."""
 
 
 def _entropy(counts: list[int]) -> float:
-    """Shannon entropy in bits of a list of positive category counts."""
+    """Shannon entropy in bits of a list of positive category counts, summed
+    by ``math.fsum``, so in no particular order."""
     total = sum(counts)
-    h = 0.0
-    for c in counts:
-        p = c / total
-        h -= p * math.log2(p)
-    return h
+    return math.fsum(-p * math.log2(p) for p in [c / total for c in counts])
 
 
 def band(dr: float) -> InferenceLevel:
@@ -150,14 +150,14 @@ def _key_blocks(
         yield keys
 
 
-# A coarsening counts its pairs from the rows once its source has this many
-# pairs per row. Over the 2- to 6-member coarsenings of the full partitions of
-# 6,000 kanon_bulk and 500 raw_unique rows (Python 3.11, best of 25 each), the
-# row pass took 126-179 ns a row and summing 159-267 ns a source pair
-# (quartiles), and the two cost the same at 0.62-0.81 pairs per row (quartiles
-# of the per-coarsening ratios); this is the middle of that range. kanon_bulk's
-# sources have at most 0.22 pairs per row, raw_unique's 1.0.
-_ROW_PASS_PAIRS = 0.7
+# Counts are kept as lists at up to this many classes times values a row. On
+# the full partitions of 6,000 and 60,000 kanon_bulk and 500 raw_unique rows
+# (Python 3.11, best of 5), adding lists took 49-105 ns a source cell, the row
+# pass 114-178 ns a row and turning its counts into lists 71-110 ns a cell.
+# Adding beats the row pass up to 1.6-3.2 source cells a row, so at 1 it wins
+# wherever it is chosen, and a row pass adds at most 0.5-0.7 times its own
+# cost to keep lists. kanon_bulk's full partition has 0.12-0.24 cells a row.
+_DENSE_CELLS_PER_ROW = 1
 
 
 class Partition:
@@ -166,13 +166,12 @@ class Partition:
     ``class_of[i]`` is the class of row ``i`` and ``sizes[c]`` the size of
     class ``c``; classes are numbered in order of first occurrence. For each
     sensitive attribute the joint (class, value) counts are counted on first
-    use and kept, in the order rows first show each pair, so one partition
-    serves every sensitive attribute; a sensitive attribute inside the
-    quasi-identifier set is rejected with ``ValueError``. :meth:`coarsen`
-    derives the partition of a subset of the quasi-identifiers from the
-    classes instead of the rows. ``class_of`` is ``bytes`` when there are at
-    most 256 classes; it and ``sizes`` are shared, and a list must not be
-    mutated.
+    use and kept, so one partition serves every sensitive attribute; a
+    sensitive attribute inside the quasi-identifier set is rejected with
+    ``ValueError``. :meth:`coarsen` derives the partition of a subset of the
+    quasi-identifiers from the classes instead of the rows. ``class_of`` is
+    ``bytes`` when there are at most 256 classes; it and ``sizes`` are shared,
+    and a list must not be mutated.
     """
 
     __slots__ = (
@@ -216,9 +215,9 @@ class Partition:
         one-member set reads its column's codes and counts. The rows are the
         ones this partition keeps, one per class, and the coarsening keeps one
         per coarse class from them, so it can be coarsened again. Its
-        ``class_of`` is computed when first read, from the source's, and its
-        pairs are summed from the source's, in first-row order, or counted
-        from the rows when the source has ``_ROW_PASS_PAIRS`` pairs a row.
+        ``class_of`` is computed when first read, from the source's. Its
+        (class, value) counts are the source's added up when the source keeps
+        them as lists (see :meth:`_joint_counts`), else counted from the rows.
         """
         names = _names(members)
         if names == self.qi_set:
@@ -239,14 +238,15 @@ class Partition:
         coarse._fine = self
         coarse._rows = list(rows.values())
         if len(columns) == 1:  # a column's codes number its classes as a row pass does
-            coarse._fine_to_class = keys
+            to_coarse = keys
             coarse._class_of, coarse.sizes = columns[0].codes, columns[0].counts
         else:
             ids = dict(zip(rows, count()))
-            coarse._fine_to_class = to_coarse = list(map(ids.__getitem__, keys))
+            to_coarse = list(map(ids.__getitem__, keys))
             coarse._class_of, coarse.sizes = None, [0] * len(ids)
             for c, size in zip(to_coarse, self.sizes):
                 coarse.sizes[c] += size
+        coarse._fine_to_class = bytes(to_coarse) if len(coarse.sizes) <= 256 else to_coarse
         coarse._joint = {}
         return coarse
 
@@ -256,44 +256,60 @@ class Partition:
             return self._class_of
         return map(self._fine_to_class.__getitem__, self._fine._classes())
 
-    def _joint_counts(self, sensitive: str) -> dict[int, int]:
-        """``class_id * cardinality + code`` of each (class, sensitive value)
-        pair to its row count, in the order rows first show the pairs."""
+    def _joint_counts(self, sensitive: str) -> list[list[int]] | Counter[int]:
+        """The row count of each (class, sensitive value) pair: per class, a
+        list of its counts in code order, zeros included, when there are at
+        most ``_DENSE_CELLS_PER_ROW`` classes times values a row; else a
+        ``Counter`` of ``class_id * cardinality + code`` over the rows."""
+        if sensitive in self.qi_set:
+            raise ValueError(f"sensitive attribute {sensitive!r} must not be a quasi-identifier")
         joint = self._joint.get(sensitive)
         if joint is None:
-            if sensitive in self.qi_set:
-                raise ValueError(
-                    f"sensitive attribute {sensitive!r} must not be a quasi-identifier"
-                )
             values, codes, _ = self.dataset.columns[sensitive]
-            cardinality = len(values)
-            fine, rows = self._fine, self.dataset.row_count
-            if fine is None or sensitive in fine.qi_set or (
-                len(fine._joint_counts(sensitive)) >= _ROW_PASS_PAIRS * rows
-            ):
-                joint = Counter(map(add, map(mul, self._classes(), repeat(cardinality)), codes))
+            cardinality, fine = len(values), self._fine
+            # Up to this many classes, a partition keeps its counts as lists.
+            most = _DENSE_CELLS_PER_ROW * self.dataset.row_count / cardinality
+            if fine is not None and sensitive not in fine.qi_set and len(fine.sizes) <= most:
+                joint = [[0] * cardinality] * len(self.sizes)
+                for c, counts in zip(self._fine_to_class, fine._joint_counts(sensitive)):
+                    joint[c] = list(map(add, joint[c], counts))
             else:
-                # Fine pairs come in first-row order, so each coarse pair is
-                # met first at its own first row.
-                joint = {}
-                to_class = self._fine_to_class
-                for key, n in fine._joint_counts(sensitive).items():
-                    c, v = divmod(key, cardinality)
-                    key = to_class[c] * cardinality + v
-                    joint[key] = joint.get(key, 0) + n
+                joint = Counter(map(add, map(mul, self._classes(), repeat(cardinality)), codes))
+                if len(self.sizes) <= most:
+                    flat = list(map(joint.get, range(len(self.sizes) * cardinality), repeat(0)))
+                    joint = [flat[i : i + cardinality] for i in range(0, len(flat), cardinality)]
             self._joint[sensitive] = joint
         return joint
+
+    def _pairs(self, sensitive: str) -> Collection[int]:
+        """The count of each (class, value) pair that the rows show."""
+        joint = self._joint_counts(sensitive)
+        return joint.values() if isinstance(joint, Counter) else [*filter(None, chain(*joint))]
+
+    def _class_counts(self, sensitive: str) -> list[list[int]]:
+        """Per class, the count of each sensitive value that its rows show."""
+        joint = self._joint_counts(sensitive)
+        if not isinstance(joint, Counter):
+            return list(map(list, map(filter, repeat(None), joint)))
+        cardinality = len(self.dataset.columns[sensitive].values)
+        per_class: list[list[int]] = [[] for _ in self.sizes]
+        for key, n in joint.items():
+            per_class[key // cardinality].append(n)
+        return per_class
 
     def k_anonymity(self) -> int:
         return min(self.sizes)
 
     def l_diversity(self, sensitive: str) -> int:
-        joint, values = self._joint_counts(sensitive), self.dataset.columns[sensitive].values
-        return min(Counter(map(floordiv, joint, repeat(len(values)))).values())
+        joint = self._joint_counts(sensitive)
+        if isinstance(joint, Counter):  # a pair's class is its key // cardinality
+            cardinality = len(self.dataset.columns[sensitive].values)
+            return min(Counter(map(floordiv, joint, repeat(cardinality))).values())
+        return min(map(len, self._class_counts(sensitive)))
 
     def conditional_entropy(self, sensitive: str) -> float:
         """H(sensitive | qi_set) in closed form, and 0.0 when every class is pure."""
-        pairs = self._joint_counts(sensitive).values()
+        pairs = self._pairs(sensitive)
         if len(pairs) == len(self.sizes):
             return 0.0
         h = sum(map(mul, self.sizes, map(math.log2, self.sizes)))
@@ -309,7 +325,7 @@ class Partition:
         if p:
             from .exact import decided
 
-            pairs = self._joint_counts(sensitive).values()
+            pairs = self._pairs(sensitive)
             dr = decided(dr, p, (self.sizes, pairs, 1), ([self.dataset.row_count], counts, 1))
         return DrResult(self.qi_set, sensitive, h_s, h_s_given_qi, dr, band(dr))
 
@@ -319,11 +335,8 @@ class Partition:
         1 - H(S within the class) / H(S overall), clamped to [0, 1]; a pure
         class scores 1. An impure class implies H(S) > 0.
         """
-        values, _, counts = self.dataset.columns[sensitive]
-        cardinality, h_s = len(values), _entropy(counts)
-        per_class: list[list[int]] = [[] for _ in self.sizes]
-        for key, n in self._joint_counts(sensitive).items():
-            per_class[key // cardinality].append(n)
+        counts = self.dataset.columns[sensitive].counts
+        h_s, per_class = _entropy(counts), self._class_counts(sensitive)
         scores = [1.0 if len(t) == 1 else _clamp01(1.0 - _entropy(t) / h_s) for t in per_class]
         if any(map(_near, set(scores))):
             from .exact import decided

@@ -3,11 +3,11 @@
 This is the regrouping implementation that ``reident_risk.metrics`` used
 before the partition core: every call regroups the whole table by tuples of
 strings, and a class is looked up by a linear scan of the classes. It is
-quadratic in the number of classes and kept only as a reference. Class
-scores are summed in the same order as the package's (values in
-first-occurrence order within a class), so they must equal the package's
-under ``==``; the conditional entropy is the per-class sum, which the
-package's closed form matches only to the last bits.
+quadratic in the number of classes and kept only as a reference. An
+entropy sums the package's terms (``p * log2(p)`` with ``p = c / total``)
+with ``math.fsum``, which rounds once and so in no particular order, so class
+scores must equal the package's under ``==``; the conditional entropy is the
+per-class sum, which the package's closed form matches only to the last bits.
 
 Bands are decided exactly, with big-int powers: a rate 1 - u*ln(A)/(v*ln(B))
 reaches p/4 iff A**(4u) <= B**((4-p)v), so a rate on a boundary takes the
@@ -60,14 +60,9 @@ def equivalence_classes(dataset: Dataset, qi_set: Sequence[str]) -> list[NaiveCl
 
 
 def entropy(counts: Iterable[int]) -> float:
-    values = [float(c) for c in counts]
+    values = [c for c in counts if c > 0]
     total = sum(values)
-    h = 0.0
-    for c in values:
-        if c > 0:
-            p = c / total
-            h -= p * math.log2(p)
-    return h
+    return math.fsum(-p * math.log2(p) for p in [c / total for c in values])
 
 
 def _counts(values: Iterable[str]) -> list[int]:
@@ -175,19 +170,19 @@ def value_inference(
 def view(dataset: Dataset, qi_set: Sequence[str], sensitive: Sequence[str]) -> tuple:
     """What a partition under ``qi_set`` derives from its classes: their sizes,
     the class of each row, the type ``class_of`` must have (``bytes`` up to 256
-    classes), per sensitive attribute the joint (class, value) counts keyed
-    ``class * len(values) + code`` in first-row order, l and the class scores,
-    and last the conditional entropies."""
+    classes), per sensitive attribute the count of each value in each class as
+    ``{class: {code: n}}``, l and the class scores, and last the conditional
+    entropies."""
     classes = equivalence_classes(dataset, qi_set)
     class_of = {i: class_id for class_id, c in enumerate(classes) for i in c.row_indices}
     row_classes = [class_of[i] for i in range(dataset.row_count)]
     per_sensitive = []
     for s in sensitive:
-        values, codes, _ = dataset.columns[s]
-        pairs = Counter(c * len(values) + code for c, code in zip(row_classes, codes))
+        codes = dataset.columns[s].codes
+        counts = {c: dict(Counter(codes[i] for i in k.row_indices)) for c, k in enumerate(classes)}
         l_value = distinct_l_diversity(dataset, qi_set, s)
         scores = [value_inference(dataset, qi_set, c.key, s) for c in classes]
-        per_sensitive.append((list(pairs.items()), l_value, scores))
+        per_sensitive.append((counts, l_value, scores))
     sizes = [len(c.row_indices) for c in classes]
     entropies = [conditional_entropy(dataset, s, qi_set) for s in sensitive]
     return sizes, row_classes, bytes if len(classes) <= 256 else list, per_sensitive, entropies

@@ -1,12 +1,12 @@
 """The partition core against the naive oracle, its cost in partitions, and
 the metric properties that no acceptance criterion states.
 
-Class scores are compared with the oracle by ``==``: the partition sums each
-class's entropy in the same order as the regrouping oracle in
-``naive_metrics.py``, so any difference is a defect. The conditional entropy,
-and the rate derived from it, are compared within ``TOL``: the partition's
-closed form and the oracle's per-class sum are equal in the reals but round
-differently in the last bits.
+Class scores are compared with the oracle by ``==``: the partition and the
+regrouping oracle in ``naive_metrics.py`` sum each class's entropy terms with
+``math.fsum``, which rounds once whatever their order, so any difference is a
+defect. The conditional entropy, and the rate derived from it, are compared
+within ``TOL``: the partition's closed form and the oracle's per-class sum are
+equal in the reals but round differently in the last bits.
 """
 
 import gc
@@ -15,6 +15,7 @@ import json
 import math
 import random
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -45,11 +46,24 @@ def _assert_same_rate(result, expected):
     assert result.inference == band(dr)
 
 
+def _class_values(partition, sensitive):
+    """Per class, the count of each sensitive value code its rows show, as
+    ``{class: {code: n}}``, read off either form of ``_joint_counts``."""
+    joint = partition._joint_counts(sensitive)
+    if isinstance(joint, list):
+        return {c: {v: n for v, n in enumerate(row) if n} for c, row in enumerate(joint)}
+    cardinality, per_class = len(partition.dataset.columns[sensitive].values), {}
+    for key, n in joint.items():
+        c, v = divmod(key, cardinality)
+        per_class.setdefault(c, {})[v] = n
+    return per_class
+
+
 def _view(partition, sensitive):
     """What ``naive.view`` gives, read off ``partition``."""
     per_sensitive = [
         (
-            list(partition._joint_counts(s).items()),
+            _class_values(partition, s),
             partition.l_diversity(s),
             partition.class_inference(s),
         )
@@ -97,14 +111,15 @@ def test_coarsen_equals_row_pass(table, data):
             coarse, members, direct = coarse.coarsen(sub), sub, Partition(d, sub)
             assert coarse.qi_set == direct.qi_set
             assert coarse.sizes == direct.sizes
+            if coarse._fine is not None:  # coarsening to the whole set returns the source
+                assert type(coarse._fine_to_class) is type(direct.class_of)
             if data.draw(st.booleans()):
                 assert coarse.class_of == direct.class_of
-            # Counted before class_of is read, the pairs come from the
+            # Counted before class_of is read, the counts come from the
             # source's; a quasi-identifier left out of ``sub`` is counted as a
             # sensitive attribute.
             for s in sensitive_names + [q for q in qi_names if q not in sub]:
-                joint = coarse._joint_counts(s)
-                assert list(joint.items()) == list(direct._joint_counts(s).items())
+                assert _class_values(coarse, s) == _class_values(direct, s)
                 assert coarse.conditional_entropy(s) == direct.conditional_entropy(s)
                 assert coarse.class_inference(s) == direct.class_inference(s)
             assert coarse.class_of == direct.class_of
@@ -119,11 +134,11 @@ def test_coarsen_equals_row_pass(table, data):
 @example(700, [40, 40, 40], 1, [[0, 1], [0]])
 @settings(deadline=None, max_examples=50)
 def test_coarse_pairs_summed_equal_pairs_counted_from_rows(rows, sizes, seed, picks):
-    """A coarsening's pairs, summed from its source's or counted in a pass
-    over the rows (the choice forced both ways), are the same dict with its
-    items in the same order, along a chain of coarsenings, each keeping the
-    members its source has at the positions ``picks`` draws. Up to 700 rows
-    over columns of up to 40 values give up to 700 classes."""
+    """A coarsening's counts per class, summed from its source's lists or
+    counted in a pass over the rows (the choice forced both ways), are the
+    same, along a chain of coarsenings, each keeping the members its source
+    has at the positions ``picks`` draws. Up to 700 rows over columns of up to
+    40 values give up to 700 classes."""
     rng = random.Random(seed)
     names = tuple(f"q{i}" for i in range(len(sizes)))
     table = [
@@ -138,19 +153,20 @@ def test_coarse_pairs_summed_equal_pairs_counted_from_rows(rows, sizes, seed, pi
     # A quasi-identifier left out of the last coarsening is read as sensitive.
     sensitive = ["s0"] + [q for q in names if q not in chain[-1]]
 
-    def pairs(ratio):
-        with mock.patch.object(metrics, "_ROW_PASS_PAIRS", ratio):
+    def counts(dense_cells):
+        with mock.patch.object(metrics, "_DENSE_CELLS_PER_ROW", dense_cells):
             partition, counted = Partition(d, names), []
             for members in chain:
                 partition = partition.coarsen(members)
-                counted.append(
-                    [list(partition._joint_counts(s).items()) for s in sensitive if s not in members]
-                )
+                kept = [s for s in sensitive if s not in members]
+                form = list if dense_cells else Counter
+                assert all(isinstance(partition._joint_counts(s), form) for s in kept)
+                counted.append([_class_values(partition, s) for s in kept])
             return counted
 
-    from_rows, summed = pairs(0), pairs(math.inf)
+    from_rows, summed = counts(0), counts(math.inf)
     assert from_rows == summed
-    assert summed[-1] == [list(Partition(d, chain[-1])._joint_counts(s).items()) for s in sensitive]
+    assert summed[-1] == [_class_values(Partition(d, chain[-1]), s) for s in sensitive]
 
 
 def _wide_table(rows, seed):
@@ -189,6 +205,8 @@ def test_class_of_is_bytes_up_to_256_classes(rows):
     partitions.append(full.coarsen(("q0", "q1")).coarsen(("q1",)))
     for partition in partitions:
         _assert_same_view(_view(partition, []), naive.view(d, partition.qi_set, []))
+        if partition._fine is not None:  # a coarsening: its class map is sized alike
+            assert type(partition._fine_to_class) is type(partition.class_of)
 
 
 def test_keys_past_64_bits_equal_naive_oracle():
@@ -305,22 +323,26 @@ def test_streamed_coder_at_block_and_byte_boundaries(classes, last_at):
     in the last of a block, or within a later one. Each partition over the
     classes, a row pass over two columns or one (bytes codes up to 256
     classes, list codes past) or a coarsening, equals the oracle's, and so
-    does each one-column coarsening of the two-column row pass."""
+    does each one-column coarsening of the two-column row pass, with the
+    counts kept as lists nowhere and everywhere."""
     d = _classes_table(classes, last_at)
     assert type(d.columns["c"].codes) is (bytes if classes <= 256 else list)
     # hi/lo and c number the same classes in the same order.
     expected = naive.view(d, ("c",), ["s0", "z"])
     assert len(expected[0]) == classes
-    full = Partition(d, ("hi", "lo"))
-    for partition in [
-        full,
-        Partition(d, ("c",)),
-        Partition(d, ("hi", "lo", "z")).coarsen(("hi", "lo")),
-        Partition(d, ("c", "z")).coarsen(("c",)),
-    ]:
-        _assert_same_view(_view(partition, ["s0", "z"]), expected)
-    for name in ("hi", "lo"):
-        _assert_same_view(_view(full.coarsen((name,)), ["s0"]), naive.view(d, (name,), ["s0"]))
+    for dense_cells in (0, math.inf):
+        with mock.patch.object(metrics, "_DENSE_CELLS_PER_ROW", dense_cells):
+            full = Partition(d, ("hi", "lo"))
+            for partition in [
+                full,
+                Partition(d, ("c",)),
+                Partition(d, ("hi", "lo", "z")).coarsen(("hi", "lo")),
+                Partition(d, ("c", "z")).coarsen(("c",)),
+            ]:
+                _assert_same_view(_view(partition, ["s0", "z"]), expected)
+            for name in ("hi", "lo"):
+                coarse = full.coarsen((name,))
+                _assert_same_view(_view(coarse, ["s0"]), naive.view(d, (name,), ["s0"]))
 
 
 _RATINGS = st.tuples(*[st.integers(1, 4)] * 3)
@@ -628,12 +650,12 @@ def test_pairs_counted_from_rows_keep_no_class_per_row():
     ]
     d = Dataset(("q0", "q1", "q2", "q3", "s0"), table)
     full = Partition(d, ("q0", "q1", "q2", "q3"))
-    assert len(full._joint_counts("s0")) >= metrics._ROW_PASS_PAIRS * rows
+    assert len(full.sizes) * 3 > metrics._DENSE_CELLS_PER_ROW * rows
     coarse, direct = full.coarsen(("q0", "q1", "q2")), Partition(d, ("q0", "q1", "q2"))
     assert len(coarse.sizes) > rows * 0.8 and len(direct.class_of) == rows
     joint = []
     extra = _peak_bytes(lambda: joint.append(coarse._joint_counts("s0")))
     extra -= _peak_bytes(lambda: joint.append(direct._joint_counts("s0")))
-    assert list(joint[0].items()) == list(joint[1].items())
+    assert joint[0] == joint[1]
     assert coarse._class_of is None
     assert extra / rows < 4, f"row pass: {extra / rows:.1f} bytes per row above a built class_of"
