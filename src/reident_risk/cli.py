@@ -109,7 +109,11 @@ def cmd_metric(args: argparse.Namespace) -> int:
         message = exc.args[0] if exc.args else str(exc)
         _diag(str(message))
         return EXIT_INVALID
-    _write([json.dumps(payload, sort_keys=True, ensure_ascii=False), "\n"], None)
+    try:
+        _write([json.dumps(payload, sort_keys=True, ensure_ascii=False), "\n"], None)
+    except OSError as exc:
+        _diag(str(exc))
+        return EXIT_FAILURE
     return EXIT_OK
 
 

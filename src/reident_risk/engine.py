@@ -281,23 +281,16 @@ def assess(
     qi_set = tuple(qi_names)
 
     # One pass over the rows: the full quasi-identifier partition, which is
-    # also the k/l appendix's. Every combination is coarsened, largest first,
-    # from the built superset with the fewest classes (a single quasi-identifier
-    # sums a small group's pairs), and shared by every sensitive attribute.
+    # also the k/l appendix's. Every combination is a coarsening of it, shared
+    # by every sensitive attribute.
     full_partition = Partition(dataset, qi_set)
-    built = [full_partition]
-    dr_by_sensitive = {s: [None] * len(combinations) for s in sensitive_names}
-    for j in sorted(range(len(combinations)), key=lambda j: -len(combinations[j].members)):
-        members = combinations[j].members
-        fits = (p for p in built if set(members).issubset(p.qi_set))
-        partition = min(fits, key=lambda p: len(p.sizes)).coarsen(members)
+    dr_by_sensitive = {s: [] for s in sensitive_names}
+    for combo in combinations:
+        partition = full_partition.coarsen(combo.members)
         for sensitive in sensitive_names:
-            dr_by_sensitive[sensitive][j] = partition.discrimination_rate(sensitive)
-        if combinations[j] is top_combo:
+            dr_by_sensitive[sensitive].append(partition.discrimination_rate(sensitive))
+        if combo is top_combo:
             top_partition = partition
-        if len(members) > 1:
-            built.append(partition)
-    del built
 
     exploitability_rows = []
     typecode = "I" if dataset.row_count * len(sensitive_names) <= _UINT32_VALUES else "Q"

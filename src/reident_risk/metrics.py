@@ -17,8 +17,8 @@ Every metric is derived from a :class:`Partition` of the rows. Building one
 keys each row by its codes in the columns a :class:`~reident_risk.model.Dataset`
 stores, packed a block of rows at a time into 8-byte machine words by strided
 slice assignments, and :meth:`Partition.coarsen` derives the partition of any
-subset of its quasi-identifiers, also of a coarsening, from its classes
-without reading the rows again. n * H(S | Q) is
+subset of its quasi-identifiers from the row pass's classes without reading
+the rows again. n * H(S | Q) is
 sum n_c * log2(n_c) over class sizes less sum n_cv * log2(n_cv) over pairs.
 A partition whose classes times a sensitive attribute's values are at most its
 rows keeps that attribute's counts as a list per class, and a coarsening of it
@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter, namedtuple
-from collections.abc import Collection, Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterator, Sequence
 from functools import reduce
 from itertools import chain, count, repeat
 from operator import add, floordiv, iadd, itemgetter, lshift, mul
@@ -169,9 +169,9 @@ class Partition:
     use and kept, so one partition serves every sensitive attribute; a
     sensitive attribute inside the quasi-identifier set is rejected with
     ``ValueError``. :meth:`coarsen` derives the partition of a subset of the
-    quasi-identifiers from the classes instead of the rows. ``class_of`` is
-    ``bytes`` when there are at most 256 classes; it and ``sizes`` are shared,
-    and a list must not be mutated.
+    quasi-identifiers from the row pass's classes instead of the rows.
+    ``class_of`` is ``bytes`` when there are at most 256 classes; it and
+    ``sizes`` are shared, and a list must not be mutated.
     """
 
     __slots__ = (
@@ -192,10 +192,10 @@ class Partition:
         self.qi_set = names
         self._class_of: bytes | list[int] | None
         self._class_of, self.sizes = coder.done()
-        # A coarsened partition's source, and per source class its class here.
+        # A coarsening's source, the row pass, and per source class its class here.
         self._fine: Partition | None = None
         self._fine_to_class: list[int] | None = None
-        self._rows: list[int] | None = None  # per class, one of its rows; set by coarsen
+        self._rows: list[int] | None = None  # per class, its last row; set by coarsen
         self._joint: dict[str, dict[int, int]] = {}
 
     @property
@@ -206,15 +206,14 @@ class Partition:
 
     def coarsen(self, members: Sequence[str]) -> "Partition":
         """The partition under ``members``, a subset of this partition's
-        quasi-identifier set, derived from its classes without a pass over
-        the rows.
+        quasi-identifier set, derived from the row pass's classes without a
+        pass over the rows. A coarsening is coarsened by its source, the row
+        pass, so only a row pass is ever keyed, and the result is the same.
 
-        Each class maps to a coarse class through one of its rows, and
-        classes are visited in class order, so coarse classes are numbered
-        as a row pass numbers them. Coarse sizes are sums over the classes; a
-        one-member set reads its column's codes and counts. The rows are the
-        ones this partition keeps, one per class, and the coarsening keeps one
-        per coarse class from them, so it can be coarsened again. Its
+        Each class maps to a coarse class through one of its rows, and classes
+        are visited in class order, so coarse classes are numbered as a row
+        pass numbers them. Coarse sizes are sums over the classes; a
+        one-member set reads its column's codes and counts. A coarsening's
         ``class_of`` is computed when first read, from the source's. Its
         (class, value) counts are the source's added up when the source keeps
         them as lists (see :meth:`_joint_counts`), else counted from the rows.
@@ -225,23 +224,24 @@ class Partition:
         for name in names:
             if name not in self.qi_set:
                 raise ValueError(f"{name!r} is not in the quasi-identifier set {self.qi_set!r}")
-        if self._rows is None:  # a row pass: its class ids follow first occurrence
-            self._rows = list(dict(zip(self.class_of, count())).values())
+        if self._fine is not None:
+            return self._fine.coarsen(names)
+        if self._rows is None:  # class ids follow first occurrence
+            self._rows = list(dict(zip(self._class_of, count())).values())
         columns = [self.dataset.columns[name] for name in names]
         # Extended in place a block at a time, so sized exactly: a one-member
         # coarsening keeps the list, and no block outlives the loop.
         keys = reduce(iadd, _key_blocks(columns, self._rows), [])
-        rows = dict(zip(keys, self._rows))  # coarse classes in id order, any row of each
         coarse = object.__new__(Partition)
         coarse.dataset = self.dataset
         coarse.qi_set = names
         coarse._fine = self
-        coarse._rows = list(rows.values())
+        coarse._rows = None
         if len(columns) == 1:  # a column's codes number its classes as a row pass does
             to_coarse = keys
             coarse._class_of, coarse.sizes = columns[0].codes, columns[0].counts
         else:
-            ids = dict(zip(rows, count()))
+            ids = dict(zip(dict.fromkeys(keys), count()))  # coarse classes in id order
             to_coarse = list(map(ids.__getitem__, keys))
             coarse._class_of, coarse.sizes = None, [0] * len(ids)
             for c, size in zip(to_coarse, self.sizes):
@@ -249,12 +249,6 @@ class Partition:
         coarse._fine_to_class = bytes(to_coarse) if len(coarse.sizes) <= 256 else to_coarse
         coarse._joint = {}
         return coarse
-
-    def _classes(self) -> Iterable[int]:
-        """``class_of``, streamed from the source's when it is not set."""
-        if self._class_of is not None:
-            return self._class_of
-        return map(self._fine_to_class.__getitem__, self._fine._classes())
 
     def _joint_counts(self, sensitive: str) -> list[list[int]] | Counter[int]:
         """The row count of each (class, sensitive value) pair: per class, a
@@ -274,7 +268,10 @@ class Partition:
                 for c, counts in zip(self._fine_to_class, fine._joint_counts(sensitive)):
                     joint[c] = list(map(add, joint[c], counts))
             else:
-                joint = Counter(map(add, map(mul, self._classes(), repeat(cardinality)), codes))
+                class_of = self._class_of
+                if class_of is None:
+                    class_of = map(self._fine_to_class.__getitem__, fine.class_of)
+                joint = Counter(map(add, map(mul, class_of, repeat(cardinality)), codes))
                 if len(self.sizes) <= most:
                     flat = list(map(joint.get, range(len(self.sizes) * cardinality), repeat(0)))
                     joint = [flat[i : i + cardinality] for i in range(0, len(flat), cardinality)]

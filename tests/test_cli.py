@@ -65,6 +65,22 @@ def main_on_ascii_stdout(argv):
     return code, stdout.buffer.getvalue()
 
 
+def main_on_closed_pipe(argv, limit):
+    """Exit code of ``main(argv)`` and the bytes it wrote to a stdout whose
+    reader closes it after ``limit`` bytes."""
+
+    class Pipe(io.BytesIO):
+        def write(self, data):
+            if self.tell() + len(data) > limit:
+                raise BrokenPipeError(32, "Broken pipe")
+            return super().write(data)
+
+    pipe = Pipe()
+    with contextlib.redirect_stdout(io.TextIOWrapper(pipe, encoding="utf-8")):
+        code = main(argv)
+        return code, pipe.getvalue()
+
+
 class TestAssess:
     def test_hipaa_assessment_succeeds(self, emitted, capsys):
         data, meta = emitted["hipaa"]
@@ -229,23 +245,15 @@ class TestAssess:
     def test_closed_pipe_is_io_failure(self, limit, fmt, emitted, capsys):
         """A reader that closes stdout after ``limit`` bytes, as ``| head -c
         100`` does, ends the run with exit 1 and one error line."""
-
-        class Pipe(io.BytesIO):
-            def write(self, data):
-                if self.tell() + len(data) > limit:
-                    raise BrokenPipeError(32, "Broken pipe")
-                return super().write(data)
-
         data, meta = emitted["hipaa"]
-        pipe = Pipe()
-        stdout = io.TextIOWrapper(pipe, encoding="utf-8")
-        with contextlib.redirect_stdout(stdout):
-            code = main(["assess", "--data", data, "--meta", meta, "--format", fmt])
+        code, written = main_on_closed_pipe(
+            ["assess", "--data", data, "--meta", meta, "--format", fmt], limit
+        )
         assert code == 1
         assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
         document = load_metadata(meta)
         report = to_json(assess(load_csv(data), document.attributes, document.options))
-        assert report.startswith(pipe.getvalue())
+        assert report.startswith(written)
 
 
 def _with_flagged(report, n):
@@ -366,6 +374,15 @@ class TestMetric:
             '{"dr": "1.000000", "h_s": "1.000000", "h_s_given_qi": "0.000000", "inference": 4, '
             '"inference_label": "Critical", "qi": ["Âge"], "sensitive": "Disease"}\n'
         ).encode("utf-8")
+
+    def test_closed_pipe_is_io_failure(self, emitted, capsys):
+        """A reader that closes stdout, as ``| head -c 0`` does, ends the run
+        with exit 1 and one error line."""
+        data, _ = emitted["kanon"]
+        code, written = main_on_closed_pipe(["metric", "k", "--data", data, "--qi", QI_ARG], 0)
+        assert code == 1
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+        assert written == b""
 
     def test_unknown_attribute_is_validation_failure(self, emitted, capsys):
         data, _ = emitted["hipaa"]

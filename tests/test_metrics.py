@@ -72,6 +72,10 @@ class TestEquivalenceClasses:
     def test_coarsen_outside_qi_set_rejected(self, initial):
         with pytest.raises(ValueError, match="'Gender' is not in the quasi-identifier set"):
             Partition(initial, ["Age", "Country"]).coarsen(["Gender"])
+        # A coarsening checks its own set, not its source's.
+        coarse = Partition(initial, ["Age", "Gender", "Country"]).coarsen(["Age", "Country"])
+        with pytest.raises(ValueError, match=r"'Gender' is not in .* \('Age', 'Country'\)$"):
+            coarse.coarsen(["Gender"])
 
     def test_empty_dataset_rejected(self):
         d = Dataset(attributes=("a",), rows=())

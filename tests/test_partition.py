@@ -25,7 +25,13 @@ from hypothesis import strategies as st
 import naive_metrics as naive
 from conftest import TOL, qi, sens, tables
 from reident_risk import metrics
-from reident_risk.engine import AssessmentOptions, assess, build_combinations
+from reident_risk.engine import (
+    DEFAULT_EXPLOITABILITY_MATRIX,
+    DEFAULT_RISK_MATRIX,
+    AssessmentOptions,
+    assess,
+    build_combinations,
+)
 from reident_risk.metrics import Partition, _key_blocks, band
 from reident_risk.model import Dataset
 from reident_risk.report import to_json, to_markdown
@@ -102,43 +108,43 @@ def test_coarsen_equals_row_pass(table, data):
     qi_names, sensitive_names = _split_names(d)
     fine = Partition(d, data.draw(st.permutations(qi_names)))
     for _ in range(data.draw(st.integers(1, 3))):
-        # A chain of one to three coarsenings, each of the one before, so a
-        # coarsening of a coarsening sums its source's pairs or streams its
-        # source's classes, and keys its source's rows.
-        coarse, members = fine, qi_names
-        for _ in range(data.draw(st.integers(1, 3))):
-            sub = data.draw(st.lists(st.sampled_from(members), min_size=1, unique=True))
-            coarse, members, direct = coarse.coarsen(sub), sub, Partition(d, sub)
-            assert coarse.qi_set == direct.qi_set
-            assert coarse.sizes == direct.sizes
-            if coarse._fine is not None:  # coarsening to the whole set returns the source
-                assert type(coarse._fine_to_class) is type(direct.class_of)
-            if data.draw(st.booleans()):
-                assert coarse.class_of == direct.class_of
-            # Counted before class_of is read, the counts come from the
-            # source's; a quasi-identifier left out of ``sub`` is counted as a
-            # sensitive attribute.
-            for s in sensitive_names + [q for q in qi_names if q not in sub]:
-                assert _class_values(coarse, s) == _class_values(direct, s)
-                assert coarse.conditional_entropy(s) == direct.conditional_entropy(s)
-                assert coarse.class_inference(s) == direct.class_inference(s)
+        sub = data.draw(st.lists(st.sampled_from(qi_names), min_size=1, unique=True))
+        coarse, direct = fine.coarsen(sub), Partition(d, sub)
+        assert coarse.qi_set == direct.qi_set
+        assert coarse.sizes == direct.sizes
+        if coarse._fine is not None:  # coarsening to the whole set returns the source
+            assert type(coarse._fine_to_class) is type(direct.class_of)
+        if data.draw(st.booleans()):
             assert coarse.class_of == direct.class_of
+        # Counted before class_of is read, the counts come from the source's;
+        # a quasi-identifier left out of ``sub`` is counted as a sensitive
+        # attribute.
+        for s in sensitive_names + [q for q in qi_names if q not in sub]:
+            assert _class_values(coarse, s) == _class_values(direct, s)
+            assert coarse.conditional_entropy(s) == direct.conditional_entropy(s)
+            assert coarse.class_inference(s) == direct.class_inference(s)
+        assert coarse.class_of == direct.class_of
+    # A coarsening is coarsened by its source, the row pass.
+    twice, once = coarse.coarsen(sub[:1]), fine.coarsen(sub[:1])
+    assert twice._fine in (None, fine) and twice.qi_set == once.qi_set
+    others = sensitive_names + [q for q in qi_names if q != sub[0]]
+    assert _view(twice, others) == _view(once, others)
 
 
 @given(
     st.integers(1, 700),
     st.lists(st.integers(1, 40), min_size=2, max_size=5),
     st.integers(0, 2**32),
-    st.lists(st.lists(st.integers(0, 4), min_size=1, unique=True), min_size=1, max_size=3),
+    st.lists(st.integers(0, 4), min_size=1, unique=True),
 )
-@example(700, [40, 40, 40], 1, [[0, 1], [0]])
+@example(700, [40, 40, 40], 1, [0, 1])
 @settings(deadline=None, max_examples=50)
-def test_coarse_pairs_summed_equal_pairs_counted_from_rows(rows, sizes, seed, picks):
+def test_coarse_pairs_summed_equal_pairs_counted_from_rows(rows, sizes, seed, positions):
     """A coarsening's counts per class, summed from its source's lists or
     counted in a pass over the rows (the choice forced both ways), are the
-    same, along a chain of coarsenings, each keeping the members its source
-    has at the positions ``picks`` draws. Up to 700 rows over columns of up to
-    40 values give up to 700 classes."""
+    same and a row pass's; the coarsening keeps the members at the positions
+    ``positions`` draws. Up to 700 rows over columns of up to 40 values give
+    up to 700 classes."""
     rng = random.Random(seed)
     names = tuple(f"q{i}" for i in range(len(sizes)))
     table = [
@@ -146,27 +152,20 @@ def test_coarse_pairs_summed_equal_pairs_counted_from_rows(rows, sizes, seed, pi
         for _ in range(rows)
     ]
     d = Dataset(names + ("s0",), table)
-    chain, members = [], names
-    for positions in picks:
-        members = tuple(dict.fromkeys(members[i % len(members)] for i in positions))
-        chain.append(members)
-    # A quasi-identifier left out of the last coarsening is read as sensitive.
-    sensitive = ["s0"] + [q for q in names if q not in chain[-1]]
+    members = tuple(dict.fromkeys(names[i % len(names)] for i in positions))
+    # A quasi-identifier left out of the coarsening is read as sensitive.
+    sensitive = ["s0"] + [q for q in names if q not in members]
 
     def counts(dense_cells):
         with mock.patch.object(metrics, "_DENSE_CELLS_PER_ROW", dense_cells):
-            partition, counted = Partition(d, names), []
-            for members in chain:
-                partition = partition.coarsen(members)
-                kept = [s for s in sensitive if s not in members]
-                form = list if dense_cells else Counter
-                assert all(isinstance(partition._joint_counts(s), form) for s in kept)
-                counted.append([_class_values(partition, s) for s in kept])
-            return counted
+            partition = Partition(d, names).coarsen(members)
+            form = list if dense_cells else Counter
+            assert all(isinstance(partition._joint_counts(s), form) for s in sensitive)
+            return [_class_values(partition, s) for s in sensitive]
 
     from_rows, summed = counts(0), counts(math.inf)
     assert from_rows == summed
-    assert summed[-1] == [_class_values(Partition(d, chain[-1]), s) for s in sensitive]
+    assert summed == [_class_values(Partition(d, members), s) for s in sensitive]
 
 
 def _wide_table(rows, seed):
@@ -193,16 +192,13 @@ def test_class_of_is_bytes_up_to_256_classes(rows):
     """Row ``i`` has the cells ``i % 20``, ``i // 20 % 15`` and ``i % 7``, so
     each set of columns has ``min(rows, its period)`` classes: 20, 140, 300
     or 2,100, or fewer. ``class_of`` is bytes exactly when there are at most
-    256 classes, for a row pass and for a coarsening of either form."""
+    256 classes, for a row pass and for a coarsening of one of either form."""
     names = ("q0", "q1", "q2")
     d = Dataset(names, [(f"{i % 20}", f"{i // 20 % 15}", f"{i % 7}") for i in range(rows)])
     full = Partition(d, names)
     partitions = [full, Partition(d, ("q0", "q1"))]
-    for source in partitions[:2]:
-        for sub in [("q0",), ("q0", "q2"), ("q1", "q2"), ("q0", "q1")]:
-            if set(sub) < set(source.qi_set):
-                partitions.append(source.coarsen(sub))
-    partitions.append(full.coarsen(("q0", "q1")).coarsen(("q1",)))
+    for sub in [("q0",), ("q0", "q2"), ("q1", "q2"), ("q0", "q1")]:
+        partitions.append(full.coarsen(sub))
     for partition in partitions:
         _assert_same_view(_view(partition, []), naive.view(d, partition.qi_set, []))
         if partition._fine is not None:  # a coarsening: its class map is sized alike
@@ -265,20 +261,19 @@ def _widths_table(widths, seed, pool=260, repeats=40):
 @settings(deadline=None, max_examples=50)
 def test_key_widths_equal_naive_oracle(widths, seed, picks):
     """Keys of one- and two-byte codes that fill less than, exactly or more
-    than one 8-byte word give the oracle's classes, as a row pass and along
-    a chain of coarsenings, each keeping the members its source has at the
-    positions ``picks`` draws. What a partition derives from its classes is
-    checked on smaller tables above."""
+    than one 8-byte word give the oracle's classes, as a row pass and as
+    coarsenings of it, each keeping the members at the positions a list in
+    ``picks`` draws. What a partition derives from its classes is checked on
+    smaller tables above."""
     d = _widths_table(widths, seed)
-    members = tuple(f"q{i}" for i in range(len(widths)))
-    for q, w in zip(members, widths):
+    names = tuple(f"q{i}" for i in range(len(widths)))
+    for q, w in zip(names, widths):
         assert type(d.columns[q].codes) is (bytes if w == 1 else list)
-    partition = Partition(d, members)
-    _assert_same_view(_view(partition, []), naive.view(d, members, []))
+    full = Partition(d, names)
+    _assert_same_view(_view(full, []), naive.view(d, names, []))
     for positions in picks:
-        members = tuple(dict.fromkeys(members[i % len(members)] for i in positions))
-        partition = partition.coarsen(members)
-        _assert_same_view(_view(partition, []), naive.view(d, members, []))
+        members = tuple(dict.fromkeys(names[i % len(names)] for i in positions))
+        _assert_same_view(_view(full.coarsen(members), []), naive.view(d, members, []))
 
 
 def test_four_byte_codes_equal_naive_oracle():
@@ -345,23 +340,47 @@ def test_streamed_coder_at_block_and_byte_boundaries(classes, last_at):
                 _assert_same_view(_view(coarse, ["s0"]), naive.view(d, (name,), ["s0"]))
 
 
-_RATINGS = st.tuples(*[st.integers(1, 4)] * 3)
+def _rows(*columns):
+    """Rows from columns of digits, 0 to 3 read as the letters a to d."""
+    return tuple(zip(*[["abcd"[int(d)] for d in column] for column in columns]))
+
+
+# The rate of q0 for s0 is exactly 1/2, and computes as 0.4999999999999999.
+_HALF_RATE = (("q0", "s0"), _rows("03020333", "11101101"))
+# Class "a" of q0 holds s0 values a six times and b once, in a 49-row table
+# whose s0 counts are 36, 6, 6, 1, the square of the class's: its score is
+# exactly 1/2 and computes as 0.4999999999999999.
+_HALF_SCORE = (
+    ("q0", "s0"),
+    _rows("0" * 7 + "1" * 42, "0" * 6 + "1" + "0" * 30 + "1" * 5 + "2" * 6 + "3"),
+)
+# Ratings by (sensitive attribute, value); those of values a table lacks are dropped.
+_RATINGS = st.dictionaries(
+    st.tuples(st.sampled_from(["s0", "s1"]), st.sampled_from("abcdef")),
+    st.tuples(*[st.integers(1, 4)] * 3),
+)
 
 
 @given(
-    tables(qi=(2, 4), sensitive=(1, 2), rows=(2, 40), values=6),
+    tables(qi=(1, 4), sensitive=(1, 2), rows=(2, 40), values=6),
     st.lists(st.integers(1, 4), min_size=4, max_size=4),
     st.sampled_from(["per_level", "cumulative"]),
-    st.data(),
+    _RATINGS,
 )
+@example(_HALF_RATE, [4, 4, 4, 4], "per_level", {})
+@example(_HALF_SCORE, [4, 4, 4, 4], "per_level", {})
 @settings(deadline=None)
-def test_assess_equals_naive_oracle(table, exposures, strategy, data):
+def test_assess_equals_naive_oracle(table, exposures, strategy, ratings):
+    """The report against the oracle. Every level is the band of the exact
+    rate or class score, as ``naive.exact_level`` decides it with big-int
+    powers: a float can land one ulp below a band boundary that the exact
+    value reaches, as in the two examples, where every record is flagged."""
     d = Dataset(*table)
     qi_names, sensitive_names = _split_names(d)
     # The attribute's own rating has global severity 3, at the flag threshold;
     # a value may override it with any rating, so it may fall below.
     overrides = {
-        s: data.draw(st.dictionaries(st.sampled_from(d.columns[s].values), _RATINGS))
+        s: {v: r for (t, v), r in ratings.items() if t == s and v in d.columns[s].values}
         for s in sensitive_names
     }
     meta = [qi(n, e) for n, e in zip(qi_names, exposures)]
@@ -376,6 +395,7 @@ def test_assess_equals_naive_oracle(table, exposures, strategy, data):
     ]
     for r in (row.dr for row in report.exploitability_rows):
         _assert_same_rate(r, naive.discrimination_rate(d, r.qi_set, r.sensitive))
+        assert r.inference == naive.exact_level(d, r.qi_set, r.sensitive) == band(r.dr)
 
     # A record is flagged when its value's global severity reaches 3, under
     # the highest-exposure combination (ties: more members, then column order).
@@ -407,6 +427,10 @@ def test_assess_equals_naive_oracle(table, exposures, strategy, data):
     for (row, outcome), triple in zip(records, triples):
         assert (outcome.attribute, outcome.class_inference, outcome.sensitive_value) == triple
         assert outcome.value_severity == severity(outcome.attribute, outcome.sensitive_value)
+        level = naive.exact_level(d, top.members, outcome.attribute, keys[row])
+        assert band(outcome.class_inference) == level
+        exploit = DEFAULT_EXPLOITABILITY_MATRIX.lookup(top.exposure, level)
+        assert outcome.record_risk == DEFAULT_RISK_MATRIX.lookup(exploit, outcome.value_severity)
 
     # Both renderings encode each outcome once; every record must still show its own cells.
     document = json.loads(to_json(report))["flagged_records"]
@@ -477,29 +501,6 @@ _NEAR_UNIQUE_META = [
 ]
 
 
-def test_partitions_built_bounded_by_member_sets(monkeypatch):
-    near_unique, small = _near_unique(2000, seed=5), _near_unique(20, seed=6)
-    # Flagging runs under Age/Gender/Zip, where nearly every row is alone.
-    assert len(Partition(near_unique, ["Age", "Gender", "Zip"]).sizes) > 1900
-
-    built = []
-    construct = Partition.__init__
-
-    def counting(self, dataset, qi_set):
-        built.append(tuple(qi_set))
-        construct(self, dataset, qi_set)
-
-    monkeypatch.setattr(Partition, "__init__", counting)
-    for d in (near_unique, small):
-        built.clear()
-        report = assess(d, _NEAR_UNIQUE_META)
-        assert len(report.flagged_rows) == d.row_count
-        # The full quasi-identifier set, also the k/l appendix's; every
-        # combination is coarsened from it or from a coarsening of it,
-        # whatever the number of classes.
-        assert built == [("Age", "Gender", "Zip", "Date")]
-
-
 def _spy(name, record):
     """Patch ``Partition.<name>`` to pass each call's partition, arguments
     and result to ``record``."""
@@ -513,47 +514,39 @@ def _spy(name, record):
     return mock.patch.object(Partition, name, spy)
 
 
-@given(
-    tables(qi=(2, 5), sensitive=(1, 1), rows=(2, 40), values=6),
-    st.lists(st.integers(1, 4), min_size=5, max_size=5),
-    st.sampled_from(["per_level", "cumulative", "explicit"]),
-    st.data(),
-)
-@settings(deadline=None)
-def test_each_combination_coarsened_from_smallest_built_superset(table, exposures, strategy, data):
-    d = Dataset(*table)
-    qi_names, _ = _split_names(d)
-    meta = [*(qi(n, e) for n, e in zip(qi_names, exposures)), sens("s0", (1, 2, 3))]
-    explicit = data.draw(
-        st.lists(st.lists(st.sampled_from(qi_names), min_size=1, unique=True), max_size=6)
-    )
-    options = AssessmentOptions(combination_strategy=strategy, explicit_combinations=explicit)
-    calls = []
-    with _spy("coarsen", lambda source, args, coarse: calls.append((source, coarse))):
-        assess(d, meta, options)
+def test_partitions_built_bounded_by_member_sets(monkeypatch):
+    near_unique, small = _near_unique(2000, seed=5), _near_unique(20, seed=6)
+    # Flagging runs under Age/Gender/Zip, where nearly every row is alone.
+    assert len(Partition(near_unique, ["Age", "Gender", "Zip"]).sizes) > 1900
 
-    combos = build_combinations(meta, strategy, explicit)
-    assert sorted(coarse.qi_set for _, coarse in calls) == sorted(c.members for c in combos)
-    sizes = [len(coarse.qi_set) for _, coarse in calls]
-    assert sizes == sorted(sizes, reverse=True)
-    full = calls[0][0]
-    assert full.qi_set == tuple(qi_names)
-    # Each combination's source is the full partition or one built before it,
-    # and has the fewest classes of those that contain the combination.
-    for i, (source, coarse) in enumerate(calls):
-        built = [full] + [earlier for _, earlier in calls[:i]]
-        fits = [p for p in built if set(coarse.qi_set) <= set(p.qi_set)]
-        assert any(source is p for p in fits)
-        assert len(source.sizes) == min(len(p.sizes) for p in fits)
+    built = []
+    construct = Partition.__init__
+
+    def counting(self, dataset, qi_set):
+        built.append(tuple(qi_set))
+        construct(self, dataset, qi_set)
+
+    monkeypatch.setattr(Partition, "__init__", counting)
+    combos = sorted(c.members for c in build_combinations(_NEAR_UNIQUE_META))
+    for d in (near_unique, small):
+        built.clear()
+        calls = []
+        with _spy("coarsen", lambda source, args, coarse: calls.append((source, coarse.qi_set))):
+            report = assess(d, _NEAR_UNIQUE_META)
+        assert len(report.flagged_rows) == d.row_count
+        # One row pass, over the full quasi-identifier set, also the k/l
+        # appendix's; each combination is coarsened from it once, whatever
+        # the number of classes.
+        assert built == [("Age", "Gender", "Zip", "Date")]
+        assert sorted(qi_set for _, qi_set in calls) == combos
+        assert all(source is calls[0][0] and source._fine is None for source, _ in calls)
 
 
 def test_live_partitions_do_not_grow_with_combinations():
-    """Partitions alive when flagging starts: the full one, the top
-    combination's and the sources it keeps, whatever the number of
-    combinations coarsened before."""
+    """Partitions alive when flagging starts: the full one and the top
+    combination's, whatever the number of combinations coarsened before."""
     meta, d = _NEAR_UNIQUE_META, _near_unique(300, seed=7)
-    # Pairs of the top combination, Age/Gender/Zip: they leave it on top, and
-    # the last combination, Date, is coarsened from the full partition.
+    # Pairs of the top combination, Age/Gender/Zip, leave it on top.
     pairs = [list(pair) for pair in itertools.combinations(["Age", "Gender", "Zip"], 2)]
     counted = []
 
