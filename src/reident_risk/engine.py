@@ -291,6 +291,7 @@ def assess(
             dr_by_sensitive[sensitive].append(partition.discrimination_rate(sensitive))
         if combo is top_combo:
             top_partition = partition
+    del partition  # the last coarsening and its counts are not needed past here
 
     exploitability_rows = []
     typecode = "I" if dataset.row_count * len(sensitive_names) <= _UINT32_VALUES else "Q"

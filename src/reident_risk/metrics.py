@@ -22,7 +22,10 @@ the rows again. n * H(S | Q) is
 sum n_c * log2(n_c) over class sizes less sum n_cv * log2(n_cv) over pairs.
 A partition whose classes times a sensitive attribute's values are at most its
 rows keeps that attribute's counts as a list per class, and a coarsening of it
-adds its source's lists in C; any other counts its pairs in a pass over the rows.
+sums its source's lists in C, once per coarse class; any other counts its pairs
+in a pass over the rows. When it keeps lists and its classes and the codes are
+both ``bytes``, that pass counts each row's pair as a 2-byte word,
+class * 256 + code.
 
 A rate or class score within 1e-9 of a band boundary (1/4, 1/2, 3/4) is
 banded on its exact value, decided from the counts by :mod:`reident_risk.exact`,
@@ -32,6 +35,7 @@ which moves a float on the wrong side of the boundary onto the exact side.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from collections import Counter, namedtuple
 from collections.abc import Collection, Iterator, Sequence
@@ -152,11 +156,14 @@ def _key_blocks(
 
 # Counts are kept as lists at up to this many classes times values a row. On
 # the full partitions of 6,000 and 60,000 kanon_bulk and 500 raw_unique rows
-# (Python 3.11, best of 5), adding lists took 49-105 ns a source cell, the row
-# pass 114-178 ns a row and turning its counts into lists 71-110 ns a cell.
-# Adding beats the row pass up to 1.6-3.2 source cells a row, so at 1 it wins
-# wherever it is chosen, and a row pass adds at most 0.5-0.7 times its own
-# cost to keep lists. kanon_bulk's full partition has 0.12-0.24 cells a row.
+# and their coarsenings (Python 3.11, best of 7-40), summing lists took 18-108
+# ns a source cell (163 on raw_unique made to keep lists, where coarse classes
+# mostly have one source list), a coarsening's row pass 76-255 ns a row, the
+# 2-byte word pass with its lists 86-156 and the int pass 112-183 ns a row,
+# and turning the int pass's counts into lists 101-103 ns a cell. Summing
+# beats the row pass up to 1.0-10.7 source cells a row on kanon_bulk, whose
+# full partition has 0.12-0.24, but only to 0.6 with one source list a class.
+# An int pass adds at most 0.6-0.9 times its own cost to keep lists.
 _DENSE_CELLS_PER_ROW = 1
 
 
@@ -215,8 +222,9 @@ class Partition:
         pass numbers them. Coarse sizes are sums over the classes; a
         one-member set reads its column's codes and counts. A coarsening's
         ``class_of`` is computed when first read, from the source's. Its
-        (class, value) counts are the source's added up when the source keeps
-        them as lists (see :meth:`_joint_counts`), else counted from the rows.
+        (class, value) counts are the source's lists summed once per coarse
+        class when the source keeps lists (see :meth:`_joint_counts`), else
+        counted from the rows.
         """
         names = _names(members)
         if names == self.qi_set:
@@ -254,7 +262,10 @@ class Partition:
         """The row count of each (class, sensitive value) pair: per class, a
         list of its counts in code order, zeros included, when there are at
         most ``_DENSE_CELLS_PER_ROW`` classes times values a row; else a
-        ``Counter`` of ``class_id * cardinality + code`` over the rows."""
+        ``Counter`` of ``class_id * cardinality + code`` over the rows. Lists
+        are the source's summed once per class when the source keeps lists,
+        else counted from the rows as 2-byte words ``class_id * 256 + code``
+        when ``class_of`` and the codes are both ``bytes``."""
         if sensitive in self.qi_set:
             raise ValueError(f"sensitive attribute {sensitive!r} must not be a quasi-identifier")
         joint = self._joint.get(sensitive)
@@ -264,9 +275,20 @@ class Partition:
             # Up to this many classes, a partition keeps its counts as lists.
             most = _DENSE_CELLS_PER_ROW * self.dataset.row_count / cardinality
             if fine is not None and sensitive not in fine.qi_set and len(fine.sizes) <= most:
-                joint = [[0] * cardinality] * len(self.sizes)
+                sources: list[list[list[int]]] = [[] for _ in self.sizes]
                 for c, counts in zip(self._fine_to_class, fine._joint_counts(sensitive)):
-                    joint[c] = list(map(add, joint[c], counts))
+                    sources[c].append(counts)
+                joint = [list(map(sum, zip(*lists))) for lists in sources]
+            elif len(self.sizes) <= most and type(self._class_of) is type(codes) is bytes:
+                words = bytearray(2 * len(codes))
+                low = sys.byteorder == "big"  # offset of a word's low byte
+                words[low::2] = codes
+                words[1 - low :: 2] = self._class_of
+                counted = Counter(array("H", words))
+                joint = [
+                    list(map(counted.get, range(c << 8, (c << 8) + cardinality), repeat(0)))
+                    for c in range(len(self.sizes))
+                ]
             else:
                 class_of = self._class_of
                 if class_of is None:

@@ -297,14 +297,17 @@ def _classes_table(classes, last_at, rows=800):
     """A table whose columns ``hi``/``lo`` (16 values each) and ``c`` show
     ``classes`` classes. Rows before ``last_at`` cycle through every class
     but the last, which first shows at row ``last_at`` and then every 97th
-    row. ``z`` splits each class in two, ``s0`` is sensitive."""
+    row. ``z`` splits each class in two. Of the sensitive columns, ``s0`` has
+    3 values and ``s255``, ``s256`` and ``s257`` as many as they are named
+    for: row ``i`` shows the value coded ``i % n``."""
     last = classes - 1
     of_row = [i % last if i < last_at or (i - last_at) % 97 else last for i in range(rows)]
     table = [
         (f"h{c // 16}", f"l{c % 16}", f"c{c}", f"z{i % 2}", "xyz"[c * i % 3])
+        + tuple(f"v{i % n}" for n in (255, 256, 257))
         for i, c in enumerate(of_row)
     ]
-    return Dataset(("hi", "lo", "c", "z", "s0"), table)
+    return Dataset(("hi", "lo", "c", "z", "s0", "s255", "s256", "s257"), table)
 
 
 @pytest.mark.parametrize(
@@ -319,11 +322,18 @@ def test_streamed_coder_at_block_and_byte_boundaries(classes, last_at):
     classes, a row pass over two columns or one (bytes codes up to 256
     classes, list codes past) or a coarsening, equals the oracle's, and so
     does each one-column coarsening of the two-column row pass, with the
-    counts kept as lists nowhere and everywhere."""
+    counts kept as lists nowhere and everywhere. A row pass of up to 256
+    classes that keeps lists counts its pairs as 2-byte words, class * 256 +
+    code, for sensitive columns of 2, 3, 255 and 256 values; with 256 classes
+    from row 255 on, the word 0xFFFF is counted. 257 values take the int pass.
+    Past 256 classes no word is formed, so the wide columns are left out."""
     d = _classes_table(classes, last_at)
     assert type(d.columns["c"].codes) is (bytes if classes <= 256 else list)
+    if classes == 256 == last_at + 1:  # row 255 is the pair (255, 255)
+        assert Partition(d, ("hi", "lo")).class_of[255] == d.columns["s256"].codes[255] == 255
+    sensitive = ["s0", "z"] if classes > 256 else ["s0", "z", "s255", "s256", "s257"]
     # hi/lo and c number the same classes in the same order.
-    expected = naive.view(d, ("c",), ["s0", "z"])
+    expected = naive.view(d, ("c",), sensitive)
     assert len(expected[0]) == classes
     for dense_cells in (0, math.inf):
         with mock.patch.object(metrics, "_DENSE_CELLS_PER_ROW", dense_cells):
@@ -334,7 +344,7 @@ def test_streamed_coder_at_block_and_byte_boundaries(classes, last_at):
                 Partition(d, ("hi", "lo", "z")).coarsen(("hi", "lo")),
                 Partition(d, ("c", "z")).coarsen(("c",)),
             ]:
-                _assert_same_view(_view(partition, ["s0", "z"]), expected)
+                _assert_same_view(_view(partition, sensitive), expected)
             for name in ("hi", "lo"):
                 coarse = full.coarsen((name,))
                 _assert_same_view(_view(coarse, ["s0"]), naive.view(d, (name,), ["s0"]))
@@ -580,9 +590,10 @@ def _peak_bytes(build):
 
 
 # Per-row budgets of the two row-length phases. A list of ints past the
-# cached small ones costs about 40 bytes a row. Measured on Python 3.10-3.13,
-# a row pass takes 2.8 bytes a row and an assessment that flags every row 16.0
-# to 16.5.
+# cached small ones costs about 40 bytes a row. Measured on Python 3.11, a row
+# pass takes 2.7 bytes a row and an assessment that flags every row 15.8. The
+# 2-byte word pass holds 4 bytes a row while it counts, below that peak: the
+# assessment read 15.5 without it.
 @pytest.fixture(scope="module")
 def budget_table():
     """50,000 rows of 256 classes drawn from three quasi-identifiers of 16
