@@ -14,13 +14,13 @@ import csv
 import io
 import json
 import os
-from collections.abc import Collection, Iterator
+from collections.abc import Collection, Iterable, Iterator
 from contextlib import contextmanager
-from itertools import count
-from operator import itemgetter
+from functools import partial
+from itertools import chain, islice
 
 from .engine import AssessmentOptions
-from .model import MISSING, AttributeMeta, Dataset, Record, ScaleMatrix
+from .model import _BLOCK_ROWS, MISSING, AttributeMeta, Dataset, Record, ScaleMatrix, _row_blocks
 
 METADATA_VERSION = 1
 
@@ -59,40 +59,85 @@ def _open_text(
         raise IngestError(f"source: expected a path or a text stream, got {source!r}")
 
 
+def _columns(lines: list[str], width: int) -> list[list[str]] | None:
+    """The columns of ``lines`` if the ``csv`` module reads each line as
+    ``line[:-1].split(",")`` of ``width`` cells, else None."""
+    text, limit = "\0".join(lines), csv.field_size_limit()  # a TypeError for a non-str line
+    # Each line ends in its only \n and has no ", \r or NUL, nor a cell over limit;
+    # in one column, csv.reader reads a blank line as no cell.
+    if width < 2 or '"' in text or "\r" in text or not text.endswith("\n") or not (
+        text.count("\0") == text.count("\n\0") == text.count("\n") - 1 == len(lines) - 1
+    ) or (len(text) > limit and max(map(len, lines)) > limit):
+        return None
+    # A NUL starts each row's first cell but the first row's: each row has width
+    # cells if column 0 holds every NUL and there are rows * width cells.
+    cells = text[:-1].replace("\n\0", ",\0").split(",")
+    del text  # frees the batch's text before its cells are sliced into columns
+    first = "".join(cells[::width]).split("\0")
+    if len(cells) != len(lines) * width or len(first) != len(lines):
+        return None
+    return [first, *(cells[j::width] for j in range(1, width))]
+
+
+def _blocks(lines: Iterator[str], width: int) -> Iterator[list]:
+    """The columns of each batch of ``_BLOCK_ROWS`` lines, split by ``_columns``
+    up to the first batch it cannot split, from which ``csv.reader`` reads on."""
+    done = 0
+    while True:
+        batch: list[str] = []
+        try:
+            batch.extend(islice(lines, _BLOCK_ROWS))
+            columns = _columns(batch, width)
+        except Exception:
+            # The lines read before it go to csv.reader, which also rejects one
+            # that is not a str; an error of the read is raised after them.
+            yield from _row_blocks(csv.reader(batch), width, done, csv.Error)
+            raise
+        if not batch:
+            return
+        if columns is None:
+            batch = chain(batch, lines)  # so the batch is freed once csv.reader has read it
+            break
+        yield columns
+        done += len(batch)
+    yield from _row_blocks(csv.reader(batch), width, done, csv.Error)
+
+
 def load_csv(
     source: str | bytes | os.PathLike | io.TextIOBase, label: str | None = None
 ) -> Dataset:
     """Read a comma-separated UTF-8 table; the first row is the header.
 
     Cell whitespace is trimmed at both ends, case is preserved; cells that
-    differ only in it are one value. The rows go to :class:`Dataset` as they
-    are read, which checks and codes them a block at a time, so the whole
-    table is never held as strings; each distinct value is then trimmed once.
+    differ only in it are one value. :class:`Dataset` codes the lines a block
+    at a time as they are read, so the table is never held whole as strings;
+    each distinct value is then trimmed once. Blocks of plain lines, with no
+    quote, carriage return or NUL and a cell a column, are split directly,
+    and the ``csv`` module reads the rest, with the same cells and errors.
     The first fault in file order is reported: a row the CSV reader cannot
     parse, or one :class:`Dataset` rejects, with its 1-based data row number.
     """
     with _open_text(source) as (stream, default_label):
         label = default_label if label is None else label
-        read = count()  # numbers the records the reader returns, the header 0
-        rows = map(itemgetter(0), zip(csv.reader(stream), read))
+        # An object with only a read method has no lines, like a binary stream.
+        lines = iter(stream if isinstance(stream, Iterable) else [b""])
         try:
-            header = next(rows, None)
-            if header is not None:
-                header = list(map(str.strip, header))
-                return Dataset(attributes=header, rows=rows, source_label=label)._trimmed()
-        except csv.Error as exc:
-            # For example a cell longer than csv.field_size_limit(). zip
-            # numbers a record only once the reader has returned it, so the
-            # next number is the faulty record's.
-            faulty = next(read)
-            where = "header" if faulty == 0 else f"row {faulty}"
-            raise IngestError(f"{label}: {where}: {exc}") from None
+            first = next(lines, None)
+            if isinstance(first, str):
+                plain = _columns([first], first.count(",") + 1)
+                header = first[:-1].split(",") if plain else next(csv.reader(chain([first], lines)))
+                blocks = partial(_blocks, lines)
+                return Dataset._from_blocks(list(map(str.strip, header)), blocks, label)._trimmed()
+        except csv.Error as exc:  # for example a cell longer than csv.field_size_limit()
+            raise IngestError(f"{label}: header: {exc}") from None
         except UnicodeDecodeError as exc:
             # Decoding runs a buffer ahead of the reader, so no row is named.
             raise IngestError(f"{label}: not valid UTF-8: {exc}") from None
         except ValueError as exc:
             raise IngestError(f"{label}: {exc}") from None
-    raise IngestError(f"{label}: empty file, no header row")
+    if first is None:
+        raise IngestError(f"{label}: empty file, no header row")
+    raise IngestError(f"source: expected a path or a text stream, got {source!r}")
 
 
 def _object(

@@ -9,9 +9,9 @@ at once.
 from __future__ import annotations
 
 from collections import Counter, defaultdict, namedtuple
-from collections.abc import Callable, Iterable, Mapping, Sequence, Set
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence, Set
 from enum import Enum, IntEnum
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import count, filterfalse, islice, repeat
 from operator import itemgetter
 from types import MappingProxyType
@@ -303,11 +303,12 @@ class _Columns(dict):
         raise KeyError(f"unknown attribute {name!r}")
 
 
-# Rows checked and coded at a time: a load holds at most this many rows as
-# strings. A 6,000-row kanon_bulk CSV loads in 10-13 ms (best of 40) with
-# blocks of 64 to 1,024 rows into a Dataset of 0.07 MiB, while the heap the
-# load needs above it grows with the block, from 0.06 to 0.74 MiB (0.19 MiB
-# at 256).
+# Rows checked and coded at a time, and CSV lines split at a time: a load holds
+# at most this many rows as strings. Split directly in blocks of 256 lines, a
+# 6,000-row kanon_bulk CSV loads in 8.0-9.1 ms (best of 40, in six runs; 9.6-13.7
+# through csv.reader) into a Dataset of 0.06 MiB. The heap the load needs above
+# it grows with the block, from 0.07 MiB at 64 lines to 0.78 MiB at 1,024 (0.21
+# MiB at 256), as it did through csv.reader.
 _BLOCK_ROWS = 256
 
 # Up to this many values, a column is counted with one bytes.count scan per
@@ -335,8 +336,9 @@ class Coder:
             self.codes.extend(codes)
 
     def done(self) -> tuple[bytes | list[int], list[int]]:
-        """The codes, ``bytes`` if they fit, and per code its number of items."""
-        codes = bytes(self.codes) if type(self.codes) is bytearray else self.codes
+        """The codes, ``bytes`` if they fit, and per code its number of items;
+        the coder keeps the ``bytes`` in place of its ``bytearray``."""
+        self.codes = codes = bytes(self.codes) if type(self.codes) is bytearray else self.codes
         size = len(self.index)  # a Counter's keys first occur in code order
         counts = map(codes.count, range(size)) if size <= _COUNT_EACH else Counter(codes).values()
         return codes, list(counts)
@@ -352,6 +354,42 @@ def _check_rows(block: list[object], done: int, width: int) -> None:
             raise ValueError(f"row {i}: {exc}") from None
         if size != width:
             raise ValueError(f"row {i} has {size} cells, expected {width}")
+
+
+def _row_blocks(rows: Iterable, width: int, done: int = 0, errors: type | tuple = ()) -> Iterator:
+    """The columns of each block of ``_BLOCK_ROWS`` rows, numbered from ``done + 1``;
+    an error in ``errors`` that reading a row raises is a ValueError naming it."""
+    # A set or a mapping is iterable but unordered, or not rows at all.
+    if isinstance(rows, (str, bytes, Set, Mapping)) or not isinstance(rows, Iterable):
+        raise ValueError(f"rows: expected an array of rows, got {rows!r}")
+    rows = iter(rows)
+    block: list[object] = []
+    while True:
+        try:
+            block.extend(islice(rows, _BLOCK_ROWS))
+        except Exception as exc:
+            # extend keeps the rows read before the error: an earlier
+            # faulty row is reported first.
+            _check_rows(block, done, width)
+            if isinstance(exc, errors):
+                raise ValueError(f"row {done + len(block) + 1}: {exc}") from None
+            raise
+        if not block:
+            return
+        if not (
+            all(map(isinstance, block, repeat((list, tuple))))
+            and all(map(width.__eq__, map(len, block)))
+        ):
+            _check_rows(block, done, width)
+        columns = list(zip(*block))
+        for cells in columns:
+            try:
+                "".join(cells)  # a TypeError for exactly the cells that are not strings
+            except TypeError:
+                _check_rows(block, done, width)
+        done += len(block)
+        block.clear()  # the columns hold the cells
+        yield columns
 
 
 class Dataset(Record):
@@ -372,6 +410,15 @@ class Dataset(Record):
     def __init__(
         self, attributes: Sequence[str], rows: Iterable[Sequence[str]], source_label: str = ""
     ) -> None:
+        self._code(attributes, partial(_row_blocks, rows), source_label)
+
+    @classmethod
+    def _from_blocks(cls, attributes: Sequence[str], blocks: Callable, label: str) -> Dataset:
+        """A dataset of the unchecked lists of columns that ``blocks(width)`` yields."""
+        (dataset := object.__new__(cls))._code(attributes, blocks, label)
+        return dataset
+
+    def _code(self, attributes: Sequence[str], blocks: Callable, source_label: str) -> None:
         attrs = parsed("attributes", strings, attributes)
         label = parsed("source_label", utf8, source_label)
         if not attrs:
@@ -381,44 +428,19 @@ class Dataset(Record):
         if len(set(attrs)) != len(attrs):
             dupes = sorted({a for a in attrs if attrs.count(a) > 1})
             raise ValueError(f"duplicate attribute names: {', '.join(dupes)}")
-        # A set or a mapping is iterable but unordered, or not rows at all.
-        if isinstance(rows, (str, bytes, Set, Mapping)) or not isinstance(rows, Iterable):
-            raise ValueError(f"rows: expected an array of rows, got {rows!r}")
-        width = len(attrs)
         coders = [Coder() for _ in attrs]
-        rows = iter(rows)
-        block: list[object] = []
-        done = 0
-        while True:
-            try:
-                block.extend(islice(rows, _BLOCK_ROWS))
-            except Exception:
-                # extend keeps the rows read before the error: an earlier
-                # faulty row is reported first.
-                _check_rows(block, done, width)
-                raise
-            if not block:
-                break
-            if not (
-                all(map(isinstance, block, repeat((list, tuple))))
-                and all(map(width.__eq__, map(len, block)))
-            ):
-                _check_rows(block, done, width)
-            for cells, coder in zip(zip(*block), coders):
-                try:
-                    "".join(cells)  # a TypeError for exactly the cells that are not strings
-                except TypeError:
-                    _check_rows(block, done, width)
+        for columns in blocks(len(attrs)):
+            for cells, coder in zip(columns, coders):
                 coder.extend(cells)
-            done += len(block)
-            block.clear()
+            columns.clear()  # so the block's cells are freed before the next is read
+        rows = len(coders[0].codes)
         columns = _Columns()
         for name, coder in zip(attrs, coders):
             columns[name] = Column(tuple(coder.index), *coder.done())
             for value in filterfalse(str.isascii, coder.index):
                 parsed(f"attribute {name!r}", utf8, value)
         self.__dict__.update(
-            attributes=attrs, source_label=label, row_count=done, columns=MappingProxyType(columns)
+            attributes=attrs, source_label=label, row_count=rows, columns=MappingProxyType(columns)
         )
 
     def _trimmed(self) -> Dataset:

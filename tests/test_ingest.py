@@ -4,16 +4,18 @@ import copy
 import csv
 import gc
 import io
+import itertools
 import json
 import os
 import re
 import tempfile
 import tracemalloc
 from collections import Counter
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import naive_metrics as naive
@@ -123,10 +125,13 @@ class TestLoadCsv:
         ids=["ragged", "oversized"],
     )
     def test_fault_named_across_blocks(self, row, fault, message):
-        lines = ["a,b"] + ['"1\n2",3'] * (3 * B)  # two lines per row
-        lines[row] = fault
-        with pytest.raises(IngestError, match=f"^t: {re.escape(message.format(row))}$"):
-            load_text("\n".join(lines) + "\n")
+        """In rows of two lines each, which csv.reader reads from the start,
+        and in plain rows, which are split directly up to the fault's batch."""
+        for body in ['"1\n2",3', "1,3"]:
+            lines = ["a,b"] + [body] * (3 * B)
+            lines[row] = fault
+            with pytest.raises(IngestError, match=f"^t: {re.escape(message.format(row))}$"):
+                load_text("\n".join(lines) + "\n")
 
     @pytest.mark.parametrize("gap", [5, 2 * B])
     @pytest.mark.parametrize(
@@ -205,6 +210,17 @@ class TestLoadCsv:
         assert naive.project(d, d.attributes) == [("1", "2")]
 
     @pytest.mark.parametrize(
+        "source",
+        [io.BytesIO(b"a,b\n1,2\n"), type("ReadOnly", (), {"read": lambda self, n=-1: ""})()],
+        ids=["bytes", "read-only"],
+    )
+    def test_stream_that_is_not_text_rejected(self, source):
+        """A binary stream, and an object with only a read method, which has
+        no lines to read, are rejected as the source."""
+        with pytest.raises(IngestError, match="^source: expected a path or a text stream, got <"):
+            load_csv(source)
+
+    @pytest.mark.parametrize(
         "text,where",
         [
             pytest.param(f"a,b\n1,2\n{'x' * 200_000},3\n", "row 2", id="row"),
@@ -219,6 +235,21 @@ class TestLoadCsv:
         p = tmp_path / "t.csv"
         p.write_bytes(b"a,b\n1,2\n" + b"x,\xff\n")
         with pytest.raises(IngestError, match="^t.csv: not valid UTF-8: 'utf-8' codec can't decode"):
+            load_csv(p)
+
+    @pytest.mark.parametrize("ragged", [None, B + 4])
+    def test_fault_read_before_bad_utf8_is_reported_first(self, tmp_path, ragged):
+        """Text is decoded a read buffer at a time, so the rows of the buffers
+        before a bad byte are read: a fault among them is reported first, also
+        one in the same batch of lines as the bad byte, two buffers later."""
+        lines = [b"a,b"] + [b"x" * 60 + b",2"] * (2 * B)
+        if ragged:
+            lines[ragged] = b"1"
+        lines[2 * B - 10] = b"\xff" + lines[2 * B - 10]
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"\n".join(lines) + b"\n")
+        message = f"row {ragged} has 1 cells, expected 2" if ragged else "not valid UTF-8: "
+        with pytest.raises(IngestError, match=f"^t.csv: {message}"):
             load_csv(p)
 
     def test_byte_order_mark_not_in_header(self, tmp_path):
@@ -509,13 +540,15 @@ def test_fuzzed_csv_is_loaded_or_rejected(data):
         assert len(naive.column(dataset, name)) == dataset.row_count
 
 
-def _reference_load(path):
-    """Naive oracle for load_csv: read the rows one by one, strip each and
-    check it as it is read, then code each column with a Counter. Returns
+def _reference_load(path, lines=None):
+    """Naive oracle for load_csv on the file at ``path``, or on ``lines``
+    labelled with its name: read the rows one by one, strip each and check it
+    as it is read, then code each column with a Counter. Returns
     ``(attributes, row_count, columns)`` or the error message."""
     label = path.name
     rows = []
-    with path.open(encoding="utf-8-sig", newline="") as stream:
+    opened = path.open(encoding="utf-8-sig", newline="") if lines is None else nullcontext(lines)
+    with opened as stream:
         try:
             for record in csv.reader(stream):
                 row = [cell.strip() for cell in record]
@@ -546,22 +579,38 @@ def _loaded(dataset):
     return dataset.attributes, dataset.row_count, columns
 
 
-def _encode_row(cells):
+def _encode_row(cells, **format):
     out = io.StringIO()
-    csv.writer(out).writerow(cells)
+    csv.writer(out, lineterminator="\n", **format).writerow(cells)
     return out.getvalue().encode("utf-8")
 
 
 @st.composite
 def _faulty_csv(draw):
-    """A header, a few drawn rows repeated past two blocks, and up to two
-    faults: a ragged row, an oversized cell or a byte that is not UTF-8."""
+    """A header, a few drawn rows repeated over two to four blocks, up to two
+    lines at block edges that the csv module does not read as a split (a
+    quote, a CR or CRLF line end, a NUL, a blank line before it), and up to
+    two faults: a ragged row, an oversized cell or a byte that is not UTF-8.
+    Rows drawn without quotes make blocks that are split directly, so a
+    fault often follows a block that was."""
     width = draw(st.integers(1, 3))
-    cell = st.text(' ab,"\n\r\té', max_size=3)
+    cell = st.text(draw(st.sampled_from(["ab\té ", ' ab,"\n\r\té', "ab é"])), max_size=3)
     drawn = draw(st.lists(st.lists(cell, min_size=width, max_size=width), min_size=1, max_size=4))
+    size = draw(st.integers(2, 4)) * B
     lines = [_encode_row([f"c{i}" for i in range(width)])]
-    lines += [_encode_row(row) for row in drawn * (2 * B // len(drawn) + 1)]
-    position = st.sampled_from([1, B - 1, B, B + 1, 2 * B]) | st.integers(1, len(lines) - 1)
+    lines += [_encode_row(row) for row in drawn * (size // len(drawn) + 1)]
+    edge = st.sampled_from([B - 1, B, B + 1, 2 * B])
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(edge)
+        piece = draw(st.sampled_from(["quote", "cr", "crlf", "nul", "blank"]))
+        if piece == "quote":
+            lines[row] = _encode_row(["z"] * width, quoting=csv.QUOTE_ALL)
+        elif piece in ("cr", "crlf"):
+            lines[row] = lines[row][:-1] + (b"\r" if piece == "cr" else b"\r\n")
+        else:
+            lines[row] = (b"\x00" if piece == "nul" else b"\n") + lines[row]
+    edges = st.sampled_from([1, B - 1, B, B + 1, 2 * B, 2 * B + 1])
+    position = edges | st.integers(1, len(lines) - 1) | st.integers(B + 1, len(lines) - 1)
     for _ in range(draw(st.integers(0, 2))):
         row = draw(position)
         fault = draw(st.sampled_from(["short", "long", "oversized", "utf-8"]))
@@ -661,6 +710,78 @@ def test_load_leaves_no_cyclic_garbage(text, message):
         gc.enable()
     assert error == message
     assert garbage == 0
+
+
+@pytest.mark.parametrize("quoted", [None, 2 * B + 1, 3 * B])
+def test_csv_module_reads_only_from_the_first_batch_it_must(tmp_path, monkeypatch, quoted):
+    """Batches of plain lines never reach csv.reader, so a fast path that is
+    never taken fails here: a file without quotes is read without it, and one
+    with a quoted cell gives it the lines from the batch that holds the cell."""
+    lines = ["a,b\n"] + [f"v{r % 7},w{r % 3}\n" for r in range(1, 4 * B + 1)]
+    if quoted:
+        lines[quoted] = '"Flu",x\n'
+    path = tmp_path / "t.csv"
+    path.write_text("".join(lines), encoding="utf-8")
+    expected = _reference_load(path)
+    reader, seen = csv.reader, []
+
+    def spy(lines, *args, **kwargs):
+        lines = iter(lines)
+        seen.append(next(lines))
+        return reader(itertools.chain([seen[-1]], lines), *args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", spy)
+    assert _loaded(load_csv(path)) == expected
+    assert seen == ([lines[2 * B + 1]] if quoted else [])
+
+
+class _Lines(list):
+    """A text stream that is only iterated, whose lines may be any strings."""
+
+    name = "t"
+
+    def read(self, size=-1):
+        raise AssertionError("load_csv iterates a stream")
+
+
+@st.composite
+def _odd_lines(draw):
+    """A width of 2 or 3, and up to three lines of that many cells, each
+    perhaps with a piece put in, a comma taken out or another line end."""
+    width = draw(st.integers(2, 3))
+    plain = ",".join("y" * width)
+    lines = []
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(plain)))
+        line = plain[:at] + draw(st.sampled_from(["", '"', "\r", "\n", "\x00", ","])) + plain[at:]
+        if draw(st.booleans()):
+            line = line.replace(",", "", 1)
+        lines.append(line + draw(st.sampled_from(["\n", "", "\r\n"])))
+    return width, lines
+
+
+@settings(max_examples=300)
+@given(_odd_lines())
+# Lines that pass every check of the fast path but one, each a different one.
+@example((2, ["\ny,y"]))
+@example((2, [",y,y", "\ny,y\n"]))
+@example((2, [",y,y\n", "yy\n"]))
+@example((2, ["\x00yy\n", ",y,y\n"]))
+def test_stream_lines_load_as_the_csv_module_reads_them(odd):
+    """Whatever str lines a stream yields, as the last lines of a batch of
+    plain ones, load_csv gives the columns csv.reader reads from them, or the
+    error the naive reader meets first; a batch of plain lines follows."""
+    width, drawn = odd
+    plain = ",".join("x" * width) + "\n"
+    lines = _Lines([",".join(f"c{i}" for i in range(width)) + "\n"])
+    lines += [plain] * (B - len(drawn)) + drawn + [plain] * B
+    expected = _reference_load(Path("t"), lines)
+    try:
+        dataset = load_csv(lines)
+    except IngestError as exc:
+        assert str(exc) == expected
+        return
+    assert _loaded(dataset) == expected
 
 
 @settings(deadline=None)  # writes a file per example
