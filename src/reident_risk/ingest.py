@@ -96,7 +96,7 @@ def _blocks(lines: Iterator[str], width: int) -> Iterator[list]:
         if not batch:
             return
         if columns is None:
-            batch = chain(batch, lines)  # so the batch is freed once csv.reader has read it
+            batch = chain(iter(batch), lines)  # its iterator frees it once read; chain would not
             break
         yield columns
         done += len(batch)

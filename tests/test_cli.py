@@ -26,7 +26,8 @@ from reident_risk.fixtures import (
     reference_metadata_json,
     write_fixture,
 )
-from reident_risk.report import _BLOCK_ROWS as B
+from reident_risk.report import _PART_RECORDS as B
+from reident_risk.report import json_parts, markdown_parts
 
 QI_ARG = "Age,Gender,Country,Admission Date,Blood Type"
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -271,9 +272,9 @@ def hipaa_report(hipaa, reference_meta):
 
 
 class TestStreamedReport:
-    """Reports are written a block of ``B`` flagged records at a time."""
+    """Reports are written a part of ``B`` flagged records at a time."""
 
-    @pytest.mark.parametrize("n", [0, B - 1, B, B + 1, 2 * B + 1])
+    @pytest.mark.parametrize("n", [0, 4 * B - 1, 4 * B, 4 * B + 1, 8 * B + 1])
     def test_block_boundaries(self, n, hipaa_report, tmp_path):
         report = _with_flagged(hipaa_report, n)
         as_json, as_markdown = to_json(report), to_markdown(report).encode("utf-8")
@@ -310,7 +311,7 @@ class TestStreamedReport:
     @pytest.mark.parametrize("fmt", ["json", "markdown"])
     def test_write_overhead_does_not_grow_with_flagged_records(self, fmt, hipaa_report, tmp_path):
         """The heap a write needs stays flat as the flagged records grow,
-        because no more than a block of them is held as text."""
+        because no more than a part of them is held as text."""
 
         def peak(n):
             report = _with_flagged(hipaa_report, n)
@@ -324,6 +325,24 @@ class TestStreamedReport:
         n = 4 * B
         small = peak(n)
         assert peak(4 * n) <= 1.5 * small
+
+    @pytest.mark.parametrize("fmt", ["json", "markdown"])
+    def test_write_overhead_bounded_by_one_part(self, fmt, hipaa_report, tmp_path):
+        """A write holds one part of flagged records at a time, as a list of
+        records, as their joined text and as its bytes: its heap above the
+        report is a few times the text of 64 records (4.5-4.9 times on
+        Python 3.10-3.13), and 15-16 times with parts of 256 records."""
+        parts = json_parts if fmt == "json" else markdown_parts
+        part = sys.getsizeof(max(parts(_with_flagged(hipaa_report, 64)), key=len))
+        report = _with_flagged(hipaa_report, 16 * 64)
+        _write_report(report, fmt, str(tmp_path / "first"))
+        tracemalloc.start()
+        try:
+            _write_report(report, fmt, str(tmp_path / "second"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * part, f"{peak / part:.2f} parts"
 
 
 class TestMetric:

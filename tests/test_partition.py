@@ -54,14 +54,23 @@ def _assert_same_rate(result, expected):
 
 def _class_values(partition, sensitive):
     """Per class, the count of each sensitive value code its rows show, as
-    ``{class: {code: n}}``, read off either form of ``_joint_counts``."""
+    ``{class: {code: n}}``, read off either form of ``_joint_counts``. A class
+    that a ``Counter`` leaves out must have one row, and is filled from it."""
     joint = partition._joint_counts(sensitive)
     if isinstance(joint, list):
         return {c: {v: n for v, n in enumerate(row) if n} for c, row in enumerate(joint)}
-    cardinality, per_class = len(partition.dataset.columns[sensitive].values), {}
+    values, codes, _ = partition.dataset.columns[sensitive]
+    per_class = {}
     for key, n in joint.items():
-        c, v = divmod(key, cardinality)
+        c, v = divmod(key, len(values))
         per_class.setdefault(c, {})[v] = n
+    class_of = partition._class_of  # not read through class_of, which would keep it
+    if class_of is None:
+        class_of = [partition._fine_to_class[c] for c in partition._fine.class_of]
+    for c, code in zip(class_of, codes):
+        if c not in per_class:
+            assert partition.sizes[c] == 1, f"class {c} of {partition.sizes[c]} rows left out"
+            per_class[c] = {code: 1}
     return per_class
 
 
@@ -138,6 +147,7 @@ def test_coarsen_equals_row_pass(table, data):
     st.lists(st.integers(0, 4), min_size=1, unique=True),
 )
 @example(700, [40, 40, 40], 1, [0, 1])
+@example(100, [40, 40], 1, [0, 1])  # 100 rows of about 97 classes: lone rows left out
 @settings(deadline=None, max_examples=50)
 def test_coarse_pairs_summed_equal_pairs_counted_from_rows(rows, sizes, seed, positions):
     """A coarsening's counts per class, summed from its source's lists or
@@ -166,6 +176,52 @@ def test_coarse_pairs_summed_equal_pairs_counted_from_rows(rows, sizes, seed, po
     from_rows, summed = counts(0), counts(math.inf)
     assert from_rows == summed
     assert summed == [_class_values(Partition(d, members), s) for s in sensitive]
+
+
+def _lone_row_count(partition, joint):
+    """How ``joint``, a partition's counts, left out rows alone in their
+    class: ``"all"`` when every row is, ``"some"`` when it counts fewer rows
+    than the table has, else None."""
+    if not isinstance(joint, Counter):
+        return None
+    rows = partition.dataset.row_count
+    if len(partition.sizes) == rows:
+        assert not joint
+        return "all"
+    return "some" if sum(joint.values()) < rows else None
+
+
+@pytest.mark.parametrize(
+    "qi_rows, way",
+    [
+        # Every class one row: no pair is counted.
+        ([("a", "x"), ("b", "y"), ("c", "x"), ("d", "z")], "all"),
+        # 8 of 10 rows alone, and an impure class of 2: only its rows count.
+        ([(f"k{i}", "xyz"[i % 3]) for i in range(8)] + [("k8", "x"), ("k8", "y")], "some"),
+    ],
+)
+def test_lone_rows_left_out_of_counts(qi_rows, way):
+    d = Dataset(("q0", "s0"), qi_rows)
+    p = Partition(d, ["q0"])
+    joint = p._joint_counts("s0")
+    assert _lone_row_count(p, joint) == way
+    assert sum(joint.values()) == sum(size for size in p.sizes if size > 1)
+    _assert_same_view(_view(p, ["s0"]), naive.view(d, ["q0"], ["s0"]))
+    _assert_same_rate(p.discrimination_rate("s0"), naive.discrimination_rate(d, ["q0"], "s0"))
+    assert p.l_diversity("s0") == 1
+
+
+def test_oracle_properties_reach_both_lone_row_counts():
+    """The oracle properties above reach both ways of leaving out the rows
+    alone in their class: a partition with no other rows counts none, and one
+    with enough of them counts only the rest (an explicit example of
+    ``test_coarse_pairs_summed_equal_pairs_counted_from_rows`` does)."""
+    ways = Counter()
+    with _spy("_joint_counts", lambda p, _, joint: ways.update([_lone_row_count(p, joint)])):
+        test_partition_equals_naive_oracle()
+        test_coarsen_equals_row_pass()
+        test_coarse_pairs_summed_equal_pairs_counted_from_rows()
+    assert ways["all"] and ways["some"], ways
 
 
 def _wide_table(rows, seed):
