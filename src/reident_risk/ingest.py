@@ -10,17 +10,18 @@ accept the same values. Every error names its JSON path.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
 import os
-from collections.abc import Collection, Iterable, Iterator
+from collections.abc import Callable, Collection, Iterable, Iterator
 from contextlib import contextmanager
 from functools import partial
-from itertools import chain, islice
+from itertools import chain
 
 from .engine import AssessmentOptions
-from .model import _BLOCK_ROWS, MISSING, AttributeMeta, Dataset, Record, ScaleMatrix, _row_blocks
+from .model import MISSING, AttributeMeta, Dataset, Record, ScaleMatrix, _row_blocks
 
 METADATA_VERSION = 1
 
@@ -43,15 +44,16 @@ _REQUIRED = [key for key, (_, default) in AttributeMeta.fields.items() if defaul
 
 @contextmanager
 def _open_text(
-    source: str | bytes | os.PathLike | io.TextIOBase,
-) -> Iterator[tuple[io.TextIOBase, str]]:
+    source: str | bytes | os.PathLike | io.TextIOBase, mode: str = "r"
+) -> Iterator[tuple[io.IOBase, str]]:
     """Yield ``(stream, label)``. A path, a ``str``, ``bytes`` or ``os.PathLike``,
-    is opened here, labelled with its file name and closed on exit; an object
-    with a ``read`` method is a text stream, which belongs to the caller and is
-    left open. Anything else is rejected."""
+    is opened here in ``mode``, labelled with its file name and closed on exit;
+    an object with a ``read`` method is a text stream, which belongs to the
+    caller and is left open. Anything else is rejected."""
     if isinstance(source, (str, bytes, os.PathLike)):
         # utf-8-sig drops the byte-order mark that spreadsheet exports put first.
-        with open(source, encoding="utf-8-sig", newline="") as stream:
+        text = {} if "b" in mode else {"encoding": "utf-8-sig", "newline": ""}
+        with open(source, mode, **text) as stream:
             yield stream, os.fsdecode(os.path.basename(source))
     elif hasattr(source, "read"):
         yield source, str(getattr(source, "name", "<stream>"))
@@ -59,48 +61,80 @@ def _open_text(
         raise IngestError(f"source: expected a path or a text stream, got {source!r}")
 
 
-def _columns(lines: list[str], width: int) -> list[list[str]] | None:
-    """The columns of ``lines`` if the ``csv`` module reads each line as
-    ``line[:-1].split(",")`` of ``width`` cells, else None."""
-    text, limit = "\0".join(lines), csv.field_size_limit()  # a TypeError for a non-str line
-    # Each line ends in its only \n and has no ", \r or NUL, nor a cell over limit;
-    # in one column, csv.reader reads a blank line as no cell.
-    if width < 2 or '"' in text or "\r" in text or not text.endswith("\n") or not (
-        text.count("\0") == text.count("\n\0") == text.count("\n") - 1 == len(lines) - 1
-    ) or (len(text) > limit and max(map(len, lines)) > limit):
+# Characters read from a stream at a time, or bytes from a file. On a 6,000-row
+# kanon_bulk CSV, chunks of 2, 4 and 8 KiB load in 7.4, 6.8 and 6.3 ms and peak at
+# 109, 141 and 216 KiB; 256-line batches took 8.0 ms and 278 KiB (Python 3.11).
+_CHUNK_BYTES = 4096
+
+
+def _decoded(read: Callable[[], bytes]) -> Iterator[str]:
+    """The text of the UTF-8 chunks that ``read`` returns; at a byte that is not
+    UTF-8, the text before it, then a ValueError naming the byte's offset."""
+    decoder, end = codecs.getincrementaldecoder("utf-8-sig")(), 0
+    for raw in chain(iter(read, b""), [b""]):  # b"" ends the text
+        end += len(raw)  # a pipe cannot tell its offset
+        try:
+            yield decoder.decode(raw, final=not raw)
+        except UnicodeDecodeError as exc:  # in the bytes held back and raw, past a BOM
+            yield exc.object[: exc.start].decode()
+            offset = end - len(exc.object) + exc.start
+            raise ValueError(f"not valid UTF-8: {exc.reason} at byte offset {offset}") from None
+
+
+def _texts(chunks: Iterable, source: object) -> Iterator[str]:
+    """``chunks`` cut after their last ``\\n``, into texts of whole lines, each line
+    joined once; a chunk that is not a ``str`` rejects the source."""
+    parts: list[str] = []
+    for chunk in chunks:
+        if not isinstance(chunk, str):
+            raise IngestError(f"source: expected a path or a text stream, got {source!r}")
+        if cut := chunk.rfind("\n") + 1:
+            yield "".join((*parts, chunk[:cut]))
+            parts = [chunk[cut:]]  # with a \r that may end a \r\n
+        else:
+            parts.append(chunk)
+    if tail := "".join(parts):
+        yield tail
+
+
+def _lines(texts: Iterable[str]) -> Iterator[str]:
+    """The lines of ``texts`` as a file opened with ``newline=""`` reads them."""
+    return chain.from_iterable(map(partial(io.StringIO, newline=""), texts))
+
+
+def _columns(text: str, width: int) -> list[list[str]] | None:
+    """The columns of the lines of ``text`` if the ``csv`` module reads each
+    as split at its commas into ``width`` cells, else None."""
+    if "\r" in text:  # 40 times faster than a replace that finds nothing
+        text = text.replace("\r\n", "\n")  # a lone \r, a line end to csv.reader, stays
+    # No ", \r or NUL, nor a cell over the limit; in one column, csv.reader
+    # reads a blank line as no cell.
+    limit = csv.field_size_limit()
+    if width < 2 or '"' in text or "\r" in text or "\0" in text or len(text) > limit:
         return None
     # A NUL starts each row's first cell but the first row's: each row has width
     # cells if column 0 holds every NUL and there are rows * width cells.
-    cells = text[:-1].replace("\n\0", ",\0").split(",")
-    del text  # frees the batch's text before its cells are sliced into columns
+    body = text.removesuffix("\n")
+    rows = len(cells := body.replace("\n", ",\0")) - len(body) + 1  # a NUL per line end
+    cells = cells.split(",")
     first = "".join(cells[::width]).split("\0")
-    if len(cells) != len(lines) * width or len(first) != len(lines):
+    if len(cells) != rows * width or len(first) != rows:
         return None
     return [first, *(cells[j::width] for j in range(1, width))]
 
 
-def _blocks(lines: Iterator[str], width: int) -> Iterator[list]:
-    """The columns of each batch of ``_BLOCK_ROWS`` lines, split by ``_columns``
-    up to the first batch it cannot split, from which ``csv.reader`` reads on."""
+def _blocks(texts: Iterator[str], width: int) -> Iterator[list]:
+    """The columns of each text split by ``_columns``, up to the first it cannot
+    split: ``csv.reader`` reads the lines of that text and of every later one."""
     done = 0
-    while True:
-        batch: list[str] = []
-        try:
-            batch.extend(islice(lines, _BLOCK_ROWS))
-            columns = _columns(batch, width)
-        except Exception:
-            # The lines read before it go to csv.reader, which also rejects one
-            # that is not a str; an error of the read is raised after them.
-            yield from _row_blocks(csv.reader(batch), width, done, csv.Error)
-            raise
-        if not batch:
+    for text in filter(None, texts):  # the header's text may hold nothing more
+        if (columns := _columns(text, width)) is None:
+            rest = chain(iter([text]), texts)  # its iterator frees the text once read
+            del text
+            yield from _row_blocks(csv.reader(_lines(rest)), width, done, csv.Error)
             return
-        if columns is None:
-            batch = chain(iter(batch), lines)  # its iterator frees it once read; chain would not
-            break
+        done += len(columns[0])
         yield columns
-        done += len(batch)
-    yield from _row_blocks(csv.reader(batch), width, done, csv.Error)
 
 
 def load_csv(
@@ -109,35 +143,38 @@ def load_csv(
     """Read a comma-separated UTF-8 table; the first row is the header.
 
     Cell whitespace is trimmed at both ends, case is preserved; cells that
-    differ only in it are one value. :class:`Dataset` codes the lines a block
-    at a time as they are read, so the table is never held whole as strings;
-    each distinct value is then trimmed once. Blocks of plain lines, with no
-    quote, carriage return or NUL and a cell a column, are split directly,
-    and the ``csv`` module reads the rest, with the same cells and errors.
-    The first fault in file order is reported: a row the CSV reader cannot
-    parse, or one :class:`Dataset` rejects, with its 1-based data row number.
+    differ only in it are one value. The source is read and coded in chunks of
+    whole lines, never held whole as strings. Chunks of plain lines, with no
+    quote, NUL or lone carriage return and a cell a column, are split directly;
+    the ``csv`` module reads on from the first other chunk, with the same cells
+    and errors. The first fault in file order is reported: a row the CSV reader
+    cannot parse or :class:`Dataset` rejects, with its 1-based data row number,
+    or a byte that is not UTF-8, with its offset in the file.
     """
-    with _open_text(source) as (stream, default_label):
+    with _open_text(source, "rb") as (stream, default_label):
         label = default_label if label is None else label
-        # An object with only a read method has no lines, like a binary stream.
-        lines = iter(stream if isinstance(stream, Iterable) else [b""])
+        read = partial(stream.read, _CHUNK_BYTES)
+        texts = _texts(iter(read, "") if stream is source else _decoded(read), source)
         try:
-            first = next(lines, None)
-            if isinstance(first, str):
-                plain = _columns([first], first.count(",") + 1)
-                header = first[:-1].split(",") if plain else next(csv.reader(chain([first], lines)))
-                blocks = partial(_blocks, lines)
-                return Dataset._from_blocks(list(map(str.strip, header)), blocks, label)._trimmed()
+            if (first := next(texts, None)) is None:
+                raise IngestError(f"{label}: empty file, no header row")
+            end = first.find("\n") + 1 or len(first)
+            if columns := _columns(first[:end], first.count(",", 0, end) + 1):
+                texts = chain(iter([first[end:]]), texts)
+                header, blocks = chain(*columns), partial(_blocks, texts)
+            else:  # the csv module reads the header and every row
+                rows = csv.reader(_lines(chain(iter([first]), texts)))
+                header, blocks = next(rows), partial(_row_blocks, rows, errors=csv.Error)
+            del first  # each iterator frees its text once read
+            return Dataset._from_blocks(list(map(str.strip, header)), blocks, label)._trimmed()
+        except IngestError:
+            raise
         except csv.Error as exc:  # for example a cell longer than csv.field_size_limit()
             raise IngestError(f"{label}: header: {exc}") from None
-        except UnicodeDecodeError as exc:
-            # Decoding runs a buffer ahead of the reader, so no row is named.
+        except UnicodeDecodeError as exc:  # raised by a text stream's read
             raise IngestError(f"{label}: not valid UTF-8: {exc}") from None
         except ValueError as exc:
             raise IngestError(f"{label}: {exc}") from None
-    if first is None:
-        raise IngestError(f"{label}: empty file, no header row")
-    raise IngestError(f"source: expected a path or a text stream, got {source!r}")
 
 
 def _object(

@@ -303,12 +303,8 @@ class _Columns(dict):
         raise KeyError(f"unknown attribute {name!r}")
 
 
-# Rows checked and coded at a time, and CSV lines split at a time: a load holds
-# at most this many rows as strings. Split directly in blocks of 256 lines, a
-# 6,000-row kanon_bulk CSV loads in 8.0-9.1 ms (best of 40, in six runs; 9.6-13.7
-# through csv.reader) into a Dataset of 0.06 MiB. The heap the load needs above
-# it grows with the block, from 0.07 MiB at 64 lines to 0.78 MiB at 1,024 (0.21
-# MiB at 256), as it did through csv.reader.
+# Rows checked and coded at a time, in a Dataset built from rows or read by the
+# csv module, and rows keyed at a time by a partition.
 _BLOCK_ROWS = 256
 
 # Up to this many values, a column is counted with one bytes.count scan per

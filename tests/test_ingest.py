@@ -1,5 +1,6 @@
 """CSV and metadata document loading."""
 
+import codecs
 import copy
 import csv
 import gc
@@ -12,7 +13,6 @@ import sys
 import tempfile
 import tracemalloc
 from collections import Counter
-from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
@@ -30,6 +30,7 @@ from reident_risk.engine import (
 )
 from reident_risk.fixtures import fixture_csv, fixture_dataset, reference_metadata_json
 from reident_risk.ingest import (
+    _CHUNK_BYTES,
     IngestError,
     MetadataDocument,
     load_csv,
@@ -180,10 +181,9 @@ class TestLoadCsv:
 
     def test_load_overhead_bounded_by_one_batch(self, tmp_path):
         """The heap a load needs beyond the Dataset it returns is a few times
-        one batch of ``_BLOCK_ROWS`` lines, as the str objects it reads: the
-        lines, their cells, the columns sliced out of them. Python 3.10-3.13
-        read 7.4 batches; a load that also held the previous batch's cells
-        read 10.0, and one that held its lines 8.4."""
+        one batch of ``_BLOCK_ROWS`` lines as str objects: a chunk of text, its
+        cells, the columns sliced out of them. Python 3.11 read 7.7 batches in
+        chunks of 4 KiB, 15.0 in chunks of 8 KiB, and 7.3 in batches of lines."""
         lines = [f"v{i % 7},w{i % 53},x{i % 101},y{i % 3}\n" for i in range(24 * B)]
         path = tmp_path / "t.csv"
         path.write_text("a,b,c,d\n" + "".join(lines), encoding="utf-8")
@@ -191,20 +191,33 @@ class TestLoadCsv:
         overhead = self._load_heap(path, len(lines))[1]
         assert overhead <= 8 * batch, f"{overhead / batch:.2f} batches"
 
-    def test_crlf_fallback_frees_the_batch_it_failed_on(self, tmp_path):
-        """A CRLF file goes to ``csv.reader`` from its first batch of lines,
-        which is freed once read: on lines of about 370 characters its load
-        peaks at 0.64 times the plain file's (Python 3.10-3.13), and at 0.77
-        times when the batch is kept to the end of the file."""
+    @staticmethod
+    def _wide_lines(path, quote=""):
+        """Write 24 batches of lines of about 370 characters, each with its
+        first cell in ``quote``, after a header; return the lines."""
         pad = "x" * 120
-        lines = (f"{pad}{i % 7},{pad}{i % 5},{pad}{i % 3}\n" for i in range(24 * B))
-        text = "a,b,c\n" + "".join(lines)
-        peaks = []
-        for name, newline in ("plain", "\n"), ("crlf", "\r\n"):
-            path = tmp_path / f"{name}.csv"
-            path.write_bytes(text.replace("\n", newline).encode())
-            peaks.append(self._load_heap(path, 24 * B)[0])
-        assert peaks[1] <= 0.7 * peaks[0], f"{peaks[1] / peaks[0]:.3f}"
+        lines = [f"{quote}{pad}{i % 7}{quote},{pad}{i % 5},{pad}{i % 3}\n" for i in range(24 * B)]
+        path.write_text("a,b,c\n" + "".join(lines), encoding="utf-8")
+        return lines
+
+    def test_load_overhead_bounded_by_one_chunk(self, tmp_path):
+        """However few lines a chunk holds, a load needs a small multiple of
+        ``_CHUNK_BYTES`` beyond its Dataset: on lines of about 370 characters,
+        Python 3.11 read 9.5 chunks, and batches of 256 lines 121."""
+        lines = self._wide_lines(tmp_path / "t.csv")
+        overhead = self._load_heap(tmp_path / "t.csv", len(lines))[1]
+        assert overhead <= 16 * _CHUNK_BYTES, f"{overhead / _CHUNK_BYTES:.1f} chunks"
+
+    def test_csv_module_fallback_frees_each_text_it_read(self, tmp_path):
+        """A file with a quoted cell on every line goes to ``csv.reader`` from
+        its first chunk, and each text is freed once read: on lines of about
+        370 characters, the load needs a few batches of ``_BLOCK_ROWS`` lines
+        beyond its Dataset. Python 3.11 read 2.6 batches, and 23.5 when every
+        text read was kept to the end of the file."""
+        lines = self._wide_lines(tmp_path / "t.csv", quote='"')
+        batch = sys.getsizeof(lines[:B]) + sum(map(sys.getsizeof, lines[:B]))
+        overhead = self._load_heap(tmp_path / "t.csv", len(lines))[1]
+        assert overhead <= 4 * batch, f"{overhead / batch:.2f} batches"
 
     def test_empty_header_rejected(self):
         with pytest.raises(IngestError, match="^t: dataset needs at least one attribute$"):
@@ -247,14 +260,17 @@ class TestLoadCsv:
         assert naive.project(d, d.attributes) == [("1", "2")]
 
     @pytest.mark.parametrize(
-        "source",
-        [io.BytesIO(b"a,b\n1,2\n"), type("ReadOnly", (), {"read": lambda self, n=-1: ""})()],
+        "source,message",
+        [
+            (io.BytesIO(b"a,b\n1,2\n"), "source: expected a path or a text stream, got <"),
+            (type("ReadOnly", (), {"read": lambda self, n=-1: ""})(), "<stream>: empty file"),
+        ],
         ids=["bytes", "read-only"],
     )
-    def test_stream_that_is_not_text_rejected(self, source):
-        """A binary stream, and an object with only a read method, which has
-        no lines to read, are rejected as the source."""
-        with pytest.raises(IngestError, match="^source: expected a path or a text stream, got <"):
+    def test_stream_that_is_not_text_rejected(self, source, message):
+        """A binary stream is rejected as the source; an object whose read
+        method returns an empty str is an empty stream."""
+        with pytest.raises(IngestError, match=f"^{re.escape(message)}"):
             load_csv(source)
 
     @pytest.mark.parametrize(
@@ -269,20 +285,23 @@ class TestLoadCsv:
             load_text(text)
 
     def test_invalid_utf8_rejected(self, tmp_path):
+        """The message names the offset of the first bad byte in the file."""
         p = tmp_path / "t.csv"
         p.write_bytes(b"a,b\n1,2\n" + b"x,\xff\n")
-        with pytest.raises(IngestError, match="^t.csv: not valid UTF-8: 'utf-8' codec can't decode"):
+        message = "t.csv: not valid UTF-8: invalid start byte at byte offset 10"
+        with pytest.raises(IngestError, match=f"^{message}$"):
             load_csv(p)
 
-    @pytest.mark.parametrize("ragged", [None, B + 4])
-    def test_fault_read_before_bad_utf8_is_reported_first(self, tmp_path, ragged):
-        """Text is decoded a read buffer at a time, so the rows of the buffers
-        before a bad byte are read: a fault among them is reported first, also
-        one in the same batch of lines as the bad byte, two buffers later."""
+    @pytest.mark.parametrize(
+        "ragged,bad", [(None, 2 * B - 10), (B + 4, 2 * B - 10), (50, 60)], ids=["None", "260", "50"]
+    )
+    def test_fault_read_before_bad_utf8_is_reported_first(self, tmp_path, ragged, bad):
+        """The lines before a bad byte are read first: a fault among them is
+        reported first, several chunks before the bad byte or in its chunk."""
         lines = [b"a,b"] + [b"x" * 60 + b",2"] * (2 * B)
         if ragged:
             lines[ragged] = b"1"
-        lines[2 * B - 10] = b"\xff" + lines[2 * B - 10]
+        lines[bad] = b"\xff" + lines[bad]
         p = tmp_path / "t.csv"
         p.write_bytes(b"\n".join(lines) + b"\n")
         message = f"row {ragged} has 1 cells, expected 2" if ragged else "not valid UTF-8: "
@@ -577,25 +596,40 @@ def test_fuzzed_csv_is_loaded_or_rejected(data):
         assert len(naive.column(dataset, name)) == dataset.row_count
 
 
-def _reference_load(path, lines=None):
-    """Naive oracle for load_csv on the file at ``path``, or on ``lines``
-    labelled with its name: read the rows one by one, strip each and check it
-    as it is read, then code each column with a Counter. Returns
-    ``(attributes, row_count, columns)`` or the error message."""
-    label = path.name
-    rows = []
-    opened = path.open(encoding="utf-8-sig", newline="") if lines is None else nullcontext(lines)
-    with opened as stream:
+def _reference_load(path, text=None):
+    """Naive oracle for load_csv on the file at ``path``, or on ``text``
+    labelled with its name: decode the file whole, read the rows one by one
+    from its lines, strip each and check it as it is read, then code each
+    column with a Counter. A byte that is not UTF-8 ends the lines at the
+    last line end before it, and then raises. Returns ``(attributes,
+    row_count, columns)`` or the error message."""
+    label, error = path.name, None
+    if text is None:
+        data = path.read_bytes()
+        bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
         try:
-            for record in csv.reader(stream):
-                row = [cell.strip() for cell in record]
-                if rows and len(row) != len(rows[0]):
-                    return f"{label}: row {len(rows)} has {len(row)} cells, expected {len(rows[0])}"
-                rows.append(row)
-        except csv.Error as exc:
-            return f"{label}: row {len(rows)}: {exc}"
+            text = data[bom:].decode("utf-8")
         except UnicodeDecodeError as exc:
-            return f"{label}: not valid UTF-8: {exc}"
+            text = data[bom : bom + exc.start].decode("utf-8")
+            text = text[: text.rfind("\n") + 1]
+            error = f"{label}: not valid UTF-8: {exc.reason} at byte offset {bom + exc.start}"
+
+    def lines():
+        yield from io.StringIO(text, newline="")
+        if error:
+            raise UnicodeError(error)
+
+    rows = []
+    try:
+        for record in csv.reader(lines()):
+            row = [cell.strip() for cell in record]
+            if rows and len(row) != len(rows[0]):
+                return f"{label}: row {len(rows)} has {len(row)} cells, expected {len(rows[0])}"
+            rows.append(row)
+    except csv.Error as exc:
+        return f"{label}: row {len(rows)}: {exc}"
+    except UnicodeError as exc:
+        return str(exc)
     header, body = rows[0], rows[1:]
     columns = {}
     for name, cells in zip(header, zip(*body)):
@@ -751,15 +785,14 @@ def test_load_leaves_no_cyclic_garbage(text, message):
 
 @pytest.mark.parametrize("quoted", [None, 2 * B + 1, 3 * B])
 def test_csv_module_reads_only_from_the_first_batch_it_must(tmp_path, monkeypatch, quoted):
-    """Batches of plain lines never reach csv.reader, so a fast path that is
-    never taken fails here: a file without quotes is read without it, and one
-    with a quoted cell gives it the lines from the batch that holds the cell."""
-    lines = ["a,b\n"] + [f"v{r % 7},w{r % 3}\n" for r in range(1, 4 * B + 1)]
+    """Chunks of plain lines never reach csv.reader, so a fast path that is
+    never taken fails here: a file without quotes, also one with CRLF line
+    ends and a byte-order mark, is read without it, and one with a quoted cell
+    gives it the lines from the chunk that holds the cell, which start at most
+    a chunk before the cell."""
+    lines = ["a,b\n"] + [f"v{r % 7},w{r}\n" for r in range(1, 4 * B + 1)]
     if quoted:
         lines[quoted] = '"Flu",x\n'
-    path = tmp_path / "t.csv"
-    path.write_text("".join(lines), encoding="utf-8")
-    expected = _reference_load(path)
     reader, seen = csv.reader, []
 
     def spy(lines, *args, **kwargs):
@@ -767,62 +800,80 @@ def test_csv_module_reads_only_from_the_first_batch_it_must(tmp_path, monkeypatc
         seen.append(next(lines))
         return reader(itertools.chain([seen[-1]], lines), *args, **kwargs)
 
-    monkeypatch.setattr(csv, "reader", spy)
-    assert _loaded(load_csv(path)) == expected
-    assert seen == ([lines[2 * B + 1]] if quoted else [])
-
-
-class _Lines(list):
-    """A text stream that is only iterated, whose lines may be any strings."""
-
-    name = "t"
-
-    def read(self, size=-1):
-        raise AssertionError("load_csv iterates a stream")
+    path = tmp_path / "t.csv"
+    for bom, newline in (b"", "\n"), (b"", "\r\n"), (codecs.BOM_UTF8, "\r\n"):
+        data = bom + "".join(lines).replace("\n", newline).encode()
+        path.write_bytes(data)
+        expected = _reference_load(path)
+        seen.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(csv, "reader", spy)
+            assert _loaded(load_csv(path)) == expected
+        if quoted is None:
+            assert seen == []
+        else:
+            start, cell = data.index(seen[0].encode()), data.index(b'"Flu"')
+            assert len(seen) == 1 and cell - _CHUNK_BYTES <= start <= cell
 
 
 @st.composite
-def _odd_lines(draw):
-    """A width of 2 or 3, and up to three lines of that many cells, each
-    perhaps with a piece put in, a comma taken out or another line end."""
+def _odd_text(draw):
+    """A width of 2 or 3; up to three lines of that many cells, each perhaps
+    with a piece put in, a comma taken out or another line end; and None, or
+    the number of their bytes that come before a chunk edge."""
     width = draw(st.integers(2, 3))
     plain = ",".join("y" * width)
-    lines = []
+    text = ""
     for _ in range(draw(st.integers(1, 3))):
         at = draw(st.integers(0, len(plain)))
-        line = plain[:at] + draw(st.sampled_from(["", '"', "\r", "\n", "\x00", ","])) + plain[at:]
+        piece = draw(st.sampled_from(["", '"', "\r", "\n", "\x00", ",", "é"]))
+        line = plain[:at] + piece + plain[at:]
         if draw(st.booleans()):
             line = line.replace(",", "", 1)
-        lines.append(line + draw(st.sampled_from(["\n", "", "\r\n"])))
-    return width, lines
+        text += line + draw(st.sampled_from(["\n", "", "\r\n"]))
+    return width, text, draw(st.none() | st.integers(0, len(text.encode())))
 
 
-@settings(max_examples=300)
-@given(_odd_lines())
+@settings(max_examples=300, deadline=None)  # writes a file per example
+@given(_odd_text())
 # Lines that pass every check of the fast path but one, each a different one.
-@example((2, ["\ny,y"]))
-@example((2, [",y,y", "\ny,y\n"]))
-@example((2, [",y,y\n", "yy\n"]))
-@example((2, ["\x00yy\n", ",y,y\n"]))
+@example((2, "\ny,y", None))
+@example((2, ",y,y\ny,y\n", None))
+@example((2, ",y,y\nyy\n", None))
+@example((2, "\x00yy\n,y,y\n", None))
+# A CRLF line end, and a character of two UTF-8 bytes, across a chunk edge.
+@example((2, "y,y\r\ny,y\n", 4))
+@example((2, "y,é\ny,y\n", 3))
 def test_stream_lines_load_as_the_csv_module_reads_them(odd):
-    """Whatever str lines a stream yields, as the last lines of a batch of
-    plain ones, load_csv gives the columns csv.reader reads from them, or the
-    error the naive reader meets first; a batch of plain lines follows."""
-    width, drawn = odd
-    plain = ",".join("x" * width) + "\n"
-    lines = _Lines([",".join(f"c{i}" for i in range(width)) + "\n"])
-    lines += [plain] * (B - len(drawn)) + drawn + [plain] * B
-    expected = _reference_load(Path("t"), lines)
-    try:
-        dataset = load_csv(lines)
-    except IngestError as exc:
-        assert str(exc) == expected
-        return
-    assert _loaded(dataset) == expected
+    """Whatever text a stream's read returns after a header, also across a
+    chunk edge, load_csv gives the columns csv.reader reads from its lines as
+    a file opened with ``newline=""`` splits them, or the error the naive
+    reader meets first; a chunk of plain lines follows. A file of the text,
+    read in chunks of bytes, loads the same."""
+    width, drawn, edge = odd
+    text = ",".join(f"c{i}" for i in range(width)) + "\n"
+    if edge is not None:  # a first row that ends edge bytes before a chunk edge
+        text += "x" * (_CHUNK_BYTES - edge - len(text) - 2 * width + 1) + ",x" * (width - 1) + "\n"
+    text += drawn + (",".join("x" * width) + "\n") * (_CHUNK_BYTES // 4)
+    expected = _reference_load(Path("t"), text)
+    stream = io.StringIO(text)
+    stream.name = "t"
+    with tempfile.TemporaryDirectory() as tmp:  # a tmp_path fixture is not reset per example
+        path = Path(tmp) / "t"
+        path.write_bytes(text.encode())
+        for source in stream, path:
+            try:
+                assert _loaded(load_csv(source)) == expected
+            except IngestError as exc:
+                assert str(exc) == expected
 
 
 @settings(deadline=None)  # writes a file per example
 @given(_faulty_csv())
+# A bad byte after a byte-order mark, and one inside a character that starts
+# one byte before a chunk edge.
+@example(codecs.BOM_UTF8 + b"c0,c1\n" + b"ab,ab\n" * 9 + b"ab,\xff\n" + b"ab,ab\n" * 3 * B)
+@example(b"c0,c1\n" + b"ab,ab\n" * 681 + b"ab,\xe2\x82x\n" + b"ab,ab\n" * B)
 def test_csv_load_equals_naive_reference(data):
     """Across block boundaries, load_csv gives the naive reader's columns, or
     the error the naive reader meets first."""
