@@ -68,17 +68,21 @@ _CHUNK_BYTES = 4096
 
 
 def _decoded(read: Callable[[], bytes]) -> Iterator[str]:
-    """The text of the UTF-8 chunks that ``read`` returns; at a byte that is not
-    UTF-8, the text before it, then a ValueError naming the byte's offset."""
-    decoder, end = codecs.getincrementaldecoder("utf-8-sig")(), 0
+    """The text of the UTF-8 chunks that ``read`` returns, less a leading
+    byte-order mark; at a byte that is not UTF-8, the text before it, then a
+    ValueError naming the byte's offset."""
+    # Not utf-8-sig, which reads the first bytes of a mark alone as no text.
+    decoder, end, bom = codecs.getincrementaldecoder("utf-8")(), 0, "\ufeff"
     for raw in chain(iter(read, b""), [b""]):  # b"" ends the text
         end += len(raw)  # a pipe cannot tell its offset
         try:
-            yield decoder.decode(raw, final=not raw)
-        except UnicodeDecodeError as exc:  # in the bytes held back and raw, past a BOM
-            yield exc.object[: exc.start].decode()
+            text = decoder.decode(raw, final=not raw)
+        except UnicodeDecodeError as exc:  # in the bytes held back and raw
+            yield exc.object[: exc.start].decode().removeprefix(bom)
             offset = end - len(exc.object) + exc.start
             raise ValueError(f"not valid UTF-8: {exc.reason} at byte offset {offset}") from None
+        yield text.removeprefix(bom)
+        bom = "" if text else bom  # a mark only starts the file
 
 
 def _texts(chunks: Iterable, source: object) -> Iterator[str]:
@@ -154,8 +158,12 @@ def load_csv(
     with _open_text(source, "rb") as (stream, default_label):
         label = default_label if label is None else label
         read = partial(stream.read, _CHUNK_BYTES)
-        texts = _texts(iter(read, "") if stream is source else _decoded(read), source)
         try:
+            try:
+                chunks = chain([read()], iter(read, "")) if stream is source else _decoded(read)
+            except TypeError:  # a read that takes no size
+                chunks = [None]  # which _texts rejects as the source
+            texts = _texts(chunks, source)
             if (first := next(texts, None)) is None:
                 raise IngestError(f"{label}: empty file, no header row")
             end = first.find("\n") + 1 or len(first)

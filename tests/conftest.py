@@ -1,8 +1,11 @@
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import strategies as st
 
 import naive_metrics as naive
-from reident_risk import fixtures
+from reident_risk import assess, fixtures
 from reident_risk.model import AttributeMeta, AttributeRole, ExposureLevel, SeverityRating
 
 FULL_QI = ("Age", "Gender", "Country", "Admission Date", "Blood Type")
@@ -32,6 +35,24 @@ def sens(name, rating=(1, 3, 4), overrides=None):
 # Diabetes 1, Cancer 1.
 H12 = naive.entropy([5, 3, 2, 1, 1])
 H9 = naive.entropy([4, 1, 2, 1, 1])
+
+
+def heap(build):
+    """``(peak, held)``: the tracemalloc peak during ``build()`` and the heap
+    still held after it, with what it returns, both above the heap before it."""
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        built = build()  # kept while the heap is read
+        held, peak = tracemalloc.get_traced_memory()
+        return peak - base, held - base
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 @st.composite
@@ -69,3 +90,8 @@ def hipaa():
 @pytest.fixture(scope="session")
 def reference_meta():
     return fixtures.fixture_metadata()
+
+
+@pytest.fixture(scope="session")
+def hipaa_report(hipaa, reference_meta):
+    return assess(hipaa, reference_meta.attributes, reference_meta.options)

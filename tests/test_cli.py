@@ -10,7 +10,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reident_risk.cli
+from conftest import heap
 from reident_risk import assess, load_csv, load_metadata, to_json, to_markdown
 from reident_risk.cli import _write_report, build_parser, main
 from reident_risk.fixtures import (
@@ -266,11 +266,6 @@ def _with_flagged(report, n):
     )
 
 
-@pytest.fixture(scope="module")
-def hipaa_report(hipaa, reference_meta):
-    return assess(hipaa, reference_meta.attributes, reference_meta.options)
-
-
 class TestStreamedReport:
     """Reports are written a part of ``B`` flagged records at a time."""
 
@@ -315,12 +310,7 @@ class TestStreamedReport:
 
         def peak(n):
             report = _with_flagged(hipaa_report, n)
-            tracemalloc.start()
-            try:
-                _write_report(report, fmt, str(tmp_path / f"{n}.{fmt}"))
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return heap(lambda: _write_report(report, fmt, str(tmp_path / f"{n}.{fmt}")))[0]
 
         n = 4 * B
         small = peak(n)
@@ -331,17 +321,14 @@ class TestStreamedReport:
         """A write holds one part of flagged records at a time, as a list of
         records, as their joined text and as its bytes: its heap above the
         report is a few times the text of 64 records (4.5-4.9 times on
-        Python 3.10-3.13), and 15-16 times with parts of 256 records."""
+        Python 3.10-3.13 with tracemalloc started fresh, 5.1-5.6 times after
+        the collection ``heap`` runs first), and 15-16 times with parts of 256
+        records."""
         parts = json_parts if fmt == "json" else markdown_parts
         part = sys.getsizeof(max(parts(_with_flagged(hipaa_report, 64)), key=len))
         report = _with_flagged(hipaa_report, 16 * 64)
         _write_report(report, fmt, str(tmp_path / "first"))
-        tracemalloc.start()
-        try:
-            _write_report(report, fmt, str(tmp_path / "second"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = heap(lambda: _write_report(report, fmt, str(tmp_path / "second")))[0]
         assert peak <= 6 * part, f"{peak / part:.2f} parts"
 
 

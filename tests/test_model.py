@@ -4,7 +4,6 @@ import copy
 import pickle
 import random
 import re
-import tracemalloc
 from collections import Counter
 
 import pytest
@@ -12,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive_metrics as naive
+from conftest import heap
 from reident_risk.engine import (
     DEFAULT_EXPLOITABILITY_MATRIX,
     DEFAULT_RISK_MATRIX,
@@ -179,18 +179,6 @@ class TestDataset:
         d = Dataset(("a",), [(" x",), ("x",)])  # cells are kept as given
         assert d.columns["a"] == Column((" x", "x"), bytes([0, 1]), [1, 1])
 
-    def test_ragged_row_rejected(self):
-        with pytest.raises(ValueError, match="row 2"):
-            Dataset(attributes=("a", "b"), rows=(("1", "2"), ("3",)))
-
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            Dataset(attributes=("a", "a"), rows=())
-
-    def test_empty_name_rejected(self):
-        with pytest.raises(ValueError):
-            Dataset(attributes=("a", ""), rows=())
-
     @pytest.mark.parametrize(
         "attributes,rows,message",
         [
@@ -202,6 +190,9 @@ class TestDataset:
             (("a", "b"), ("xy",), "row 1: expected an array of strings, got 'xy'"),
             (("a",), (("1",), (None,)), "row 2: member None is not a string"),
             (("a",), ((1,),), "row 1: member 1 is not a string"),
+            (("a", "b"), (("1", "2"), ("3",)), "row 2 has 1 cells, expected 2"),
+            (("a", "a"), (), "duplicate attribute names: a"),
+            (("a", ""), (), "attribute names must be non-empty"),
         ],
         ids=[
             "name-string",
@@ -212,6 +203,9 @@ class TestDataset:
             "row-string",
             "cell-none",
             "cell-int",
+            "ragged",
+            "name-duplicate",
+            "name-empty",
         ],
     )
     def test_non_strings_rejected(self, attributes, rows, message):
@@ -294,14 +288,9 @@ class TestDataset:
         """20,000 rows of 4 columns of at most 12 values each: one byte per
         coded cell, against an 8-byte slot in a list."""
         pool = [tuple(f"v{(i * (c + 2)) % (c + 9)}" for c in range(4)) for i in range(97)]
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            d = Dataset(("a", "b", "c", "d"), (pool[i % 97] for i in range(20_000)))
-            kept = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert max(len(column.values) for column in d.columns.values()) == 12
+        rows, built = (pool[i % 97] for i in range(20_000)), []
+        kept = heap(lambda: built.append(Dataset(("a", "b", "c", "d"), rows)))[1]
+        assert max(len(column.values) for column in built[0].columns.values()) == 12
         assert kept / (20_000 * 4) < 2
 
     @given(

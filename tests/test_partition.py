@@ -14,7 +14,6 @@ import itertools
 import json
 import math
 import random
-import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -23,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import naive_metrics as naive
-from conftest import TOL, qi, sens, tables
+from conftest import TOL, heap, qi, sens, tables
 from reident_risk import metrics
 from reident_risk.engine import (
     DEFAULT_EXPLOITABILITY_MATRIX,
@@ -206,7 +205,7 @@ def test_lone_rows_left_out_of_counts(qi_rows, way):
     joint = p._joint_counts("s0")
     assert _lone_row_count(p, joint) == way
     assert sum(joint.values()) == sum(size for size in p.sizes if size > 1)
-    _assert_same_view(_view(p, ["s0"]), naive.view(d, ["q0"], ["s0"]))
+    _assert_partitions_equal_oracle(d, [("q0",)], ["s0"])
     _assert_same_rate(p.discrimination_rate("s0"), naive.discrimination_rate(d, ["q0"], "s0"))
     assert p.l_diversity("s0") == 1
 
@@ -243,6 +242,20 @@ def _wide_table(rows, seed):
     return Dataset(names, map(tuple, table))
 
 
+def _assert_partitions_equal_oracle(d, members, sensitive=()):
+    """A row pass over ``members[0]`` and its coarsening to each later member
+    set keep the members in order and give the oracle's view, and a
+    coarsening's class map is sized as its ``class_of``; returns them."""
+    full = Partition(d, members[0])
+    partitions = [full, *map(full.coarsen, members[1:])]
+    for partition, qi_set in zip(partitions, members):
+        assert partition.qi_set == tuple(qi_set)
+        _assert_same_view(_view(partition, sensitive), naive.view(d, qi_set, sensitive))
+        if partition._fine is not None:
+            assert type(partition._fine_to_class) is type(partition.class_of)
+    return partitions
+
+
 @pytest.mark.parametrize("rows", [1, 255, 256, 257, 700])
 def test_class_of_is_bytes_up_to_256_classes(rows):
     """Row ``i`` has the cells ``i % 20``, ``i // 20 % 15`` and ``i % 7``, so
@@ -251,14 +264,9 @@ def test_class_of_is_bytes_up_to_256_classes(rows):
     256 classes, for a row pass and for a coarsening of one of either form."""
     names = ("q0", "q1", "q2")
     d = Dataset(names, [(f"{i % 20}", f"{i // 20 % 15}", f"{i % 7}") for i in range(rows)])
-    full = Partition(d, names)
-    partitions = [full, Partition(d, ("q0", "q1"))]
-    for sub in [("q0",), ("q0", "q2"), ("q1", "q2"), ("q0", "q1")]:
-        partitions.append(full.coarsen(sub))
-    for partition in partitions:
-        _assert_same_view(_view(partition, []), naive.view(d, partition.qi_set, []))
-        if partition._fine is not None:  # a coarsening: its class map is sized alike
-            assert type(partition._fine_to_class) is type(partition.class_of)
+    subs = [("q0",), ("q0", "q2"), ("q1", "q2"), ("q0", "q1")]
+    _assert_partitions_equal_oracle(d, [names, *subs])
+    _assert_partitions_equal_oracle(d, [("q0", "q1")])
 
 
 def test_keys_past_64_bits_equal_naive_oracle():
@@ -269,12 +277,8 @@ def test_keys_past_64_bits_equal_naive_oracle():
     # 12 byte codes pack into two 8-byte words, so keys pass 64 bits.
     for sub in (columns[:12], columns[1:]):
         assert max(itertools.chain.from_iterable(_key_blocks(sub))) >= 2**64
-    p = Partition(d, qi)
-    for sub, partition in [(qi, p), (qi[:12], p.coarsen(qi[:12])), (qi[1:], p.coarsen(qi[1:]))]:
-        assert partition.qi_set == tuple(sub)
-        expected = naive.view(d, sub, ["s0"])
-        _assert_same_view(_view(partition, ["s0"]), expected)
-        assert sum(size > 1 for size in expected[0]) > 20
+    for partition in _assert_partitions_equal_oracle(d, [qi, qi[:12], qi[1:]], ["s0"]):
+        assert sum(size > 1 for size in partition.sizes) > 20
 
 
 def _widths_table(widths, seed, pool=260, repeats=40):
@@ -342,11 +346,9 @@ def test_four_byte_codes_equal_naive_oracle():
     rows += [rows[rng.randrange(big)] for _ in range(3_000)]
     d = Dataset(("big", "mid", "n0", "n1", "n2"), rows)
     assert len(d.columns["big"].values) == big and len(d.columns["mid"].values) == 300
-    full = Partition(d, d.attributes)
     assert max(itertools.chain.from_iterable(_key_blocks(list(d.columns.values())))) >= 2**64
-    for partition in [full, full.coarsen(("big", "n1")), full.coarsen(("mid", "n0", "n2"))]:
-        _assert_same_view(_view(partition, []), naive.view(d, partition.qi_set, []))
-    _assert_same_view(_view(full.coarsen(("big",)), []), naive.view(d, ("big",), []))
+    subs = [("big", "n1"), ("mid", "n0", "n2"), ("big",)]
+    _assert_partitions_equal_oracle(d, [d.attributes, *subs])
 
 
 def _classes_table(classes, last_at, rows=800):
@@ -629,22 +631,6 @@ def test_live_partitions_do_not_grow_with_combinations():
     assert live[0] == live[1] == live[2]
 
 
-def _peak_bytes(build):
-    """The tracemalloc peak, above what was traced before, of ``build()``."""
-    gc.collect()
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        build()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if started:
-            tracemalloc.stop()
-
-
 # Per-row budgets of the two row-length phases. A list of ints past the
 # cached small ones costs about 40 bytes a row. Measured on Python 3.11, a row
 # pass takes 2.7 bytes a row and an assessment that flags every row 15.8. The
@@ -666,7 +652,7 @@ def test_row_pass_keeps_no_int_object_per_row(budget_table):
     """A row pass codes its keys a block at a time, into bytes here."""
     d, _ = budget_table
     assert len(Partition(d, ("q0", "q1", "q2")).sizes) == 256
-    per_row = _peak_bytes(lambda: Partition(d, ("q0", "q1", "q2"))) / d.row_count
+    per_row = heap(lambda: Partition(d, ("q0", "q1", "q2")))[0] / d.row_count
     assert per_row < 8, f"Partition: {per_row:.1f} bytes per row"
 
 
@@ -682,7 +668,7 @@ def test_wide_keys_keep_no_int_object_per_row():
     d = Dataset(names, [rng.choice(list(keys)) for _ in range(50_000)])
     assert len(Partition(d, names).sizes) == 256
     assert max(itertools.chain.from_iterable(_key_blocks(list(d.columns.values())))) >= 2**64
-    per_row = _peak_bytes(lambda: Partition(d, names)) / d.row_count
+    per_row = heap(lambda: Partition(d, names))[0] / d.row_count
     assert per_row < 8, f"Partition: {per_row:.1f} bytes per row"
 
 
@@ -690,7 +676,7 @@ def test_flagged_records_keep_no_int_object_per_row(budget_table):
     """``assess`` keeps flagged records in two arrays of 4-byte unsigned ints."""
     d, meta = budget_table
     reports = []
-    per_row = _peak_bytes(lambda: reports.append(assess(d, meta))) / d.row_count
+    per_row = heap(lambda: reports.append(assess(d, meta)))[0] / d.row_count
     assert len(reports[0].flagged_rows) == d.row_count
     assert reports[0].flagged_rows.itemsize == 4
     assert per_row < 24, f"assess: {per_row:.1f} bytes per row"
@@ -714,8 +700,8 @@ def test_pairs_counted_from_rows_keep_no_class_per_row():
     coarse, direct = full.coarsen(("q0", "q1", "q2")), Partition(d, ("q0", "q1", "q2"))
     assert len(coarse.sizes) > rows * 0.8 and len(direct.class_of) == rows
     joint = []
-    extra = _peak_bytes(lambda: joint.append(coarse._joint_counts("s0")))
-    extra -= _peak_bytes(lambda: joint.append(direct._joint_counts("s0")))
+    extra = heap(lambda: joint.append(coarse._joint_counts("s0")))[0]
+    extra -= heap(lambda: joint.append(direct._joint_counts("s0")))[0]
     assert joint[0] == joint[1]
     assert coarse._class_of is None
     assert extra / rows < 4, f"row pass: {extra / rows:.1f} bytes per row above a built class_of"

@@ -166,11 +166,6 @@ def _drawn_reports(draw):
 
 
 @pytest.fixture(scope="module")
-def hipaa_report(hipaa, reference_meta):
-    return assess(hipaa, reference_meta.attributes, reference_meta.options)
-
-
-@pytest.fixture(scope="module")
 def initial_report(initial, reference_meta):
     return assess(initial, reference_meta.attributes, reference_meta.options)
 
