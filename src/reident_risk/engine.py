@@ -35,15 +35,14 @@ from .model import (
     ScaleMatrix,
     SeverityLevel,
     argument_errors,
+    extended,
     global_severity,
     recode,
     strings,
+    typecode,
     validate_meta,
 )
 from .report import AssessmentReport, FlaggedOutcome, LDiversityEntry, MetricsAppendix
-
-# Flagged numbers, below rows × sensitive attributes, fit 4-byte 'I' arrays up to this.
-_UINT32_VALUES = 2**32
 
 DEFAULT_EXPLOITABILITY_MATRIX = ScaleMatrix(
     name="exploitability",
@@ -294,8 +293,8 @@ def assess(
     del partition  # the last coarsening and its counts are not needed past here
 
     exploitability_rows = []
-    typecode = "I" if dataset.row_count * len(sensitive_names) <= _UINT32_VALUES else "Q"
-    flagged_rows, flagged_outcome = array(typecode), array(typecode)
+    flagged_rows = array(typecode(dataset.row_count * len(sensitive_names)))  # numbers below
+    flagged_outcome = array(flagged_rows.typecode)
     outcomes: list[FlaggedOutcome] = []
     for sensitive in sensitive_names:
         values, codes, _ = dataset.columns[sensitive]
@@ -336,11 +335,11 @@ def assess(
         scores = top_partition.class_inference(sensitive)
         is_flagged = [level >= options.flag_threshold for level in value_severities]
         mask = recode(codes, is_flagged, 2)
-        flagged_rows.extend(compress(range(len(codes)), mask))
+        extended(flagged_rows, compress(range(len(codes)), mask))
         # (score, code) -> outcome index: a new key gets the next index.
         index = defaultdict(count(len(outcomes)).__next__)
-        flagged_scores = map(scores.__getitem__, compress(top_partition.class_of, mask))
-        flagged_outcome.extend(map(index.__getitem__, zip(flagged_scores, compress(codes, mask))))
+        scored = map(scores.__getitem__, compress(top_partition.class_of, mask))
+        extended(flagged_outcome, map(index.__getitem__, zip(scored, compress(codes, mask))))
         for score, code in index:
             level = value_severities[code]
             exploit = options.exploitability_matrix.lookup(top_combo.exposure, band(score))

@@ -164,7 +164,7 @@ def load_csv(
             except TypeError:  # a read that takes no size
                 chunks = [None]  # which _texts rejects as the source
             texts = _texts(chunks, source)
-            if (first := next(texts, None)) is None:
+            if not (first := next(texts, "").removeprefix("\ufeff" if stream is source else "")):
                 raise IngestError(f"{label}: empty file, no header row")
             end = first.find("\n") + 1 or len(first)
             if columns := _columns(first[:end], first.count(",", 0, end) + 1):

@@ -18,8 +18,8 @@ keys each row by its codes in the columns a :class:`~reident_risk.model.Dataset`
 stores, packed a block of rows at a time into 8-byte machine words by strided
 slice assignments, and :meth:`Partition.coarsen` derives the partition of any
 subset of its quasi-identifiers from the row pass's classes without reading
-the rows again. n * H(S | Q) is
-sum n_c * log2(n_c) over class sizes less sum n_cv * log2(n_cv) over pairs.
+the rows again. Codes and class ids past 256 values are 2- or 4-byte arrays.
+n * H(S | Q) is sum n_c * log2(n_c) over class sizes less sum n_cv * log2(n_cv) over pairs.
 A class of one row adds 0 to both and is counted by its size alone: no pair
 is counted when every row is alone, nor a lone row's past ``_LONE_ROWS`` of them.
 A partition whose classes times a sensitive attribute's values are at most its
@@ -43,7 +43,7 @@ from collections import Counter, defaultdict, namedtuple
 from collections.abc import Collection, Iterator, Sequence
 from functools import reduce
 from itertools import chain, compress, count, repeat
-from operator import add, iadd, itemgetter, lshift, mul
+from operator import add, iadd, itemgetter, lshift, mul, sub
 
 from .model import _BLOCK_ROWS, Coder, Column, Dataset, InferenceLevel, recode, strings
 
@@ -118,13 +118,13 @@ def _key_blocks(
 
     One column's keys are its codes. Several columns' codes are copied, a
     byte at a time with strided slices, into a zeroed ``bytearray`` of a
-    whole number of 8-byte words per row: ``bytes`` codes take one byte,
-    list codes two or four. A row's words are read as ``array("Q")``; a key
+    whole number of 8-byte words per row: a code takes one byte in ``bytes``,
+    else its array's ``itemsize``. A row's words are read as ``array("Q")``; a key
     of one word is that word, a wider one joins its words into one int."""
     size = len(columns[0].codes) if rows is None else len(rows)
     layout, width = [], 0  # per column: its codes, their width and byte offset
-    for values, codes, _ in columns:
-        code_width = 1 if type(codes) is bytes else 2 if len(values) <= 1 << 16 else 4
+    for _, codes, _ in columns:
+        code_width = 1 if type(codes) is bytes else codes.itemsize
         layout.append((codes, code_width, width))
         width += code_width
     words = -(-width // 8)
@@ -144,7 +144,7 @@ def _key_blocks(
             if code_width == 1:  # bytes, or a tuple of ints below 256
                 buf[offset::stride] = take(codes)
                 continue
-            raw = array("H" if code_width == 2 else "I", take(codes)).tobytes()
+            raw = array(codes.typecode, take(codes)).tobytes()
             for b in range(code_width):
                 buf[offset + b :: stride] = raw[b::code_width]
         keys = array("Q", buf)
@@ -185,8 +185,8 @@ class Partition:
     sensitive attribute inside the quasi-identifier set is rejected with
     ``ValueError``. :meth:`coarsen` derives the partition of a subset of the
     quasi-identifiers from the row pass's classes instead of the rows.
-    ``class_of`` is ``bytes`` when there are at most 256 classes; it and
-    ``sizes`` are shared, and a list must not be mutated.
+    ``class_of`` is ``bytes`` up to 256 classes, else an ``array('H')``, or an
+    ``array('I')`` past 65,536; it and ``sizes`` are shared and must not be mutated.
     """
 
     __slots__ = (
@@ -205,16 +205,16 @@ class Partition:
             coder.extend(block)
         self.dataset = dataset
         self.qi_set = names
-        self._class_of: bytes | list[int] | None
+        self._class_of: bytes | array | None
         self._class_of, self.sizes = coder.done()
         # A coarsening's source, the row pass, and per source class its class here.
         self._fine: Partition | None = None
-        self._fine_to_class: list[int] | None = None
+        self._fine_to_class: bytes | array | None = None
         self._rows: list[int] | None = None  # per class, its last row; set by coarsen
         self._joint: dict[str, dict[int, int]] = {}
 
     @property
-    def class_of(self) -> bytes | list[int]:
+    def class_of(self) -> bytes | array:
         if self._class_of is None:
             self._class_of = recode(self._fine.class_of, self._fine_to_class, len(self.sizes))
         return self._class_of
@@ -245,25 +245,22 @@ class Partition:
         if self._rows is None:  # class ids follow first occurrence
             self._rows = list(dict(zip(self._class_of, count())).values())
         columns = [self.dataset.columns[name] for name in names]
-        # Extended in place a block at a time, so sized exactly: a one-member
-        # coarsening keeps the list, and no block outlives the loop.
-        keys = reduce(iadd, _key_blocks(columns, self._rows), [])
         coarse = object.__new__(Partition)
         coarse.dataset = self.dataset
         coarse.qi_set = names
         coarse._fine = self
-        coarse._rows = None
-        if len(columns) == 1:  # a column's codes number its classes as a row pass does
-            to_coarse = keys
-            coarse._class_of, coarse.sizes = columns[0].codes, columns[0].counts
-        else:
-            ids = dict(zip(dict.fromkeys(keys), count()))  # coarse classes in id order
-            to_coarse = list(map(ids.__getitem__, keys))
-            coarse._class_of, coarse.sizes = None, [0] * len(ids)
-            for c, size in zip(to_coarse, self.sizes):
-                coarse.sizes[c] += size
-        coarse._fine_to_class = bytes(to_coarse) if len(coarse.sizes) <= 256 else to_coarse
+        coarse._rows = coarse._fine_to_class = None  # for one member, set by _joint_counts
         coarse._joint = {}
+        if len(columns) == 1:  # a column's codes number its classes as a row pass does
+            coarse._class_of, coarse.sizes = columns[0].codes, columns[0].counts
+            return coarse
+        # Extended in place a block at a time, so no block outlives the loop.
+        keys = reduce(iadd, _key_blocks(columns, self._rows), [])
+        ids = dict(zip(dict.fromkeys(keys), count()))  # coarse classes in id order
+        coarse._fine_to_class = recode(keys, ids, len(ids))
+        coarse._class_of, coarse.sizes = None, [0] * len(ids)
+        for c, size in zip(coarse._fine_to_class, self.sizes):
+            coarse.sizes[c] += size
         return coarse
 
     def _joint_counts(self, sensitive: str) -> list[list[int]] | Counter[int]:
@@ -284,6 +281,8 @@ class Partition:
             # Up to this many classes, a partition keeps its counts as lists.
             most = _DENSE_CELLS_PER_ROW * self.dataset.row_count / cardinality
             if fine is not None and sensitive not in fine.qi_set and len(fine.sizes) <= most:
+                if self._fine_to_class is None:  # a one-member coarsening's: its codes
+                    self._fine_to_class = recode(fine._rows, self._class_of, len(self.sizes))
                 sources: list[list[list[int]]] = [[] for _ in self.sizes]
                 for c, counts in zip(self._fine_to_class, fine._joint_counts(sensitive)):
                     sources[c].append(counts)
@@ -340,10 +339,12 @@ class Partition:
         return min(self.sizes)
 
     def l_diversity(self, sensitive: str) -> int:
-        self._joint_counts(sensitive)  # rejects a quasi-identifier
+        joint = self._joint_counts(sensitive)  # rejects a quasi-identifier
         if min(self.sizes) == 1:  # a class of one row shows one value
             return 1
-        return min(map(len, self._class_counts(sensitive).values()))
+        if isinstance(joint, Counter):
+            return min(map(len, self._class_counts(sensitive).values()))
+        return min(map(sub, map(len, joint), map(list.count, joint, repeat(0))))
 
     def conditional_entropy(self, sensitive: str) -> float:
         """H(sensitive | qi_set) in closed form, and 0.0 when every class is pure."""

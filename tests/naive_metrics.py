@@ -167,10 +167,16 @@ def value_inference(
     return _decided(score, lambda: _exact(dataset, qi_set, sensitive, key))
 
 
+def code_width(size: int) -> int:
+    """The bytes that a code of ``range(size)`` takes in a column or a partition:
+    one up to 256 values, two up to 65,536, else four."""
+    return 1 if size <= 256 else 2 if size <= 1 << 16 else 4
+
+
 def view(dataset: Dataset, qi_set: Sequence[str], sensitive: Sequence[str]) -> tuple:
     """What a partition under ``qi_set`` derives from its classes: their sizes,
-    the class of each row, the type ``class_of`` must have (``bytes`` up to 256
-    classes), per sensitive attribute the count of each value in each class as
+    the class of each row, the bytes a class in ``class_of`` must take (see
+    ``code_width``), per sensitive attribute the count of each value in each class as
     ``{class: {code: n}}``, l and the class scores, and last the conditional
     entropies."""
     classes = equivalence_classes(dataset, qi_set)
@@ -185,4 +191,4 @@ def view(dataset: Dataset, qi_set: Sequence[str], sensitive: Sequence[str]) -> t
         per_sensitive.append((counts, l_value, scores))
     sizes = [len(c.row_indices) for c in classes]
     entropies = [conditional_entropy(dataset, s, qi_set) for s in sensitive]
-    return sizes, row_classes, bytes if len(classes) <= 256 else list, per_sensitive, entropies
+    return sizes, row_classes, code_width(len(classes)), per_sensitive, entropies

@@ -148,17 +148,18 @@ def _reference_load(path):
 
 def _loaded(dataset):
     """A dataset in ``_reference_load``'s form, each column's codes as a list.
-    Codes are bytes exactly when a column has at most 256 values."""
+    Codes take the bytes ``naive.code_width`` gives for the column's values."""
     columns = dict(dataset.columns)
     for name, column in columns.items():
-        assert type(column.codes) is (bytes if len(column.values) <= 256 else list)
+        assert memoryview(column.codes).itemsize == naive.code_width(len(column.values))
         columns[name] = column._replace(codes=list(column.codes))
     return dataset.attributes, dataset.row_count, columns
 
 
 def _assert_loads(data, expected=None):
     """``load_csv`` on ``data`` in a file named ``t`` and, if it decodes, in a
-    text stream gives what ``_reference_load`` gives, which is returned: the
+    text stream of its text, a byte-order mark kept, gives what
+    ``_reference_load`` gives, which is returned: the
     columns, or the error message. So does ``expected`` if given: the rows of
     cells, the header first, or the message after the label."""
     with tempfile.TemporaryDirectory() as tmp:  # a tmp_path fixture is not reset per example
@@ -166,7 +167,7 @@ def _assert_loads(data, expected=None):
         path.write_bytes(data)
         reference = _reference_load(path)
         try:
-            sources = [path, io.StringIO(data.decode("utf-8-sig"))]
+            sources = [path, io.StringIO(data.decode())]
             sources[1].name = "t"
         except UnicodeDecodeError:
             sources = [path]

@@ -1,9 +1,11 @@
 """Domain type invariants: scales, ratings, datasets, matrices, validation."""
 
 import copy
+import itertools
 import pickle
 import random
 import re
+from array import array
 from collections import Counter
 
 import pytest
@@ -264,8 +266,10 @@ class TestDataset:
         assert from_tuple.columns["b"].counts == [2] * 212 + [1] * 88
 
     def test_block_that_passes_255_codes_is_looked_up_once(self):
-        """The block in which code 256 appears moves the codes to a list,
-        yet every item in it is hashed as often as one in an earlier block."""
+        """The block in which code 256 appears moves the codes to an
+        ``array('H')``, yet every item in it is hashed as often as one in an
+        earlier block; the block in which code 65,536 appears moves them to an
+        ``array('I')`` with each of its codes once."""
         hashes = Counter()
 
         class Item(int):
@@ -278,8 +282,12 @@ class TestDataset:
         coder.extend([Item(i) for i in range(200, 300)])
         coder.extend([Item(0)])  # a one-item block
         codes, counts = coder.done()
-        assert codes == [*range(300), 0] and counts == [2] + [1] * 299
+        assert codes == array("H", [*range(300), 0]) and counts == [2] + [1] * 299
         assert {hashes[i] for i in range(1, 300)} == {hashes[1]}
+        wide = Coder()
+        wide.extend(range(65_500))
+        wide.extend([0, *range(65_500, 65_600)])  # code 65,536 in mid-block
+        assert wide.done()[0] == array("I", [*range(65_500), 0, *range(65_500, 65_600)])
         one = Coder()
         one.extend(["x"])
         assert one.done() == (b"\x00", [1])
@@ -292,6 +300,17 @@ class TestDataset:
         kept = heap(lambda: built.append(Dataset(("a", "b", "c", "d"), rows)))[1]
         assert max(len(column.values) for column in built[0].columns.values()) == 12
         assert kept / (20_000 * 4) < 2
+
+    def test_codes_past_256_values_keep_no_int_object(self):
+        """100,000 rows of a column of 20,000 values, made before the load:
+        under 8 bytes a row, its tuple of values and its counts included, where
+        a list of codes would take 8 bytes a row and a 32-byte int a value."""
+        values = [f"v{i}" for i in range(20_000)]
+        built = []
+        rows = zip(itertools.islice(itertools.cycle(values), 100_000))
+        kept = heap(lambda: built.append(Dataset(("a",), rows)))[1]
+        assert built[0].columns["a"].values == tuple(values)
+        assert kept / 100_000 < 8, f"Dataset: {kept / 100_000:.1f} bytes per row"
 
     @given(
         st.integers(0, 2**32),

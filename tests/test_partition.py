@@ -85,7 +85,7 @@ def _view(partition, sensitive):
     ]
     class_of = partition.class_of
     entropies = [partition.conditional_entropy(s) for s in sensitive]
-    return partition.sizes, list(class_of), type(class_of), per_sensitive, entropies
+    return partition.sizes, list(class_of), memoryview(class_of).itemsize, per_sensitive, entropies
 
 
 def _assert_same_view(view, expected):
@@ -120,8 +120,8 @@ def test_coarsen_equals_row_pass(table, data):
         coarse, direct = fine.coarsen(sub), Partition(d, sub)
         assert coarse.qi_set == direct.qi_set
         assert coarse.sizes == direct.sizes
-        if coarse._fine is not None:  # coarsening to the whole set returns the source
-            assert type(coarse._fine_to_class) is type(direct.class_of)
+        if coarse._fine_to_class is not None:  # a one-member coarsening maps on first sum
+            assert memoryview(coarse._fine_to_class).itemsize == naive.code_width(len(direct.sizes))
         if data.draw(st.booleans()):
             assert coarse.class_of == direct.class_of
         # Counted before class_of is read, the counts come from the source's;
@@ -245,14 +245,16 @@ def _wide_table(rows, seed):
 def _assert_partitions_equal_oracle(d, members, sensitive=()):
     """A row pass over ``members[0]`` and its coarsening to each later member
     set keep the members in order and give the oracle's view, and a
-    coarsening's class map is sized as its ``class_of``; returns them."""
+    coarsening's class map, once made, takes the bytes of its ``class_of``;
+    returns them."""
     full = Partition(d, members[0])
     partitions = [full, *map(full.coarsen, members[1:])]
     for partition, qi_set in zip(partitions, members):
         assert partition.qi_set == tuple(qi_set)
         _assert_same_view(_view(partition, sensitive), naive.view(d, qi_set, sensitive))
-        if partition._fine is not None:
-            assert type(partition._fine_to_class) is type(partition.class_of)
+        if partition._fine_to_class is not None:
+            width = memoryview(partition.class_of).itemsize
+            assert memoryview(partition._fine_to_class).itemsize == width
     return partitions
 
 
@@ -328,7 +330,7 @@ def test_key_widths_equal_naive_oracle(widths, seed, picks):
     d = _widths_table(widths, seed)
     names = tuple(f"q{i}" for i in range(len(widths)))
     for q, w in zip(names, widths):
-        assert type(d.columns[q].codes) is (bytes if w == 1 else list)
+        assert memoryview(d.columns[q].codes).itemsize == w
     full = Partition(d, names)
     _assert_same_view(_view(full, []), naive.view(d, names, []))
     for positions in picks:
@@ -346,6 +348,7 @@ def test_four_byte_codes_equal_naive_oracle():
     rows += [rows[rng.randrange(big)] for _ in range(3_000)]
     d = Dataset(("big", "mid", "n0", "n1", "n2"), rows)
     assert len(d.columns["big"].values) == big and len(d.columns["mid"].values) == 300
+    assert [d.columns[name].codes.typecode for name in ("big", "mid")] == ["I", "H"]
     assert max(itertools.chain.from_iterable(_key_blocks(list(d.columns.values())))) >= 2**64
     subs = [("big", "n1"), ("mid", "n0", "n2"), ("big",)]
     _assert_partitions_equal_oracle(d, [d.attributes, *subs])
@@ -375,18 +378,20 @@ def _classes_table(classes, last_at, rows=800):
 )
 def test_streamed_coder_at_block_and_byte_boundaries(classes, last_at):
     """Keys are coded a block of 256 rows at a time into bytes, which become
-    a list when class 257 shows: in the first row of a block, in its second,
-    in the last of a block, or within a later one. Each partition over the
-    classes, a row pass over two columns or one (bytes codes up to 256
-    classes, list codes past) or a coarsening, equals the oracle's, and so
+    an ``array('H')`` when class 257 shows: in the first row of a block, in its
+    second, in the last of a block, or within a later one. Each partition over
+    the classes, a row pass over two columns or one (bytes codes up to 256
+    classes, 2-byte codes past) or a coarsening, equals the oracle's, and so
     does each one-column coarsening of the two-column row pass, with the
-    counts kept as lists nowhere and everywhere. A row pass of up to 256
+    counts kept as lists nowhere and everywhere; only where it sums its
+    source's lists does such a coarsening map the source's classes to its
+    own. A row pass of up to 256
     classes that keeps lists counts its pairs as 2-byte words, class * 256 +
     code, for sensitive columns of 2, 3, 255 and 256 values; with 256 classes
     from row 255 on, the word 0xFFFF is counted. 257 values take the int pass.
     Past 256 classes no word is formed, so the wide columns are left out."""
     d = _classes_table(classes, last_at)
-    assert type(d.columns["c"].codes) is (bytes if classes <= 256 else list)
+    assert memoryview(d.columns["c"].codes).itemsize == naive.code_width(classes)
     if classes == 256 == last_at + 1:  # row 255 is the pair (255, 255)
         assert Partition(d, ("hi", "lo")).class_of[255] == d.columns["s256"].codes[255] == 255
     sensitive = ["s0", "z"] if classes > 256 else ["s0", "z", "s255", "s256", "s257"]
@@ -406,6 +411,7 @@ def test_streamed_coder_at_block_and_byte_boundaries(classes, last_at):
             for name in ("hi", "lo"):
                 coarse = full.coarsen((name,))
                 _assert_same_view(_view(coarse, ["s0"]), naive.view(d, (name,), ["s0"]))
+                assert (coarse._fine_to_class is None) == (dense_cells == 0)
 
 
 def _rows(*columns):
@@ -673,12 +679,13 @@ def test_wide_keys_keep_no_int_object_per_row():
 
 
 def test_flagged_records_keep_no_int_object_per_row(budget_table):
-    """``assess`` keeps flagged records in two arrays of 4-byte unsigned ints."""
+    """``assess`` keeps flagged records in two arrays of unsigned ints, of
+    2 bytes for the table's 50,000 row × sensitive attribute pairs."""
     d, meta = budget_table
     reports = []
     per_row = heap(lambda: reports.append(assess(d, meta)))[0] / d.row_count
     assert len(reports[0].flagged_rows) == d.row_count
-    assert reports[0].flagged_rows.itemsize == 4
+    assert reports[0].flagged_rows.itemsize == reports[0].flagged_outcome.itemsize == 2
     assert per_row < 24, f"assess: {per_row:.1f} bytes per row"
 
 

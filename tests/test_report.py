@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import qi, sens
 from reident_risk import engine, fixtures
 from reident_risk.engine import AssessmentOptions, assess
-from reident_risk.model import Dataset, RiskLevel, SeverityLevel
+from reident_risk.model import Dataset, RiskLevel, SeverityLevel, typecode
 from reident_risk.report import LEVEL, report_to_dict, to_json, to_markdown
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -209,13 +209,14 @@ class TestJson:
         assert [r["row"] for r in document["flagged_records"]] == [6, 7, 8, 9]
 
     def test_eight_byte_flagged_records_render_the_same(self, initial, reference_meta):
-        """Past 2**32 row-attribute pairs the arrays hold 8-byte ints; a limit
-        of 0 takes that branch on a small table."""
+        """Past 2**32 row-attribute pairs the arrays hold 8-byte ints; a
+        typecode chosen as for 2**32 times the pairs takes that branch on a
+        small table, whose arrays otherwise hold 2-byte ints."""
         args = (initial, reference_meta.attributes, reference_meta.options)
         narrow = assess(*args)
-        with mock.patch.object(engine, "_UINT32_VALUES", 0):
+        with mock.patch.object(engine, "typecode", lambda size: typecode(size << 32)):
             wide = assess(*args)
-        assert (narrow.flagged_rows.itemsize, wide.flagged_rows.itemsize) == (4, 8)
+        assert (narrow.flagged_rows.itemsize, wide.flagged_rows.itemsize) == (2, 8)
         assert wide.flagged_outcome.itemsize == 8
         assert len(wide.flagged_rows) > 0
         assert to_json(wide) == to_json(narrow)
