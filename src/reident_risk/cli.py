@@ -23,7 +23,7 @@ from itertools import chain
 from .engine import AssessmentError, assess
 from .ingest import IngestError, load_csv, load_metadata
 from .metrics import Partition
-from .report import json_parts, markdown_parts
+from .report import json_parts, markdown_parts, rate_text
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -101,7 +101,7 @@ def cmd_metric(args: argparse.Namespace) -> int:
                 "sensitive": result.sensitive,
                 "h_s": f"{result.h_s:.6f}",
                 "h_s_given_qi": f"{result.h_s_given_qi:.6f}",
-                "dr": f"{result.dr:.6f}",
+                "dr": rate_text(result.dr),
                 "inference": int(result.inference),
                 "inference_label": result.inference.label,
             }

@@ -96,6 +96,16 @@ def _level_json(level) -> str:
 
 LEVEL = _Kind(_level_json, attrgetter("display"))
 NUMBER = _Kind('"{:.6f}"'.format, "{:.6f}".format)
+_BELOW = {"0.250000": "0.249999", "0.500000": "0.499999", "0.750000": "0.749999"}
+
+
+def rate_text(rate: float) -> str:
+    """``rate`` to six decimals, but never rounded up onto the band boundary above it."""
+    text = f"{rate:.6f}"
+    return _BELOW[text] if text in _BELOW and rate < float(text) else text
+
+
+RATE = _Kind(lambda rate: f'"{rate_text(rate)}"', rate_text)
 NAMES = _Kind(lambda names: _array(map(_string, names)), lambda names: _escape("/".join(names)))
 TEXT = _Kind(_string, _escape)
 INT = _Kind(str, str)
@@ -157,7 +167,7 @@ EXPLOITABILITY = _Table(
         _Column("origin", None, attrgetter("combination.origin.value"), TEXT),
         _Column("exposure", "Exposure", attrgetter("combination.exposure"), LEVEL),
         _Column("inference", "Inference", attrgetter("inference"), LEVEL),
-        _Column("dr", None, attrgetter("dr.dr"), NUMBER),
+        _Column("dr", None, attrgetter("dr.dr"), RATE),
         _Column("exploitability", "Exploitability", attrgetter("exploitability"), LEVEL),
     ),
 )
@@ -181,7 +191,7 @@ FLAGGED = _Table(
         _Column("attribute", "Attribute", attrgetter("attribute"), TEXT),
         _Column("value", "Value", attrgetter("sensitive_value"), TEXT),
         _Column("value_severity", "Severity", attrgetter("value_severity"), LEVEL),
-        _Column("class_inference", "Class Inference", attrgetter("class_inference"), NUMBER),
+        _Column("class_inference", "Class Inference", attrgetter("class_inference"), RATE),
         _Column("record_risk", "Record Risk", attrgetter("record_risk"), LEVEL),
     ),
     bold=True,
@@ -202,7 +212,7 @@ DISCRIMINATION_RATES = _Table(
         _Column("qi", "Quasi-identifiers", attrgetter("qi_set"), NAMES),
         _Column("h_s", "H(S)", attrgetter("h_s"), NUMBER),
         _Column("h_s_given_qi", "H(S|QI)", attrgetter("h_s_given_qi"), NUMBER),
-        _Column("dr", "DR", attrgetter("dr"), NUMBER),
+        _Column("dr", "DR", attrgetter("dr"), RATE),
         _Column("inference", "Inference", attrgetter("inference"), LEVEL),
     ),
 )

@@ -1,11 +1,15 @@
+import functools
 import gc
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
 import naive_metrics as naive
 from reident_risk import assess, fixtures
+from reident_risk.cli import main
 from reident_risk.model import AttributeMeta, AttributeRole, ExposureLevel, SeverityRating
 
 FULL_QI = ("Age", "Gender", "Country", "Admission Date", "Blood Type")
@@ -53,6 +57,37 @@ def heap(build):
     finally:
         if started:
             tracemalloc.stop()
+
+
+def run(argv, capsys, parse=main):
+    """``(code, out, err)`` of ``parse(argv)``, the exit code of argparse's too."""
+    try:
+        code = parse(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@functools.cache
+def _bench_gen():
+    path = Path(__file__).parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("_bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def generated(directory, workload, spell=bytes, **size):
+    """``(data, meta)``: the paths, as strings, of ``t.csv`` and ``t.meta.json``
+    written in ``directory`` from ``bench/gen.py``'s ``workload`` at seed 1, its
+    CSV through ``spell``. ``bench/gen.py`` is only read: it writes the inputs."""
+    directory.mkdir(parents=True, exist_ok=True)
+    data, meta = directory / "t.csv", directory / "t.meta.json"
+    csv, document = getattr(_bench_gen(), workload)(1, **size)
+    data.write_bytes(spell(csv))
+    meta.write_bytes(document)
+    return str(data), str(meta)
 
 
 @st.composite

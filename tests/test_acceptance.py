@@ -6,12 +6,10 @@ never by the code under test.
 """
 
 import hashlib
-import importlib.util
-import io
 import json
 import math
 import random
-from contextlib import contextmanager, redirect_stdout
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -19,16 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive_metrics as naive
-from conftest import FULL_QI, H9, H12, TOL, qi, sens, tables
+from conftest import FULL_QI, H9, H12, TOL, generated, qi, run, sens, tables
 from reident_risk import fixtures
-from reident_risk.cli import main
 from reident_risk.engine import AssessmentOptions, assess
 from reident_risk.metrics import Partition, band
 from reident_risk.model import Dataset
 from reident_risk.report import report_to_dict, to_json
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-BENCH_GEN = Path(__file__).parent.parent / "bench" / "gen.py"
 
 
 @contextmanager
@@ -274,18 +270,9 @@ GENERATED_REPORTS = {
 
 
 @pytest.mark.parametrize("workload", sorted(GENERATED_REPORTS))
-def test_generated_reports_keep_their_bytes(workload, tmp_path):
-    """Reports on the benchmark's generated inputs keep their pinned bytes.
-    ``bench/gen.py`` is only read: it writes the inputs."""
-    spec = importlib.util.spec_from_file_location("_bench_gen", BENCH_GEN)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    data, meta = tmp_path / "t.csv", tmp_path / "t.meta.json"
-    for path, content in zip((data, meta), getattr(gen, workload)(1)):
-        path.write_bytes(content)
-    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
-    with redirect_stdout(stdout):
-        code = main(["assess", "--data", str(data), "--meta", str(meta), "--format", "both"])
+def test_generated_reports_keep_their_bytes(workload, tmp_path, capsys):
+    """Reports on the benchmark's generated inputs keep their pinned bytes."""
+    data, meta = generated(tmp_path, workload)
+    code, out, _ = run(["assess", "--data", data, "--meta", meta, "--format", "both"], capsys)
     assert code == 0
-    digest = hashlib.sha256(stdout.buffer.getvalue()).hexdigest()
-    assert digest == GENERATED_REPORTS[workload]
+    assert hashlib.sha256(out.encode()).hexdigest() == GENERATED_REPORTS[workload]

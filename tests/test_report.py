@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from conftest import qi, sens
 from reident_risk import engine, fixtures
 from reident_risk.engine import AssessmentOptions, assess
+from reident_risk.metrics import band
 from reident_risk.model import Dataset, RiskLevel, SeverityLevel, typecode
-from reident_risk.report import LEVEL, report_to_dict, to_json, to_markdown
+from reident_risk.report import DISCRIMINATION_RATES, EXPLOITABILITY, FLAGGED, LEVEL
+from reident_risk.report import report_to_dict, to_json, to_markdown
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -332,6 +334,16 @@ class TestMarkdown:
         document = json.loads(to_json(hipaa_report))
         overall = document["overall_risk"]
         assert f"**{overall['level']}-{overall['label']}**" in text
+
+
+@given(st.sampled_from([0.25, 0.5, 0.75]).flatmap(lambda b: st.floats(b - 1e-6, b + 1e-6)))
+def test_printed_rate_bands_as_its_level(rate):
+    """A rate or class score prints within 1e-6 of itself, and bands as itself."""
+    for table in (EXPLOITABILITY, FLAGGED, DISCRIMINATION_RATES):
+        for column in table.columns:
+            if column.key in ("dr", "class_inference"):
+                for text in (column.kind.json(rate)[1:-1], column.kind.markdown(rate)):
+                    assert band(float(text)) == band(rate) and abs(float(text) - rate) <= 1e-6
 
 
 class TestGoldenFiles:
