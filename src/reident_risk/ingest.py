@@ -68,21 +68,19 @@ _CHUNK_BYTES = 4096
 
 
 def _decoded(read: Callable[[], bytes]) -> Iterator[str]:
-    """The text of the UTF-8 chunks that ``read`` returns, less a leading
-    byte-order mark; at a byte that is not UTF-8, the text before it, then a
-    ValueError naming the byte's offset."""
+    """The text of the UTF-8 chunks that ``read`` returns; at a byte that is not
+    UTF-8, the text before it, then a ValueError naming the byte's offset."""
     # Not utf-8-sig, which reads the first bytes of a mark alone as no text.
-    decoder, end, bom = codecs.getincrementaldecoder("utf-8")(), 0, "\ufeff"
+    decoder, end = codecs.getincrementaldecoder("utf-8")(), 0
     for raw in chain(iter(read, b""), [b""]):  # b"" ends the text
         end += len(raw)  # a pipe cannot tell its offset
         try:
             text = decoder.decode(raw, final=not raw)
         except UnicodeDecodeError as exc:  # in the bytes held back and raw
-            yield exc.object[: exc.start].decode().removeprefix(bom)
+            yield exc.object[: exc.start].decode()
             offset = end - len(exc.object) + exc.start
             raise ValueError(f"not valid UTF-8: {exc.reason} at byte offset {offset}") from None
-        yield text.removeprefix(bom)
-        bom = "" if text else bom  # a mark only starts the file
+        yield text
 
 
 def _texts(chunks: Iterable, source: object) -> Iterator[str]:
@@ -164,7 +162,7 @@ def load_csv(
             except TypeError:  # a read that takes no size
                 chunks = [None]  # which _texts rejects as the source
             texts = _texts(chunks, source)
-            if not (first := next(texts, "").removeprefix("\ufeff" if stream is source else "")):
+            if not (first := next(texts, "").removeprefix("\ufeff")):  # a byte-order mark
                 raise IngestError(f"{label}: empty file, no header row")
             end = first.find("\n") + 1 or len(first)
             if columns := _columns(first[:end], first.count(",", 0, end) + 1):

@@ -15,19 +15,16 @@ as dr = 1: the constant value is known without looking at Q at all.
 
 Every metric is derived from a :class:`Partition` of the rows. Building one
 keys each row by its codes in the columns a :class:`~reident_risk.model.Dataset`
-stores, packed a block of rows at a time into 8-byte machine words by strided
-slice assignments, and :meth:`Partition.coarsen` derives the partition of any
-subset of its quasi-identifiers from the row pass's classes without reading
-the rows again. Codes and class ids past 256 values are 2- or 4-byte arrays.
+stores, packed a block of rows at a time into 2-, 4- or 8-byte machine words by
+strided slice assignments, and :meth:`Partition.coarsen` derives the partition
+of any subset of its quasi-identifiers from the row pass's classes without
+reading the rows again. Codes and class ids past 256 values are 2- or 4-byte arrays.
 n * H(S | Q) is sum n_c * log2(n_c) over class sizes less sum n_cv * log2(n_cv) over pairs.
 A class of one row adds 0 to both and is counted by its size alone: no pair
 is counted when every row is alone, nor a lone row's past ``_LONE_ROWS`` of them.
-A partition whose classes times a sensitive attribute's values are at most its
-rows keeps that attribute's counts as a list per class, and a coarsening of it
-sums its source's lists in C, once per coarse class; any other counts its pairs
-in a pass over the rows. When it keeps lists and its classes and the codes are
-both ``bytes``, that pass counts each row's pair as a 2-byte word,
-class * 256 + code.
+A partition keeps a sensitive attribute's counts as a list per class when its
+classes times the values are at most its rows, and a coarsening of it sums its
+source's lists in C; any other counts its rows' (class, value) keys.
 
 A rate or class score within 1e-9 of a band boundary (1/4, 1/2, 3/4) is
 banded on its exact value, decided from the counts by :mod:`reident_risk.exact`,
@@ -45,7 +42,7 @@ from functools import reduce
 from itertools import chain, compress, count, repeat
 from operator import add, iadd, itemgetter, lshift, mul, sub
 
-from .model import _BLOCK_ROWS, Coder, Column, Dataset, InferenceLevel, recode, strings
+from .model import _BLOCK_ROWS, Coder, Dataset, InferenceLevel, recode, strings
 
 __all__ = [
     "Partition",
@@ -110,36 +107,35 @@ def _names(qi_set: Sequence[str]) -> tuple[str, ...]:
     return names
 
 
-def _key_blocks(
-    columns: Sequence[Column], rows: list[int] | None = None
-) -> Iterator[Sequence[int]]:
-    """Per block of ``_BLOCK_ROWS`` rows, or of the rows listed in ``rows``, the
-    key of each row: rows agree on every column iff their keys do.
-
-    One column's keys are its codes. Several columns' codes are copied, a
-    byte at a time with strided slices, into a zeroed ``bytearray`` of a
-    whole number of 8-byte words per row: a code takes one byte in ``bytes``,
-    else its array's ``itemsize``. A row's words are read as ``array("Q")``; a key
-    of one word is that word, a wider one joins its words into one int."""
-    size = len(columns[0].codes) if rows is None else len(rows)
+def _key_blocks(columns: Sequence[bytes | array], rows: list[int] | None = None) -> Iterator:
+    """Per block of rows, or of the rows listed in ``rows``, the key of each
+    row: rows agree on every column of codes iff their keys do. One column's
+    keys are its codes, ``_BLOCK_ROWS`` rows at a time. Several columns' codes
+    are copied, a byte at a time with strided slices, into a zeroed
+    ``bytearray`` of at most 2 KiB, a whole number of words a row: a code takes
+    one byte in ``bytes``, else its array's ``itemsize``, and a word is the
+    narrowest of 2, 4 and 8 bytes that holds a row's codes, else 8. A key of
+    one word is that word, a wider one joins its words into one int."""
+    size = len(columns[0]) if rows is None else len(rows)
     layout, width = [], 0  # per column: its codes, their width and byte offset
-    for _, codes, _ in columns:
+    for codes in columns:
         code_width = 1 if type(codes) is bytes else codes.itemsize
         layout.append((codes, code_width, width))
         width += code_width
-    words = -(-width // 8)
-    stride = 8 * words
-    for start in range(0, size, _BLOCK_ROWS):
-        n = min(_BLOCK_ROWS, size - start)
+    kind, word = ("H", 2) if width <= 2 else ("I", 4) if width <= 4 else ("Q", 8)
+    words = -(-width // word)
+    stride = word * words
+    step = _BLOCK_ROWS if len(columns) == 1 else 8 * _BLOCK_ROWS // stride
+    for start in range(0, size, step):
         if rows is None:
-            take = itemgetter(slice(start, start + n))
+            take = itemgetter(slice(start, start + step))
         else:  # itemgetter of one index returns the item, not a tuple
-            picked = rows[start : start + n]
-            take = itemgetter(*picked) if n > 1 else lambda codes: (codes[picked[0]],)
+            picked = rows[start : start + step]
+            take = itemgetter(*picked) if len(picked) > 1 else lambda codes: (codes[picked[0]],)
         if len(columns) == 1:
-            yield take(columns[0].codes)
+            yield take(columns[0])
             continue
-        buf = bytearray(stride * n)
+        buf = bytearray(stride * min(step, size - start))
         for codes, code_width, offset in layout:
             if code_width == 1:  # bytes, or a tuple of ints below 256
                 buf[offset::stride] = take(codes)
@@ -147,7 +143,7 @@ def _key_blocks(
             raw = array(codes.typecode, take(codes)).tobytes()
             for b in range(code_width):
                 buf[offset + b :: stride] = raw[b::code_width]
-        keys = array("Q", buf)
+        keys = array(kind, buf)
         if words > 1:
             joined = keys[::words]
             for w in range(1, words):
@@ -156,22 +152,29 @@ def _key_blocks(
         yield keys
 
 
-# Counts are kept as lists at up to this many classes times values a row. On
-# the full partitions of 6,000 and 60,000 kanon_bulk and 500 raw_unique rows
-# and their coarsenings (Python 3.11, best of 7-40), summing lists took 18-108
-# ns a source cell (163 on raw_unique made to keep lists, where coarse classes
-# mostly have one source list), a coarsening's row pass 76-255 ns a row, the
-# 2-byte word pass with its lists 86-156 and the int pass 112-183 ns a row,
-# and turning the int pass's counts into lists 101-103 ns a cell. Summing
-# beats the row pass up to 1.0-10.7 source cells a row on kanon_bulk, whose
-# full partition has 0.12-0.24, but only to 0.6 with one source list a class.
-# An int pass adds at most 0.6-0.9 times its own cost to keep lists.
+def _pair_scales(class_of: bytes | array, codes: bytes | array, order: str = sys.byteorder):
+    """``(a, b)`` such that :func:`_key_blocks` keys a row's class id in ``class_of``
+    and code in ``codes`` as ``class_id * a + code * b`` on a machine of byte ``order``."""
+    cw = 1 if type(class_of) is bytes else class_of.itemsize
+    if order == "little":
+        return 1, 256**cw
+    vw = 1 if type(codes) is bytes else codes.itemsize
+    word = 2 if cw + vw <= 2 else 4 if cw + vw <= 4 else 8
+    return 256 ** (word - cw), 256 ** (word - cw - vw)
+
+
+# Counts are kept as lists at up to this many classes times values a row. On the
+# full partitions of 6,000 and 60,000 kanon_bulk and 500 raw_unique rows and
+# their coarsenings (Python 3.11, best of 9), summing lists took 16-107 ns a
+# source cell and the key pass 66-162 ns a row, and turning its counts into lists
+# 115-128 ns a cell. Summing beats the key pass up to 1.0-5.6 source cells a row
+# on kanon_bulk, whose full partition has 0.12-0.24, but only to 0.7 on raw_unique.
 _DENSE_CELLS_PER_ROW = 1
 
-# Past this share of rows known to be alone, a Counter counts only the other rows.
-# Against counting all, with other classes of 2 rows, a discrimination rate took 1.07,
-# 1.03 and 0.99 times as long at 0.5, 0.6 and 0.7 of 20,000 rows alone (1.06, 1.03 and
-# 0.95 of 500) and class_inference 0.86, 0.80 and 0.76 times (medians of 9-15 pairs).
+# Past this share of rows alone in their class, a Counter counts only the other rows.
+# Against counting all, with other classes of 2 rows, a discrimination rate took 1.49,
+# 1.39 and 1.29 times as long at 0.5, 0.6 and 0.7 of 20,000 rows alone (1.39, 1.36 and
+# 1.21 of 500), and class_inference 0.80, 0.76 and 0.66 times (medians of 15 pairs).
 _LONE_ROWS = 0.65
 
 
@@ -197,7 +200,7 @@ class Partition:
         if not isinstance(dataset, Dataset):
             raise ValueError(f"dataset: expected a Dataset, got {dataset!r}")
         names = _names(qi_set)
-        columns = [dataset.columns[name] for name in names]  # KeyError on unknown names
+        columns = [dataset.columns[name].codes for name in names]  # KeyError on unknown names
         if dataset.row_count == 0:
             raise ValueError("no rows: cannot build equivalence classes")
         coder = Coder()
@@ -232,7 +235,7 @@ class Partition:
         ``class_of`` is computed when first read, from the source's. Its
         (class, value) counts are the source's lists summed once per coarse
         class when the source keeps lists (see :meth:`_joint_counts`), else
-        counted from the rows.
+        counted from the rows and its ``class_of``.
         """
         names = _names(members)
         if names == self.qi_set:
@@ -244,7 +247,7 @@ class Partition:
             return self._fine.coarsen(names)
         if self._rows is None:  # class ids follow first occurrence
             self._rows = list(dict(zip(self._class_of, count())).values())
-        columns = [self.dataset.columns[name] for name in names]
+        columns = [self.dataset.columns[name].codes for name in names]
         coarse = object.__new__(Partition)
         coarse.dataset = self.dataset
         coarse.qi_set = names
@@ -252,7 +255,7 @@ class Partition:
         coarse._rows = coarse._fine_to_class = None  # for one member, set by _joint_counts
         coarse._joint = {}
         if len(columns) == 1:  # a column's codes number its classes as a row pass does
-            coarse._class_of, coarse.sizes = columns[0].codes, columns[0].counts
+            coarse._class_of, coarse.sizes = columns[0], self.dataset.columns[names[0]].counts
             return coarse
         # Extended in place a block at a time, so no block outlives the loop.
         keys = reduce(iadd, _key_blocks(columns, self._rows), [])
@@ -267,55 +270,40 @@ class Partition:
         """The row count of each (class, sensitive value) pair: per class, a
         list of its counts in code order, zeros included, when there are at
         most ``_DENSE_CELLS_PER_ROW`` classes times values a row; else a
-        ``Counter`` of ``class_id * cardinality + code`` over the rows, which
-        may leave out rows alone in their class. Lists are the source's summed
-        once per class when the source keeps lists, else counted from the rows
-        as 2-byte words ``class_id * 256 + code`` when ``class_of`` and the
-        codes are both ``bytes``."""
+        ``Counter`` of their keys (see :func:`_pair_scales`), which may leave out
+        rows alone in their class. Lists are the source's summed once per class
+        when the source keeps lists, else counted from the rows' keys."""
         if sensitive in self.qi_set:
             raise ValueError(f"sensitive attribute {sensitive!r} must not be a quasi-identifier")
         joint = self._joint.get(sensitive)
         if joint is None:
             values, codes, _ = self.dataset.columns[sensitive]
-            cardinality, fine = len(values), self._fine
+            fine, sizes, rows = self._fine, self.sizes, self.dataset.row_count
             # Up to this many classes, a partition keeps its counts as lists.
-            most = _DENSE_CELLS_PER_ROW * self.dataset.row_count / cardinality
+            most = _DENSE_CELLS_PER_ROW * rows / len(values)
             if fine is not None and sensitive not in fine.qi_set and len(fine.sizes) <= most:
                 if self._fine_to_class is None:  # a one-member coarsening's: its codes
-                    self._fine_to_class = recode(fine._rows, self._class_of, len(self.sizes))
-                sources: list[list[list[int]]] = [[] for _ in self.sizes]
+                    self._fine_to_class = recode(fine._rows, self._class_of, len(sizes))
+                sources: list[list[list[int]]] = [[] for _ in sizes]
                 for c, counts in zip(self._fine_to_class, fine._joint_counts(sensitive)):
                     sources[c].append(counts)
                 joint = [list(map(sum, zip(*lists))) for lists in sources]
-            elif len(self.sizes) <= most and type(self._class_of) is type(codes) is bytes:
-                words = bytearray(2 * len(codes))
-                low = sys.byteorder == "big"  # offset of a word's low byte
-                words[low::2] = codes
-                words[1 - low :: 2] = self._class_of
-                counted = Counter(array("H", words))
-                joint = [
-                    list(map(counted.get, range(c << 8, (c << 8) + cardinality), repeat(0)))
-                    for c in range(len(self.sizes))
-                ]
+            elif most < len(sizes) == rows:  # every row alone in its class: no pair
+                joint = Counter()
             else:
-                class_of, rows = self._class_of, self.dataset.row_count
-                if class_of is None:
-                    class_of = map(self._fine_to_class.__getitem__, fine.class_of)
-                # Lone rows, 2 * classes - rows at least, add no pair: past _LONE_ROWS of
-                # the rows each counts under a dropped key -cardinality..-1, none if all.
-                lone = 2 * len(self.sizes) - rows if len(self.sizes) > most else 0
-                pairs = map(add, map(mul, class_of, repeat(cardinality)), codes)
-                if lone > _LONE_ROWS * rows:
-                    bases = [-cardinality] * len(self.sizes) if lone < rows else []
-                    for c in compress(range(len(bases)), map((1).__lt__, self.sizes)):
-                        bases[c] = c * cardinality
-                    pairs = map(add, map(bases.__getitem__, class_of), codes) if bases else ()
-                joint = Counter(pairs)
-                if lone > _LONE_ROWS * rows:
-                    list(map(joint.pop, range(-cardinality, 0), repeat(None)))
-                if len(self.sizes) <= most:
-                    flat = list(map(joint.get, range(len(self.sizes) * cardinality), repeat(0)))
-                    joint = [flat[i : i + cardinality] for i in range(0, len(flat), cardinality)]
+                class_of, kept = self.class_of, None
+                # Lone rows add no pair: past _LONE_ROWS of the rows only the others count.
+                if len(sizes) > most and sizes.count(1) > _LONE_ROWS * rows:
+                    shared = bytes(map((1).__lt__, sizes))
+                    kept = list(compress(count(), map(shared.__getitem__, class_of)))
+                joint = Counter()  # updated a block at a time: a chain costs a step a key
+                list(map(joint.update, _key_blocks([class_of, codes], kept)))
+                if len(sizes) <= most:
+                    at, step = _pair_scales(class_of, codes)
+                    joint = [
+                        list(map(joint.get, range(a, a + len(values) * step, step), repeat(0)))
+                        for a in range(0, len(sizes) * at, at)
+                    ]
             self._joint[sensitive] = joint
         return joint
 
@@ -329,10 +317,11 @@ class Partition:
         joint = self._joint_counts(sensitive)
         if not isinstance(joint, Counter):
             return dict(enumerate(map(list, map(filter, repeat(None), joint))))
-        cardinality = len(self.dataset.columns[sensitive].values)
+        at = _pair_scales(self.class_of, self.dataset.columns[sensitive].codes)[0]
+        span = 256 ** memoryview(self.class_of).itemsize
         per_class: defaultdict[int, list[int]] = defaultdict(list)
         for key, n in joint.items():
-            per_class[key // cardinality].append(n)
+            per_class[key // at % span].append(n)
         return per_class
 
     def k_anonymity(self) -> int:

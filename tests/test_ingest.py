@@ -737,9 +737,9 @@ def test_cells_equal_once_trimmed_are_merged_across_blocks():
 # A 257th value needs 256 rows before it, so it cannot show before row B + 1;
 # column b's 256th value shows on row B.
 @pytest.mark.parametrize("row", [B + 1, B + 2, 2 * B, 2 * B + 1])
-def test_257th_value_turns_codes_into_a_list(row):
-    """A column's codes are bytes up to 256 values, and a list once a 257th
-    value shows, wherever in a block it does. Loaded from CSV, or built from
+def test_257th_value_turns_codes_into_an_array(row):
+    """A column's codes are bytes up to 256 values, and an ``array('H')`` once a
+    257th value shows, wherever in a block it does. Loaded from CSV, or built from
     a list or a generator of rows, the columns equal the naive reader's."""
     rows = [
         [f"v{r % 256}" if r < row else f"w{r % 3}", f"u{r % 256}", "x"]
@@ -753,7 +753,7 @@ def test_257th_value_turns_codes_into_a_list(row):
 
 def test_trimming_to_256_values_gives_bytes():
     """257 raw values of which two trim to the same text load as 256 values
-    coded in bytes; 258 raw values that trim to 257 stay a list."""
+    coded in bytes; 258 raw values that trim to 257 stay an array."""
     rows = [[f"v{r % 256}", f"v{r % 257}"] for r in range(3 * B)]
     rows[2 * B + 1] = [" v7", "v7\t"]
     raw = _loaded(Dataset(("a", "b"), rows))

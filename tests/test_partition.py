@@ -14,6 +14,8 @@ import itertools
 import json
 import math
 import random
+import sys
+from array import array
 from collections import Counter
 from unittest import mock
 
@@ -53,19 +55,19 @@ def _assert_same_rate(result, expected):
 
 def _class_values(partition, sensitive):
     """Per class, the count of each sensitive value code its rows show, as
-    ``{class: {code: n}}``, read off either form of ``_joint_counts``. A class
-    that a ``Counter`` leaves out must have one row, and is filled from it."""
+    ``{class: {code: n}}``, read off either form of ``_joint_counts``, a
+    ``Counter``'s keys by ``_pair_scales``. A class that a ``Counter`` leaves
+    out must have one row, and is filled from it."""
     joint = partition._joint_counts(sensitive)
     if isinstance(joint, list):
         return {c: {v: n for v, n in enumerate(row) if n} for c, row in enumerate(joint)}
-    values, codes, _ = partition.dataset.columns[sensitive]
+    class_of, codes = partition.class_of, partition.dataset.columns[sensitive].codes
+    widths = [memoryview(class_of).itemsize, memoryview(codes).itemsize]
+    fields = list(zip(metrics._pair_scales(class_of, codes), widths))
     per_class = {}
     for key, n in joint.items():
-        c, v = divmod(key, len(values))
+        c, v = (key // at % 256**w for at, w in fields)
         per_class.setdefault(c, {})[v] = n
-    class_of = partition._class_of  # not read through class_of, which would keep it
-    if class_of is None:
-        class_of = [partition._fine_to_class[c] for c in partition._fine.class_of]
     for c, code in zip(class_of, codes):
         if c not in per_class:
             assert partition.sizes[c] == 1, f"class {c} of {partition.sizes[c]} rows left out"
@@ -197,6 +199,11 @@ def _lone_row_count(partition, joint):
         ([("a", "x"), ("b", "y"), ("c", "x"), ("d", "z")], "all"),
         # 8 of 10 rows alone, and an impure class of 2: only its rows count.
         ([(f"k{i}", "xyz"[i % 3]) for i in range(8)] + [("k8", "x"), ("k8", "y")], "some"),
+        # 70 of 100 rows alone, the others in classes of 3.
+        (
+            [(f"k{i}" if i < 70 else f"g{(i - 70) // 3}", "xy"[i % 2]) for i in range(100)],
+            "some",
+        ),
     ],
 )
 def test_lone_rows_left_out_of_counts(qi_rows, way):
@@ -275,7 +282,7 @@ def test_keys_past_64_bits_equal_naive_oracle():
     d = _wide_table(300, seed=3)
     qi = [n for n in d.attributes if n.startswith("q")]
     assert all(len(d.columns[q].values) == 40 for q in qi)
-    columns = [d.columns[q] for q in qi]
+    columns = [d.columns[q].codes for q in qi]
     # 12 byte codes pack into two 8-byte words, so keys pass 64 bits.
     for sub in (columns[:12], columns[1:]):
         assert max(itertools.chain.from_iterable(_key_blocks(sub))) >= 2**64
@@ -322,8 +329,8 @@ def _widths_table(widths, seed, pool=260, repeats=40):
 @example([2] * 8 + [1], 6, [[0, 8], [1]])  # a byte past two words
 @settings(deadline=None, max_examples=50)
 def test_key_widths_equal_naive_oracle(widths, seed, picks):
-    """Keys of one- and two-byte codes that fill less than, exactly or more
-    than one 8-byte word give the oracle's classes, as a row pass and as
+    """Keys of one- and two-byte codes that fill a 2-, 4- or 8-byte word, or more
+    than one 8-byte word, give the oracle's classes, as a row pass and as
     coarsenings of it, each keeping the members at the positions a list in
     ``picks`` draws. What a partition derives from its classes is checked on
     smaller tables above."""
@@ -349,7 +356,7 @@ def test_four_byte_codes_equal_naive_oracle():
     d = Dataset(("big", "mid", "n0", "n1", "n2"), rows)
     assert len(d.columns["big"].values) == big and len(d.columns["mid"].values) == 300
     assert [d.columns[name].codes.typecode for name in ("big", "mid")] == ["I", "H"]
-    assert max(itertools.chain.from_iterable(_key_blocks(list(d.columns.values())))) >= 2**64
+    assert max(itertools.chain(*_key_blocks([c.codes for c in d.columns.values()]))) >= 2**64
     subs = [("big", "n1"), ("mid", "n0", "n2"), ("big",)]
     _assert_partitions_equal_oracle(d, [d.attributes, *subs])
 
@@ -377,24 +384,22 @@ def _classes_table(classes, last_at, rows=800):
     + [(257, at) for at in (256, 257, 511, 512, 513, 700)],
 )
 def test_streamed_coder_at_block_and_byte_boundaries(classes, last_at):
-    """Keys are coded a block of 256 rows at a time into bytes, which become
-    an ``array('H')`` when class 257 shows: in the first row of a block, in its
-    second, in the last of a block, or within a later one. Each partition over
-    the classes, a row pass over two columns or one (bytes codes up to 256
-    classes, 2-byte codes past) or a coarsening, equals the oracle's, and so
-    does each one-column coarsening of the two-column row pass, with the
-    counts kept as lists nowhere and everywhere; only where it sums its
-    source's lists does such a coarsening map the source's classes to its
-    own. A row pass of up to 256
-    classes that keeps lists counts its pairs as 2-byte words, class * 256 +
-    code, for sensitive columns of 2, 3, 255 and 256 values; with 256 classes
-    from row 255 on, the word 0xFFFF is counted. 257 values take the int pass.
-    Past 256 classes no word is formed, so the wide columns are left out."""
+    """A row pass codes its keys a block at a time into bytes, which become an
+    ``array('H')`` when class 257 shows: in the first row of a block of 256
+    rows of one column, in its second, in the last of a block, or within a
+    later one. Each partition over the classes, a row pass over two columns or
+    one (bytes codes up to 256 classes, 2-byte codes past) or a coarsening,
+    equals the oracle's for sensitive columns of 2, 3, 255, 256 and 257
+    values, and so does each one-column coarsening of the two-column row pass,
+    with the counts kept as lists nowhere and everywhere; only where it sums
+    its source's lists does such a coarsening map the source's classes to its
+    own. A (class, value) pair of one or two bytes each is keyed in a 2- or
+    4-byte word; with 256 classes from row 255 on, the key 0xFFFF is counted."""
     d = _classes_table(classes, last_at)
     assert memoryview(d.columns["c"].codes).itemsize == naive.code_width(classes)
     if classes == 256 == last_at + 1:  # row 255 is the pair (255, 255)
         assert Partition(d, ("hi", "lo")).class_of[255] == d.columns["s256"].codes[255] == 255
-    sensitive = ["s0", "z"] if classes > 256 else ["s0", "z", "s255", "s256", "s257"]
+    sensitive = ["s0", "z", "s255", "s256", "s257"]
     # hi/lo and c number the same classes in the same order.
     expected = naive.view(d, ("c",), sensitive)
     assert len(expected[0]) == classes
@@ -412,6 +417,23 @@ def test_streamed_coder_at_block_and_byte_boundaries(classes, last_at):
                 coarse = full.coarsen((name,))
                 _assert_same_view(_view(coarse, ["s0"]), naive.view(d, (name,), ["s0"]))
                 assert (coarse._fine_to_class is None) == (dense_cells == 0)
+
+
+@pytest.mark.parametrize("order", ["little", "big"])
+def test_pair_scales_decode_hand_packed_keys(order):
+    """A class id and then a code, of 1, 2 or 4 bytes each, packed in a word of
+    2, 4 or 8 bytes read in byte ``order``, make the key that ``_pair_scales``
+    decodes; in the machine's order, the key that ``_key_blocks`` packs."""
+    of_width = {1: bytes, 2: lambda codes: array("H", codes), 4: lambda codes: array("I", codes)}
+    for cw, vw in itertools.product(of_width, repeat=2):
+        word = 2 if cw + vw <= 2 else 4 if cw + vw <= 4 else 8
+        for c, v in [(1, 0), (0, 1), (3, 5), (256**cw - 1, 256**vw - 1)]:
+            columns = [of_width[cw]([c]), of_width[vw]([v])]
+            a, b = metrics._pair_scales(*columns, order)
+            packed = (c.to_bytes(cw, order) + v.to_bytes(vw, order)).ljust(word, b"\0")
+            assert int.from_bytes(packed, order) == c * a + v * b
+            if order == sys.byteorder:
+                assert [*itertools.chain(*_key_blocks(columns))] == [c * a + v * b]
 
 
 def _rows(*columns):
@@ -639,9 +661,7 @@ def test_live_partitions_do_not_grow_with_combinations():
 
 # Per-row budgets of the two row-length phases. A list of ints past the
 # cached small ones costs about 40 bytes a row. Measured on Python 3.11, a row
-# pass takes 2.7 bytes a row and an assessment that flags every row 15.8. The
-# 2-byte word pass holds 4 bytes a row while it counts, below that peak: the
-# assessment read 15.5 without it.
+# pass takes 2.5 bytes a row and an assessment that flags every row 11.0.
 @pytest.fixture(scope="module")
 def budget_table():
     """50,000 rows of 256 classes drawn from three quasi-identifiers of 16
@@ -673,7 +693,7 @@ def test_wide_keys_keep_no_int_object_per_row():
         keys[tuple(f"v{rng.randrange(16)}" for _ in names)] = None
     d = Dataset(names, [rng.choice(list(keys)) for _ in range(50_000)])
     assert len(Partition(d, names).sizes) == 256
-    assert max(itertools.chain.from_iterable(_key_blocks(list(d.columns.values())))) >= 2**64
+    assert max(itertools.chain(*_key_blocks([c.codes for c in d.columns.values()]))) >= 2**64
     per_row = heap(lambda: Partition(d, names))[0] / d.row_count
     assert per_row < 8, f"Partition: {per_row:.1f} bytes per row"
 
@@ -691,9 +711,9 @@ def test_flagged_records_keep_no_int_object_per_row(budget_table):
 
 def test_pairs_counted_from_rows_keep_no_class_per_row():
     """A near-unique coarsening of several members counts its pairs in a pass
-    over the rows that streams each row's class from its source's, so it
-    needs no more heap than a row pass whose ``class_of`` is already built:
-    both hold a dict of about one pair per row, and a list of class ids
+    over the rows that builds its ``class_of`` in 2 bytes a row, so it needs
+    little more heap than a row pass whose ``class_of`` is already built: both
+    hold a dict of the pairs of the rows not alone, and a list of class ids
     would add at least 36 bytes a row."""
     rng = random.Random(3)
     rows = 20_000
@@ -710,5 +730,4 @@ def test_pairs_counted_from_rows_keep_no_class_per_row():
     extra = heap(lambda: joint.append(coarse._joint_counts("s0")))[0]
     extra -= heap(lambda: joint.append(direct._joint_counts("s0")))[0]
     assert joint[0] == joint[1]
-    assert coarse._class_of is None
     assert extra / rows < 4, f"row pass: {extra / rows:.1f} bytes per row above a built class_of"
