@@ -132,7 +132,8 @@ def fixture_csv(name: str) -> str:
 
 
 def fixture_dataset(name: str) -> Dataset:
-    return load_csv(io.StringIO(fixture_csv(name)), label=_check_name(name))
+    (stream := io.StringIO(fixture_csv(name))).name = name  # a stream's name labels its dataset
+    return load_csv(stream)
 
 
 def reference_metadata_json() -> str:

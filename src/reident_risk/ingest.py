@@ -139,9 +139,7 @@ def _blocks(texts: Iterator[str], width: int) -> Iterator[list]:
         yield columns
 
 
-def load_csv(
-    source: str | bytes | os.PathLike | io.TextIOBase, label: str | None = None
-) -> Dataset:
+def load_csv(source: str | bytes | os.PathLike | io.TextIOBase) -> Dataset:
     """Read a comma-separated UTF-8 table; the first row is the header.
 
     Cell whitespace is trimmed at both ends, case is preserved; cells that
@@ -153,8 +151,7 @@ def load_csv(
     cannot parse or :class:`Dataset` rejects, with its 1-based data row number,
     or a byte that is not UTF-8, with its offset in the file.
     """
-    with _open_text(source, "rb") as (stream, default_label):
-        label = default_label if label is None else label
+    with _open_text(source, "rb") as (stream, label):
         read = partial(stream.read, _CHUNK_BYTES)
         try:
             try:

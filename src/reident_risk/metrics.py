@@ -15,10 +15,10 @@ as dr = 1: the constant value is known without looking at Q at all.
 
 Every metric is derived from a :class:`Partition` of the rows. Building one
 keys each row by its codes in the columns a :class:`~reident_risk.model.Dataset`
-stores, packed a block of rows at a time into 2-, 4- or 8-byte machine words by
-strided slice assignments, and :meth:`Partition.coarsen` derives the partition
-of any subset of its quasi-identifiers from the row pass's classes without
-reading the rows again. Codes and class ids past 256 values are 2- or 4-byte arrays.
+stores, packed a block of rows at a time into words that are read, on every
+machine, as the little-endian number of their bytes. :meth:`Partition.coarsen`
+derives the partition of any subset of its quasi-identifiers from the row pass's
+classes without reading the rows again.
 n * H(S | Q) is sum n_c * log2(n_c) over class sizes less sum n_cv * log2(n_cv) over pairs.
 A class of one row adds 0 to both and is counted by its size alone: no pair
 is counted when every row is alone, nor a lone row's past ``_LONE_ROWS`` of them.
@@ -108,14 +108,15 @@ def _names(qi_set: Sequence[str]) -> tuple[str, ...]:
 
 
 def _key_blocks(columns: Sequence[bytes | array], rows: list[int] | None = None) -> Iterator:
-    """Per block of rows, or of the rows listed in ``rows``, the key of each
-    row: rows agree on every column of codes iff their keys do. One column's
-    keys are its codes, ``_BLOCK_ROWS`` rows at a time. Several columns' codes
-    are copied, a byte at a time with strided slices, into a zeroed
-    ``bytearray`` of at most 2 KiB, a whole number of words a row: a code takes
-    one byte in ``bytes``, else its array's ``itemsize``, and a word is the
-    narrowest of 2, 4 and 8 bytes that holds a row's codes, else 8. A key of
-    one word is that word, a wider one joins its words into one int."""
+    """Per block of rows, or of the rows listed in ``rows``, the key of each row: rows
+    agree on every column of codes iff their keys do. One column's keys are its codes,
+    ``_BLOCK_ROWS`` rows at a time. Several columns' codes are copied, a byte at a time
+    with strided slices, into a zeroed ``bytearray`` of at most 2 KiB, a whole number of
+    words a row: a code takes one byte in ``bytes``, else its array's ``itemsize``, and a
+    word is the narrowest of 2, 4 and 8 bytes that holds a row's codes, else 8. On every
+    machine a key is the little-endian number of its row's bytes, so a class id of ``cw``
+    bytes and then a code key as ``class_id + code * 256**cw``."""
+    big = sys.byteorder == "big"  # where each code's bytes and each word are reversed
     size = len(columns[0]) if rows is None else len(rows)
     layout, width = [], 0  # per column: its codes, their width and byte offset
     for codes in columns:
@@ -141,26 +142,17 @@ def _key_blocks(columns: Sequence[bytes | array], rows: list[int] | None = None)
                 buf[offset::stride] = take(codes)
                 continue
             raw = array(codes.typecode, take(codes)).tobytes()
-            for b in range(code_width):
-                buf[offset + b :: stride] = raw[b::code_width]
+            for b in range(code_width):  # byte b of the code read little-endian
+                buf[offset + b :: stride] = raw[code_width - 1 - b if big else b :: code_width]
         keys = array(kind, buf)
-        if words > 1:
-            joined = keys[::words]
-            for w in range(1, words):
+        if big:
+            keys.byteswap()
+        if words > 1:  # the last word is the most significant
+            joined = keys[words - 1 :: words]
+            for w in range(words - 2, -1, -1):
                 joined = map(add, map(lshift, joined, repeat(64)), keys[w::words])
             keys = list(joined)
         yield keys
-
-
-def _pair_scales(class_of: bytes | array, codes: bytes | array, order: str = sys.byteorder):
-    """``(a, b)`` such that :func:`_key_blocks` keys a row's class id in ``class_of``
-    and code in ``codes`` as ``class_id * a + code * b`` on a machine of byte ``order``."""
-    cw = 1 if type(class_of) is bytes else class_of.itemsize
-    if order == "little":
-        return 1, 256**cw
-    vw = 1 if type(codes) is bytes else codes.itemsize
-    word = 2 if cw + vw <= 2 else 4 if cw + vw <= 4 else 8
-    return 256 ** (word - cw), 256 ** (word - cw - vw)
 
 
 # Counts are kept as lists at up to this many classes times values a row. On the
@@ -172,9 +164,9 @@ def _pair_scales(class_of: bytes | array, codes: bytes | array, order: str = sys
 _DENSE_CELLS_PER_ROW = 1
 
 # Past this share of rows alone in their class, a Counter counts only the other rows.
-# Against counting all, with other classes of 2 rows, a discrimination rate took 1.49,
-# 1.39 and 1.29 times as long at 0.5, 0.6 and 0.7 of 20,000 rows alone (1.39, 1.36 and
-# 1.21 of 500), and class_inference 0.80, 0.76 and 0.66 times (medians of 15 pairs).
+# Against counting all, at 0.5-0.7 of 20,000 rows alone, the others in classes of 2, a rate
+# took 1.29-1.49 times as long and class_inference 0.66-0.80 times (medians of 15 pairs);
+# counting all read +2.7% assess_p50_s and +19% peak_heap_mib on raw_unique (4 pairs).
 _LONE_ROWS = 0.65
 
 
@@ -270,7 +262,7 @@ class Partition:
         """The row count of each (class, sensitive value) pair: per class, a
         list of its counts in code order, zeros included, when there are at
         most ``_DENSE_CELLS_PER_ROW`` classes times values a row; else a
-        ``Counter`` of their keys (see :func:`_pair_scales`), which may leave out
+        ``Counter`` of their keys (see :func:`_key_blocks`), which may leave out
         rows alone in their class. Lists are the source's summed once per class
         when the source keeps lists, else counted from the rows' keys."""
         if sensitive in self.qi_set:
@@ -298,11 +290,11 @@ class Partition:
                     kept = list(compress(count(), map(shared.__getitem__, class_of)))
                 joint = Counter()  # updated a block at a time: a chain costs a step a key
                 list(map(joint.update, _key_blocks([class_of, codes], kept)))
-                if len(sizes) <= most:
-                    at, step = _pair_scales(class_of, codes)
+                if len(sizes) <= most:  # a pair's key is class_id + code * step
+                    step = 256 ** memoryview(class_of).itemsize
                     joint = [
-                        list(map(joint.get, range(a, a + len(values) * step, step), repeat(0)))
-                        for a in range(0, len(sizes) * at, at)
+                        list(map(joint.get, range(c, c + len(values) * step, step), repeat(0)))
+                        for c in range(len(sizes))
                     ]
             self._joint[sensitive] = joint
         return joint
@@ -317,11 +309,10 @@ class Partition:
         joint = self._joint_counts(sensitive)
         if not isinstance(joint, Counter):
             return dict(enumerate(map(list, map(filter, repeat(None), joint))))
-        at = _pair_scales(self.class_of, self.dataset.columns[sensitive].codes)[0]
-        span = 256 ** memoryview(self.class_of).itemsize
+        span = 256 ** memoryview(self.class_of).itemsize  # a key's class id is key % span
         per_class: defaultdict[int, list[int]] = defaultdict(list)
         for key, n in joint.items():
-            per_class[key // at % span].append(n)
+            per_class[key % span].append(n)
         return per_class
 
     def k_anonymity(self) -> int:

@@ -3,7 +3,8 @@
 This is the regrouping implementation that ``reident_risk.metrics`` used
 before the partition core: every call regroups the whole table by tuples of
 strings, and a class is looked up by a linear scan of the classes. It is
-quadratic in the number of classes and kept only as a reference. An
+quadratic in the number of classes and kept only as a reference; ``view``
+scores the classes it has grouped without looking each up again. An
 entropy sums the package's terms (``p * log2(p)`` with ``p = c / total``)
 with ``math.fsum``, which rounds once and so in no particular order, so class
 scores must equal the package's under ``==``; the conditional entropy is the
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from reident_risk.model import Dataset, InferenceLevel
@@ -156,15 +158,19 @@ def value_inference(
     dataset: Dataset, qi_set: Sequence[str], key: Sequence[str], sensitive: str
 ) -> float:
     cls = find(equivalence_classes(dataset, qi_set), key, qi_set)
+    return _scores(dataset, qi_set, sensitive, [cls])[0]
+
+
+def _scores(dataset: Dataset, qi_set: Sequence[str], sensitive: str, classes: list) -> list[float]:
+    """Each class's inference score: 1 if it is pure, as every class is where H(S) = 0."""
     cells = column(dataset, sensitive)
-    h_class = entropy(_counts(cells[i] for i in cls.row_indices))
-    if h_class == 0.0:
-        return 1.0
     h_s = entropy(_counts(cells))
-    if h_s == 0.0:
-        return 1.0
-    score = _clamp01(1.0 - h_class / h_s)
-    return _decided(score, lambda: _exact(dataset, qi_set, sensitive, key))
+    scores = []
+    for c in classes:
+        h_class = entropy(_counts(cells[i] for i in c.row_indices))
+        score = 1.0 if h_class == 0.0 else _clamp01(1.0 - h_class / h_s)
+        scores.append(_decided(score, partial(_exact, dataset, qi_set, sensitive, c.key)))
+    return scores
 
 
 def code_width(size: int) -> int:
@@ -187,7 +193,7 @@ def view(dataset: Dataset, qi_set: Sequence[str], sensitive: Sequence[str]) -> t
         codes = dataset.columns[s].codes
         counts = {c: dict(Counter(codes[i] for i in k.row_indices)) for c, k in enumerate(classes)}
         l_value = distinct_l_diversity(dataset, qi_set, s)
-        scores = [value_inference(dataset, qi_set, c.key, s) for c in classes]
+        scores = _scores(dataset, qi_set, s, classes)
         per_sensitive.append((counts, l_value, scores))
     sizes = [len(c.row_indices) for c in classes]
     entropies = [conditional_entropy(dataset, s, qi_set) for s in sensitive]

@@ -16,7 +16,8 @@ import math
 import random
 import sys
 from array import array
-from collections import Counter
+from functools import partial
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -56,17 +57,15 @@ def _assert_same_rate(result, expected):
 def _class_values(partition, sensitive):
     """Per class, the count of each sensitive value code its rows show, as
     ``{class: {code: n}}``, read off either form of ``_joint_counts``, a
-    ``Counter``'s keys by ``_pair_scales``. A class that a ``Counter`` leaves
-    out must have one row, and is filled from it."""
+    ``Counter``'s keys as ``class_id + code * 256**cw``. A class that a
+    ``Counter`` leaves out must have one row, and is filled from it."""
     joint = partition._joint_counts(sensitive)
     if isinstance(joint, list):
         return {c: {v: n for v, n in enumerate(row) if n} for c, row in enumerate(joint)}
     class_of, codes = partition.class_of, partition.dataset.columns[sensitive].codes
-    widths = [memoryview(class_of).itemsize, memoryview(codes).itemsize]
-    fields = list(zip(metrics._pair_scales(class_of, codes), widths))
     per_class = {}
     for key, n in joint.items():
-        c, v = (key // at % 256**w for at, w in fields)
+        v, c = divmod(key, 256 ** memoryview(class_of).itemsize)
         per_class.setdefault(c, {})[v] = n
     for c, code in zip(class_of, codes):
         if c not in per_class:
@@ -126,9 +125,8 @@ def test_coarsen_equals_row_pass(table, data):
             assert memoryview(coarse._fine_to_class).itemsize == naive.code_width(len(direct.sizes))
         if data.draw(st.booleans()):
             assert coarse.class_of == direct.class_of
-        # Counted before class_of is read, the counts come from the source's;
-        # a quasi-identifier left out of ``sub`` is counted as a sensitive
-        # attribute.
+        # Counted before class_of is read, the counts come from the source's; a
+        # quasi-identifier left out of ``sub`` is counted as a sensitive attribute.
         for s in sensitive_names + [q for q in qi_names if q not in sub]:
             assert _class_values(coarse, s) == _class_values(direct, s)
             assert coarse.conditional_entropy(s) == direct.conditional_entropy(s)
@@ -141,55 +139,18 @@ def test_coarsen_equals_row_pass(table, data):
     assert _view(twice, others) == _view(once, others)
 
 
-@given(
-    st.integers(1, 700),
-    st.lists(st.integers(1, 40), min_size=2, max_size=5),
-    st.integers(0, 2**32),
-    st.lists(st.integers(0, 4), min_size=1, unique=True),
-)
-@example(700, [40, 40, 40], 1, [0, 1])
-@example(100, [40, 40], 1, [0, 1])  # 100 rows of about 97 classes: lone rows left out
-@settings(deadline=None, max_examples=50)
-def test_coarse_pairs_summed_equal_pairs_counted_from_rows(rows, sizes, seed, positions):
-    """A coarsening's counts per class, summed from its source's lists or
-    counted in a pass over the rows (the choice forced both ways), are the
-    same and a row pass's; the coarsening keeps the members at the positions
-    ``positions`` draws. Up to 700 rows over columns of up to 40 values give
-    up to 700 classes."""
-    rng = random.Random(seed)
-    names = tuple(f"q{i}" for i in range(len(sizes)))
-    table = [
-        tuple(f"v{rng.randrange(size)}" for size in sizes) + (rng.choice("xyz"),)
-        for _ in range(rows)
-    ]
-    d = Dataset(names + ("s0",), table)
-    members = tuple(dict.fromkeys(names[i % len(names)] for i in positions))
-    # A quasi-identifier left out of the coarsening is read as sensitive.
-    sensitive = ["s0"] + [q for q in names if q not in members]
-
-    def counts(dense_cells):
-        with mock.patch.object(metrics, "_DENSE_CELLS_PER_ROW", dense_cells):
-            partition = Partition(d, names).coarsen(members)
-            form = list if dense_cells else Counter
-            assert all(isinstance(partition._joint_counts(s), form) for s in sensitive)
-            return [_class_values(partition, s) for s in sensitive]
-
-    from_rows, summed = counts(0), counts(math.inf)
-    assert from_rows == summed
-    assert summed == [_class_values(Partition(d, members), s) for s in sensitive]
-
-
-def _lone_row_count(partition, joint):
-    """How ``joint``, a partition's counts, left out rows alone in their
-    class: ``"all"`` when every row is, ``"some"`` when it counts fewer rows
-    than the table has, else None."""
-    if not isinstance(joint, Counter):
-        return None
+def _way(partition, sensitive, joint):
+    """How ``_joint_counts`` made ``joint``: lists ``"summed"`` from its source's or
+    ``"listed"`` from its keys, or a ``Counter`` of its keys that leaves out the rows
+    alone in their class, ``"all"`` when every row is, ``"some"`` or ``"none"``."""
+    if isinstance(joint, list):
+        fine = partition._fine
+        return "summed" if fine and isinstance(fine._joint.get(sensitive), list) else "listed"
     rows = partition.dataset.row_count
     if len(partition.sizes) == rows:
         assert not joint
         return "all"
-    return "some" if sum(joint.values()) < rows else None
+    return "some" if sum(joint.values()) < rows else "none"
 
 
 @pytest.mark.parametrize(
@@ -210,139 +171,102 @@ def test_lone_rows_left_out_of_counts(qi_rows, way):
     d = Dataset(("q0", "s0"), qi_rows)
     p = Partition(d, ["q0"])
     joint = p._joint_counts("s0")
-    assert _lone_row_count(p, joint) == way
+    assert _way(p, "s0", joint) == way
     assert sum(joint.values()) == sum(size for size in p.sizes if size > 1)
     _assert_partitions_equal_oracle(d, [("q0",)], ["s0"])
     _assert_same_rate(p.discrimination_rate("s0"), naive.discrimination_rate(d, ["q0"], "s0"))
     assert p.l_diversity("s0") == 1
 
 
-def test_oracle_properties_reach_both_lone_row_counts():
-    """The oracle properties above reach both ways of leaving out the rows
-    alone in their class: a partition with no other rows counts none, and one
-    with enough of them counts only the rest (an explicit example of
-    ``test_coarse_pairs_summed_equal_pairs_counted_from_rows`` does)."""
-    ways = Counter()
-    with _spy("_joint_counts", lambda p, _, joint: ways.update([_lone_row_count(p, joint)])):
-        test_partition_equals_naive_oracle()
-        test_coarsen_equals_row_pass()
-        test_coarse_pairs_summed_equal_pairs_counted_from_rows()
-    assert ways["all"] and ways["some"], ways
+def _assert_partitions_equal_oracle(d, members, sensitive=(), left_out=0):
+    """A row pass over ``members[0]`` and its coarsening to each later member set keep
+    the members in order and give the oracle's view for ``sensitive`` and the first
+    ``left_out`` quasi-identifiers that the set leaves out, with the counts kept as lists
+    nowhere and everywhere. A coarsening of several members maps the source's classes
+    to its own, one of one member only to sum lists, in the bytes of its ``class_of``."""
+    reads = [[*sensitive, *[q for q in members[0] if q not in m][:left_out]] for m in members]
+    expected = [naive.view(d, m, read) for m, read in zip(members, reads)]
+    for dense_cells in (0, math.inf):
+        with mock.patch.object(metrics, "_DENSE_CELLS_PER_ROW", dense_cells):
+            full = Partition(d, members[0])
+            for qi_set, read, view in zip(members, reads, expected):
+                partition = full.coarsen(qi_set)
+                assert partition.qi_set == tuple(qi_set)
+                _assert_same_view(_view(partition, read), view)
+                if partition is full or len(qi_set) == 1 and not (dense_cells and sensitive):
+                    assert partition._fine_to_class is None
+                else:
+                    width = memoryview(partition.class_of).itemsize
+                    assert memoryview(partition._fine_to_class).itemsize == width
 
 
-def _wide_table(rows, seed):
-    """13 quasi-identifiers of 40 values each, then a sensitive column. After
-    40 rows that show every value, each row repeats an earlier one, differs
-    from it in its first or last two columns (in the first and the last
-    8-byte word of its key), or is new."""
+def _shaped_table(kinds, rows, repeats, seed):
+    """A quasi-identifier ``q<i>`` of each kind in ``kinds``, "few" (1 to 4
+    values), "mid" (40) or "wide" (260, coded in two bytes once 257 show), then
+    ``s0`` of up to 3 values. The first ``rows - repeats`` rows, at least one,
+    show each column's values in turn, in an order shuffled per column; each
+    later row repeats an earlier one, with one quasi-identifier redrawn half the time."""
     rng = random.Random(seed)
-    table = [[f"v{(i + 3 * c) % 40}" for c in range(13)] + ["A"] for i in range(40)]
+    sizes = [{"mid": 40, "wide": 260}.get(kind) or rng.randint(1, 4) for kind in kinds]
+    fresh = max(rows - repeats, 1)
+    table = [*map(list, zip(*[rng.sample([i % n for i in range(fresh)], fresh) for n in sizes]))]
     while len(table) < rows:
-        row = list(rng.choice(table))
+        row, c = list(rng.choice(table)), rng.randrange(len(sizes))
         if rng.random() < 0.5:
-            row[rng.choice([0, 1, 11, 12])] = f"v{rng.randrange(40)}"
-        elif rng.random() < 0.5:
-            row = [f"v{rng.randrange(40)}" for _ in range(13)] + [row[-1]]
-        row[-1] = rng.choice("ABCDE") if rng.random() < 0.3 else row[-1]
+            row[c] = rng.randrange(sizes[c])
         table.append(row)
-    names = tuple(f"q{i}" for i in range(13)) + ("s0",)
-    return Dataset(names, map(tuple, table))
-
-
-def _assert_partitions_equal_oracle(d, members, sensitive=()):
-    """A row pass over ``members[0]`` and its coarsening to each later member
-    set keep the members in order and give the oracle's view, and a
-    coarsening's class map, once made, takes the bytes of its ``class_of``;
-    returns them."""
-    full = Partition(d, members[0])
-    partitions = [full, *map(full.coarsen, members[1:])]
-    for partition, qi_set in zip(partitions, members):
-        assert partition.qi_set == tuple(qi_set)
-        _assert_same_view(_view(partition, sensitive), naive.view(d, qi_set, sensitive))
-        if partition._fine_to_class is not None:
-            width = memoryview(partition.class_of).itemsize
-            assert memoryview(partition._fine_to_class).itemsize == width
-    return partitions
-
-
-@pytest.mark.parametrize("rows", [1, 255, 256, 257, 700])
-def test_class_of_is_bytes_up_to_256_classes(rows):
-    """Row ``i`` has the cells ``i % 20``, ``i // 20 % 15`` and ``i % 7``, so
-    each set of columns has ``min(rows, its period)`` classes: 20, 140, 300
-    or 2,100, or fewer. ``class_of`` is bytes exactly when there are at most
-    256 classes, for a row pass and for a coarsening of one of either form."""
-    names = ("q0", "q1", "q2")
-    d = Dataset(names, [(f"{i % 20}", f"{i // 20 % 15}", f"{i % 7}") for i in range(rows)])
-    subs = [("q0",), ("q0", "q2"), ("q1", "q2"), ("q0", "q1")]
-    _assert_partitions_equal_oracle(d, [names, *subs])
-    _assert_partitions_equal_oracle(d, [("q0", "q1")])
-
-
-def test_keys_past_64_bits_equal_naive_oracle():
-    d = _wide_table(300, seed=3)
-    qi = [n for n in d.attributes if n.startswith("q")]
-    assert all(len(d.columns[q].values) == 40 for q in qi)
-    columns = [d.columns[q].codes for q in qi]
-    # 12 byte codes pack into two 8-byte words, so keys pass 64 bits.
-    for sub in (columns[:12], columns[1:]):
-        assert max(itertools.chain.from_iterable(_key_blocks(sub))) >= 2**64
-    for partition in _assert_partitions_equal_oracle(d, [qi, qi[:12], qi[1:]], ["s0"]):
-        assert sum(size > 1 for size in partition.sizes) > 20
-
-
-def _widths_table(widths, seed, pool=260, repeats=40):
-    """A quasi-identifier ``q<i>`` per entry of ``widths``, then a sensitive
-    column. A 1 is a column of one to four values, coded in one byte; a 2 is
-    a column of ``pool`` values, past 256, so coded in two. The first
-    ``pool`` rows show every value; ``repeats`` rows repeat one of them, some
-    with one cell changed, and the rows are shuffled."""
-    rng = random.Random(seed)
-    domains = [pool if w == 2 else rng.randint(1, 4) for w in widths]
-    columns = [
-        rng.sample(range(size), pool) if size == pool else [rng.randrange(size) for _ in range(pool)]
-        for size in domains
-    ]
-    table = [[f"v{v}" for v in row] + [rng.choice("xyz")] for row in zip(*columns)]
-    for _ in range(repeats):
-        row = list(rng.choice(table[:pool]))
-        if rng.random() < 0.5:
-            c = rng.randrange(len(widths))
-            row[c] = f"v{rng.randrange(domains[c])}"
-        row[-1] = rng.choice("xyz") if rng.random() < 0.3 else row[-1]
-        table.append(row)
-    rng.shuffle(table)
-    names = tuple(f"q{i}" for i in range(len(widths))) + ("s0",)
-    return Dataset(names, map(tuple, table))
+    names = tuple(f"q{i}" for i in range(len(kinds))) + ("s0",)
+    return Dataset(names, [(*(f"v{v}" for v in row), rng.choice("xyz")) for row in table])
 
 
 @given(
-    st.lists(st.sampled_from([1, 2]), min_size=2, max_size=10),
+    st.lists(st.sampled_from(["few", "mid", "wide"]), min_size=1, max_size=10),
+    st.integers(1, 400),
+    st.integers(0, 100),
     st.integers(0, 2**32),
-    st.lists(st.lists(st.integers(0, 9), min_size=1, unique=True), min_size=1, max_size=2),
+    st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True), max_size=2),
 )
-@example([1] * 8, 0, [[0, 7], [1]])  # one word, full
-@example([2] * 4, 1, [[0, 1, 2], [0, 1]])  # one word of two-byte codes
-@example([1] * 7, 2, [[0, 6]])  # below a word
-@example([1] * 9, 3, [[0, 8], [0]])  # a byte past a word
-@example([2, 1, 2, 1, 2], 4, [[0, 1, 2, 3], [1, 3]])  # one word, mixed widths
-@example([2] * 5 + [1] * 5, 5, [[0, 9, 4], [0, 1]])
-@example([2] * 8 + [1], 6, [[0, 8], [1]])  # a byte past two words
-@settings(deadline=None, max_examples=50)
-def test_key_widths_equal_naive_oracle(widths, seed, picks):
-    """Keys of one- and two-byte codes that fill a 2-, 4- or 8-byte word, or more
-    than one 8-byte word, give the oracle's classes, as a row pass and as
-    coarsenings of it, each keeping the members at the positions a list in
-    ``picks`` draws. What a partition derives from its classes is checked on
-    smaller tables above."""
-    d = _widths_table(widths, seed)
-    names = tuple(f"q{i}" for i in range(len(widths)))
-    for q, w in zip(names, widths):
-        assert memoryview(d.columns[q].codes).itemsize == w
-    full = Partition(d, names)
-    _assert_same_view(_view(full, []), naive.view(d, names, []))
-    for positions in picks:
-        members = tuple(dict.fromkeys(names[i % len(names)] for i in positions))
-        _assert_same_view(_view(full.coarsen(members), []), naive.view(d, members, []))
+@settings(deadline=None)
+def test_shaped_partitions_equal_naive_oracle(kinds, rows, repeats, seed, picks):
+    """A row pass over a shaped table and its coarsenings to the members at the positions
+    each list in ``picks`` draws equal the oracle's view; a coarsening reads up to two
+    quasi-identifiers that it leaves out as sensitive."""
+    d = _shaped_table(kinds, rows, repeats, seed)
+    names = d.attributes[:-1]
+    subsets = [tuple(dict.fromkeys(names[i % len(names)] for i in at)) for at in picks]
+    _assert_partitions_equal_oracle(d, [names, *subsets], ["s0"], left_out=2)
+
+
+# Arguments of test_shaped_partitions_equal_naive_oracle that reach every path: 256
+# classes, then 257, all alone; most rows alone; keys past an 8-byte word.
+_SHAPES = [
+    (["wide", "few", "few"], 256, 0, 1, [[0, 1], [0]]),
+    (["wide", "few", "few"], 257, 0, 1, [[0, 1], [0]]),
+    (["mid", "wide"], 100, 10, 2, [[1]]),
+    (["few"] * 9, 200, 150, 3, [[0, 8], [1]]),
+]
+
+
+def test_oracle_properties_reach_every_path():
+    """The pinned shapes reach each way ``_joint_counts`` ends, a one-member coarsening
+    that sums lists, class ids of 1 and 2 bytes, and keys within an 8-byte word and past."""
+    ways, class_ids, words = set(), set(), set()
+    key_blocks = metrics._key_blocks
+
+    def keyed(columns, rows=None):
+        if len(columns) > 1:
+            words.add(sum(memoryview(codes).itemsize for codes in columns) > 8)
+        return key_blocks(columns, rows)
+
+    def counted(partition, args, joint):
+        ways.add((_way(partition, *args, joint), len(partition.qi_set)))
+        class_ids.add(memoryview(partition.class_of).itemsize)
+
+    with _spy("_joint_counts", counted), mock.patch.object(metrics, "_key_blocks", keyed):
+        for shape in _SHAPES:
+            test_shaped_partitions_equal_naive_oracle.hypothesis.inner_test(*shape)
+    assert {way for way, _ in ways} == {"summed", "listed", "all", "some", "none"}
+    assert ("summed", 1) in ways and class_ids == {1, 2} and words == {False, True}
 
 
 def test_four_byte_codes_equal_naive_oracle():
@@ -362,12 +286,11 @@ def test_four_byte_codes_equal_naive_oracle():
 
 
 def _classes_table(classes, last_at, rows=800):
-    """A table whose columns ``hi``/``lo`` (16 values each) and ``c`` show
-    ``classes`` classes. Rows before ``last_at`` cycle through every class
-    but the last, which first shows at row ``last_at`` and then every 97th
-    row. ``z`` splits each class in two. Of the sensitive columns, ``s0`` has
-    3 values and ``s255``, ``s256`` and ``s257`` as many as they are named
-    for: row ``i`` shows the value coded ``i % n``."""
+    """A table whose columns ``hi``/``lo`` (16 values each) and ``c`` show ``classes``
+    classes. Rows before ``last_at`` cycle through every class but the last, which
+    first shows at row ``last_at`` and then every 97th row. ``z`` splits each class in
+    two. Of the sensitive columns, ``s0`` has 3 values and ``s255``, ``s256`` and
+    ``s257`` as many as they are named for: row ``i`` shows the value coded ``i % n``."""
     last = classes - 1
     of_row = [i % last if i < last_at or (i - last_at) % 97 else last for i in range(rows)]
     table = [
@@ -385,55 +308,42 @@ def _classes_table(classes, last_at, rows=800):
 )
 def test_streamed_coder_at_block_and_byte_boundaries(classes, last_at):
     """A row pass codes its keys a block at a time into bytes, which become an
-    ``array('H')`` when class 257 shows: in the first row of a block of 256
-    rows of one column, in its second, in the last of a block, or within a
-    later one. Each partition over the classes, a row pass over two columns or
-    one (bytes codes up to 256 classes, 2-byte codes past) or a coarsening,
-    equals the oracle's for sensitive columns of 2, 3, 255, 256 and 257
-    values, and so does each one-column coarsening of the two-column row pass,
-    with the counts kept as lists nowhere and everywhere; only where it sums
-    its source's lists does such a coarsening map the source's classes to its
-    own. A (class, value) pair of one or two bytes each is keyed in a 2- or
-    4-byte word; with 256 classes from row 255 on, the key 0xFFFF is counted."""
+    ``array('H')`` when class 257 shows: in the first row of a block of 256 rows of
+    one column, in its second, in the last of a block, or within a later one. Row
+    passes over two columns and one (bytes codes up to 256 classes, 2-byte past) and
+    their coarsenings equal the oracle's for sensitive columns of 2 to 257 values. A
+    (class, value) pair is keyed in a 2- or 4-byte word; 256 classes from row 255 on
+    count the key 0xFFFF."""
     d = _classes_table(classes, last_at)
+    assert len(d.columns["c"].values) == classes
     assert memoryview(d.columns["c"].codes).itemsize == naive.code_width(classes)
     if classes == 256 == last_at + 1:  # row 255 is the pair (255, 255)
         assert Partition(d, ("hi", "lo")).class_of[255] == d.columns["s256"].codes[255] == 255
-    sensitive = ["s0", "z", "s255", "s256", "s257"]
-    # hi/lo and c number the same classes in the same order.
-    expected = naive.view(d, ("c",), sensitive)
-    assert len(expected[0]) == classes
-    for dense_cells in (0, math.inf):
-        with mock.patch.object(metrics, "_DENSE_CELLS_PER_ROW", dense_cells):
-            full = Partition(d, ("hi", "lo"))
-            for partition in [
-                full,
-                Partition(d, ("c",)),
-                Partition(d, ("hi", "lo", "z")).coarsen(("hi", "lo")),
-                Partition(d, ("c", "z")).coarsen(("c",)),
-            ]:
-                _assert_same_view(_view(partition, sensitive), expected)
-            for name in ("hi", "lo"):
-                coarse = full.coarsen((name,))
-                _assert_same_view(_view(coarse, ["s0"]), naive.view(d, (name,), ["s0"]))
-                assert (coarse._fine_to_class is None) == (dense_cells == 0)
+    sensitive = ["s0", "s255", "s256", "s257"]
+    for members in [("hi", "lo"), ("hi",), ("lo",)], [("c",)]:
+        _assert_partitions_equal_oracle(d, members, [*sensitive, "z"])
+    for members in [("hi", "lo", "z"), ("hi", "lo")], [("c", "z"), ("c",)]:
+        _assert_partitions_equal_oracle(d, members, sensitive, left_out=1)
 
 
-@pytest.mark.parametrize("order", ["little", "big"])
-def test_pair_scales_decode_hand_packed_keys(order):
-    """A class id and then a code, of 1, 2 or 4 bytes each, packed in a word of
-    2, 4 or 8 bytes read in byte ``order``, make the key that ``_pair_scales``
-    decodes; in the machine's order, the key that ``_key_blocks`` packs."""
-    of_width = {1: bytes, 2: lambda codes: array("H", codes), 4: lambda codes: array("I", codes)}
+def test_keys_are_little_endian_numbers():
+    """A class id and then a code, of 1, 2 or 4 bytes each, key as the little-endian
+    number of their bytes, ``class_id + code * 256**cw``, and so do nine one-byte codes,
+    past an 8-byte word. With ``metrics.sys`` telling the other byte order, a key is the
+    big-endian number of its bytes written big-endian: either order reads little-endian."""
+    other = SimpleNamespace(byteorder="little" if sys.byteorder == "big" else "big")
+    of_width = {1: bytes, 2: partial(array, "H"), 4: partial(array, "I")}
     for cw, vw in itertools.product(of_width, repeat=2):
         word = 2 if cw + vw <= 2 else 4 if cw + vw <= 4 else 8
-        for c, v in [(1, 0), (0, 1), (3, 5), (256**cw - 1, 256**vw - 1)]:
+        for c, v in [(1, 0), (0, 1), (0x04030201 % 256**cw, 0x0807 % 256**vw), (256**cw - 1, 3)]:
             columns = [of_width[cw]([c]), of_width[vw]([v])]
-            a, b = metrics._pair_scales(*columns, order)
-            packed = (c.to_bytes(cw, order) + v.to_bytes(vw, order)).ljust(word, b"\0")
-            assert int.from_bytes(packed, order) == c * a + v * b
-            if order == sys.byteorder:
-                assert [*itertools.chain(*_key_blocks(columns))] == [c * a + v * b]
+            assert [*itertools.chain(*_key_blocks(columns))] == [c + v * 256**cw]
+            with mock.patch.object(metrics, "sys", other):
+                swapped = [*itertools.chain(*_key_blocks(columns))]
+            packed = (c.to_bytes(cw, "big") + v.to_bytes(vw, "big")).ljust(word, b"\0")
+            assert swapped == [int.from_bytes(packed, "big")]
+    nine = [bytes([b]) for b in range(1, 10)]
+    assert [*itertools.chain(*_key_blocks(nine))] == [int.from_bytes(bytes(range(1, 10)), "little")]
 
 
 def _rows(*columns):
