@@ -227,9 +227,10 @@ def _shaped_table(kinds, rows, repeats, seed):
     st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True), max_size=2),
 )
 @settings(deadline=None)
-def test_shaped_partitions_equal_naive_oracle(kinds, rows, repeats, seed, picks):
-    """A row pass over a shaped table and its coarsenings to the members at the positions
-    each list in ``picks`` draws equal the oracle's view; a coarsening reads up to two
+def test_key_widths_equal_naive_oracle(kinds, rows, repeats, seed, picks):
+    """A row pass over a shaped table, keyed by one- and two-byte codes in words of 2 to
+    8 bytes or past, and its coarsenings to the members at the positions each list in
+    ``picks`` draws equal the oracle's view; a coarsening reads up to two
     quasi-identifiers that it leaves out as sensitive."""
     d = _shaped_table(kinds, rows, repeats, seed)
     names = d.attributes[:-1]
@@ -237,19 +238,38 @@ def test_shaped_partitions_equal_naive_oracle(kinds, rows, repeats, seed, picks)
     _assert_partitions_equal_oracle(d, [names, *subsets], ["s0"], left_out=2)
 
 
-# Arguments of test_shaped_partitions_equal_naive_oracle that reach every path: 256
-# classes, then 257, all alone; most rows alone; keys past an 8-byte word.
-_SHAPES = [
-    (["wide", "few", "few"], 256, 0, 1, [[0, 1], [0]]),
-    (["wide", "few", "few"], 257, 0, 1, [[0, 1], [0]]),
-    (["mid", "wide"], 100, 10, 2, [[1]]),
-    (["few"] * 9, 200, 150, 3, [[0, 8], [1]]),
-]
+_pinned = test_key_widths_equal_naive_oracle.hypothesis.inner_test
 
 
-def test_oracle_properties_reach_every_path():
-    """The pinned shapes reach each way ``_joint_counts`` ends, a one-member coarsening
-    that sums lists, class ids of 1 and 2 bytes, and keys within an 8-byte word and past."""
+@pytest.mark.parametrize("rows", [1, 255, 256, 257, 700])
+def test_class_of_is_bytes_up_to_256_classes(rows):
+    """Rows of a column of 260 values, each of the first 260 rows alone: ``class_of`` is
+    bytes exactly when there are at most 256 classes, and a row pass and its
+    coarsenings equal the oracle's."""
+    _pinned(["wide", "few", "few"], rows, 0, 1, [[0, 1], [0]])
+    p = Partition(_shaped_table(["wide", "few", "few"], rows, 0, 1), ("q0", "q1", "q2"))
+    assert isinstance(p.class_of, bytes) == (rows <= 256) == (len(p.sizes) <= 256)
+
+
+def test_coarse_pairs_summed_equal_pairs_counted_from_rows():
+    """A one-member coarsening of 100 rows, most alone in their class, sums its source's
+    lists or counts its pairs from its rows, as the counts are kept as lists everywhere
+    or nowhere; both equal the oracle's."""
+    _pinned(["mid", "wide"], 100, 10, 2, [[1]])
+
+
+def test_keys_past_64_bits_equal_naive_oracle():
+    """Keys of nine one-byte codes pass 64 bits, and a row pass and its coarsenings
+    equal the oracle's."""
+    _pinned(["few"] * 9, 200, 150, 3, [[0, 8], [1]])
+    codes = [c.codes for c in _shaped_table(["few"] * 9, 200, 150, 3).columns.values()]
+    assert max(itertools.chain(*_key_blocks(codes[:9]))) >= 2**64
+
+
+def test_oracle_properties_reach_both_lone_row_counts():
+    """The pinned shapes above reach each way ``_joint_counts`` ends, lists summed or
+    listed and every row, some or none left out alone, a one-member coarsening that sums
+    lists, class ids of 1 and 2 bytes, and keys within an 8-byte word and past."""
     ways, class_ids, words = set(), set(), set()
     key_blocks = metrics._key_blocks
 
@@ -263,8 +283,10 @@ def test_oracle_properties_reach_every_path():
         class_ids.add(memoryview(partition.class_of).itemsize)
 
     with _spy("_joint_counts", counted), mock.patch.object(metrics, "_key_blocks", keyed):
-        for shape in _SHAPES:
-            test_shaped_partitions_equal_naive_oracle.hypothesis.inner_test(*shape)
+        test_class_of_is_bytes_up_to_256_classes(256)
+        test_class_of_is_bytes_up_to_256_classes(257)
+        test_coarse_pairs_summed_equal_pairs_counted_from_rows()
+        test_keys_past_64_bits_equal_naive_oracle()
     assert {way for way, _ in ways} == {"summed", "listed", "all", "some", "none"}
     assert ("summed", 1) in ways and class_ids == {1, 2} and words == {False, True}
 
@@ -326,24 +348,23 @@ def test_streamed_coder_at_block_and_byte_boundaries(classes, last_at):
         _assert_partitions_equal_oracle(d, members, sensitive, left_out=1)
 
 
-def test_keys_are_little_endian_numbers():
-    """A class id and then a code, of 1, 2 or 4 bytes each, key as the little-endian
-    number of their bytes, ``class_id + code * 256**cw``, and so do nine one-byte codes,
-    past an 8-byte word. With ``metrics.sys`` telling the other byte order, a key is the
-    big-endian number of its bytes written big-endian: either order reads little-endian."""
-    other = SimpleNamespace(byteorder="little" if sys.byteorder == "big" else "big")
+@pytest.mark.parametrize("order", ["little", "big"])
+def test_pair_scales_decode_hand_packed_keys(order):
+    """Nine one-byte codes key as the little-endian number of their bytes, past an 8-byte
+    word. With ``metrics.sys`` telling byte ``order``, a class id and then a code, of 1, 2
+    or 4 bytes each, key in the machine's order as the little-endian number
+    ``class_id + code * 256**cw``; in the other, as the big-endian number of their bytes
+    written big-endian, so a machine of either order reads little-endian."""
+    nine = [bytes([b]) for b in range(1, 10)]
+    assert [*itertools.chain(*_key_blocks(nine))] == [int.from_bytes(bytes(range(1, 10)), "little")]
     of_width = {1: bytes, 2: partial(array, "H"), 4: partial(array, "I")}
     for cw, vw in itertools.product(of_width, repeat=2):
         word = 2 if cw + vw <= 2 else 4 if cw + vw <= 4 else 8
         for c, v in [(1, 0), (0, 1), (0x04030201 % 256**cw, 0x0807 % 256**vw), (256**cw - 1, 3)]:
-            columns = [of_width[cw]([c]), of_width[vw]([v])]
-            assert [*itertools.chain(*_key_blocks(columns))] == [c + v * 256**cw]
-            with mock.patch.object(metrics, "sys", other):
-                swapped = [*itertools.chain(*_key_blocks(columns))]
             packed = (c.to_bytes(cw, "big") + v.to_bytes(vw, "big")).ljust(word, b"\0")
-            assert swapped == [int.from_bytes(packed, "big")]
-    nine = [bytes([b]) for b in range(1, 10)]
-    assert [*itertools.chain(*_key_blocks(nine))] == [int.from_bytes(bytes(range(1, 10)), "little")]
+            key = c + v * 256**cw if order == sys.byteorder else int.from_bytes(packed, "big")
+            with mock.patch.object(metrics, "sys", SimpleNamespace(byteorder=order)):
+                assert [*itertools.chain(*_key_blocks([of_width[cw]([c]), of_width[vw]([v])]))] == [key]
 
 
 def _rows(*columns):
