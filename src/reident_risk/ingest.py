@@ -169,7 +169,7 @@ def load_csv(source: str | bytes | os.PathLike | io.TextIOBase) -> Dataset:
                 rows = csv.reader(_lines(chain(iter([first]), texts)))
                 header, blocks = next(rows), partial(_row_blocks, rows, errors=csv.Error)
             del first  # each iterator frees its text once read
-            return Dataset._from_blocks(list(map(str.strip, header)), blocks, label)._trimmed()
+            return Dataset._from_blocks(header, blocks, label)
         except IngestError:
             raise
         except csv.Error as exc:  # for example a cell longer than csv.field_size_limit()

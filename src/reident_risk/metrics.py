@@ -13,12 +13,12 @@ evaluated inside one equivalence class gives the per-value (per-class)
 inference score. A degenerate sensitive attribute with H(S) = 0 is treated
 as dr = 1: the constant value is known without looking at Q at all.
 
-Every metric is derived from a :class:`Partition` of the rows. Building one
-keys each row by its codes in the columns a :class:`~reident_risk.model.Dataset`
-stores, packed a block of rows at a time into words that are read, on every
-machine, as the little-endian number of their bytes. :meth:`Partition.coarsen`
-derives the partition of any subset of its quasi-identifiers from the row pass's
-classes without reading the rows again.
+Every metric is derived from a :class:`Partition` of the rows. One column's
+classes are its codes in the :class:`~reident_risk.model.Dataset`; several are
+keyed a row at a time by their codes, packed a block of rows at a time into words
+that are read, on every machine, as the little-endian number of their bytes.
+:meth:`Partition.coarsen` derives the partition of any subset of its
+quasi-identifiers from the row pass's classes without reading the rows again.
 n * H(S | Q) is sum n_c * log2(n_c) over class sizes less sum n_cv * log2(n_cv) over pairs.
 A class of one row adds 0 to both and is counted by its size alone: no pair
 is counted when every row is alone, nor a lone row's past ``_LONE_ROWS`` of them.
@@ -109,13 +109,12 @@ def _names(qi_set: Sequence[str]) -> tuple[str, ...]:
 
 def _key_blocks(columns: Sequence[bytes | array], rows: list[int] | None = None) -> Iterator:
     """Per block of rows, or of the rows listed in ``rows``, the key of each row: rows
-    agree on every column of codes iff their keys do. One column's keys are its codes,
-    ``_BLOCK_ROWS`` rows at a time. Several columns' codes are copied, a byte at a time
-    with strided slices, into a zeroed ``bytearray`` of at most 2 KiB, a whole number of
-    words a row: a code takes one byte in ``bytes``, else its array's ``itemsize``, and a
-    word is the narrowest of 2, 4 and 8 bytes that holds a row's codes, else 8. On every
-    machine a key is the little-endian number of its row's bytes, so a class id of ``cw``
-    bytes and then a code key as ``class_id + code * 256**cw``."""
+    agree on every one of two or more columns of codes iff their keys do. The codes are
+    copied, a byte at a time with strided slices, into a zeroed ``bytearray`` of at most
+    2 KiB, a whole number of words a row: a code takes one byte in ``bytes``, else its
+    array's ``itemsize``, and a word is the narrowest of 2, 4 and 8 bytes that holds a
+    row's codes, else 8. On every machine a key is the little-endian number of its row's
+    bytes, so a class id of ``cw`` bytes and then a code key as ``class_id + code * 256**cw``."""
     big = sys.byteorder == "big"  # where each code's bytes and each word are reversed
     size = len(columns[0]) if rows is None else len(rows)
     layout, width = [], 0  # per column: its codes, their width and byte offset
@@ -126,16 +125,13 @@ def _key_blocks(columns: Sequence[bytes | array], rows: list[int] | None = None)
     kind, word = ("H", 2) if width <= 2 else ("I", 4) if width <= 4 else ("Q", 8)
     words = -(-width // word)
     stride = word * words
-    step = _BLOCK_ROWS if len(columns) == 1 else 8 * _BLOCK_ROWS // stride
+    step = 8 * _BLOCK_ROWS // stride
     for start in range(0, size, step):
         if rows is None:
             take = itemgetter(slice(start, start + step))
         else:  # itemgetter of one index returns the item, not a tuple
             picked = rows[start : start + step]
             take = itemgetter(*picked) if len(picked) > 1 else lambda codes: (codes[picked[0]],)
-        if len(columns) == 1:
-            yield take(columns[0])
-            continue
         buf = bytearray(stride * min(step, size - start))
         for codes, code_width, offset in layout:
             if code_width == 1:  # bytes, or a tuple of ints below 256
@@ -192,16 +188,19 @@ class Partition:
         if not isinstance(dataset, Dataset):
             raise ValueError(f"dataset: expected a Dataset, got {dataset!r}")
         names = _names(qi_set)
-        columns = [dataset.columns[name].codes for name in names]  # KeyError on unknown names
+        columns = [dataset.columns[name] for name in names]  # KeyError on unknown names
         if dataset.row_count == 0:
             raise ValueError("no rows: cannot build equivalence classes")
-        coder = Coder()
-        for block in _key_blocks(columns):
-            coder.extend(block)
         self.dataset = dataset
         self.qi_set = names
         self._class_of: bytes | array | None
-        self._class_of, self.sizes = coder.done()
+        # A column's codes number its classes as a row pass does.
+        _, self._class_of, self.sizes = columns[0]
+        if len(columns) > 1:
+            coder = Coder()
+            for block in _key_blocks([column.codes for column in columns]):
+                coder.extend(block)
+            self._class_of, self.sizes = coder.done()
         # A coarsening's source, the row pass, and per source class its class here.
         self._fine: Partition | None = None
         self._fine_to_class: bytes | array | None = None

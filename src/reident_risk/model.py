@@ -320,7 +320,7 @@ class _Columns(dict):
 
 
 # Rows checked and coded at a time, in a Dataset built from rows or read by the
-# csv module, and rows keyed at a time by a partition.
+# csv module; a partition keys rows into blocks of 8 * _BLOCK_ROWS bytes.
 _BLOCK_ROWS = 256
 
 # Up to this many values, a column is counted with one bytes.count scan per
@@ -429,11 +429,17 @@ class Dataset(Record):
 
     @classmethod
     def _from_blocks(cls, attributes: Sequence[str], blocks: Callable, label: str) -> Dataset:
-        """A dataset of the unchecked lists of columns that ``blocks(width)`` yields."""
-        (dataset := object.__new__(cls))._code(attributes, blocks, label)
+        """A dataset of the unchecked lists of columns that ``blocks(width)`` yields, its
+        header names and values stripped of surrounding whitespace as they are coded: a
+        column's values that strip alike become one, in order of first occurrence, and
+        their counts are summed."""
+        dataset = object.__new__(cls)
+        dataset._code([*map(str.strip, attributes)], blocks, label, trim=True)
         return dataset
 
-    def _code(self, attributes: Sequence[str], blocks: Callable, source_label: str) -> None:
+    def _code(
+        self, attributes: Sequence[str], blocks: Callable, source_label: str, trim: bool = False
+    ) -> None:
         attrs = parsed("attributes", strings, attributes)
         label = parsed("source_label", utf8, source_label)
         if not attrs:
@@ -452,35 +458,20 @@ class Dataset(Record):
         columns = _Columns()
         for name in attrs:
             coder = coders.pop(0)  # so its index is freed before the next column counts
-            columns[name] = Column(tuple(coder.index), *coder.done())
-            for value in filterfalse(str.isascii, coder.index):
+            values, (codes, counts) = tuple(coder.index), coder.done()
+            for value in filterfalse(str.isascii, values):
                 parsed(f"attribute {name!r}", utf8, value)
+            if trim and (stripped := tuple(map(str.strip, values))) != values:
+                code_of: dict[str, int] = {}
+                remap = [code_of.setdefault(value, len(code_of)) for value in stripped]
+                merged = [0] * len(code_of)
+                for code, n in zip(remap, counts):
+                    merged[code] += n
+                values, codes, counts = tuple(code_of), recode(codes, remap, len(merged)), merged
+            columns[name] = Column(values, codes, counts)
         self.__dict__.update(
             attributes=attrs, source_label=label, row_count=rows, columns=MappingProxyType(columns)
         )
-
-    def _trimmed(self) -> Dataset:
-        """This dataset with each value stripped of surrounding whitespace, or
-        itself if no value changes. Values that strip to the same text become
-        one, in order of first occurrence, and their counts are summed."""
-        changed = {}
-        for name, (values, codes, counts) in self.columns.items():
-            stripped = tuple(map(str.strip, values))
-            if stripped == values:
-                continue
-            code_of: dict[str, int] = {}
-            remap = [code_of.setdefault(value, len(code_of)) for value in stripped]
-            merged = [0] * len(code_of)
-            for code, n in zip(remap, counts):
-                merged[code] += n
-            changed[name] = Column(tuple(code_of), recode(codes, remap, len(merged)), merged)
-        if not changed:
-            return self
-        columns = _Columns(self.columns)
-        columns.update(changed)
-        trimmed = object.__new__(Dataset)
-        trimmed.__dict__.update(self.__dict__, columns=MappingProxyType(columns))
-        return trimmed
 
 
 def _is_level(value: object) -> bool:

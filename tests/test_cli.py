@@ -556,20 +556,23 @@ UNUSED = ("dataclasses", "inspect", "pathlib", "reident_risk.fixtures", "typing"
 
 def _isolated(code):
     """Run ``code`` after importing the CLI from ``src`` alone, under ``-I -S``,
-    which leaves out what an installation's ``site`` hooks may import."""
+    which leaves out what an installation's ``site`` hooks may import, and ``-B``:
+    ``-I`` ignores ``PYTHONDONTWRITEBYTECODE``, and no bytecode is written into ``src``."""
     code = f"import sys; sys.path.insert(0, {SRC!r}); import reident_risk.cli\n" + code
-    return subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
+    argv = [sys.executable, "-B", "-I", "-S", "-c", code]
+    return subprocess.run(argv, capture_output=True, text=True)
 
 
 def test_import_loads_only_what_the_runtime_uses():
     """Start-up cost: no module of ``UNUSED`` is loaded, and with only ``src``
     added to the path, every other module loaded must be the standard
-    library's: the runtime has no dependencies."""
+    library's: the runtime has no dependencies. The child writes no bytecode."""
     ran = _isolated(
         f"print(sorted(set({UNUSED!r}) & set(sys.modules)))\n"
-        "print(sorted({m.partition('.')[0] for m in sys.modules} - sys.stdlib_module_names))"
+        "print(sorted({m.partition('.')[0] for m in sys.modules} - sys.stdlib_module_names))\n"
+        "print(sys.flags.dont_write_bytecode)"
     )
-    assert (ran.stdout, ran.stderr) == ("[]\n['__main__', 'reident_risk']\n", "")
+    assert (ran.stdout, ran.stderr) == ("[]\n['__main__', 'reident_risk']\n1\n", "")
 
 
 def _loaded_by_main(argv):

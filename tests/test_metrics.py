@@ -57,6 +57,9 @@ class TestEquivalenceClasses:
 
     def test_partition_and_order(self, initial):
         p = Partition(initial, ["Country"])
+        # One column's classes are its codes, shared with the dataset.
+        column = initial.columns["Country"]
+        assert p.class_of is column.codes and p.sizes is column.counts
         key_of = {}  # class id -> country, in the order of each class's first row
         for country, c in zip(naive.column(initial, "Country"), p.class_of):
             assert key_of.setdefault(c, country) == country  # one country per class

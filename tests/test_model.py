@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive_metrics as naive
-from conftest import heap
+from conftest import heap, qi, sens
 from reident_risk.engine import (
     DEFAULT_EXPLOITABILITY_MATRIX,
     DEFAULT_RISK_MATRIX,
@@ -410,25 +410,7 @@ class TestScaleMatrix:
 
 
 def _meta_for(dataset_attrs):
-    out = []
-    for name in dataset_attrs:
-        if name == "Disease":
-            out.append(
-                AttributeMeta(
-                    name=name,
-                    role=AttributeRole.SENSITIVE,
-                    severity=SeverityRating(1, 3, 4),
-                )
-            )
-        else:
-            out.append(
-                AttributeMeta(
-                    name=name,
-                    role=AttributeRole.QUASI_IDENTIFIER,
-                    exposure=ExposureLevel.EXTERNAL_EXTENDED,
-                )
-            )
-    return out
+    return [sens(name) if name == "Disease" else qi(name, "EE") for name in dataset_attrs]
 
 
 class TestValidateMeta:
@@ -469,25 +451,14 @@ class TestValidateMeta:
 
     def test_unused_value_severity_is_warning(self, initial):
         meta = [m for m in _meta_for(initial.attributes) if m.name != "Disease"]
-        meta.append(
-            AttributeMeta(
-                name="Disease",
-                role=AttributeRole.SENSITIVE,
-                severity=SeverityRating(1, 3, 4),
-                value_severity={"Scurvy": SeverityRating(4, 4, 4)},
-            )
-        )
+        meta.append(sens("Disease", overrides={"Scurvy": (4, 4, 4)}))
         outcome = validate_meta(initial, meta)
         assert outcome.errors == ()
         assert any("never used" in w and "Scurvy" in w for w in outcome.warnings)
 
     def test_no_quasi_identifiers_is_warning(self, initial):
         meta = [
-            AttributeMeta(
-                name=n,
-                role=AttributeRole.SENSITIVE if n == "Disease" else AttributeRole.OTHER,
-                severity=SeverityRating(1, 1, 1) if n == "Disease" else None,
-            )
+            sens(n, (1, 1, 1)) if n == "Disease" else AttributeMeta(name=n, role="other")
             for n in initial.attributes
         ]
         outcome = validate_meta(initial, meta)

@@ -274,8 +274,8 @@ def test_oracle_properties_reach_both_lone_row_counts():
     key_blocks = metrics._key_blocks
 
     def keyed(columns, rows=None):
-        if len(columns) > 1:
-            words.add(sum(memoryview(codes).itemsize for codes in columns) > 8)
+        assert len(columns) > 1  # a one-column partition is its column's codes
+        words.add(sum(memoryview(codes).itemsize for codes in columns) > 8)
         return key_blocks(columns, rows)
 
     def counted(partition, args, joint):
@@ -329,20 +329,20 @@ def _classes_table(classes, last_at, rows=800):
     + [(257, at) for at in (256, 257, 511, 512, 513, 700)],
 )
 def test_streamed_coder_at_block_and_byte_boundaries(classes, last_at):
-    """A row pass codes its keys a block at a time into bytes, which become an
-    ``array('H')`` when class 257 shows: in the first row of a block of 256 rows of
-    one column, in its second, in the last of a block, or within a later one. Row
-    passes over two columns and one (bytes codes up to 256 classes, 2-byte past) and
-    their coarsenings equal the oracle's for sensitive columns of 2 to 257 values. A
-    (class, value) pair is keyed in a 2- or 4-byte word; 256 classes from row 255 on
-    count the key 0xFFFF."""
+    """A row pass over ``c`` and ``hi`` (``c // 16``, so its classes are ``c``'s) codes
+    its keys a block at a time into bytes, which become an ``array('H')`` when class 257
+    shows: in the first row of a block of 512 rows of 2-byte ``c``, in its second, in the
+    last of a block, or within a later one. Row passes over two columns (bytes codes up
+    to 256 classes, 2-byte past) and their coarsenings equal the oracle's for sensitive
+    columns of 2 to 257 values. A (class, value) pair is keyed in a 2- or 4-byte word;
+    256 classes from row 255 on count the key 0xFFFF."""
     d = _classes_table(classes, last_at)
     assert len(d.columns["c"].values) == classes
     assert memoryview(d.columns["c"].codes).itemsize == naive.code_width(classes)
     if classes == 256 == last_at + 1:  # row 255 is the pair (255, 255)
         assert Partition(d, ("hi", "lo")).class_of[255] == d.columns["s256"].codes[255] == 255
     sensitive = ["s0", "s255", "s256", "s257"]
-    for members in [("hi", "lo"), ("hi",), ("lo",)], [("c",)]:
+    for members in [("hi", "lo"), ("hi",), ("lo",)], [("c", "hi"), ("c",)]:
         _assert_partitions_equal_oracle(d, members, [*sensitive, "z"])
     for members in [("hi", "lo", "z"), ("hi", "lo")], [("c", "z"), ("c",)]:
         _assert_partitions_equal_oracle(d, members, sensitive, left_out=1)
