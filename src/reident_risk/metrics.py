@@ -13,18 +13,10 @@ evaluated inside one equivalence class gives the per-value (per-class)
 inference score. A degenerate sensitive attribute with H(S) = 0 is treated
 as dr = 1: the constant value is known without looking at Q at all.
 
-Every metric is derived from a :class:`Partition` of the rows. One column's
-classes are its codes in the :class:`~reident_risk.model.Dataset`; several are
-keyed a row at a time by their codes, packed a block of rows at a time into words
-that are read, on every machine, as the little-endian number of their bytes.
-:meth:`Partition.coarsen` derives the partition of any subset of its
-quasi-identifiers from the row pass's classes without reading the rows again.
-n * H(S | Q) is sum n_c * log2(n_c) over class sizes less sum n_cv * log2(n_cv) over pairs.
-A class of one row adds 0 to both and is counted by its size alone: no pair
-is counted when every row is alone, nor a lone row's past ``_LONE_ROWS`` of them.
-A partition keeps a sensitive attribute's counts as a list per class when its
-classes times the values are at most its rows, and a coarsening of it sums its
-source's lists in C; any other counts its rows' (class, value) keys.
+Every metric is read off a :class:`Partition` of the rows. :func:`_key_blocks`
+keys its rows, :meth:`Partition.coarsen` derives the partition of a subset of
+its quasi-identifiers without reading them again, and
+:meth:`Partition._joint_counts` counts its (class, value) pairs.
 
 A rate or class score within 1e-9 of a band boundary (1/4, 1/2, 3/4) is
 banded on its exact value, decided from the counts by :mod:`reident_risk.exact`,
@@ -326,7 +318,8 @@ class Partition:
         return min(map(sub, map(len, joint), map(list.count, joint, repeat(0))))
 
     def conditional_entropy(self, sensitive: str) -> float:
-        """H(sensitive | qi_set) in closed form, and 0.0 when every class is pure."""
+        """H(sensitive | qi_set), 0.0 when every class is pure, in closed form: n * H(S | Q)
+        is sum n_c * log2(n_c) over class sizes less sum n_cv * log2(n_cv) over pairs."""
         pairs, rows = self._pairs(sensitive), self.dataset.row_count
         # The classes the pairs leave out have one row each: rows - sum(pairs).
         if len(pairs) + rows == len(self.sizes) + sum(pairs):

@@ -29,6 +29,7 @@ from itertools import chain
 from json.encoder import encode_basestring as _string  # as json.dumps(ensure_ascii=False)
 from operator import attrgetter, itemgetter
 
+from .metrics import band
 from .model import AttributeMeta, RiskLevel, SeverityLevel, global_severity
 
 
@@ -96,13 +97,12 @@ def _level_json(level) -> str:
 
 LEVEL = _Kind(_level_json, attrgetter("display"))
 NUMBER = _Kind('"{:.6f}"'.format, "{:.6f}".format)
-_BELOW = {"0.250000": "0.249999", "0.500000": "0.499999", "0.750000": "0.749999"}
 
 
 def rate_text(rate: float) -> str:
-    """``rate`` to six decimals, but never rounded up onto the band boundary above it."""
+    """``rate`` to six decimals, but never rounded up into the band above it."""
     text = f"{rate:.6f}"
-    return _BELOW[text] if text in _BELOW and rate < float(text) else text
+    return text if band(float(text)) is band(rate) else f"{float(text) - 1e-6:.6f}"
 
 
 RATE = _Kind(lambda rate: f'"{rate_text(rate)}"', rate_text)

@@ -9,7 +9,9 @@ within ``TOL``: the partition's closed form and the oracle's per-class sum are
 equal in the reals but round differently in the last bits.
 """
 
+import csv
 import gc
+import io
 import itertools
 import json
 import math
@@ -26,7 +28,7 @@ from hypothesis import strategies as st
 
 import naive_metrics as naive
 from conftest import TOL, heap, qi, sens, tables
-from reident_risk import metrics
+from reident_risk import load_csv, metrics
 from reident_risk.engine import (
     DEFAULT_EXPLOITABILITY_MATRIX,
     DEFAULT_RISK_MATRIX,
@@ -36,7 +38,7 @@ from reident_risk.engine import (
 )
 from reident_risk.metrics import Partition, _key_blocks, band
 from reident_risk.model import Dataset
-from reident_risk.report import to_json, to_markdown
+from reident_risk.report import json_parts
 
 
 def _split_names(d):
@@ -388,12 +390,27 @@ _RATINGS = st.dictionaries(
 )
 
 
-@given(
+def _assessed(d, exposures, strategy, ratings):
+    """``d`` assessed with its ``q`` columns at ``exposures`` and its ``s``
+    columns rated (1, 2, 3), of global severity 3, at the flag threshold; a
+    value a column holds takes its rating in ``ratings``, so it may fall below."""
+    qi_names, sensitive_names = _split_names(d)
+    meta = [qi(n, e) for n, e in zip(qi_names, exposures)]
+    for s in sensitive_names:
+        rated = {v: r for (t, v), r in ratings.items() if t == s and v in d.columns[s].values}
+        meta.append(sens(s, (1, 2, 3), rated))
+    return assess(d, meta, AssessmentOptions(combination_strategy=strategy))
+
+
+_ASSESSED = (
     tables(qi=(1, 4), sensitive=(1, 2), rows=(2, 40), values=6),
     st.lists(st.integers(1, 4), min_size=4, max_size=4),
     st.sampled_from(["per_level", "cumulative"]),
     _RATINGS,
 )
+
+
+@given(*_ASSESSED)
 @example(_HALF_RATE, [4, 4, 4, 4], "per_level", {})
 @example(_HALF_SCORE, [4, 4, 4, 4], "per_level", {})
 @settings(deadline=None)
@@ -404,16 +421,7 @@ def test_assess_equals_naive_oracle(table, exposures, strategy, ratings):
     value reaches, as in the two examples, where every record is flagged."""
     d = Dataset(*table)
     qi_names, sensitive_names = _split_names(d)
-    # The attribute's own rating has global severity 3, at the flag threshold;
-    # a value may override it with any rating, so it may fall below.
-    overrides = {
-        s: {v: r for (t, v), r in ratings.items() if t == s and v in d.columns[s].values}
-        for s in sensitive_names
-    }
-    meta = [qi(n, e) for n, e in zip(qi_names, exposures)]
-    meta += [sens(n, (1, 2, 3), overrides[n]) for n in sensitive_names]
-    options = AssessmentOptions(combination_strategy=strategy)
-    report = assess(d, meta, options)
+    report = _assessed(d, exposures, strategy, ratings)
 
     appendix = report.metrics_appendix
     assert appendix.k_anonymity == naive.k_anonymity(d, qi_names)
@@ -426,20 +434,15 @@ def test_assess_equals_naive_oracle(table, exposures, strategy, ratings):
 
     # A record is flagged when its value's global severity reaches 3, under
     # the highest-exposure combination (ties: more members, then column order).
-    combos = build_combinations(meta, strategy)
     top = min(
-        combos,
+        build_combinations(report.attributes, strategy),
         key=lambda c: (-int(c.exposure), -len(c.members), [qi_names.index(m) for m in c.members]),
     )
     keys = naive.project(d, top.members)
-
-    def severity(s, value):
-        return max(overrides[s].get(value, (1, 2, 3)))
-
+    severity = {key: max(rating) for key, rating in ratings.items()}  # else 3, as rated
     cells = {s: naive.column(d, s) for s in sensitive_names}
-    expected = [
-        (s, i) for s in sensitive_names for i, v in enumerate(cells[s]) if severity(s, v) >= 3
-    ]
+    every = [(s, i) for s in sensitive_names for i in range(d.row_count)]
+    expected = [(s, i) for s, i in every if severity.get((s, cells[s][i]), 3) >= 3]
     outcomes = report.outcomes
     records = [(row, outcomes[o]) for row, o in zip(report.flagged_rows, report.flagged_outcome)]
     assert [(outcome.attribute, row) for row, outcome in records] == expected
@@ -453,32 +456,63 @@ def test_assess_equals_naive_oracle(table, exposures, strategy, ratings):
     assert sorted(set(report.flagged_outcome)) == list(range(len(outcomes)))
     for (row, outcome), triple in zip(records, triples):
         assert (outcome.attribute, outcome.class_inference, outcome.sensitive_value) == triple
-        assert outcome.value_severity == severity(outcome.attribute, outcome.sensitive_value)
+        shown = (outcome.attribute, outcome.sensitive_value)
+        assert outcome.value_severity == severity.get(shown, 3)
         level = naive.exact_level(d, top.members, outcome.attribute, keys[row])
         assert band(outcome.class_inference) == level
         exploit = DEFAULT_EXPLOITABILITY_MATRIX.lookup(top.exposure, level)
         assert outcome.record_risk == DEFAULT_RISK_MATRIX.lookup(exploit, outcome.value_severity)
 
-    # Both renderings encode each outcome once; every record must still show its own cells.
-    document = json.loads(to_json(report))["flagged_records"]
-    section = to_markdown(report).split("## Flagged Records\n\n")[1].split("\n\n")[0]
-    lines = section.splitlines()[2:]
-    assert len(document) == len(lines) == len(records)
-    for (row, outcome), cells, line in zip(records, document, lines):
-        severity, risk = outcome.value_severity, outcome.record_risk
-        score = f"{outcome.class_inference:.6f}"
-        assert cells == {
-            "row": row + 1,
-            "attribute": outcome.attribute,
-            "value": outcome.sensitive_value,
-            "value_severity": {"label": severity.label, "level": int(severity)},
-            "class_inference": score,
-            "record_risk": {"label": risk.label, "level": int(risk)},
-        }
-        assert line == (
-            f"| **{row + 1}** | **{outcome.attribute}** | **{outcome.sensitive_value}** "
-            f"| **{severity.display}** | **{score}** | **{risk.display}** |"
-        )
+
+# A renamed value: text that encodes as UTF-8 and that trimming leaves whole,
+# but NUL, which the csv module of Python 3.10 rejects.
+_CHARACTER = st.characters(exclude_categories=("Cs",), exclude_characters="\x00")
+_NAME = st.text(_CHARACTER, min_size=1, max_size=4).filter(lambda name: name == name.strip())
+
+
+@given(*_ASSESSED, st.randoms(use_true_random=False), st.integers(2, 3), st.data())
+@settings(deadline=None)
+def test_report_is_metamorphic(table, exposures, strategy, ratings, rng, m, data):
+    """The JSON report of a table loaded from CSV, under three rewrites of the
+    table. Shuffling the rows changes only which rows are flagged; repeating
+    each row ``m`` times multiplies k and the row count by ``m`` and flags every
+    copy of a flagged row; renaming one column's values one-to-one, and their
+    ratings with them, renames only those values. A shuffle changes the order
+    a class's entropy terms are summed in, and so a rate's last bits, and a
+    repeat its counts; the six decimals a rate prints show neither."""
+    names, rows = table
+
+    def report(rows, ratings=ratings):
+        """The JSON report of ``rows``, and apart its flagged records as
+        ``{(0-based row, attribute): record}``."""
+        text = io.StringIO()
+        csv.writer(text).writerows([names, *rows])
+        text.seek(0)
+        assessed = _assessed(load_csv(text), exposures, strategy, ratings)
+        document = json.loads("".join(json_parts(assessed)))
+        flagged = document.pop("flagged_records")
+        return document, {(r.pop("row") - 1, r["attribute"]): r for r in flagged}
+
+    document, flagged = report(rows)
+    order = rng.sample(range(len(rows)), len(rows))
+    shuffled, moved = report([rows[i] for i in order])
+    assert (shuffled, {(order[i], a): r for (i, a), r in moved.items()}) == (document, flagged)
+
+    repeated, copies = report([row for row in rows for _ in range(m)])
+    appendix = document["metrics_appendix"]
+    appendix = {**appendix, "k_anonymity": appendix["k_anonymity"] * m}
+    assert repeated == {**document, "row_count": len(rows) * m, "metrics_appendix": appendix}
+    assert copies == {(i * m + j, a): r for (i, a), r in flagged.items() for j in range(m)}
+
+    column = data.draw(st.sampled_from(names))
+    rename = dict(zip("abcdefgh", data.draw(st.lists(_NAME, min_size=8, max_size=8, unique=True))))
+    at = names.index(column)
+    rows = [(*row[:at], rename[row[at]], *row[at + 1 :]) for row in rows]
+    renamed_ratings = {(t, rename[v] if t == column else v): r for (t, v), r in ratings.items()}
+    for record in [*document["value_severity_table"], *flagged.values()]:
+        if record["attribute"] == column:
+            record["value"] = rename[record["value"]]
+    assert report(rows, renamed_ratings) == (document, flagged)
 
 
 @given(tables())

@@ -243,20 +243,11 @@ class TestJson:
         assert LEVEL.json(SeverityLevel(3)) == '{"label":"Significant","level":3}'
 
     def test_levels_and_labels_consistent(self, hipaa_report):
-        document = report_to_dict(hipaa_report)
-
-        def walk(node):
-            if isinstance(node, dict):
-                if set(node) == {"level", "label"}:
-                    yield node
-                else:
-                    for v in node.values():
-                        yield from walk(v)
-            elif isinstance(node, list):
-                for item in node:
-                    yield from walk(item)
-
-        for level in walk(document):
+        objects = []  # each JSON object, innermost first
+        json.loads(to_json(hipaa_report), object_hook=objects.append)
+        levels = [node for node in objects if set(node) == {"level", "label"}]
+        assert levels
+        for level in levels:
             assert 1 <= level["level"] <= 4
             assert isinstance(level["label"], str) and level["label"]
 
